@@ -169,8 +169,9 @@ def verify_circle_design(unital: Unital) -> CircleDesignReport:
                                           False, False)
             seen[key] = (a, int(beta))
             union.update(key)
+            # circle members are distinct, so a plain increment counts
             ii, jj = np.triu_indices(len(members), k=1)
-            np.add.at(pair_counts, members[ii] * N + members[jj], 1)
+            pair_counts[members[ii] * N + members[jj]] += 1
         missing = int(ctx.neg(a))
         if union != set(range(N)) - {missing}:
             partition_ok = False
@@ -343,6 +344,12 @@ def find_onan_through_infinity(unital: Unital, max_configs: int = 64):
     One exists iff circles C(a, beta) and C(0, beta') share >= 3 elements
     for some a != 0 (translation reduces the second circle's shift to 0).
     Returns (list of verified configs, list of raw circle-pair hits).
+
+    Every hit is recorded, but configurations are assembled only until
+    `max_configs` of them are found: with the default cap of 64 the
+    returned count is that cap, not a count of all configurations.  At
+    Coulter-Matthews q=9 the 288 hits give 288 distinct configurations
+    once the cap is lifted.
     """
     plane = unital.plane
     ctx, split, N, q = plane.ctx, plane.split, plane.N, unital.q

@@ -103,6 +103,10 @@ class SwitchMismatch(UnitalForgeError):
     """Dual switch image differs from the original point set."""
 
 
+class ProvenanceMismatch(UnitalForgeError):
+    """A unital's points differ from the parabolic set its theta names."""
+
+
 # --- polarity ---
 
 class ConditionAFailed(UnitalForgeError):

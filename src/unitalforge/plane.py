@@ -34,7 +34,21 @@ __all__ = [
     "Sigma",
     "sigma_compose",
     "verify_collineation",
+    "id_batches",
+    "BATCH",
 ]
+
+# most (point, line) pairs one batch of the array routines holds; 2^16 keeps
+# a batch's temporaries near a few MB
+BATCH = 1 << 16
+
+
+def id_batches(n: int, width: int = 1):
+    """Consecutive ranges of 0..n-1 as ID arrays, each of at most
+    max(1, BATCH // width) IDs, so that width entries per ID fit a batch."""
+    step = max(1, BATCH // width)
+    for start in range(0, n, step):
+        yield np.arange(start, min(n, start + step), dtype=np.int64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,60 +125,119 @@ class ShiftPlane:
 
     # -- incidence --
 
+    def incident_many(self, pids, lids) -> np.ndarray:
+        """Incidence of point IDs with line IDs, elementwise after
+        broadcasting, in batches of at most BATCH pairs.  The plane's
+        incidence equations live here and nowhere else."""
+        pids, lids = np.broadcast_arrays(np.asarray(pids, dtype=np.int64),
+                                         np.asarray(lids, dtype=np.int64))
+        out = np.empty(pids.shape, dtype=bool)
+        flat_p, flat_l, flat_out = pids.ravel(), lids.ravel(), out.reshape(-1)
+        for start in range(0, flat_p.size, BATCH):
+            part = slice(start, start + BATCH)
+            flat_out[part] = self._incident_batch(flat_p[part], flat_l[part])
+        return out
+
+    def _incident_batch(self, pids: np.ndarray, lids: np.ndarray) -> np.ndarray:
+        N, NN = self.N, self.N * self.N
+        hit = np.zeros(pids.shape, dtype=bool)
+        at_inf = lids == self.at_infinity_id
+        hit[at_inf] = pids[at_inf] >= NN                 # slopes and infinity
+        # vertical x = a: pid // N equals a only for affine points
+        vert = (lids >= NN) & ~at_inf
+        pv = pids[vert]
+        hit[vert] = (pv == self.infinity_id) | (pv // N == lids[vert] - NN)
+        # graph L(a, b): the slope point (a), never infinity (its offset is N)
+        slope = (lids < NN) & (pids >= NN)
+        hit[slope] = pids[slope] - NN == lids[slope] // N
+        aff = (lids < NN) & (pids < NN)
+        x, y = pids[aff] // N, pids[aff] % N
+        a, b = lids[aff] // N, lids[aff] % N
+        hit[aff] = self.ctx.sub(self.f[self.ctx.add(x, a)], b) == y
+        return hit
+
     def incident(self, pid: int, lid: int) -> bool:
-        N = self.N
-        if lid == self.at_infinity_id:
-            return pid >= N * N                      # slopes and infinity
-        if lid >= N * N:                             # vertical x = a
-            a = lid - N * N
-            return pid == self.infinity_id or (pid < N * N and pid // N == a)
-        a, b = lid // N, lid % N
-        if pid == self.infinity_id:
-            return False
-        if pid >= N * N:
-            return pid - N * N == a                  # the slope point (a)
-        x, y = pid // N, pid % N
-        return int(self.ctx.sub(int(self.f[self.ctx.add(x, a)]), b)) == y
+        return bool(self.incident_many(pid, lid))
+
+    def points_on_lines(self, lids) -> np.ndarray:
+        """Row i holds the q^2 + 1 point IDs on line lids[i], ascending."""
+        lids = np.asarray(lids, dtype=np.int64).reshape(-1)
+        cols = np.arange(self.N + 1, dtype=np.int64)
+        out = np.empty((len(lids), self.N + 1), dtype=np.int64)
+        for idx in id_batches(len(lids), self.N + 1):
+            out[idx] = self.points_at(lids[idx, None], cols)
+        return out
+
+    def points_at(self, lids, cols) -> np.ndarray:
+        """The point at position cols of the ascending row of line lids,
+        elementwise after broadcasting.
+
+        Positions 0..N-1 of a graph line L(a, b) hold (x, f(x+a) - b) with
+        x the position, ascending because x*N + y grows with x; position N
+        holds its slope point (a).  A vertical V(a) holds (a, y) and then
+        infinity; L_inf holds the slope points and then infinity.
+        """
+        N, NN = self.N, self.N * self.N
+        lids, cols = np.broadcast_arrays(np.asarray(lids, dtype=np.int64),
+                                         np.asarray(cols, dtype=np.int64))
+        out = np.empty(lids.shape, dtype=np.int64)
+        graph = lids < NN
+        aff = graph & (cols < N)
+        x, a, b = cols[aff], lids[aff] // N, lids[aff] % N
+        out[aff] = x * N + self.ctx.sub(self.f[self.ctx.add(x, a)], b)
+        slope = graph & (cols == N)
+        out[slope] = NN + lids[slope] // N
+        vert = (lids >= NN) & (lids != self.at_infinity_id)
+        out[vert] = np.where(cols[vert] < N, (lids[vert] - NN) * N + cols[vert],
+                             self.infinity_id)
+        at_inf = lids == self.at_infinity_id
+        out[at_inf] = NN + cols[at_inf]
+        return out
+
+    def lines_through_points(self, pids) -> np.ndarray:
+        """Row i holds the q^2 + 1 line IDs through point pids[i], ascending.
+
+        The ID scheme is self-dual: (x, y) on L(a, b) reads y + b = f(x+a),
+        symmetric in (x, y) <-> (a, b), and (a) on L(a, b) mirrors (a, b)
+        on V(a).  So the pencil of point k is the range of line k.
+        """
+        return self.points_on_lines(pids)
 
     def points_on_line(self, lid: int) -> np.ndarray:
-        """The q^2 + 1 point IDs on a line, ascending."""
+        """The q^2 + 1 point IDs on a line, ascending: one row of
+        points_on_lines, built directly because the block searches call it
+        once per candidate line."""
         N = self.N
-        if lid == self.at_infinity_id:
-            return np.arange(N * N, N * N + N + 1, dtype=np.int64)
-        if lid >= N * N:
-            a = lid - N * N
-            ids = np.empty(N + 1, dtype=np.int64)
-            ids[:N] = a * N + np.arange(N)
-            ids[N] = self.infinity_id
-            return ids
-        a, b = lid // N, lid % N
-        x = np.arange(N, dtype=np.int64)
-        y = self.ctx.sub(self.f[np.asarray(self.ctx.add(x, a))], b)
         ids = np.empty(N + 1, dtype=np.int64)
-        ids[:N] = x * N + y
-        ids[N] = N * N + a
-        ids.sort()
+        if lid == self.at_infinity_id:
+            ids[:] = np.arange(N * N, N * N + N + 1)
+        elif lid >= N * N:
+            ids[:N] = (lid - N * N) * N + np.arange(N)
+            ids[N] = self.infinity_id
+        else:
+            a, b = lid // N, lid % N
+            x = np.arange(N, dtype=np.int64)
+            ids[:N] = x * N + self.ctx.sub(self.f[self.ctx.add(x, a)], b)
+            ids[N] = N * N + a
         return ids
 
     def lines_through_point(self, pid: int) -> np.ndarray:
-        """The q^2 + 1 line IDs through a point, ascending."""
-        N = self.N
-        if pid == self.infinity_id:
-            return np.arange(N * N, N * N + N + 1, dtype=np.int64)
-        if pid >= N * N:
-            a = pid - N * N
-            ids = np.empty(N + 1, dtype=np.int64)
-            ids[:N] = a * N + np.arange(N)
-            ids[N] = self.at_infinity_id
-            return ids
-        x, y = pid // N, pid % N
-        a = np.arange(N, dtype=np.int64)
-        b = self.ctx.sub(self.f[np.asarray(self.ctx.add(np.int64(x), a))], np.int64(y))
-        ids = np.empty(N + 1, dtype=np.int64)
-        ids[:N] = a * N + b
-        ids[N] = N * N + x
-        ids.sort()
-        return ids
+        """The q^2 + 1 line IDs through a point, ascending (see
+        lines_through_points for why this is the range of line pid)."""
+        return self.points_on_line(pid)
+
+    def sample_flags(self, rng: np.random.Generator, trials: int):
+        """Seeded incident (point, line) pairs: per trial a line, then one of
+        its points by position.  Returns (point IDs, line IDs)."""
+        lids = np.empty(trials, dtype=np.int64)
+        cols = np.empty(trials, dtype=np.int64)
+        for t in range(trials):
+            lids[t] = rng.integers(0, self.n_lines)
+            cols[t] = rng.integers(0, self.N + 1)
+        pids = np.empty(trials, dtype=np.int64)
+        for idx in id_batches(trials):
+            pids[idx] = self.points_at(lids[idx], cols[idx])
+        return pids, lids
 
     def line_through(self, pid1: int, pid2: int) -> int:
         """The unique line through two distinct points."""
@@ -213,14 +286,19 @@ class ShiftPlane:
         if mode == "exhaustive":
             return self._verify_exhaustive()
         rng = np.random.default_rng(seed)
+        pairs, lids = [], []
         for _ in range(trials):
             p1, p2 = (int(v) for v in rng.integers(0, self.n_points, 2))
             if p1 == p2:
                 continue
-            lid = self.line_through(p1, p2)
-            if not (self.incident(p1, lid) and self.incident(p2, lid)):
+            pairs.append((p1, p2))
+            lids.append(self.line_through(p1, p2))
+        if pairs:
+            both = np.array(pairs, dtype=np.int64)
+            ok = self.incident_many(both, np.array(lids, dtype=np.int64)[:, None]).all(axis=1)
+            if not ok.all():
                 return PlaneReport(False, "sampled", self.n_points, self.n_lines,
-                                   trials, witness=(p1, p2))
+                                   trials, witness=pairs[int(np.argmin(ok))])
         for _ in range(trials):
             l1, l2 = (int(v) for v in rng.integers(0, self.n_lines, 2))
             if l1 == l2:
@@ -232,7 +310,7 @@ class ShiftPlane:
         return PlaneReport(True, "sampled", self.n_points, self.n_lines, 2 * trials)
 
     def _verify_exhaustive(self) -> PlaneReport:
-        npts, nlines, N = self.n_points, self.n_lines, self.N
+        npts, nlines = self.n_points, self.n_lines
         if npts > 10_000:
             raise ValueError(
                 f"exhaustive pair check needs <= 10^4 points, got {npts}; "
@@ -240,32 +318,37 @@ class ShiftPlane:
         # point pairs: every line contributes C(N+1, 2) pairs; with all line
         # sizes equal to N+1 the total equals C(npts, 2), so max count 1
         # forces every pair to be covered exactly once
-        counts = np.zeros(npts * npts, dtype=np.int8)
-        for lid in range(nlines):
-            pts = self.points_on_line(lid)
-            if len(pts) != N + 1 or len(np.unique(pts)) != N + 1:
-                raise AxiomViolation(f"line {lid} has {len(pts)} points", witness=(lid,))
-            ii, jj = np.triu_indices(N + 1, k=1)
-            np.add.at(counts, pts[ii] * npts + pts[jj], 1)
-        if counts.max() > 1:
-            k = int(np.argmax(counts))
-            raise AxiomViolation("point pair covered more than once",
-                                 witness=(k // npts, k % npts))
+        self._cover_pairs(self.points_on_lines, nlines,
+                          "line {} has {} distinct points",
+                          "point pair covered more than once")
         # dual: every point contributes C(N+1, 2) line pairs
-        counts = np.zeros(nlines * nlines, dtype=np.int8)
-        for pid in range(npts):
-            lns = self.lines_through_point(pid)
-            if len(lns) != N + 1 or len(np.unique(lns)) != N + 1:
-                raise AxiomViolation(f"point {pid} lies on {len(lns)} lines",
-                                     witness=(pid,))
-            ii, jj = np.triu_indices(N + 1, k=1)
-            np.add.at(counts, lns[ii] * nlines + lns[jj], 1)
-        if counts.max() > 1:
-            k = int(np.argmax(counts))
-            raise AxiomViolation("line pair meeting more than once",
-                                 witness=(k // nlines, k % nlines))
+        self._cover_pairs(self.lines_through_points, npts,
+                          "point {} lies on {} distinct lines",
+                          "line pair meeting more than once")
         return PlaneReport(True, "exhaustive", npts, nlines,
                            npts * (npts - 1) // 2)
+
+    def _cover_pairs(self, rows_of, n: int, size_msg: str, pair_msg: str):
+        """Count the partner pairs in the rows of IDs 0..n-1 (rows_of gives
+        the N+1 ascending partners of each ID); raise on a row with a
+        repeated partner or on a pair counted twice."""
+        N = self.N
+        counts = np.zeros(n * n, dtype=np.int8)
+        ii, jj = np.triu_indices(N + 1, k=1)
+        for ids in id_batches(n, len(ii)):              # each row yields len(ii) codes
+            rows = rows_of(ids)
+            repeated = np.any(rows[:, 1:] == rows[:, :-1], axis=1)
+            if repeated.any():
+                k = int(np.argmax(repeated))
+                raise AxiomViolation(
+                    size_msg.format(int(ids[k]), len(np.unique(rows[k]))),
+                    witness=(int(ids[k]),))
+            # the codes of one row are distinct, so a plain increment counts
+            for row in rows:
+                counts[row[ii] * n + row[jj]] += 1
+        if counts.max() > 1:
+            k = int(np.argmax(counts))
+            raise AxiomViolation(pair_msg, witness=(k // n, k % n))
 
     def __repr__(self):
         return f"ShiftPlane({self.spec.spec_string()}, order={self.N})"
@@ -443,17 +526,12 @@ def verify_collineation(plane: ShiftPlane, g, mode: str = "exhaustive",
                         seed: int = 0, trials: int = 20000) -> bool:
     """Images of incident (point, line) pairs remain incident."""
     if mode == "exhaustive":
-        for lid in range(plane.n_lines):
-            img_line = int(g.apply_line(lid))
-            img_pts = np.atleast_1d(g.apply_point(plane.points_on_line(lid)))
-            if not all(plane.incident(int(ip), img_line) for ip in img_pts):
+        for lids in id_batches(plane.n_lines, plane.N + 1):
+            pts = plane.points_on_lines(lids)
+            img_pts = np.asarray(g.apply_point(pts.ravel())).reshape(pts.shape)
+            img_lines = np.asarray(g.apply_line(lids))[:, None]
+            if not plane.incident_many(img_pts, img_lines).all():
                 return False
         return True
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        lid = int(rng.integers(0, plane.n_lines))
-        pts = plane.points_on_line(lid)
-        pid = int(pts[rng.integers(0, len(pts))])
-        if not plane.incident(int(g.apply_point(pid)), int(g.apply_line(lid))):
-            return False
-    return True
+    pids, lids = plane.sample_flags(np.random.default_rng(seed), trials)
+    return bool(plane.incident_many(g.apply_point(pids), g.apply_line(lids)).all())

@@ -40,10 +40,11 @@ from .errors import (
     NotPolarity,
     OvalViolation,
     PairCoverageViolation,
+    ProvenanceMismatch,
     SwitchMismatch,
     ZeroTheta,
 )
-from .plane import Gamma, ShiftPlane
+from .plane import Gamma, ShiftPlane, id_batches
 
 __all__ = [
     "Unital",
@@ -135,13 +136,32 @@ class Unital:
         return rank
 
     @cached_property
+    def theta_y_values(self) -> np.ndarray | None:
+        """The y-set {t*theta} of a theta-carrying unital, once its points are
+        checked to be exactly {(x, t*theta)} + infinity; None without theta.
+
+        The theta shortcuts below answer from this set, so a point set that
+        differs from it (a tampered file, say) raises ProvenanceMismatch.
+        """
+        if self.theta is None:
+            return None
+        plane, N = self.plane, self.plane.N
+        ys = parabolic_y_values(plane, self.theta)
+        X = np.arange(N, dtype=np.int64)
+        if not (self.points[-1] == plane.infinity_id and np.array_equal(
+                self.points[:-1].reshape(N, len(ys)), X[:, None] * N + ys)):
+            raise ProvenanceMismatch(
+                f"points differ from the parabolic set of theta={self.theta}")
+        return ys
+
+    @cached_property
     def y_mask(self) -> np.ndarray | None:
         """For parabolic sets the affine part is all x times a y-set; the
         mask over second coordinates answers membership in O(1)."""
-        if self.theta is None:
+        if self.theta_y_values is None:
             return None
         mask = np.zeros(self.plane.N, dtype=bool)
-        mask[parabolic_y_values(self.plane, self.theta)] = True
+        mask[self.theta_y_values] = True
         return mask
 
     @cached_property
@@ -152,14 +172,14 @@ class Unital:
         the y-set} into #{z : f(z) in b + y-set}, so one f-value histogram
         shifted over the q admissible y values counts every graph line.
         """
-        if self.theta is None:
+        if self.theta_y_values is None:
             return None
         plane = self.plane
         ctx, N = plane.ctx, plane.N
         fhist = np.bincount(plane.f, minlength=N)
         counts = np.zeros(N, dtype=np.int64)
         b = np.arange(N, dtype=np.int64)
-        for y in parabolic_y_values(plane, self.theta):
+        for y in self.theta_y_values:
             counts += fhist[np.asarray(ctx.add(b, int(y)))]
         return counts
 
@@ -318,26 +338,53 @@ def build_general_unital(plane: ShiftPlane, g_table: np.ndarray) -> Unital:
 def line_intersection_counts(unital: Unital) -> np.ndarray:
     """|line ∩ U| for every line ID, by direct incidence counting.
 
-    Only for planes whose full point mask fits in memory; big parabolic
-    instances go through the sampled verifier instead.
+    Point-driven: for each shift a, the affine points (x, y) of U vote for
+    the graph line L(a, f(x+a) - y) through them, and one bincount per
+    shift gives the whole row of counts.  That is O(q^5) work, in batches
+    of at most BATCH (point, shift) pairs, with no mask over the q^4 + q^2
+    + 1 plane points.
+    """
+    return _line_counts(unital)[0]
+
+
+def _line_counts(unital: Unital):
+    """(counts per line ID, tangent lines through each distinct point of U).
+
+    The tangents per point come out of the same pass: a point's pencil is
+    the graph line it votes for at every shift, plus its vertical (affine
+    points), the graph lines of its slope plus L_inf (slope points), or
+    every vertical plus L_inf (infinity).  Points are taken as a set.
     """
     plane = unital.plane
     ctx, N = plane.ctx, plane.N
-    mask = unital.point_mask
-    counts = np.zeros(plane.n_lines, dtype=np.int64)
-    X = np.arange(N, dtype=np.int64)
-    affine_mask = mask[: N * N].reshape(N, N)
-    for a in range(N):
-        fs = plane.f[np.asarray(ctx.add(X, a))]
-        # rows are b, columns x: member (x, f(x+a) - b)
-        ys = np.asarray(ctx.sub(fs[None, :], X[:, None]))
-        counts[a * N: (a + 1) * N] = affine_mask[X[None, :], ys].sum(axis=1)
-    # slope point (a) on L(a, b) for every b
-    slope_members = mask[N * N: N * N + N]
-    counts[: N * N] += np.repeat(slope_members, N)
-    counts[N * N: N * N + N] = affine_mask.sum(axis=1) + mask[plane.infinity_id]
-    counts[plane.at_infinity_id] = mask[N * N:].sum()
-    return counts
+    NN = N * N
+    pts = np.unique(unital.points)
+    aff = pts[pts < NN]
+    xs, ys = aff // N, aff % N
+    slopes = pts[(pts >= NN) & (pts < NN + N)] - NN
+    slope_in = np.zeros(N, dtype=np.int64)
+    slope_in[slopes] = 1
+    has_inf = int(pts[-1] == plane.infinity_id)
+    counts = np.empty(plane.n_lines, dtype=np.int64)
+    tangents = np.zeros(len(aff), dtype=np.int64)
+    for a in id_batches(N, max(1, len(aff))):
+        # row r, column j: the b with affine point j on L(a[r], b), offset by r*N
+        votes = np.asarray(ctx.sub(plane.f[ctx.add(xs[None, :], a[:, None])], ys[None, :]))
+        votes += (np.arange(len(a), dtype=np.int64) * N)[:, None]
+        block = np.bincount(votes.ravel(), minlength=len(a) * N)
+        block += np.repeat(slope_in[a], N)          # the slope point (a) on L(a, b)
+        counts[a[0] * N: (a[-1] + 1) * N] = block
+        tangents += (block[votes] == 1).sum(axis=0)
+    counts[NN: NN + N] = np.bincount(xs, minlength=N) + has_inf
+    counts[plane.at_infinity_id] = len(slopes) + has_inf
+    tangent_lines = counts == 1
+    at_inf_tangent = int(tangent_lines[plane.at_infinity_id])
+    tangents += tangent_lines[NN + xs]
+    graph_tangents = tangent_lines[:NN].reshape(N, N).sum(axis=1)
+    per_point = [tangents, graph_tangents[slopes] + at_inf_tangent]
+    if has_inf:
+        per_point.append([int(tangent_lines[NN: NN + N].sum()) + at_inf_tangent])
+    return counts, np.concatenate(per_point)
 
 
 @dataclass
@@ -361,18 +408,14 @@ def verify_unital_embedded(unital: Unital, mode: str = "exhaustive",
     """
     plane, q = unital.plane, unital.q
     if mode == "exhaustive":
-        counts = line_intersection_counts(unital)
+        counts, tangents_per_point = _line_counts(unital)
         bad = np.flatnonzero((counts != 1) & (counts != q + 1))
         if len(bad):
             lid = int(bad[0])
             raise IntersectionViolation(lid, int(counts[lid]))
-        tangent_ids = np.flatnonzero(counts == 1)
-        per_point = np.zeros(plane.n_points, dtype=np.int64)
-        for lid in tangent_ids:
-            per_point[unital.line_section(int(lid))] += 1
-        ok = bool(np.all(per_point[unital.points] == 1))
+        ok = bool(np.all(tangents_per_point == 1))
         report = EmbeddedReport(ok, mode, int((counts == q + 1).sum()),
-                                int(len(tangent_ids)), ok, int(plane.n_lines))
+                                int((counts == 1).sum()), ok, int(plane.n_lines))
         unital.record(Check("embedded-intersections", mode,
                             "pass" if report.passed else "fail"))
         return report
@@ -461,9 +504,10 @@ def verify_design(unital: Unital, mode: str = "exhaustive",
         reps = np.zeros(n, dtype=np.int64)
         ii, jj = np.triu_indices(q + 1, k=1)
         for blk in blocks:
+            # the points of a block are distinct, so a plain increment counts
             r = np.sort(rank[np.asarray(blk.points)])
             reps[r] += 1
-            np.add.at(counts, r[ii] * n + r[jj], 1)
+            counts[r[ii] * n + r[jj]] += 1
         if counts.max() > 1:
             k = int(np.argmax(counts))
             pair = (int(unital.points[k // n]), int(unital.points[k % n]))
@@ -555,46 +599,45 @@ def verify_polarity(plane: ShiftPlane, kappa: InvolutionSpec,
     """
     N, q = plane.N, plane.split.sub_size
     bar = _polarity_precheck(plane, kappa)
+    NN = N * N
 
-    def rho_point(pid):                            # point -> line
-        if pid == plane.infinity_id:
-            return plane.at_infinity_id
-        if pid >= N * N:
-            return N * N + int(bar[pid - N * N])
-        return int(bar[pid // N]) * N + int(bar[pid % N])
+    def rho(ids):
+        """Points and lines share the ID scheme, so one map sends points to
+        lines and lines to points; infinity and L_inf keep their ID."""
+        ids = np.asarray(ids, dtype=np.int64)
+        out = ids.copy()
+        low = ids < NN
+        out[low] = bar[ids[low] // N] * N + bar[ids[low] % N]
+        mid = (ids >= NN) & (ids < NN + N)
+        out[mid] = NN + bar[ids[mid] - NN]
+        return out
 
-    def rho_line(lid):                             # line -> point
-        if lid == plane.at_infinity_id:
-            return plane.infinity_id
-        if lid >= N * N:
-            return N * N + int(bar[lid - N * N])
-        return int(bar[lid // N]) * N + int(bar[lid % N])
-
-    for pid in (0, N * N - 1, N * N, plane.infinity_id):
-        if rho_line(rho_point(pid)) != pid:
-            raise NotPolarity("correlation square is not the identity")
+    probe = np.array([0, NN - 1, NN, plane.infinity_id], dtype=np.int64)
+    if not np.array_equal(rho(rho(probe)), probe):
+        raise NotPolarity("correlation square is not the identity")
     idx = np.arange(N, dtype=np.int64)
     if not np.array_equal(bar[bar[idx]], idx):
         raise NotPolarity("correlation square is not the identity")
     if mode == "auto":
         mode = "exhaustive" if q <= 9 else "sampled"
+
+    def first_unreversed(pids, lids):
+        """Raise at the first (point, line) pair whose images are not incident."""
+        ok = plane.incident_many(rho(lids), rho(pids))
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise NotPolarity(f"incidence not reversed at ({int(pids[k])}, {int(lids[k])})")
+
     checked = 0
     if mode == "exhaustive":
-        for lid in range(plane.n_lines):
-            rp = rho_line(lid)
-            for pid in plane.points_on_line(lid):
-                if not plane.incident(rp, rho_point(int(pid))):
-                    raise NotPolarity(f"incidence not reversed at ({int(pid)}, {lid})")
-                checked += 1
+        for lids in id_batches(plane.n_lines, N + 1):
+            pts = plane.points_on_lines(lids)
+            first_unreversed(pts.ravel(), np.repeat(lids, N + 1))
+            checked += pts.size
     else:
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            lid = int(rng.integers(0, plane.n_lines))
-            pts = plane.points_on_line(lid)
-            pid = int(pts[rng.integers(0, len(pts))])
-            if not plane.incident(rho_line(lid), rho_point(pid)):
-                raise NotPolarity(f"incidence not reversed at ({pid}, {lid})")
-            checked += 1
+        pids, lids = plane.sample_flags(np.random.default_rng(seed), trials)
+        first_unreversed(pids, lids)
+        checked = trials
     absolute = absolute_point_ids(plane, kappa)
     if len(absolute) != q ** 3 + 1:
         raise AbsoluteCountMismatch(
@@ -750,14 +793,19 @@ def read_unital_file(path) -> Unital:
     from .planar import parse_spec
 
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if lines[0] != "UNITAL v1":
-        raise ValueError(f"not a unital file: {lines[0]!r}")
-    ctx = gf.parse_descriptor(lines[1])
+        header = [fh.readline().strip() for _ in range(4)]
+        if header[0] != "UNITAL v1":
+            raise ValueError(f"not a unital file: {header[0]!r}")
+        try:
+            points = np.loadtxt(fh, dtype=np.int64, ndmin=1, comments=None)
+        except ValueError as exc:
+            raise ValueError(f"malformed point ID line: {exc}") from None
+    if points.ndim != 1:
+        raise ValueError("malformed point ID line: one ID per line expected")
+    ctx = gf.parse_descriptor(header[1])
     split = gf.split_new(ctx, ctx.m // 2)
-    plane = ShiftPlane(parse_spec(split, lines[2]))
-    provenance = lines[3]
-    points = np.array([int(v) for v in lines[4:]], dtype=np.int64)
+    plane = ShiftPlane(parse_spec(split, header[2]))
+    provenance = header[3]
     theta = None
     kappa = None
     if provenance.startswith("utheta:theta="):

@@ -8,8 +8,9 @@ from unitalforge.plane import ShiftPlane, Sigma, sigma_compose
 # frozen regression values (first verified computation)
 Q3_PARABOLIC_ONAN = 324
 Q3_CLASSICAL_ONAN = 0
-CM81_THROUGH_INF_CONFIGS = 64
-CM81_THROUGH_INF_HITS = 288
+CM81_THROUGH_INF_CONFIGS = 64      # the default max_configs cap, not a count
+CM81_THROUGH_INF_HITS = 288        # circle hits: every one, whatever the cap
+CM81_THROUGH_INF_ALL_CONFIGS = 288
 
 
 # -- delta and circles --------------------------------------------------------
@@ -140,6 +141,17 @@ def test_configs_through_infinity_cm81(unital_cm81):
     assert len(hits) == CM81_THROUGH_INF_HITS
     inf = unital_cm81.plane.infinity_id
     for cfg in cfgs[:8]:
+        assert inf in cfg.points
+        assert an.onan_from_blocks(unital_cm81, cfg.blocks) == cfg
+
+
+def test_configs_through_infinity_cm81_uncapped(unital_cm81):
+    # lifting the default cap of 64: every circle hit yields its own config
+    cfgs, hits = an.find_onan_through_infinity(unital_cm81, max_configs=10 ** 6)
+    assert len(hits) == CM81_THROUGH_INF_HITS
+    assert len(cfgs) == len({cfg.blocks for cfg in cfgs}) == CM81_THROUGH_INF_ALL_CONFIGS
+    inf = unital_cm81.plane.infinity_id
+    for cfg in cfgs:
         assert inf in cfg.points
         assert an.onan_from_blocks(unital_cm81, cfg.blocks) == cfg
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from unitalforge import planar
+from unitalforge import plane as plane_mod, planar
 from unitalforge.errors import AxiomViolation, EqualPoints, FamilyMismatch
 from unitalforge.plane import Gamma, Shift, ShiftPlane, Sigma, sigma_compose, verify_collineation
 
@@ -216,3 +216,48 @@ def test_broken_map_rejected(plane_q3):
             return lid
 
     assert not verify_collineation(plane_q3, Broken())
+
+
+# -- batch incidence ------------------------------------------------------------
+
+def _on_line_membership(P, pids, lids):
+    """(pids[i, j] on line lids[i]) from the sorted rows of points_on_line."""
+    rows = np.array([P.points_on_line(int(lid)) for lid in lids])
+    offset = np.arange(len(lids), dtype=np.int64)[:, None] * P.n_points
+    flat = (rows + offset).ravel()
+    probe = pids + offset
+    pos = np.searchsorted(flat, probe).clip(max=flat.size - 1)
+    return flat[pos] == probe
+
+
+def test_incident_many_all_pairs_q3(plane_q3):
+    P = plane_q3
+    lids = P.line_ids()
+    pids = np.tile(P.point_ids(), (len(lids), 1))          # row i: every point
+    expect = _on_line_membership(P, pids, lids)
+    assert np.array_equal(P.incident_many(pids, lids[:, None]), expect)
+    assert expect.sum() == 91 * 10
+    assert np.array_equal(P.points_on_lines(lids), [P.points_on_line(l) for l in lids])
+    assert P.incident(P.infinity_id, P.at_infinity_id) is True
+
+
+def test_incident_many_sample_q9(plane_cm81):
+    P = plane_cm81
+    rng = np.random.default_rng(11)
+    lids = rng.integers(0, P.n_lines, 6000)
+    pids = rng.integers(0, P.n_points, (6000, 200))       # more than one batch
+    pids[:, :82] = P.points_on_lines(lids)                 # and every incident pair
+    assert np.array_equal(pids[:50, :82], [P.points_on_line(l) for l in lids[:50]])
+    assert pids.size > plane_mod.BATCH
+    expect = _on_line_membership(P, pids, lids)
+    assert np.array_equal(P.incident_many(pids, lids[:, None]), expect)
+
+
+def test_small_batches_change_nothing(plane_q3, monkeypatch):
+    P = plane_q3
+    full = P.points_on_lines(P.line_ids())
+    monkeypatch.setattr(plane_mod, "BATCH", 7)
+    assert np.array_equal(P.points_on_lines(P.line_ids()), full)
+    assert P.incident_many(full, P.line_ids()[:, None]).all()
+    assert P.verify_projective_plane().passed
+    assert verify_collineation(P, Shift(P, 2, 7))

@@ -6,7 +6,9 @@ from unitalforge.errors import (
     ConditionBFailed,
     CountViolation,
     HypothesisFailed,
+    IntersectionViolation,
     NotInjective,
+    ProvenanceMismatch,
     ZeroTheta,
 )
 from unitalforge.plane import Gamma, Shift, ShiftPlane
@@ -341,3 +343,121 @@ def test_certificate_schema_and_hash(unital_q3):
         assert {"name", "mode", "status"} <= set(chk)
     # identical content hashes identically
     assert unital_q3.certificate()["hash"] == cert["hash"]
+
+
+# -- point-driven line counts ---------------------------------------------------
+
+def _recount(u):
+    """|line ∩ U| line by line, from points_on_line and the point mask."""
+    P = u.plane
+    return np.array([np.count_nonzero(u.contains(P.points_on_line(lid)))
+                     for lid in range(P.n_lines)])
+
+
+def _translated_general(plane, c):
+    u = un.build_parabolic_unital(plane, plane.split.choose_theta())
+    ys = un.parabolic_y_values(plane, u.theta)
+    g_table = np.sort(np.asarray(plane.ctx.add(np.tile(ys, (plane.N, 1)), c)), axis=1)
+    return un.build_general_unital(plane, g_table)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_line_counts_match_recount(q, plane_q3, plane_q5):
+    plane = {3: plane_q3, 5: plane_q5}[q]
+    for u in (un.build_parabolic_unital(plane, plane.split.choose_theta()),
+              un.build_polarity_unital(plane, un.InvolutionSpec("frobq")),
+              _translated_general(plane, 2)):
+        counts, tangents = un._line_counts(u)
+        direct = _recount(u)
+        assert np.array_equal(counts, direct)
+        assert np.array_equal(un.line_intersection_counts(u), direct)
+        # tangent lines through each point, from the same recount
+        per_point = [np.count_nonzero(direct[u.plane.lines_through_point(int(p))] == 1)
+                     for p in u.points]
+        assert np.array_equal(tangents, per_point) and np.all(tangents == 1)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_slope_point_swap_counts_and_rejection(q, plane_q3, plane_q5):
+    plane = {3: plane_q3, 5: plane_q5}[q]
+    good = un.build_parabolic_unital(plane, plane.split.choose_theta())
+    pts = good.points.copy()
+    pts[-2] = plane.slope_id(0)                    # last affine point -> (0)
+    u = un.Unital(plane, pts, "swapped")
+    counts, tangents = un._line_counts(u)
+    direct = _recount(u)
+    assert np.array_equal(counts, direct)
+    assert len(tangents) == len(u.points)
+    with pytest.raises(IntersectionViolation):
+        un.verify_unital_embedded(u)
+
+
+# certificate hashes of freshly built unitals after the checks below, as
+# computed before the point-driven counts and batch incidence routine
+FROZEN_HASHES = {
+    ("square-q3", "parabolic"): "4ab8ebcc78fc26bd21ae5b7228ee9ea9eb181c05ce199f88f8740023bc10554a",
+    ("square-q3", "polarity"): "23332a59ccdbfb4c54a1aecf12e45c033833c349c3a76127db26542e9f62c610",
+    ("square-q5", "parabolic"): "7a7afc7fc0e372c423735c06bff774ad50885005c75eb80055e62e1ecae43fcf",
+    ("square-q5", "polarity"): "ccdb5c2d033d35cf3bad50c7aa6275b097e177b7ed71e6e298d2414c21eb2ab3",
+    ("cm-q9", "parabolic"): "29f76d929404dbe3ca2b2020005f8ded1c7e3d4c39d969f5c23faa6dcfa03528",
+    ("cm-q9", "polarity"): "d0380d80da5c7c908e06342d5b9c23c82e51b2a8ba84a5d98aae9d8b40bbdf09",
+}
+
+
+def test_certificate_hashes_unchanged(plane_q3, plane_q5, plane_cm81):
+    for tag, plane in (("square-q3", plane_q3), ("square-q5", plane_q5),
+                       ("cm-q9", plane_cm81)):
+        u = un.build_parabolic_unital(plane, plane.split.choose_theta())
+        un.verify_unital_embedded(u)
+        un.verify_design(u)
+        un.verify_unital_embedded(u, mode="sampled", seed=0, trials=500)
+        assert u.certificate()["hash"] == FROZEN_HASHES[(tag, "parabolic")]
+        pol = un.build_polarity_unital(plane, un.InvolutionSpec("frobq"))
+        un.verify_unital_embedded(pol)
+        un.verify_design(pol)
+        assert pol.certificate()["hash"] == FROZEN_HASHES[(tag, "polarity")]
+
+
+# -- files and provenance ---------------------------------------------------------
+
+def _swap_last_affine(src, dst, new_id):
+    lines = src.read_text().splitlines()
+    lines[-2] = str(new_id)                        # infinity stays the last ID
+    dst.write_text("\n".join(lines) + "\n")
+
+
+def test_file_round_trip(unital_q5, tmp_path):
+    path = tmp_path / "u.unital"
+    un.write_unital_file(unital_q5, path)
+    back = un.read_unital_file(path)
+    assert np.array_equal(back.points, unital_q5.points)
+    assert back.theta == unital_q5.theta and back.provenance == unital_q5.provenance
+    assert un.verify_unital_embedded(back, mode="sampled", seed=0, trials=500).passed
+
+
+def test_malformed_files_rejected(unital_q3, tmp_path):
+    path = tmp_path / "u.unital"
+    un.write_unital_file(unital_q3, path)
+    lines = path.read_text().splitlines()
+    bad = tmp_path / "bad.unital"
+    bad.write_text("\n".join(lines[:6] + ["seven"] + lines[7:]) + "\n")
+    with pytest.raises(ValueError, match="seven"):
+        un.read_unital_file(bad)
+    bad.write_text("\n".join(["UNITAL v2"] + lines[1:]) + "\n")
+    with pytest.raises(ValueError, match="not a unital file"):
+        un.read_unital_file(bad)
+
+
+def test_tampered_parabolic_file_rejected(unital_q5, tmp_path):
+    plane = unital_q5.plane
+    path = tmp_path / "u.unital"
+    un.write_unital_file(unital_q5, path)
+    ys = set(int(y) for y in un.parabolic_y_values(plane, unital_q5.theta))
+    off_set = plane.affine_id(0, min(set(range(plane.N)) - ys))
+    for new_id in (plane.slope_id(0), off_set):
+        bad = tmp_path / f"bad{new_id}.unital"
+        _swap_last_affine(path, bad, new_id)
+        u = un.read_unital_file(bad)
+        assert u.theta == unital_q5.theta and new_id in u.points
+        with pytest.raises(ProvenanceMismatch):
+            un.verify_unital_embedded(u, mode="sampled", seed=0, trials=500)
