@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     ElementDoesNotFix,
     HypothesisUnmet,
+    PairCoverageViolation,
     SingularSystem,
     WitnessCheckFailed,
     ZeroBeta,
@@ -188,57 +189,55 @@ def verify_circle_design(unital: Unital) -> CircleDesignReport:
 
 
 class DesignIndex:
-    """Block-level lookup tables of a certified unital (intended q <= 9)."""
+    """Block-level lookup tables of a unital (intended q <= 9), blocks in
+    line ID order, points by rank.  Raises PairCoverageViolation unless
+    every point lies on q^2 blocks, as the per-point tables need."""
 
     def __init__(self, unital: Unital):
         self.unital = unital
         self.q = unital.q
         self.n = len(unital.points)
-        rank = unital.point_rank
-        self.block_lines = np.array([b.line_id for b in unital.blocks],
-                                    dtype=np.int64)
-        self.block_points = np.array(
-            [np.sort(rank[np.asarray(b.points)]) for b in unital.blocks],
-            dtype=np.int64)
+        self.block_lines = unital.secant_line_ids
         self.B = len(self.block_lines)
+        # a secant row holds q+1 members, ascending; ranks keep that order
+        rows = unital.plane.points_on_lines(self.block_lines)
+        self.block_points = unital.point_rank[
+            rows[unital.contains(rows)].reshape(self.B, self.q + 1)]
+        reps = np.bincount(self.block_points.ravel(), minlength=self.n)
+        bad = np.flatnonzero(reps != self.q ** 2)
+        if len(bad):
+            r = int(bad[0])
+            raise PairCoverageViolation(
+                ("replication", int(unital.points[r])), int(reps[r]))
 
     @cached_property
     def blocks_by_point(self) -> np.ndarray:
         """(n, q^2) block indices through each point rank, ascending."""
-        out = [[] for _ in range(self.n)]
-        for bi, pts in enumerate(self.block_points):
-            for r in pts:
-                out[int(r)].append(bi)
-        return np.array(out, dtype=np.int64)
+        order = np.argsort(self.block_points.ravel(), kind="stable")
+        return (order // (self.q + 1)).reshape(self.n, self.q ** 2)
 
     @cached_property
     def block_through_pair(self) -> np.ndarray:
         """(n, n) block index through each point-rank pair (-1 on diagonal)."""
         tbl = np.full((self.n, self.n), -1, dtype=np.int32)
-        for bi, pts in enumerate(self.block_points):
-            ii, jj = np.triu_indices(len(pts), k=1)
-            tbl[pts[ii], pts[jj]] = bi
-            tbl[pts[jj], pts[ii]] = bi
+        ii, jj = np.nonzero(~np.eye(self.q + 1, dtype=bool))   # off-diagonal
+        tbl[self.block_points[:, ii], self.block_points[:, jj]] = \
+            np.arange(self.B)[:, None]
         return tbl
-
-    @cached_property
-    def meets(self) -> np.ndarray:
-        """(B, B) boolean: blocks sharing a point."""
-        m = np.zeros((self.B, self.B), dtype=bool)
-        for blocks in self.blocks_by_point:
-            m[np.ix_(blocks, blocks)] = True
-        np.fill_diagonal(m, False)
-        return m
 
     @cached_property
     def common_point(self) -> np.ndarray:
         """(B, B) the shared point rank of two meeting blocks, else -1."""
         cp = np.full((self.B, self.B), -1, dtype=np.int32)
-        for r, blocks in enumerate(self.blocks_by_point):
-            ii, jj = np.meshgrid(blocks, blocks, indexing="ij")
-            cp[ii, jj] = r
-        np.fill_diagonal(cp, -1)
+        ii, jj = np.nonzero(~np.eye(self.q ** 2, dtype=bool))
+        cp[self.blocks_by_point[:, ii], self.blocks_by_point[:, jj]] = \
+            np.arange(self.n)[:, None]
         return cp
+
+    @cached_property
+    def meets(self) -> np.ndarray:
+        """(B, B) boolean: blocks sharing a point."""
+        return self.common_point >= 0
 
 
 @dataclass
@@ -302,9 +301,10 @@ def wilbrink_vertex_check(unital: Unital, point_id: int, strong: bool = True,
 class OnanConfig:
     """Four blocks pairwise meeting in six distinct points.
 
-    Blocks are identified by the IDs of their carrier lines; each block
-    contains exactly 3 of the 6 points, each point lies on exactly 2 of the
-    4 blocks.  The invariant is machine-verified at construction.
+    Blocks are the ascending IDs of their carrier lines, points ascending;
+    each block contains exactly 3 of the 6 points, each point lies on
+    exactly 2 of the 4 blocks.  The class checks nothing: onan_from_blocks
+    verifies this on the line sections, find_onan_exhaustive by its lemma.
     """
 
     blocks: tuple
@@ -515,41 +515,46 @@ class OnanSearchResult:
 
 def find_onan_exhaustive(unital: Unital, budget: int | None = None,
                          index: DesignIndex | None = None) -> OnanSearchResult:
-    """All configurations, by extending pairs of meeting blocks (q <= 5
-    intended).  Quadruples are deduplicated by their sorted block IDs; a
-    budget on examined quadruples yields a flagged partial result."""
+    """All configurations, from the design index tables alone (q <= 5).
+
+    Examined are the pairwise meeting blocks b1 < b2 < b3 < b4 whose first
+    three meet in three distinct points, once each, in lexicographic order.
+    Lemma: such a quadruple is a configuration iff b4 meets the other three
+    in distinct points.  Two blocks share at most one point, so any repeat
+    among the six meets puts a point on three blocks and repeats a meet of
+    b4 or of the first three; with six distinct meets each block holds
+    exactly its three.  With more than `budget` quadruples, the result holds
+    the configurations among the first `budget`, examined == budget and
+    complete=False.
+    """
     idx = index or DesignIndex(unital)
     meets, cp = idx.meets, idx.common_point
-    B = idx.B
     configs = []
     examined = 0
-    for b1 in range(B):
-        m1 = meets[b1]
-        for b2 in range(b1 + 1, B):
-            if not m1[b2]:
-                continue
-            p12 = cp[b1, b2]
-            both = m1 & meets[b2]
-            for b3 in np.flatnonzero(both[b2 + 1:]) + b2 + 1:
-                p13, p23 = cp[b1, b3], cp[b2, b3]
-                if p13 == p12 or p23 == p12 or p13 == p23:
-                    continue
-                trip = both & meets[b3]
-                for b4 in np.flatnonzero(trip[b3 + 1:]) + b3 + 1:
-                    examined += 1
-                    if budget is not None and examined > budget:
-                        return OnanSearchResult(len(configs), configs, False,
-                                                examined - 1)
-                    p14, p24, p34 = cp[b1, b4], cp[b2, b4], cp[b3, b4]
-                    six = {int(p12), int(p13), int(p23), int(p14), int(p24),
-                           int(p34)}
-                    if len(six) != 6:
-                        continue
-                    lids = idx.block_lines[[b1, b2, b3, b4]]
-                    cfg = onan_from_blocks(unital, lids)
-                    if cfg is not None:
-                        configs.append(cfg)
-    return OnanSearchResult(len(configs), configs, True, examined)
+    complete = True
+    for b1 in range(idx.B):
+        nb = np.flatnonzero(meets[b1, b1 + 1:]) + b1 + 1     # later neighbours
+        p1 = cp[b1, nb]                                      # their meets with b1
+        m = meets[np.ix_(nb, nb)]
+        # (b2, b3) = (nb[i2], nb[i3]): meeting, not concurrent with b1
+        i2, i3 = np.nonzero(np.triu(m & (p1[:, None] != p1), 1))
+        # b4 = nb[i4] after b3, meeting b2 and b3; t numbers the triangle
+        t, i4 = np.nonzero(m[i2] & m[i3] & (np.arange(len(nb)) > i3[:, None]))
+        if budget is not None and examined + len(t) > budget:
+            keep = max(budget - examined, 0)
+            t, i4, complete = t[:keep], i4[:keep], False
+        examined += len(t)
+        i2, i3 = i2[t], i3[t]                                # one per quadruple
+        quad = np.stack([np.full(len(t), b1), nb[i2], nb[i3], nb[i4]])
+        _, b2, b3, b4 = quad
+        six = np.stack([p1[i2], p1[i3], cp[b2, b3], p1[i4], cp[b2, b4], cp[b3, b4]])
+        hit = (six[3] != six[4]) & (six[3] != six[5]) & (six[4] != six[5])
+        blocks = idx.block_lines[quad[:, hit].T].tolist()
+        points = unital.points[np.sort(six[:, hit], axis=0).T].tolist()
+        configs.extend(OnanConfig(tuple(bl), tuple(pt)) for bl, pt in zip(blocks, points))
+        if not complete:
+            break
+    return OnanSearchResult(len(configs), configs, complete, examined)
 
 
 # ----------------------------------------------------------------------

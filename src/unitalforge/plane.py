@@ -194,15 +194,6 @@ class ShiftPlane:
         out[at_inf] = NN + cols[at_inf]
         return out
 
-    def lines_through_points(self, pids) -> np.ndarray:
-        """Row i holds the q^2 + 1 line IDs through point pids[i], ascending.
-
-        The ID scheme is self-dual: (x, y) on L(a, b) reads y + b = f(x+a),
-        symmetric in (x, y) <-> (a, b), and (a) on L(a, b) mirrors (a, b)
-        on V(a).  So the pencil of point k is the range of line k.
-        """
-        return self.points_on_lines(pids)
-
     def points_on_line(self, lid: int) -> np.ndarray:
         """The q^2 + 1 point IDs on a line, ascending: one row of
         points_on_lines, built directly because the block searches call it
@@ -222,8 +213,12 @@ class ShiftPlane:
         return ids
 
     def lines_through_point(self, pid: int) -> np.ndarray:
-        """The q^2 + 1 line IDs through a point, ascending (see
-        lines_through_points for why this is the range of line pid)."""
+        """The q^2 + 1 line IDs through a point, ascending.
+
+        The ID scheme is self-dual: (x, y) on L(a, b) reads y + b = f(x+a),
+        symmetric in (x, y) <-> (a, b), and (a) on L(a, b) mirrors (a, b)
+        on V(a).  So the pencil of point k is the range of line k.
+        """
         return self.points_on_line(pid)
 
     def sample_flags(self, rng: np.random.Generator, trials: int):
@@ -317,38 +312,30 @@ class ShiftPlane:
                 "use sampled mode")
         # point pairs: every line contributes C(N+1, 2) pairs; with all line
         # sizes equal to N+1 the total equals C(npts, 2), so max count 1
-        # forces every pair to be covered exactly once
-        self._cover_pairs(self.points_on_lines, nlines,
-                          "line {} has {} distinct points",
-                          "point pair covered more than once")
-        # dual: every point contributes C(N+1, 2) line pairs
-        self._cover_pairs(self.lines_through_points, npts,
-                          "point {} lies on {} distinct lines",
-                          "line pair meeting more than once")
-        return PlaneReport(True, "exhaustive", npts, nlines,
-                           npts * (npts - 1) // 2)
-
-    def _cover_pairs(self, rows_of, n: int, size_msg: str, pair_msg: str):
-        """Count the partner pairs in the rows of IDs 0..n-1 (rows_of gives
-        the N+1 ascending partners of each ID); raise on a row with a
-        repeated partner or on a pair counted twice."""
+        # forces every pair to be covered exactly once.  The lines are then
+        # the blocks of a 2-(npts, N+1, 1) design with as many blocks as
+        # points, a symmetric design, whose blocks meet pairwise in exactly
+        # one point: axiom (ii) follows without a pass of its own
         N = self.N
-        counts = np.zeros(n * n, dtype=np.int8)
+        counts = np.zeros(npts * npts, dtype=np.int8)
         ii, jj = np.triu_indices(N + 1, k=1)
-        for ids in id_batches(n, len(ii)):              # each row yields len(ii) codes
-            rows = rows_of(ids)
+        for lids in id_batches(nlines, len(ii)):        # each row yields len(ii) codes
+            rows = self.points_on_lines(lids)
             repeated = np.any(rows[:, 1:] == rows[:, :-1], axis=1)
             if repeated.any():
                 k = int(np.argmax(repeated))
                 raise AxiomViolation(
-                    size_msg.format(int(ids[k]), len(np.unique(rows[k]))),
-                    witness=(int(ids[k]),))
+                    f"line {int(lids[k])} has {len(np.unique(rows[k]))} "
+                    "distinct points", witness=(int(lids[k]),))
             # the codes of one row are distinct, so a plain increment counts
             for row in rows:
-                counts[row[ii] * n + row[jj]] += 1
+                counts[row[ii] * npts + row[jj]] += 1
         if counts.max() > 1:
             k = int(np.argmax(counts))
-            raise AxiomViolation(pair_msg, witness=(k // n, k % n))
+            raise AxiomViolation("point pair covered more than once",
+                                 witness=(k // npts, k % npts))
+        return PlaneReport(True, "exhaustive", npts, nlines,
+                           npts * (npts - 1) // 2)
 
     def __repr__(self):
         return f"ShiftPlane({self.spec.spec_string()}, order={self.N})"

@@ -162,13 +162,58 @@ def test_exhaustive_counts_q3(unital_q3, classical_q3):
     assert res_u.complete and res_c.complete
     assert res_u.count == Q3_PARABOLIC_ONAN
     assert res_c.count == Q3_CLASSICAL_ONAN
-    for cfg in res_u.configs[:10]:
+    for cfg in res_u.configs:
         assert an.onan_from_blocks(unital_q3, cfg.blocks) == cfg
+    assert res_u.configs == sorted(res_u.configs, key=lambda c: c.blocks)
 
 
 def test_exhaustive_budget_flag(unital_q3):
     res = an.find_onan_exhaustive(unital_q3, budget=50)
     assert not res.complete and res.examined == 50
+
+
+@pytest.fixture(scope="module")
+def full_search_q3(unital_q3):
+    return an.find_onan_exhaustive(unital_q3)
+
+
+@pytest.mark.parametrize("scale, offset", [(0, 0), (0, 1), (0, 50), (1, -1),
+                                           (1, 0), (1, 1)],
+                         ids=["0", "1", "50", "total-1", "total", "total+1"])
+def test_exhaustive_budget_prefix(unital_q3, full_search_q3, scale, offset):
+    total = full_search_q3.examined
+    budget = scale * total + offset
+    res = an.find_onan_exhaustive(unital_q3, budget=budget)
+    assert res.examined == min(budget, total)
+    assert res.complete == (budget >= total)
+    assert res.count == len(res.configs)
+    assert res.configs == full_search_q3.configs[:res.count]
+
+
+@pytest.mark.parametrize("which", ["parabolic", "classical"])
+def test_design_index_tables_q3(which, unital_q3, classical_q3):
+    u = {"parabolic": unital_q3, "classical": classical_q3}[which]
+    idx = an.DesignIndex(u)
+    q, n = u.q, len(u.points)
+    lines = [lid for lid in range(u.plane.n_lines)
+             if len(u.line_section(lid)) == q + 1]
+    assert idx.block_lines.tolist() == lines
+    blocks = [set(u.point_rank[u.line_section(lid)].tolist()) for lid in lines]
+    B = len(blocks)
+    assert idx.B == B and idx.n == n
+    assert [set(row) for row in idx.block_points.tolist()] == blocks
+    assert np.all(np.diff(idx.block_points, axis=1) > 0)
+    assert idx.blocks_by_point.tolist() == [
+        [b for b in range(B) if r in blocks[b]] for r in range(n)]
+    for r in range(n):
+        for s in range(n):
+            through = [b for b in range(B) if {r, s} <= blocks[b]] if r != s else [-1]
+            assert [idx.block_through_pair[r, s]] == through
+    for b in range(B):
+        for c in range(B):
+            common = sorted(blocks[b] & blocks[c]) if b != c else []
+            assert idx.meets[b, c] == bool(common)
+            assert [idx.common_point[b, c]] == (common or [-1])
 
 
 def test_explicit_construction_q5(unital_q5):
@@ -182,6 +227,9 @@ def test_explicit_witness_in_exhaustive_q5(unital_q5):
     res = an.find_onan_exhaustive(unital_q5, budget=2_000_000)
     assert res.complete
     assert any(c.blocks == cfg.blocks for c in res.configs)
+    pick = np.random.default_rng(5).choice(len(res.configs), 200, replace=False)
+    for i in pick:
+        assert an.onan_from_blocks(unital_q5, res.configs[i].blocks) == res.configs[i]
 
 
 def test_explicit_construction_char3_obstruction(unital_q3, s729):

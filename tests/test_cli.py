@@ -126,6 +126,30 @@ def test_onan_find_exhaustive(capsys):
     assert "count=324" in out and out.count("ONAN blocks=") == 2
 
 
+def _non_unital_file(tmp_path, unital_q3):
+    # the q=3 parabolic unital with its last affine point swapped for (0)
+    from unitalforge import unital as un
+
+    good, bad = tmp_path / "u.unital", tmp_path / "bad.unital"
+    un.write_unital_file(unital_q3, good)
+    lines = good.read_text().splitlines()
+    lines[-2] = str(unital_q3.plane.slope_id(0))
+    bad.write_text("\n".join(lines) + "\n")
+    return str(bad)
+
+
+def test_wilbrink_rejects_non_unital(capsys, tmp_path, unital_q3):
+    code, _, err = run(capsys, "wilbrink", "--p", "3", "--m", "2", "--point",
+                       "inf", "--in", _non_unital_file(tmp_path, unital_q3))
+    assert code == 1 and "CHECK FAILED (PairCoverageViolation)" in err
+
+
+def test_onan_find_rejects_non_unital(capsys, tmp_path, unital_q3):
+    code, _, err = run(capsys, "onan", "find", "--p", "3", "--m", "2",
+                       "--exhaustive", "--in", _non_unital_file(tmp_path, unital_q3))
+    assert code == 1 and "CHECK FAILED (PairCoverageViolation)" in err
+
+
 def test_onan_construct_q5_and_q3(capsys):
     code, out, _ = run(capsys, "onan", "construct", "--p", "5", "--m", "2",
                        "--spec", "square")
