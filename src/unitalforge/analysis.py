@@ -104,13 +104,21 @@ class Circle:
     delta: int
 
 
+def _checked_phi(unital: Unital) -> np.ndarray:
+    """phi of a parabolic unital whose points are first checked to be the
+    parabolic set of its theta (ProvenanceMismatch otherwise)."""
+    if unital.theta_y_values is None:
+        raise HypothesisUnmet("circles are defined for parabolic unitals only")
+    return phi_table(unital.plane, unital.theta)
+
+
 def circle(unital: Unital, a: int, beta: int) -> Circle:
     plane = unital.plane
     split, ctx = plane.split, plane.ctx
     a, beta = ctx.index_of(a), ctx.index_of(beta)
     if beta == 0 or not split.in_subfield(beta):
         raise ZeroBeta(f"beta must be a nonzero subfield element, got {beta}")
-    phi = phi_table(plane, unital.theta)
+    phi = _checked_phi(unital)
     X = np.arange(plane.N, dtype=np.int64)
     members = np.flatnonzero(phi[np.asarray(ctx.add(X, a))] == beta)
     if len(members) != unital.q + 1:
@@ -122,7 +130,7 @@ def circle(unital: Unital, a: int, beta: int) -> Circle:
 def all_circles(unital: Unital) -> list[Circle]:
     plane = unital.plane
     ctx, split = plane.ctx, plane.split
-    phi = phi_table(plane, unital.theta)
+    phi = _checked_phi(unital)
     delta = derive_delta(split, unital.theta)
     X = np.arange(plane.N, dtype=np.int64)
     out = []
@@ -148,10 +156,11 @@ class CircleDesignReport:
 def verify_circle_design(unital: Unital) -> CircleDesignReport:
     """All circles distinct, q^3 - q^2 of them, each of size q+1, the
     beta-slices partition F_{q^2} minus one point, and every unordered pair
-    of field elements lies in exactly q circles."""
+    of field elements lies in exactly q circles.  Raises ProvenanceMismatch
+    when the points are not the parabolic set of the unital's theta."""
     plane, q = unital.plane, unital.q
     ctx, split, N = plane.ctx, plane.split, plane.N
-    phi = phi_table(plane, unital.theta)
+    phi = _checked_phi(unital)
     X = np.arange(N, dtype=np.int64)
     seen: dict[tuple, tuple] = {}
     pair_counts = np.zeros(N * N, dtype=np.int16)
@@ -349,12 +358,13 @@ def find_onan_through_infinity(unital: Unital, max_configs: int = 64):
     `max_configs` of them are found: with the default cap of 64 the
     returned count is that cap, not a count of all configurations.  At
     Coulter-Matthews q=9 the 288 hits give 288 distinct configurations
-    once the cap is lifted.
+    once the cap is lifted.  Raises ProvenanceMismatch when the points are
+    not the parabolic set of the unital's theta.
     """
     plane = unital.plane
     ctx, split, N, q = plane.ctx, plane.split, plane.N, unital.q
+    phi = _checked_phi(unital)
     theta = unital.theta
-    phi = phi_table(plane, theta)
     X = np.arange(N, dtype=np.int64)
     nonzero_betas = [int(b) for b in split.sub_elements[1:]]
     base = {bp: np.flatnonzero(phi == bp) for bp in nonzero_betas}

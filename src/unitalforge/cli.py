@@ -122,6 +122,8 @@ def cmd_field_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     a, b, c = rng.integers(0, ctx.size, (3, 5000))
     ok = bool(np.all(ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))))
+    # the addition tables against digit-wise addition in base p
+    ok &= bool(np.all(ctx.add(b, c) == (ctx.digits[b] + ctx.digits[c]) % ctx.p @ ctx.pow_p))
     nz = np.arange(1, ctx.size) if ctx.size <= 4096 else (
         rng.integers(1, ctx.size, 5000))
     ok &= bool(np.all(ctx.mul(ctx.inv(nz), nz) == 1))

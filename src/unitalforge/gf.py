@@ -2,10 +2,14 @@
 
 Elements are canonical integer indices: the element with coefficient vector
 (c_0, ..., c_{m-1}) over F_p (c_i multiplying x^i) has index sum(c_i * p^i).
-All arithmetic is table-driven: addition works digit-wise in base p,
-multiplication through discrete-log tables over a fixed primitive element.
-Every operation accepts either plain ints or numpy arrays of indices, so the
-same code serves scalar API calls and bulk sweeps.
+All arithmetic is table-driven.  Multiplication goes through discrete-log
+tables over a fixed primitive element.  Addition (digit-wise in base p) is
+one lookup in an N x N table for fields of at most ADD_TABLE_MAX elements.
+Larger fields write an index as hi * P + lo with P = p^ceil(m/2); the low and
+high digits add independently, so a sum is one lookup in a P x P table plus
+one in a (N/P) x (N/P) table (243 x 243 each at F_3^10).  Every operation
+accepts either plain ints or numpy arrays of indices, so the same code serves
+scalar API calls and bulk sweeps.
 
 `ExtensionSplit` views F_{p^{2n}} over its index-2 subfield F_q (q = p^n):
 decomposition along the basis (1, xi), relative trace and norm, the quadratic
@@ -16,6 +20,7 @@ throughout the geometry modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -37,9 +42,15 @@ __all__ = [
     "quadratic_solution_count",
     "parse_descriptor",
     "default_modulus",
+    "monic_irreducibles",
     "is_irreducible",
     "is_prime",
 ]
+
+
+# Fields up to this size keep one N x N addition table; larger ones add
+# through two tables on the halves of the index.
+ADD_TABLE_MAX = 1024
 
 
 def is_prime(n: int) -> bool:
@@ -164,6 +175,30 @@ def is_irreducible(coeffs, p) -> bool:
     return True
 
 
+def monic_irreducibles(p: int, m: int):
+    """Monic irreducibles of degree m >= 2 over F_p, in the order of
+    `default_modulus`.
+
+    A candidate with a root r in F_p (c_0 = 0 among them, r = 0) is divisible
+    by x - r and so reducible; it is sieved out, a block of candidates at a
+    time, before `is_irreducible` is asked about the rest.
+    """
+    weights = p ** np.arange(m - 1, -1, -1, dtype=np.int64)  # c_0 most significant
+    roots = np.arange(p, dtype=np.int64)
+    total = p ** m
+    for start in range(0, total, 4096):
+        codes = np.arange(start, min(start + 4096, total), dtype=np.int64)
+        coeffs = (codes[:, None] // weights) % p       # column i holds c_i
+        vals = np.ones((len(codes), p), dtype=np.int64)  # Horner from x^m down
+        for i in range(m - 1, -1, -1):
+            vals = (vals * roots + coeffs[:, i:i + 1]) % p
+        for row in coeffs[(vals != 0).all(axis=1)]:
+            cand = tuple(int(c) for c in row) + (1,)
+            if is_irreducible(cand, p):
+                yield cand
+
+
+@cache
 def default_modulus(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m over F_p.
 
@@ -172,15 +207,8 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
     """
     if m == 1:
         return (0, 1)  # the polynomial x
-    for code in range(p ** m):
-        digits_hi_first = []
-        rest = code
-        for k in range(m - 1, -1, -1):
-            digits_hi_first.append(rest // p ** k)
-            rest %= p ** k
-        cand = tuple(digits_hi_first) + (1,)  # c_0 was the most significant digit
-        if is_irreducible(cand, p):
-            return cand
+    for cand in monic_irreducibles(p, m):
+        return cand
     raise NotIrreducible(f"no irreducible of degree {m} over F_{p}")  # unreachable
 
 
@@ -266,32 +294,41 @@ class FieldCtx:
         self.digits = ((idx[:, None] // self.pow_p[None, :]) % p).astype(np.int16)
         self.neg_table = (((-self.digits) % p).astype(np.int64) @ self.pow_p)
         self._build_log_tables()
-        # full addition table only for small fields; digit path otherwise
-        if self.size <= 1024:
+        if self.size <= ADD_TABLE_MAX:
             self.add_table = self._digit_add(idx[:, None], idx[None, :])
         else:
+            # index = hi * P + lo with P = p^ceil(m/2): the low and high
+            # digits add apart, each through a flattened table of its own
             self.add_table = None
+            self.split_base = P = p ** ((m + 1) // 2)
+            lo = np.arange(P, dtype=np.int64)
+            hi = np.arange(self.size // P, dtype=np.int64) * P
+            self.add_lo = self._digit_add(lo[:, None], lo[None, :]).ravel()
+            self.add_hi = self._digit_add(hi[:, None], hi[None, :]).ravel()
 
     # -- construction helpers --
 
     def _build_log_tables(self):
         p, m, n1 = self.p, self.m, self.size - 1
         g = self._find_generator()
-        # multiplication by g is F_p-linear; iterate its matrix over (1, x, ..)
+        # multiplication by g is F_p-linear; gmat is its matrix over (1, x, ..)
         gmat = np.zeros((m, m), dtype=np.int64)
         for j in range(m):
             col = _polymulmod(g, [0] * j + [1], list(self.modulus), p)
             for i, c in enumerate(col):
                 gmat[i, j] = c
-        exp = np.zeros(n1, dtype=np.int64)
+        # row i holds the coefficients of g^i; rows [k, 2k) are rows [0, k)
+        # times g^k, one matrix product per doubling
+        powers = np.zeros((n1, m), dtype=np.int64)
+        powers[0, 0] = 1
+        step, k = gmat, 1
+        while k < n1:
+            r = min(k, n1 - k)
+            powers[k:k + r] = (powers[:r] @ step.T) % p
+            step, k = (step @ step) % p, 2 * k
+        exp = powers @ self.pow_p
         log = np.full(self.size, -1, dtype=np.int64)
-        cur = np.zeros(m, dtype=np.int64)
-        cur[0] = 1
-        for i in range(n1):
-            e = int(cur @ self.pow_p)
-            exp[i] = e
-            log[e] = i
-            cur = (gmat @ cur) % p
+        log[exp] = np.arange(n1, dtype=np.int64)
         self.exp = exp
         self.log = log
         self.generator = int(exp[1]) if n1 > 1 else 1
@@ -309,13 +346,16 @@ class FieldCtx:
     # -- arithmetic on indices --
 
     def _digit_add(self, a, b):
+        """Digit-wise sum in base p; builds the addition tables."""
         d = (self.digits[a] + self.digits[b]) % self.p
         return d.astype(np.int64) @ self.pow_p
 
     def add(self, a, b):
         if self.add_table is not None:
             return self.add_table[a, b]
-        return self._digit_add(a, b)
+        a, b, P = np.asarray(a), np.asarray(b), self.split_base
+        Q = self.size // P
+        return self.add_lo[a % P * P + b % P] + self.add_hi[a // P * Q + b // P]
 
     def neg(self, a):
         return self.neg_table[a]

@@ -395,10 +395,12 @@ def check_planarity(spec: PlanarFunctionSpec, mode: str = "exhaustive",
         shifts = np.sort(rng.choice(N - 1, size=count, replace=False) + 1)
         seed_used = seed
 
+    neg_t = ctx.neg(t)
+
     def scan(chunk):
         seen = np.zeros(N, dtype=bool)
         for a in chunk:
-            vals = np.asarray(ctx.sub(t[np.asarray(ctx.add(x, int(a)))], t))
+            vals = ctx.add(t[ctx.add(x, int(a))], neg_t)
             seen[:] = False
             seen[vals] = True
             if not seen.all():

@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 _MASK_LIMIT = 1 << 24     # beyond this many plane points, fall back to sorted lookup
+_WRITE_BLOCK = 1 << 16    # point IDs joined into one write by write_unital_file
 
 
 @dataclass
@@ -779,13 +780,15 @@ def gamma_orbit_partition(plane: ShiftPlane, thetas) -> list[list[int]]:
 def write_unital_file(unital: Unital, path):
     """Text format: `UNITAL v1`, field descriptor, spec string, provenance,
     then one ascending point ID per line."""
+    header = ["UNITAL v1", unital.plane.ctx.descriptor(),
+              unital.plane.spec.spec_string(), unital.provenance]
     with open(path, "w") as fh:
-        fh.write("UNITAL v1\n")
-        fh.write(unital.plane.ctx.descriptor() + "\n")
-        fh.write(unital.plane.spec.spec_string() + "\n")
-        fh.write(unital.provenance + "\n")
-        for p in unital.points:
-            fh.write(f"{int(p)}\n")
+        fh.write("\n".join(header) + "\n")
+        # one joined write per block of IDs: fast, and the strings of a
+        # whole large unital are never held at once
+        for start in range(0, len(unital.points), _WRITE_BLOCK):
+            ids = unital.points[start:start + _WRITE_BLOCK].tolist()
+            fh.write("\n".join(map(str, ids)) + "\n")
 
 
 def read_unital_file(path) -> Unital:

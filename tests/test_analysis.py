@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from unitalforge import analysis as an, gf, planar, unital as un
-from unitalforge.errors import HypothesisUnmet, WitnessCheckFailed, ZeroBeta
+from unitalforge.errors import (
+    HypothesisUnmet,
+    ProvenanceMismatch,
+    WitnessCheckFailed,
+    ZeroBeta,
+)
 from unitalforge.plane import ShiftPlane, Sigma, sigma_compose
 
 # frozen regression values (first verified computation)
@@ -83,6 +88,19 @@ def test_block_projects_to_circle(unital_q3):
     sec = unital_q3.line_section(plane.shifted_id(a, b))
     firsts = sorted(set(int(p) // 9 for p in sec if p < 81))
     assert firsts == sorted(members)
+
+
+def test_circle_readers_reject_non_parabolic_points(unital_q3):
+    # the q=3 parabolic unital with its last affine point swapped for (0)
+    plane = unital_q3.plane
+    pts = unital_q3.points.copy()
+    pts[-2] = plane.slope_id(0)
+    bad = un.Unital(plane, pts, unital_q3.provenance, theta=unital_q3.theta)
+    for read in (an.verify_circle_design, an.all_circles,
+                 an.find_onan_through_infinity, lambda u: an.circle(u, 0, 1)):
+        with pytest.raises(ProvenanceMismatch):
+            read(bad)
+    assert bad.checks == []
 
 
 def test_circle_design_q3(unital_q3):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from unitalforge.cli import main
@@ -148,6 +149,41 @@ def test_onan_find_rejects_non_unital(capsys, tmp_path, unital_q3):
     code, _, err = run(capsys, "onan", "find", "--p", "3", "--m", "2",
                        "--exhaustive", "--in", _non_unital_file(tmp_path, unital_q3))
     assert code == 1 and "CHECK FAILED (PairCoverageViolation)" in err
+
+
+def test_circles_rejects_non_unital(capsys, tmp_path, unital_q3):
+    code, _, err = run(capsys, "circles", "--p", "3", "--m", "2",
+                       "--in", _non_unital_file(tmp_path, unital_q3))
+    assert code == 1 and "CHECK FAILED (ProvenanceMismatch)" in err
+
+
+def test_onan_find_through_infinity_rejects_non_unital(capsys, tmp_path, unital_q3):
+    code, _, err = run(capsys, "onan", "find", "--p", "3", "--m", "2",
+                       "--in", _non_unital_file(tmp_path, unital_q3))
+    assert code == 1 and "CHECK FAILED (ProvenanceMismatch)" in err
+
+
+def test_onan_find_through_infinity_rejects_polarity_unital(capsys, tmp_path, polarity_q3):
+    from unitalforge import unital as un
+
+    path = tmp_path / "h3.unital"
+    un.write_unital_file(polarity_q3, path)
+    code, _, err = run(capsys, "onan", "find", "--p", "3", "--m", "2", "--in", str(path))
+    assert code == 1 and "CHECK FAILED (HypothesisUnmet)" in err
+
+
+def test_field_check_large_field(capsys):
+    code, out, _ = run(capsys, "field", "check", "--p", "3", "--m", "10")
+    assert code == 0 and "axioms: pass (size 59049)" in out
+
+
+def test_field_check_flags_corrupt_addition_table(capsys, monkeypatch):
+    from unitalforge import gf
+
+    ctx = gf.field_new(3, 10)
+    monkeypatch.setattr(ctx, "add_lo", np.roll(ctx.add_lo, 1))
+    code, out, _ = run(capsys, "field", "check", "--p", "3", "--m", "10")
+    assert code == 1 and "axioms: FAIL" in out
 
 
 def test_onan_construct_q5_and_q3(capsys):

@@ -306,3 +306,96 @@ def test_field_elem_operators(s9):
     assert (x / x).index == 1
     assert (x ** 8).index == 1
     assert str(f9.element(5)) == "2 + x"
+
+
+# -- large-field tables ------------------------------------------------------
+
+# default moduli and a SHA-256 of the exp table (little-endian int64), frozen
+# from the digit-path implementation that preceded the split addition tables
+FROZEN_MODULI = {
+    (3, 10): (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1),
+    (5, 6): (1, 0, 0, 0, 1, 1, 1),
+    (3, 8): (1, 0, 0, 0, 0, 1, 1, 0, 1),
+    (3, 6): (1, 0, 0, 0, 1, 1, 1),
+    (5, 4): (1, 0, 1, 1, 1),
+    (7, 4): (1, 0, 0, 1, 1),
+}
+FROZEN_EXP_SHA256 = {
+    (3, 10): "bb1be2d55951169a68fdc04c24d7a4292636484f7e5d0f13654bd90e9e0b4a09",
+    (5, 6): "c6cfd82f776f942ccf9ce4010ae6fcfdd2ae6272ac94b23e0d2c67959675c14e",
+}
+LARGE_FIELDS = [(3, 10), (5, 6)]
+SPLIT_FIELDS = LARGE_FIELDS + [(3, 7)]    # F_3^7: halves of 3^4 and 3^3
+
+
+def mobius(n):
+    out, f = 1, 2
+    while f * f <= n:
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
+                return 0
+            out = -out
+        f += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p,m", sorted(FROZEN_MODULI))
+def test_default_modulus_frozen(p, m):
+    assert gf.default_modulus(p, m) == FROZEN_MODULI[(p, m)]
+    assert gf.field_new(p, m).modulus == FROZEN_MODULI[(p, m)]
+
+
+@pytest.mark.parametrize("p,m", [(3, 4), (3, 5), (5, 3), (7, 3)])
+def test_sieved_search_accepts_every_irreducible(p, m):
+    unsieved = []
+    for code in range(p ** m):
+        cand = tuple((code // p ** (m - 1 - i)) % p for i in range(m)) + (1,)
+        if gf.is_irreducible(cand, p):
+            unsieved.append(cand)
+    sieved = list(gf.monic_irreducibles(p, m))
+    assert sieved == unsieved
+    gauss = sum(mobius(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+    assert len(sieved) == gauss
+    assert gf.default_modulus(p, m) == sieved[0]
+
+
+@pytest.mark.parametrize("p,m", LARGE_FIELDS)
+def test_log_tables_frozen(p, m):
+    import hashlib
+
+    ctx = gf.field_new(p, m)
+    assert hashlib.sha256(ctx.exp.astype("<i8").tobytes()).hexdigest() == \
+        FROZEN_EXP_SHA256[(p, m)]
+    n1 = ctx.size - 1
+    assert ctx.log[0] == -1 and np.array_equal(ctx.log[ctx.exp], np.arange(n1))
+    assert ctx.generator == ctx.exp[1]
+
+
+@pytest.mark.parametrize("p,m", SPLIT_FIELDS)
+def test_split_addition_matches_digits(p, m):
+    ctx = gf.field_new(p, m)
+    assert ctx.size > gf.ADD_TABLE_MAX and ctx.add_table is None
+    a, b = np.random.default_rng(5).integers(0, ctx.size, (2, 10 ** 5))
+
+    def index_of_digits(d):
+        return (d % p).astype(np.int64) @ ctx.pow_p
+
+    da, db = ctx.digits[a].astype(np.int64), ctx.digits[b].astype(np.int64)
+    assert np.array_equal(ctx.add(a, b), index_of_digits(da + db))
+    assert np.array_equal(ctx.sub(a, b), index_of_digits(da - db))
+    assert np.array_equal(ctx.neg(a), index_of_digits(-da))
+    # scalar and broadcast calls take the same path
+    assert ctx.add(int(a[0]), int(b[0])) == index_of_digits(da[0] + db[0])
+    assert np.array_equal(ctx.add(a[:10], int(b[0])), index_of_digits(da[:10] + db[0]))
+
+
+@pytest.mark.parametrize("p,m", SPLIT_FIELDS)
+def test_field_axioms_random_large(p, m):
+    ctx = gf.field_new(p, m)
+    a, b, c = np.random.default_rng(6).integers(0, ctx.size, (3, 10 ** 4))
+    assert np.array_equal(ctx.add(a, b), ctx.add(b, a))
+    assert np.array_equal(ctx.add(ctx.add(a, b), c), ctx.add(a, ctx.add(b, c)))
+    assert np.array_equal(ctx.mul(a, ctx.add(b, c)),
+                          ctx.add(ctx.mul(a, b), ctx.mul(a, c)))
+    assert np.all(ctx.add(a, ctx.neg(a)) == 0) and np.array_equal(ctx.add(a, 0), a)

@@ -204,3 +204,30 @@ def test_certify_bundle(s9):
     cert = planar.certify(planar.square(s9))
     assert cert.is_planar and cert.is_normal and cert.satisfies_value_distribution
     assert cert.witness is None
+
+
+# -- large fields (split addition tables) --------------------------------------
+# reports frozen from the digit-path implementation that preceded the tables
+
+@pytest.fixture(scope="module")
+def s15625():
+    return gf.split_new(gf.field_new(5, 6), 3)
+
+
+def test_sampled_planarity_frozen_large(s15625):
+    s59049 = gf.split_new(gf.field_new(3, 10), 5)
+    for split, text in ((s15625, "zhoupott:i=1,k=1"), (s59049, "pw")):
+        chk = planar.check_planarity(planar.parse_spec(split, text),
+                                     mode="sampled", trials=1000, seed=0)
+        assert chk == planar.PlanarityCheck(True, "sampled", 1000, None, 0)
+
+
+def test_non_planar_witness_frozen_large(s15625):
+    # f = x^2 + 7 x^26 over F_5^6: the first 39 shifts pass, shift 40 fails
+    f = planar.parse_spec(s15625, "custom:2:1,26:7")
+    assert planar.check_planarity(f) == planar.PlanarityCheck(
+        False, "exhaustive", 40, (40, 55, 1183), None)
+    for workers in (1, 2):
+        assert planar.check_planarity(f, mode="sampled", trials=1000, seed=0,
+                                      workers=workers) == planar.PlanarityCheck(
+            False, "sampled", 15, (228, 326, 1040), 0)

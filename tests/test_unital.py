@@ -327,6 +327,19 @@ def test_unital_file_round_trip(unital_q3, tmp_path):
     assert again.theta == unital_q3.theta
 
 
+@pytest.mark.parametrize("which", ["unital_q3", "unital_q5"])
+def test_unital_file_bytes(which, request, tmp_path):
+    # the layout of the earlier one-write-per-line writer, byte for byte
+    u = request.getfixturevalue(which)
+    path = tmp_path / "u.unital"
+    un.write_unital_file(u, path)
+    head = ["UNITAL v1", u.plane.ctx.descriptor(), u.plane.spec.spec_string(),
+            u.provenance]
+    expected = "".join(f"{line}\n" for line in head)
+    expected += "".join(f"{int(p)}\n" for p in u.points)
+    assert path.read_bytes() == expected.encode()
+
+
 def test_polarity_file_round_trip(polarity_q3, tmp_path):
     path = tmp_path / "pol.unital"
     un.write_unital_file(polarity_q3, path)
