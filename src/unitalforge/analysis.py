@@ -127,19 +127,39 @@ def circle(unital: Unital, a: int, beta: int) -> Circle:
                   derive_delta(split, unital.theta))
 
 
+def _circle_table(unital: Unital):
+    """Every circle C(a, beta) = {x : phi(x+a) = beta} at once, a in F and
+    beta a nonzero F_q element, from R[a, x] = rank(phi(x+a)) in the F_q
+    ordering of split.sub_elements (0 for zero and for values outside F_q,
+    which lie in no circle).
+
+    One stable argsort of the key a*q + R[a, x] groups the members.
+    Returns R, the members of all circles in (a, beta) order, each
+    ascending, and counts with counts[a, 0] the number of x in no circle of
+    shift a, first among them firsts[a], and counts[a, r] = |C(a, beta_r)|.
+    """
+    plane, q, N = unital.plane, unital.q, unital.plane.N
+    rank = np.maximum(plane.split.sub_rank[_checked_phi(unital)], 0)
+    X = np.arange(N, dtype=np.int64)
+    R = rank[plane.ctx.add(X[:, None], X)]
+    keys = (X[:, None] * q + R).ravel()
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys, minlength=N * q).reshape(N, q)
+    in_circle = R.ravel()[order] > 0
+    return R, order[in_circle] % N, counts, order[X * N] - X * N
+
+
 def all_circles(unital: Unital) -> list[Circle]:
-    plane = unital.plane
-    ctx, split = plane.ctx, plane.split
-    phi = _checked_phi(unital)
+    split, q = unital.plane.split, unital.q
+    _, members, counts, _ = _circle_table(unital)
     delta = derive_delta(split, unital.theta)
-    X = np.arange(plane.N, dtype=np.int64)
-    out = []
-    for a in range(plane.N):
-        shifted = phi[np.asarray(ctx.add(X, a))]
-        for beta in split.sub_elements[1:]:
-            members = np.flatnonzero(shifted == int(beta))
-            out.append(Circle(a, int(beta),
-                              tuple(int(m) for m in members), delta))
+    betas = split.sub_elements[1:].tolist()
+    flat, ends = members.tolist(), np.cumsum(counts[:, 1:]).tolist()
+    out, start = [], 0
+    for k, end in enumerate(ends):
+        out.append(Circle(k // (q - 1), betas[k % (q - 1)],
+                          tuple(flat[start:end]), delta))
+        start = end
     return out
 
 
@@ -157,39 +177,37 @@ def verify_circle_design(unital: Unital) -> CircleDesignReport:
     """All circles distinct, q^3 - q^2 of them, each of size q+1, the
     beta-slices partition F_{q^2} minus one point, and every unordered pair
     of field elements lies in exactly q circles.  Raises ProvenanceMismatch
-    when the points are not the parabolic set of the unital's theta."""
-    plane, q = unital.plane, unital.q
-    ctx, split, N = plane.ctx, plane.split, plane.N
-    phi = _checked_phi(unital)
+    when the points are not the parabolic set of the unital's theta.
+
+    A repeated circle ends the check: the report then counts the circles
+    before the first repeat in (a, beta) order.
+    """
+    plane, q, N = unital.plane, unital.q, unital.plane.N
+    R, members, counts, firsts = _circle_table(unital)
+    sizes = counts[:, 1:].ravel()
+    starts = np.cumsum(sizes) - sizes
+    first_repeat = len(sizes)
+    for s in np.unique(sizes):
+        ks = np.flatnonzero(sizes == s)
+        rows = members[starts[ks, None] + np.arange(s)]
+        _, first, inverse = np.unique(rows, axis=0, return_index=True,
+                                      return_inverse=True)
+        repeats = ks[first[inverse.ravel()] != np.arange(len(ks))]
+        if len(repeats):
+            first_repeat = min(first_repeat, int(repeats[0]))
+    if first_repeat < len(sizes):
+        return CircleDesignReport(False, first_repeat, q + 1, q, False, False)
+    # distinct circles number N(q-1) = q^3 - q^2 by construction
+    size_ok = bool(np.all(sizes == q + 1))
     X = np.arange(N, dtype=np.int64)
-    seen: dict[tuple, tuple] = {}
-    pair_counts = np.zeros(N * N, dtype=np.int16)
-    partition_ok = True
-    size_ok = True
-    for a in range(N):
-        shifted = phi[np.asarray(ctx.add(X, a))]
-        union: set[int] = set()
-        for beta in split.sub_elements[1:]:
-            members = np.flatnonzero(shifted == int(beta))
-            if len(members) != q + 1:
-                size_ok = False
-            key = tuple(int(m) for m in members)
-            if key in seen:
-                return CircleDesignReport(False, len(seen), q + 1, q,
-                                          False, False)
-            seen[key] = (a, int(beta))
-            union.update(key)
-            # circle members are distinct, so a plain increment counts
-            ii, jj = np.triu_indices(len(members), k=1)
-            pair_counts[members[ii] * N + members[jj]] += 1
-        missing = int(ctx.neg(a))
-        if union != set(range(N)) - {missing}:
-            partition_ok = False
-    count_ok = len(seen) == q ** 3 - q ** 2
-    ii, jj = np.triu_indices(N, k=1)
-    lam_ok = bool(np.all(pair_counts[ii * N + jj] == q))
-    passed = count_ok and size_ok and partition_ok and lam_ok
-    return CircleDesignReport(passed, len(seen), q + 1, q, partition_ok, True)
+    partition_ok = bool(np.all(counts[:, 0] == 1)
+                        and np.array_equal(firsts, plane.ctx.neg(X)))
+    # (x, y) lies in C(a, beta) iff phi(x+a) = phi(y+a) = beta != 0; with
+    # z = x + a its circle count is #{z : phi(z) = phi(z+d) != 0}, d = y - x,
+    # which row d of R gives against row 0
+    lam = np.count_nonzero((R[1:] == R[0]) & (R[0] > 0), axis=1)
+    passed = size_ok and partition_ok and bool(np.all(lam == q))
+    return CircleDesignReport(passed, len(sizes), q + 1, q, partition_ok, True)
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from . import analysis as an
 from . import gf
 from . import planar
 from . import unital as un
-from .errors import UnitalForgeError
+from .errors import UnitalForgeError, UsageError
 from .plane import ShiftPlane
 
 VERSION = "0.1.0"
@@ -94,6 +94,29 @@ def _cache_dir(args):
     if path:
         os.makedirs(path, exist_ok=True)
     return path
+
+
+def _cached_build(path):
+    """The stored build at path; None when there is none or it is corrupt,
+    which counts as a miss and is rebuilt."""
+    if not path or not os.path.exists(path):
+        return None
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if not (isinstance(payload, dict) and isinstance(payload.get("cert"), dict)
+            and isinstance(payload.get("unital_file"), str)):
+        return None
+    return payload
+
+
+def _read_unital(path):
+    try:
+        return un.read_unital_file(path)
+    except OSError as e:
+        raise UsageError(f"cannot read {path}: {e.strerror}") from None
 
 
 def _emit(cert: dict, out: str | None):
@@ -188,9 +211,8 @@ def cmd_unital_build(args) -> int:
     rc = _runconfig(args, ctx)
     cache = _cache_dir(args)
     cache_file = os.path.join(cache, rc.digest() + ".json") if cache else None
-    if cache_file and os.path.exists(cache_file):
-        with open(cache_file) as fh:
-            payload = json.load(fh)
+    payload = _cached_build(cache_file)
+    if payload is not None:
         print(f"cache hit: {cache_file}", file=sys.stderr)
         if args.out:
             with open(args.out, "w") as fh:
@@ -226,7 +248,7 @@ def cmd_unital_build(args) -> int:
 
 def _load_or_build(args):
     if getattr(args, "infile", None):
-        u = un.read_unital_file(args.infile)
+        u = _read_unital(args.infile)
         return u.plane.ctx, u.plane, u
     return _build_unital(args)
 
@@ -381,8 +403,8 @@ def cmd_subgroups(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    left = un.read_unital_file(args.left)
-    right = un.read_unital_file(args.right)
+    left = _read_unital(args.left)
+    right = _read_unital(args.right)
     profiles = []
     for u in (left, right):
         heavy = u.q <= 5
@@ -531,6 +553,9 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except UsageError as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return 2
     except UnitalForgeError as e:
         print(f"CHECK FAILED ({type(e).__name__}): {e}", file=sys.stderr)
         return 1

@@ -9,6 +9,11 @@ class UnitalForgeError(Exception):
     """Base class for all unitalforge errors."""
 
 
+class UsageError(UnitalForgeError, ValueError):
+    """Malformed input: a spec string, a missing or unreadable file, a file
+    that is not in the unital format.  The command line exits 2 on it."""
+
+
 # --- field construction / arithmetic ---
 
 class NotPrime(UnitalForgeError):
@@ -101,6 +106,10 @@ class OvalViolation(UnitalForgeError):
 
 class SwitchMismatch(UnitalForgeError):
     """Dual switch image differs from the original point set."""
+
+
+class InvalidPointSet(UnitalForgeError):
+    """Point IDs that repeat, fall outside the plane, or miss the count q^3 + 1."""
 
 
 class ProvenanceMismatch(UnitalForgeError):

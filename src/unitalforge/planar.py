@@ -21,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import SpecConstraintViolated
+from .errors import SpecConstraintViolated, UsageError
 from .gf import ExtensionSplit
 
 __all__ = [
@@ -320,33 +320,42 @@ def parse_spec(split, text: str) -> PlanarFunctionSpec:
     """Parse the spec grammar: square | albert:k=2 | cm:k=3 | dickson:i=1 |
     zhoupott:i=1,k=1 | ganley | pw | bh:k=1,b=7 | custom:<exp>:<coeff>[,...]."""
     name, _, rest = text.strip().partition(":")
+    pairs, kv = [], {}
+    try:
+        if name == "custom":
+            for chunk in rest.split(","):
+                e, _, c = chunk.partition(":")
+                pairs.append((int(e), int(c)))
+        elif rest:
+            for chunk in rest.split(","):
+                key, _, val = chunk.partition("=")
+                kv[key.strip()] = int(val)
+    except ValueError:
+        raise UsageError(f"malformed spec string {text!r}") from None
     if name == "custom":
-        pairs = []
-        for chunk in rest.split(","):
-            e, _, c = chunk.partition(":")
-            pairs.append((int(e), int(c)))
         return custom(split, pairs)
-    kv = {}
-    if rest:
-        for chunk in rest.split(","):
-            key, _, val = chunk.partition("=")
-            kv[key.strip()] = int(val)
+
+    def arg(key):
+        if key not in kv:
+            raise UsageError(f"spec string {text!r} needs {key}=<int>")
+        return kv[key]
+
     if name == "square":
         return square(split)
     if name == "albert":
-        return albert(split, kv["k"])
+        return albert(split, arg("k"))
     if name == "cm":
-        return coulter_matthews(split, kv["k"])
+        return coulter_matthews(split, arg("k"))
     if name == "dickson":
-        return dickson(split, kv["i"])
+        return dickson(split, arg("i"))
     if name == "zhoupott":
-        return zhou_pott(split, kv["i"], kv["k"])
+        return zhou_pott(split, arg("i"), arg("k"))
     if name == "ganley":
         return ganley(split)
     if name == "pw":
         return penttila_williams(split)
     if name == "bh":
-        return budaghyan_helleseth(split, kv["k"], kv.get("b"))
+        return budaghyan_helleseth(split, arg("k"), kv.get("b"))
     raise SpecConstraintViolated(f"unknown spec string {text!r}")
 
 

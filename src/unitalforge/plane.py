@@ -234,39 +234,84 @@ class ShiftPlane:
             pids[idx] = self.points_at(lids[idx], cols[idx])
         return pids, lids
 
+    def line_through_many(self, pids1, pids2) -> np.ndarray:
+        """The line through each pair of distinct points, elementwise after
+        broadcasting.
+
+        Infinity, slope points and equal x have closed forms.  Two affine
+        points with x1 != x2 lie on L(a, b) iff u = x2 + a solves
+        f(u + c) = d + f(u) with c = x1 - x2, d = y1 - y2; planarity makes
+        that u unique.  The first pair in input order with 0 or >= 2
+        solutions raises AxiomViolation, witness the sorted pair.
+        """
+        N, NN = self.N, self.N * self.N
+        p1, p2 = np.broadcast_arrays(np.asarray(pids1, dtype=np.int64),
+                                     np.asarray(pids2, dtype=np.int64))
+        shape, p1, p2 = p1.shape, p1.ravel(), p2.ravel()
+        same = p1 == p2
+        if same.any():
+            raise EqualPoints(f"point {p1[np.argmax(same)]} given twice")
+        lo, hi = np.minimum(p1, p2), np.maximum(p1, p2)
+        out = np.full(lo.shape, self.at_infinity_id, dtype=np.int64)  # no affine point
+        vert = (lo < NN) & ((hi == self.infinity_id) | ((hi < NN) & (lo // N == hi // N)))
+        out[vert] = NN + lo[vert] // N
+        slope = (lo < NN) & (hi >= NN) & (hi != self.infinity_id)
+        a, x, y = hi[slope] - NN, lo[slope] // N, lo[slope] % N
+        out[slope] = a * N + self.ctx.sub(self.f[self.ctx.add(x, a)], y)
+        solve = np.flatnonzero((hi < NN) & ~vert)
+        x1, y1 = lo[solve] // N, lo[solve] % N
+        x2 = hi[solve] // N
+        c, d = self.ctx.sub(x1, x2), self.ctx.sub(y1, hi[solve] % N)
+        for idx, hits in self._difference_rows(c, d):
+            counts = hits.sum(axis=1)
+            if np.any(counts != 1):
+                j = int(np.argmax(counts != 1))
+                i = solve[idx[j]]
+                raise AxiomViolation(
+                    f"{counts[j]} candidate lines through {p1[i]}, {p2[i]}",
+                    witness=(int(lo[i]), int(hi[i])))
+            a = self.ctx.sub(np.argmax(hits, axis=1), x2[idx])
+            out[solve[idx]] = a * N + self.ctx.sub(self.f[self.ctx.add(x1[idx], a)],
+                                                   y1[idx])
+        return out.reshape(shape)
+
     def line_through(self, pid1: int, pid2: int) -> int:
         """The unique line through two distinct points."""
-        if pid1 == pid2:
-            raise EqualPoints(f"point {pid1} given twice")
-        N = self.N
-        p1, p2 = sorted((int(pid1), int(pid2)))
-        if p2 == self.infinity_id:
-            if p1 >= N * N:
-                return self.at_infinity_id           # slope + infinity
-            return N * N + p1 // N                   # affine + infinity -> vertical
-        if p2 >= N * N:                              # p2 is a slope point
-            if p1 >= N * N:
-                return self.at_infinity_id           # two slopes
-            a = p2 - N * N
-            x, y = p1 // N, p1 % N
-            b = self.ctx.sub(int(self.f[self.ctx.add(x, a)]), y)
-            return a * N + int(b)
-        x1, y1 = p1 // N, p1 % N
-        x2, y2 = p2 // N, p2 % N
-        if x1 == x2:
-            return N * N + x1
-        # scan a: planarity gives exactly one a with f(x1+a) - f(x2+a) = y1 - y2
-        a = np.arange(N, dtype=np.int64)
-        lhs = self.ctx.sub(self.f[np.asarray(self.ctx.add(np.int64(x1), a))],
-                           self.f[np.asarray(self.ctx.add(np.int64(x2), a))])
-        hits = np.flatnonzero(lhs == self.ctx.sub(y1, y2))
-        if len(hits) != 1:
-            raise AxiomViolation(
-                f"{len(hits)} candidate lines through {pid1}, {pid2}",
-                witness=(int(p1), int(p2)))
-        a0 = int(hits[0])
-        b0 = int(self.ctx.sub(int(self.f[self.ctx.add(x1, a0)]), y1))
-        return a0 * N + b0
+        return int(self.line_through_many(pid1, pid2))
+
+    def _difference_rows(self, c, d):
+        """Row i marks the u in F with f(u + c[i]) = d[i] + f(u); yields
+        (indices, rows) in id_batches blocks of N-wide rows."""
+        U = np.arange(self.N, dtype=np.int64)
+        for idx in id_batches(len(c), self.N):
+            yield idx, (self.f[self.ctx.add(c[idx, None], U)]
+                        == self.ctx.add(d[idx, None], self.f))
+
+    def meet_counts(self, lids1, lids2) -> np.ndarray:
+        """Number of points common to lines lids1[i] and lids2[i].
+
+        Graph lines L(a1, b1), L(a2, b2) share (x, y) iff u = x + a2 solves
+        f(u + c) = d + f(u) with c = a1 - a2, d = b1 - b2, and share their
+        slope point iff c = 0.  Pairs with a vertical or L_inf count the
+        repeats in their two merged point rows.
+        """
+        N, NN = self.N, self.N * self.N
+        l1 = np.asarray(lids1, dtype=np.int64).reshape(-1)
+        l2 = np.asarray(lids2, dtype=np.int64).reshape(-1)
+        out = np.empty(l1.shape, dtype=np.int64)
+        graph = np.flatnonzero((l1 < NN) & (l2 < NN))
+        c = self.ctx.sub(l1[graph] // N, l2[graph] // N)
+        d = self.ctx.sub(l1[graph] % N, l2[graph] % N)
+        for idx, hits in self._difference_rows(c, d):
+            out[graph[idx]] = hits.sum(axis=1) + (c[idx] == 0)
+        rest = np.flatnonzero((l1 >= NN) | (l2 >= NN))
+        for idx in id_batches(len(rest), 2 * (N + 1)):
+            k = rest[idx]
+            rows = np.sort(np.concatenate([self.points_on_lines(l1[k]),
+                                           self.points_on_lines(l2[k])], axis=1),
+                           axis=1)
+            out[k] = np.count_nonzero(rows[:, 1:] == rows[:, :-1], axis=1)
+        return out
 
     # -- axiom verification --
 
@@ -276,32 +321,25 @@ class ShiftPlane:
         point, (iii) every line carries q^2 + 1 points.
 
         Exhaustive mode certifies all three through full pair coverage;
-        sampled mode draws seeded point pairs and line pairs.
+        sampled mode draws `trials` seeded point pairs, then `trials` line
+        pairs (equal draws skipped); the first failing draw is the witness.
         """
         if mode == "exhaustive":
             return self._verify_exhaustive()
         rng = np.random.default_rng(seed)
-        pairs, lids = [], []
-        for _ in range(trials):
-            p1, p2 = (int(v) for v in rng.integers(0, self.n_points, 2))
-            if p1 == p2:
-                continue
-            pairs.append((p1, p2))
-            lids.append(self.line_through(p1, p2))
-        if pairs:
-            both = np.array(pairs, dtype=np.int64)
-            ok = self.incident_many(both, np.array(lids, dtype=np.int64)[:, None]).all(axis=1)
-            if not ok.all():
-                return PlaneReport(False, "sampled", self.n_points, self.n_lines,
-                                   trials, witness=pairs[int(np.argmin(ok))])
-        for _ in range(trials):
-            l1, l2 = (int(v) for v in rng.integers(0, self.n_lines, 2))
-            if l1 == l2:
-                continue
-            common = np.intersect1d(self.points_on_line(l1), self.points_on_line(l2))
-            if len(common) != 1:
-                return PlaneReport(False, "sampled", self.n_points, self.n_lines,
-                                   trials, witness=(l1, l2))
+        pairs = rng.integers(0, self.n_points, (trials, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        lids = self.line_through_many(pairs[:, 0], pairs[:, 1])
+        ok = self.incident_many(pairs, lids[:, None]).all(axis=1)
+        if not ok.all():
+            return PlaneReport(False, "sampled", self.n_points, self.n_lines, trials,
+                               witness=tuple(int(v) for v in pairs[np.argmin(ok)]))
+        lines = rng.integers(0, self.n_lines, (trials, 2))
+        lines = lines[lines[:, 0] != lines[:, 1]]
+        bad = self.meet_counts(lines[:, 0], lines[:, 1]) != 1
+        if bad.any():
+            return PlaneReport(False, "sampled", self.n_points, self.n_lines, trials,
+                               witness=tuple(int(v) for v in lines[np.argmax(bad)]))
         return PlaneReport(True, "sampled", self.n_points, self.n_lines, 2 * trials)
 
     def _verify_exhaustive(self) -> PlaneReport:

@@ -114,14 +114,15 @@ def criterion_02(full: bool = True) -> CriterionResult:
     ok = True
     notes = []
 
-    def run(tag, make, mode="exhaustive", trials=1000):
+    def run(tag, make, mode="exhaustive", trials=1000, ledger=False):
         nonlocal ok
         try:
             spec = make()
         except SpecConstraintViolated as e:
             details[tag] = f"not constructible: {e}"
             ok = False
-            notes.append(f"{tag} not constructible")
+            notes.append(f"{tag} not constructible"
+                         + ("; see docs/LEDGER.md" if ledger else ""))
             return None
         cert = planar.certify(spec, mode=mode, trials=trials, seed=0)
         details[tag] = {"planar": cert.is_planar, "normal": cert.is_normal,
@@ -140,9 +141,10 @@ def criterion_02(full: bool = True) -> CriterionResult:
         run("dickson F_5^4 i=1",
             lambda: planar.dickson(gf.split_new(gf.field_new(5, 4), 2), 1))
         run("ganley F_3^6", lambda: planar.ganley(s729))
-        # stated clause: k = 1, which is provably non-planar (see ledger);
+        # stated clause: k = 1, which is provably non-planar (docs/LEDGER.md);
         # the smallest valid instance k = 2 is certified alongside
-        run("bh F_3^6 k=1 (as stated)", lambda: planar.budaghyan_helleseth(s729, 1))
+        run("bh F_3^6 k=1 (as stated)", lambda: planar.budaghyan_helleseth(s729, 1),
+            ledger=True)
         run("bh F_3^6 k=2 (smallest valid)",
             lambda: planar.budaghyan_helleseth(s729, 2))
         # large set: exhaustive fiber histogram + sampled planarity
@@ -330,7 +332,7 @@ def criterion_07c(full: bool = True) -> CriterionResult:
         ok = False
     return CriterionResult("7c", "explicit construction (as stated)", ok,
                            time.time() - t0, details,
-                           "" if ok else "char-3 template obstruction; see ledger")
+                           "" if ok else "char-3 template obstruction; see docs/LEDGER.md")
 
 
 def criterion_07d(full: bool = True) -> CriterionResult:
@@ -363,7 +365,7 @@ def criterion_07d(full: bool = True) -> CriterionResult:
     return CriterionResult("7d", "exhaustive search + witness (q=3)",
                            counts_ok and witness_ok, time.time() - t0, details,
                            "" if witness_ok else
-                           "q=3 witness unavailable (7c obstruction); see ledger")
+                           "q=3 witness unavailable (7c obstruction); see docs/LEDGER.md")
 
 
 # -- criterion 8: self-duality ----------------------------------------------

@@ -35,6 +35,7 @@ from .errors import (
     CountViolation,
     HypothesisFailed,
     IntersectionViolation,
+    InvalidPointSet,
     NotInjective,
     NotNormal,
     NotPolarity,
@@ -42,9 +43,10 @@ from .errors import (
     PairCoverageViolation,
     ProvenanceMismatch,
     SwitchMismatch,
+    UsageError,
     ZeroTheta,
 )
-from .plane import Gamma, ShiftPlane, id_batches
+from .plane import BATCH, Gamma, ShiftPlane, id_batches
 
 __all__ = [
     "Unital",
@@ -110,9 +112,22 @@ class Unital:
         self.kappa = kappa
         self.q = plane.split.sub_size
         self.checks: list[Check] = []
-        if len(self.points) != self.q ** 3 + 1:
-            raise ValueError(
-                f"expected {self.q ** 3 + 1} points, got {len(self.points)}")
+        self._check_points()
+
+    def _check_points(self):
+        pts, n = self.points, self.plane.n_points
+        if len(pts) != self.q ** 3 + 1:
+            raise InvalidPointSet(f"expected {self.q ** 3 + 1} points, got {len(pts)}")
+        if pts[0] < 0 or pts[-1] >= n:
+            bad = int(pts[0] if pts[0] < 0 else pts[-1])
+            raise InvalidPointSet(f"point ID {bad} outside [0, {n})")
+        # sorted IDs repeat iff two neighbours agree; blocks bound the temporaries
+        for start in range(0, len(pts) - 1, BATCH):
+            block = pts[start:start + BATCH + 1]
+            same = block[1:] == block[:-1]
+            if same.any():
+                raise InvalidPointSet(
+                    f"point ID {int(block[np.argmax(same)])} listed twice")
 
     # -- membership --
 
@@ -798,13 +813,13 @@ def read_unital_file(path) -> Unital:
     with open(path) as fh:
         header = [fh.readline().strip() for _ in range(4)]
         if header[0] != "UNITAL v1":
-            raise ValueError(f"not a unital file: {header[0]!r}")
+            raise UsageError(f"not a unital file: {header[0]!r}")
         try:
             points = np.loadtxt(fh, dtype=np.int64, ndmin=1, comments=None)
         except ValueError as exc:
-            raise ValueError(f"malformed point ID line: {exc}") from None
+            raise UsageError(f"malformed point ID line: {exc}") from None
     if points.ndim != 1:
-        raise ValueError("malformed point ID line: one ID per line expected")
+        raise UsageError("malformed point ID line: one ID per line expected")
     ctx = gf.parse_descriptor(header[1])
     split = gf.split_new(ctx, ctx.m // 2)
     plane = ShiftPlane(parse_spec(split, header[2]))

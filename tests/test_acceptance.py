@@ -3,7 +3,7 @@
 Each test delegates to the matching criterion function, prints the
 pass/fail line, spot-checks the key frozen numbers, and asserts the
 criterion verdict.  Three criteria are expected to stay red on
-mathematically proven grounds (documented in the decisions ledger):
+mathematically proven grounds (documented in docs/LEDGER.md):
 criterion 2's "k=1" instance of the fifth two-component family is provably
 non-planar, and the explicit-configuration template of criteria 7c/7d has
 no admissible parameters in characteristic 3 at the stated instances.
@@ -50,7 +50,7 @@ def test_criterion_02_planarity_normality_catalog():
     assert r.details["pw F_3^10"]["planar_sampled"]
     assert r.passed, (
         "criterion as stated includes the k=1 fifth-family instance, which "
-        "is provably non-planar (decisions ledger); every other family "
+        "is provably non-planar (docs/LEDGER.md); every other family "
         f"certifies: {r.details}")
 
 
@@ -110,7 +110,7 @@ def test_criterion_07c_explicit_construction():
     assert isinstance(r.details["square q=5 (supplement)"], dict)
     assert r.passed, (
         "stated instances are provably outside the template's reach in "
-        f"characteristic 3 (decisions ledger): {r.details}")
+        f"characteristic 3 (docs/LEDGER.md): {r.details}")
 
 
 def test_criterion_07d_exhaustive_search_and_witness():
@@ -120,7 +120,7 @@ def test_criterion_07d_exhaustive_search_and_witness():
     assert r.details["q=5 cross-validation (supplement)"]["witness_found"]
     assert r.passed, (
         "counts certified; the q=3 witness clause inherits the criterion-7c "
-        f"obstruction (decisions ledger): {r.details}")
+        f"obstruction (docs/LEDGER.md): {r.details}")
 
 
 def test_criterion_08_self_duality():

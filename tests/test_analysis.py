@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,144 @@ def test_circle_distinctness_witness(unital_q3):
     c0 = an.circle(unital_q3, 0, 1)
     for a in range(1, 9):
         assert an.circle(unital_q3, a, 1).members != c0.members
+
+
+# -- circle design by one grouping ---------------------------------------------
+
+def _report(passed, count, q, partition_ok, distinct_ok):
+    return an.CircleDesignReport(passed, count, q + 1, q, partition_ok, distinct_ok)
+
+
+def _circles_digest(circles):
+    text = repr([(c.a, c.beta, c.members, c.delta) for c in circles])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _phi_patches(split):
+    """phi tables that break the circle design, each in one way."""
+    ctx, beta1, beta2 = split.ctx, split.sub_elements[1], split.sub_elements[2]
+
+    def repeat(phi):                   # periodic along xi*F_q: circles repeat
+        return phi[np.asarray(split.decompose(np.arange(ctx.size))[0])]
+
+    def size(phi):                     # one element moves between circles
+        out = phi.copy()
+        out[np.flatnonzero(phi == beta1)[0]] = beta2
+        return out
+
+    def zero(phi):                     # a second zero of phi
+        out = phi.copy()
+        out[np.flatnonzero(phi)[0]] = 0
+        return out
+
+    def outside(phi):                  # a value outside F_q, in no circle
+        out = phi.copy()
+        out[np.flatnonzero(phi)[0]] = split.xi
+        return out
+
+    def swap(phi):                     # sizes and partition kept, lambda broken
+        z1, z2 = np.flatnonzero(phi == beta1)[0], np.flatnonzero(phi == beta2)[0]
+        sigma = np.arange(ctx.size)
+        sigma[[z1, z2]] = z2, z1
+        return phi[sigma]
+
+    return {"repeat": repeat, "size": size, "zero": zero, "outside": outside,
+            "swap": swap}
+
+
+def test_circle_design_frozen(unital_q3, unital_q5, unital_cm81, s729):
+    # the reports of the per-(a, beta) loop the grouping replaced
+    ua = un.build_parabolic_unital(ShiftPlane(planar.albert(s729, 2)),
+                                   s729.choose_theta())
+    for u, q in ((unital_q3, 3), (unital_q5, 5), (unital_cm81, 9), (ua, 27)):
+        assert an.verify_circle_design(u) == _report(True, q ** 3 - q ** 2, q, True, True)
+    assert _circles_digest(an.all_circles(unital_q3)) == "eba5e1c21e706f7a"
+    assert _circles_digest(an.all_circles(unital_q5)) == "6b74bf1cb0908ecd"
+
+
+def _reference_circle_design(u, phi):
+    """The per-(a, beta) loop the grouping replaced, kept as its oracle."""
+    q, ctx, split, N = u.q, u.plane.ctx, u.plane.split, u.plane.N
+    X = np.arange(N, dtype=np.int64)
+    seen = {}
+    pair_counts = np.zeros(N * N, dtype=np.int16)
+    partition_ok = size_ok = True
+    for a in range(N):
+        shifted = phi[np.asarray(ctx.add(X, a))]
+        union = set()
+        for beta in split.sub_elements[1:]:
+            members = np.flatnonzero(shifted == int(beta))
+            if len(members) != q + 1:
+                size_ok = False
+            key = tuple(int(m) for m in members)
+            if key in seen:
+                return _report(False, len(seen), q, False, False)
+            seen[key] = (a, int(beta))
+            union.update(key)
+            ii, jj = np.triu_indices(len(members), k=1)
+            pair_counts[members[ii] * N + members[jj]] += 1
+        if union != set(range(N)) - {int(ctx.neg(a))}:
+            partition_ok = False
+    ii, jj = np.triu_indices(N, k=1)
+    lam_ok = bool(np.all(pair_counts[ii * N + jj] == q))
+    passed = len(seen) == q ** 3 - q ** 2 and size_ok and partition_ok and lam_ok
+    return _report(passed, len(seen), q, partition_ok, True)
+
+
+def _reference_circles(u, phi):
+    ctx, split, N = u.plane.ctx, u.plane.split, u.plane.N
+    X = np.arange(N, dtype=np.int64)
+    return [(a, int(beta), tuple(int(m) for m in
+                                 np.flatnonzero(phi[np.asarray(ctx.add(X, a))] == beta)))
+            for a in range(N) for beta in split.sub_elements[1:]]
+
+
+def test_circle_design_matches_reference_on_random_phi(unital_q3, unital_q5, monkeypatch):
+    # seeded perturbations of phi: one to four entries set to random field
+    # elements (often outside F_q), or phi read through a random permutation
+    real = an.phi_table
+    for u in (unital_q3, unital_q5):
+        N = u.plane.N
+        rng = np.random.default_rng(u.q)
+        for trial in range(40):
+            phi = real(u.plane, u.theta).copy()
+            if trial % 4 == 3:
+                phi = phi[rng.permutation(N)]
+            else:
+                phi[rng.integers(0, N, trial % 4 + 1)] = rng.integers(0, N, trial % 4 + 1)
+            monkeypatch.setattr(an, "phi_table", lambda plane, theta, phi=phi: phi)
+            assert an.verify_circle_design(u) == _reference_circle_design(u, phi)
+            assert [(c.a, c.beta, c.members) for c in an.all_circles(u)] == \
+                _reference_circles(u, phi)
+
+
+# (report fields after (passed, circle_count), all_circles digest) per patch,
+# from the per-(a, beta) loop
+BROKEN_CIRCLES = {
+    3: {"repeat": (False, 3, False, False, "3b0177a7e0ac3e1b"),
+        "size": (False, 18, True, True, "cd08615b94bb7f99"),
+        "zero": (False, 18, False, True, "7ff8365a34f9e5d5"),
+        "outside": (False, 18, False, True, "7ff8365a34f9e5d5"),
+        "swap": (False, 18, True, True, "f271fd395469c104")},
+    5: {"repeat": (False, 2, False, False, "ab16bc1bd60b397c"),
+        "size": (False, 100, True, True, "9d23e9925ce3c1c9"),
+        "zero": (False, 100, False, True, "900c94bcb30362b7"),
+        "outside": (False, 100, False, True, "900c94bcb30362b7"),
+        "swap": (False, 100, True, True, "e26b6147f70a5782")},
+}
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_broken_circle_designs_frozen(q, unital_q3, unital_q5, monkeypatch):
+    u = {3: unital_q3, 5: unital_q5}[q]
+    real = an.phi_table
+    for name, patch in _phi_patches(u.plane.split).items():
+        monkeypatch.setattr(an, "phi_table",
+                            lambda plane, theta, patch=patch: patch(real(plane, theta)))
+        passed, count, partition_ok, distinct_ok, digest = BROKEN_CIRCLES[q][name]
+        assert an.verify_circle_design(u) == _report(passed, count, q, partition_ok,
+                                                     distinct_ok), name
+        assert _circles_digest(an.all_circles(u)) == digest, name
 
 
 # -- Wilbrink ----------------------------------------------------------------
@@ -253,7 +393,7 @@ def test_explicit_witness_in_exhaustive_q5(unital_q5):
 def test_explicit_construction_char3_obstruction(unital_q3, s729):
     # in characteristic 3 the template ratio t_u/t_v = -a_w/a_v must land in
     # F_q* \ {1, -1}, which is empty whenever the template subfield meets F_q
-    # only in F_3: provably no admissible pair exists (see ledger)
+    # only in F_3: provably no admissible pair exists (docs/LEDGER.md)
     with pytest.raises(WitnessCheckFailed):
         an.construct_onan_explicit(unital_q3)
     plane = ShiftPlane(planar.albert(s729, 2))

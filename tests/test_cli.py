@@ -234,3 +234,57 @@ def test_compare_self_inconclusive(capsys, tmp_path, unital_q3):
 def test_usage_error_exit_code(capsys):
     assert main(["nonsense"]) == 2
     assert main(["unital", "build", "--p", "3"]) == 2   # missing --m
+
+
+def _edited_unital_file(tmp_path, unital, edit, name="edited.unital"):
+    from unitalforge import unital as un
+
+    good, bad = tmp_path / "u.unital", tmp_path / name
+    un.write_unital_file(unital, good)
+    bad.write_text("\n".join(edit(good.read_text().splitlines())) + "\n")
+    return str(bad)
+
+
+def test_unital_verify_rejects_repeated_point(capsys, tmp_path, unital_q5):
+    # 126 IDs, 125 of them distinct: the last ID repeats its predecessor
+    path = _edited_unital_file(tmp_path, unital_q5, lambda l: l[:-1] + [l[-2]])
+    code, _, err = run(capsys, "unital", "verify", "--p", "5", "--m", "2", "--in", path)
+    assert code == 1 and "CHECK FAILED (InvalidPointSet)" in err and "listed twice" in err
+
+
+@pytest.mark.parametrize("spec", ["albert", "custom:2"])
+def test_malformed_spec_is_usage_error(capsys, spec):
+    code, _, err = run(capsys, "plane", "verify", "--p", "3", "--m", "2", "--spec", spec)
+    assert code == 2 and "usage error" in err and repr(spec) in err
+
+
+def test_missing_input_file_is_usage_error(capsys, tmp_path):
+    code, _, err = run(capsys, "unital", "verify", "--p", "3", "--m", "2",
+                       "--in", str(tmp_path / "absent.unital"))
+    assert code == 2 and "usage error: cannot read" in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda l: ["UNITAL v2"] + l[1:], "not a unital file"),
+    (lambda l: l[:6] + ["seven"] + l[7:], "malformed point ID line"),
+])
+def test_malformed_unital_file_is_usage_error(capsys, tmp_path, unital_q3, edit, message):
+    path = _edited_unital_file(tmp_path, unital_q3, edit)
+    for argv in (("unital", "verify", "--p", "3", "--m", "2", "--in", path),
+                 ("compare", "--left", path, "--right", path)):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and f"usage error: {message}" in err
+
+
+def test_corrupt_cache_file_is_a_miss(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    args = ("unital", "build", "--p", "3", "--m", "2", "--spec", "square",
+            "--theta", "auto", "--cache-dir", str(cache))
+    code, out, _ = run(capsys, *args)
+    (entry,) = cache.iterdir()
+    for garbage in ("{not json", "[1, 2]"):
+        entry.write_text(garbage)
+        code2, out2, err2 = run(capsys, *args)
+        assert code == code2 == 0 and "cache hit" not in err2
+        assert json.loads(out2)["hash"] == json.loads(out)["hash"]
+        assert "cache hit" in run(capsys, *args)[2]       # rebuilt and stored again

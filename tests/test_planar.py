@@ -231,3 +231,22 @@ def test_non_planar_witness_frozen_large(s15625):
         assert planar.check_planarity(f, mode="sampled", trials=1000, seed=0,
                                       workers=workers) == planar.PlanarityCheck(
             False, "sampled", 15, (228, 326, 1040), 0)
+
+
+def test_bh_k1_as_stated_is_not_planar(s729):
+    # docs/LEDGER.md, obstruction 1: the Budaghyan-Helleseth map with k = 1
+    # over F_3^6, written out as b x^4 + b^27 x^108 + xi x^28, has a u with
+    # u^(p^k - 1) = u^(q - 1) = -1, so D_1(x) = f(x+1) - f(x) repeats a value
+    ctx, xi = s729.ctx, s729.xi
+    b = planar.smallest_nonsquare(ctx)
+
+    def written_out(k):
+        e = 3 ** k + 1
+        return planar.custom(s729, [(e, b), (27 * e, ctx.pow(b, 27)), (28, xi)])
+
+    assert np.array_equal(written_out(2).table, planar.budaghyan_helleseth(s729, 2).table)
+    f = written_out(1)
+    u = int(ctx.exp[182])                                 # g^(728/4): u^2 = -1
+    assert ctx.pow(u, 2) == ctx.pow(u, 26) == ctx.minus_one_index
+    assert ctx.sub(f.eval(ctx.add(u, 1)), f.eval(u)) == ctx.sub(f.eval(1), f.eval(0))
+    assert not planar.check_planarity(f).passed

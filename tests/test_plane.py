@@ -261,3 +261,170 @@ def test_small_batches_change_nothing(plane_q3, monkeypatch):
     assert P.incident_many(full, P.line_ids()[:, None]).all()
     assert P.verify_projective_plane().passed
     assert verify_collineation(P, Shift(P, 2, 7))
+
+
+# -- sampled axioms by difference rows ------------------------------------------
+
+def _reference_line_through(P, pid1, pid2):
+    """The scalar line solver the batch solver replaced, kept as its oracle."""
+    if pid1 == pid2:
+        raise EqualPoints(f"point {pid1} given twice")
+    N = P.N
+    p1, p2 = sorted((int(pid1), int(pid2)))
+    if p2 == P.infinity_id:
+        if p1 >= N * N:
+            return P.at_infinity_id
+        return N * N + p1 // N
+    if p2 >= N * N:
+        if p1 >= N * N:
+            return P.at_infinity_id
+        a = p2 - N * N
+        x, y = p1 // N, p1 % N
+        b = P.ctx.sub(int(P.f[P.ctx.add(x, a)]), y)
+        return a * N + int(b)
+    x1, y1 = p1 // N, p1 % N
+    x2, y2 = p2 // N, p2 % N
+    if x1 == x2:
+        return N * N + x1
+    a = np.arange(N, dtype=np.int64)
+    lhs = P.ctx.sub(P.f[np.asarray(P.ctx.add(np.int64(x1), a))],
+                    P.f[np.asarray(P.ctx.add(np.int64(x2), a))])
+    hits = np.flatnonzero(lhs == P.ctx.sub(y1, y2))
+    if len(hits) != 1:
+        raise AxiomViolation(f"{len(hits)} candidate lines through {pid1}, {pid2}",
+                             witness=(int(p1), int(p2)))
+    a0 = int(hits[0])
+    b0 = int(P.ctx.sub(int(P.f[P.ctx.add(x1, a0)]), y1))
+    return a0 * N + b0
+
+
+def _reference_sampled(P, seed, trials):
+    """The per-trial sampled axiom loop the batch check replaced."""
+    rng = np.random.default_rng(seed)
+    pairs, lids = [], []
+    for _ in range(trials):
+        p1, p2 = (int(v) for v in rng.integers(0, P.n_points, 2))
+        if p1 == p2:
+            continue
+        pairs.append((p1, p2))
+        lids.append(_reference_line_through(P, p1, p2))
+    if pairs:
+        both = np.array(pairs, dtype=np.int64)
+        ok = P.incident_many(both, np.array(lids, dtype=np.int64)[:, None]).all(axis=1)
+        if not ok.all():
+            return plane_mod.PlaneReport(False, "sampled", P.n_points, P.n_lines,
+                                         trials, witness=pairs[int(np.argmin(ok))])
+    for _ in range(trials):
+        l1, l2 = (int(v) for v in rng.integers(0, P.n_lines, 2))
+        if l1 == l2:
+            continue
+        common = np.intersect1d(P.points_on_line(l1), P.points_on_line(l2))
+        if len(common) != 1:
+            return plane_mod.PlaneReport(False, "sampled", P.n_points, P.n_lines,
+                                         trials, witness=(l1, l2))
+    return plane_mod.PlaneReport(True, "sampled", P.n_points, P.n_lines, 2 * trials)
+
+
+def _outcome(run):
+    """A report, or the type, message and witness of the exception raised."""
+    try:
+        return run()
+    except AxiomViolation as e:
+        return type(e), str(e), e.witness
+
+
+def _sampled_pair(P, seed, trials):
+    return (_outcome(lambda: P.verify_projective_plane("sampled", seed=seed, trials=trials)),
+            _outcome(lambda: _reference_sampled(P, seed, trials)))
+
+
+def test_sampled_axioms_match_reference_q3(plane_q3):
+    new, ref = _sampled_pair(plane_q3, 0, 20000)
+    assert new == ref and new.passed and new.pairs_checked == 40000
+
+
+@pytest.mark.parametrize("spec, seeds", [("square", (0, 1, 2)), ("cm:k=3", (0, 1, 2)),
+                                         ("albert:k=2", (0,))])
+def test_sampled_axioms_reports_frozen(spec, seeds, s9, s81, s729):
+    # reports of the per-trial loop, 20 000 point pairs and 20 000 line pairs
+    split = {"square": s9, "cm:k=3": s81, "albert:k=2": s729}[spec]
+    P = ShiftPlane(planar.parse_spec(split, spec))
+    for seed in seeds:
+        assert P.verify_projective_plane("sampled", seed=seed) == plane_mod.PlaneReport(
+            True, "sampled", P.n_points, P.n_lines, 40000, None)
+
+
+def _non_planar_planes(s9, s81):
+    corrupt = ShiftPlane(planar.coulter_matthews(s81, 3))
+    corrupt.f = corrupt.f.copy()
+    corrupt.f[5] = 7
+    return [ShiftPlane(planar.custom(s9, [(3, 1)])), ShiftPlane(planar.custom(s9, [(4, 1)])),
+            ShiftPlane(planar.custom(s81, [(3, 1)])), corrupt]
+
+
+def test_sampled_axioms_match_reference_non_planar(s9, s81):
+    # full trial counts stop at the first point pair without exactly one line;
+    # a handful of trials also reaches the line pairs
+    outcomes = set()
+    for P in _non_planar_planes(s9, s81):
+        for seed in range(3):
+            new, ref = _sampled_pair(P, seed, 20000)
+            assert new == ref and new[0] is AxiomViolation
+        for seed in range(40):
+            new, ref = _sampled_pair(P, seed, 3)
+            assert new == ref
+            outcomes.add("raised" if isinstance(new, tuple) else
+                         "passed" if new.passed else "line pair")
+    assert outcomes == {"raised", "passed", "line pair"}
+
+
+def test_sampled_axioms_incidence_witness(plane_q3, monkeypatch):
+    # a failing incidence reports the first failing point pair as drawn
+    P = ShiftPlane(plane_q3.spec)
+    true_incident = P.incident_many
+    pairs = np.random.default_rng(4).integers(0, P.n_points, (50, 2))
+    bad = [tuple(int(v) for v in pairs[k]) for k in (17, 31)]
+
+    def flaky(pids, lids):
+        out = true_incident(pids, lids)
+        if np.ndim(pids) == 2:
+            for k, row in enumerate(np.asarray(pids)):
+                if tuple(int(v) for v in row) in bad:
+                    out[k] = False
+        return out
+
+    monkeypatch.setattr(P, "incident_many", flaky)
+    new, ref = _sampled_pair(P, 4, 50)
+    assert not new.passed and new == ref and new.witness == bad[0]
+
+
+@pytest.mark.parametrize("n", [91, 6643, 532171])
+def test_one_call_draw_matches_per_trial_draws(n):
+    for seed in range(4):
+        loop = np.random.default_rng(seed)
+        per_trial = np.array([loop.integers(0, n, 2) for _ in range(3000)])
+        batch = np.random.default_rng(seed)
+        assert np.array_equal(batch.integers(0, n, (3000, 2)), per_trial)
+        assert batch.integers(0, n) == loop.integers(0, n)      # streams stay aligned
+
+
+def test_line_through_many_all_pairs_q3(plane_q3):
+    P = plane_q3
+    p1, p2 = np.divmod(np.arange(P.n_points ** 2), P.n_points)
+    p1, p2 = p1[p1 != p2], p2[p1 != p2]
+    lines = P.line_through_many(p1, p2)
+    expect = [_reference_line_through(P, a, b) for a, b in zip(p1.tolist(), p2.tolist())]
+    assert lines.tolist() == expect
+    assert all(P.line_through(a, b) == e for a, b, e in zip(p1[::97], p2[::97], expect[::97]))
+    assert P.line_through_many(p1.reshape(-1, 10), p2.reshape(-1, 10)).shape == (819, 10)
+    with pytest.raises(EqualPoints, match="point 5 given twice"):
+        P.line_through_many([1, 5], [2, 5])
+
+
+def test_meet_counts_all_pairs_q3(plane_q3, s9):
+    for P in (plane_q3, ShiftPlane(planar.custom(s9, [(3, 1)]))):
+        l1, l2 = np.divmod(np.arange(P.n_lines ** 2), P.n_lines)
+        l1, l2 = l1[l1 != l2], l2[l1 != l2]
+        expect = [len(np.intersect1d(P.points_on_line(a), P.points_on_line(b)))
+                  for a, b in zip(l1.tolist(), l2.tolist())]
+        assert P.meet_counts(l1, l2).tolist() == expect

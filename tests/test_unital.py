@@ -7,6 +7,7 @@ from unitalforge.errors import (
     CountViolation,
     HypothesisFailed,
     IntersectionViolation,
+    InvalidPointSet,
     NotInjective,
     ProvenanceMismatch,
     ZeroTheta,
@@ -474,3 +475,14 @@ def test_tampered_parabolic_file_rejected(unital_q5, tmp_path):
         assert u.theta == unital_q5.theta and new_id in u.points
         with pytest.raises(ProvenanceMismatch):
             un.verify_unital_embedded(u, mode="sampled", seed=0, trials=500)
+
+
+def test_unital_rejects_invalid_point_ids(unital_q5):
+    plane, pts = unital_q5.plane, unital_q5.points
+    for points, message in ((np.append(pts[:-1], pts[-2]), "listed twice"),
+                            (np.append(pts[:-1], plane.n_points), "outside"),
+                            (np.append(pts[1:], -1), "outside"),
+                            (pts[:-1], "expected 126 points, got 125")):
+        with pytest.raises(InvalidPointSet, match=message):
+            un.Unital(plane, points, "test")
+    assert np.array_equal(un.Unital(plane, pts[::-1], "test").points, pts)
