@@ -119,8 +119,7 @@ def circle(unital: Unital, a: int, beta: int) -> Circle:
     if beta == 0 or not split.in_subfield(beta):
         raise ZeroBeta(f"beta must be a nonzero subfield element, got {beta}")
     phi = _checked_phi(unital)
-    X = np.arange(plane.N, dtype=np.int64)
-    members = np.flatnonzero(phi[np.asarray(ctx.add(X, a))] == beta)
+    members = np.flatnonzero(ctx.translate(phi, a) == beta)
     if len(members) != unital.q + 1:
         raise ZeroBeta(f"circle ({a}, {beta}) has {len(members)} members")
     return Circle(a, beta, tuple(int(m) for m in members),
@@ -393,7 +392,7 @@ def find_onan_through_infinity(unital: Unital, max_configs: int = 64):
     beta_all = np.asarray(beta_of(plane, theta, X))
     rep_b = {bp: int(np.flatnonzero(beta_all == bp)[0]) for bp in nonzero_betas}
     for a in range(1, N):
-        shifted = phi[np.asarray(ctx.add(X, a))]
+        shifted = ctx.translate(phi, a)
         for beta in nonzero_betas:
             members = np.flatnonzero(shifted == beta)
             for beta_p in nonzero_betas:

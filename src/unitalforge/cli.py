@@ -63,13 +63,27 @@ def _add_field_args(p: argparse.ArgumentParser, spec_required: bool = True):
     p.add_argument("--cache-dir", type=str, default=None)
 
 
-def _context(args):
-    if args.m % 2 != 0:
-        raise UnitalForgeError("need even m: the plane lives over F_{q^2} = F_{p^m}")
+def _field(args):
+    """F_{p^m} of --p, --m and --modulus; flags outside their range are
+    usage errors."""
+    if args.p == 2 or not gf.is_prime(args.p):
+        raise UsageError(f"--p must be an odd prime, got {args.p}")
+    if args.m < 1:
+        raise UsageError(f"--m must be at least 1, got {args.m}")
     modulus = None
     if args.modulus:
-        modulus = tuple(int(c) for c in args.modulus.split(","))
-    ctx = gf.field_new(args.p, args.m, modulus)
+        try:
+            modulus = tuple(int(c) for c in args.modulus.split(","))
+        except ValueError:
+            raise UsageError(f"malformed --modulus {args.modulus!r}") from None
+    return gf.field_new(args.p, args.m, modulus)
+
+
+def _context(args):
+    if args.m % 2 != 0:
+        raise UsageError(f"--m must be even, got {args.m}: the plane lives over "
+                         "F_{q^2} = F_{p^m}")
+    ctx = _field(args)
     split = gf.split_new(ctx, args.m // 2)
     spec = planar.parse_spec(split, args.spec)
     return ctx, split, spec
@@ -139,8 +153,7 @@ def _finish_certificate(cert: dict, rc: RunConfig) -> dict:
 
 
 def cmd_field_check(args) -> int:
-    modulus = tuple(int(c) for c in args.modulus.split(",")) if args.modulus else None
-    ctx = gf.field_new(args.p, args.m, modulus)
+    ctx = _field(args)
     print(ctx.descriptor())
     rng = np.random.default_rng(args.seed)
     a, b, c = rng.integers(0, ctx.size, (3, 5000))

@@ -7,9 +7,17 @@ tables over a fixed primitive element.  Addition (digit-wise in base p) is
 one lookup in an N x N table for fields of at most ADD_TABLE_MAX elements.
 Larger fields write an index as hi * P + lo with P = p^ceil(m/2); the low and
 high digits add independently, so a sum is one lookup in a P x P table plus
-one in a (N/P) x (N/P) table (243 x 243 each at F_3^10).  Every operation
-accepts either plain ints or numpy arrays of indices, so the same code serves
-scalar API calls and bulk sweeps.
+one in a Q x Q table, Q = N/P (243 x 243 each at F_3^10).  Every field keeps
+this split form: a small field takes P = N and Q = 1, so its P x P table is
+the N x N one.  Every operation accepts either plain ints or numpy arrays of
+indices, so the same code serves scalar API calls and bulk sweeps.
+
+Translation x -> x + a acts on the two parts apart: the high parts move by
+one row of the Q x Q table and the low parts by one row of the P x P table.
+`FieldCtx.translate(table, a)` therefore reads table[x + a] for every x as a
+row take and a column take of table viewed as a (Q, P) array, without one
+field addition per element; the planarity sweeps and the parabolic line
+counts run on it.
 
 `ExtensionSplit` views F_{p^{2n}} over its index-2 subfield F_q (q = p^n):
 decomposition along the basis (1, xi), relative trace and norm, the quadratic
@@ -19,6 +27,7 @@ throughout the geometry modules.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cache
 
@@ -30,6 +39,7 @@ from .errors import (
     EvenCharacteristic,
     NotIrreducible,
     NotPrime,
+    UsageError,
     XiInSubfield,
 )
 
@@ -294,11 +304,14 @@ class FieldCtx:
         self.digits = ((idx[:, None] // self.pow_p[None, :]) % p).astype(np.int16)
         self.neg_table = (((-self.digits) % p).astype(np.int64) @ self.pow_p)
         self._build_log_tables()
+        # index = hi * P + lo: the low and high digits add apart, each
+        # through a flattened table of its own (add_hi holds hi * P)
         if self.size <= ADD_TABLE_MAX:
             self.add_table = self._digit_add(idx[:, None], idx[None, :])
+            self.split_base = self.size
+            self.add_lo = self.add_table.reshape(-1)
+            self.add_hi = np.zeros(1, dtype=np.int64)
         else:
-            # index = hi * P + lo with P = p^ceil(m/2): the low and high
-            # digits add apart, each through a flattened table of its own
             self.add_table = None
             self.split_base = P = p ** ((m + 1) // 2)
             lo = np.arange(P, dtype=np.int64)
@@ -356,6 +369,23 @@ class FieldCtx:
         a, b, P = np.asarray(a), np.asarray(b), self.split_base
         Q = self.size // P
         return self.add_lo[a % P * P + b % P] + self.add_hi[a // P * Q + b // P]
+
+    def translate(self, table, a):
+        """table[x + a] for every element x, in index order.
+
+        With Q = N / P rows of P entries, x + a has high part row[x_hi] of
+        add_hi and low part row[x_lo] of add_lo, so the result is one row
+        take and one column take of table viewed as (Q, P).  A one-table
+        field (Q = 1) has only the column take.
+        """
+        P = self.split_base
+        Q = self.size // P
+        a_hi, a_lo = divmod(int(a), P)
+        cols = self.add_lo[a_lo * P:(a_lo + 1) * P]
+        if Q == 1:
+            return np.asarray(table)[cols]
+        rows = self.add_hi[a_hi * Q:(a_hi + 1) * Q] // P
+        return np.asarray(table).reshape(Q, P)[rows][:, cols].reshape(-1)
 
     def neg(self, a):
         return self.neg_table[a]
@@ -484,12 +514,21 @@ def field_new(p: int, m: int, modulus=None) -> FieldCtx:
     return _CTX_CACHE[key]
 
 
+_DESCRIPTOR = re.compile(r"p=(\d+),m=([1-9]\d*),mod=\[(\d+(?:,\d+)*)\]")
+
+
 def parse_descriptor(s: str) -> FieldCtx:
-    """Inverse of FieldCtx.descriptor(): 'p=3,m=2,mod=[1,0,1]'."""
-    head, _, modpart = s.partition(",mod=[")
-    fields = dict(kv.split("=") for kv in head.split(","))
-    mod = tuple(int(c) for c in modpart.rstrip("]").split(","))
-    return field_new(int(fields["p"]), int(fields["m"]), mod)
+    """Inverse of FieldCtx.descriptor(): 'p=3,m=2,mod=[1,0,1]'.
+
+    Text of another shape, or a p that is no odd prime, is a UsageError.
+    """
+    match = _DESCRIPTOR.fullmatch(s)
+    if match is None:
+        raise UsageError(f"malformed field descriptor {s!r}")
+    p, m, mod = match.groups()
+    if int(p) == 2 or not is_prime(int(p)):
+        raise UsageError(f"field descriptor {s!r}: p must be an odd prime")
+    return field_new(int(p), int(m), tuple(int(c) for c in mod.split(",")))
 
 
 def quadratic_solution_count(ctx: FieldCtx, a0, a1, a2, b) -> int:

@@ -356,7 +356,7 @@ def parse_spec(split, text: str) -> PlanarFunctionSpec:
         return penttila_williams(split)
     if name == "bh":
         return budaghyan_helleseth(split, arg("k"), kv.get("b"))
-    raise SpecConstraintViolated(f"unknown spec string {text!r}")
+    raise UsageError(f"unknown spec string {text!r}")
 
 
 # -- verifiers --
@@ -392,9 +392,9 @@ def check_planarity(spec: PlanarFunctionSpec, mode: str = "exhaustive",
     regardless of worker count.
     """
     ctx = spec.split.ctx
-    N = ctx.size
+    N, P = ctx.size, ctx.split_base
+    Q = N // P
     t = spec.table
-    x = np.arange(N, dtype=np.int64)
     if mode == "exhaustive":
         shifts = np.arange(1, N, dtype=np.int64)
         seed_used = None
@@ -404,12 +404,18 @@ def check_planarity(spec: PlanarFunctionSpec, mode: str = "exhaustive",
         shifts = np.sort(rng.choice(N - 1, size=count, replace=False) + 1)
         seed_used = seed
 
+    # f(x+a) - f(x) digit-wise: the high and low parts of f(x+a), as row
+    # offsets into add_hi and add_lo, are two translations of tables built
+    # once; those of -f(x) are the column offsets
+    hi, lo = t // P * Q, t % P * P
     neg_t = ctx.neg(t)
+    neg_hi, neg_lo = neg_t // P, neg_t % P
 
     def scan(chunk):
         seen = np.zeros(N, dtype=bool)
         for a in chunk:
-            vals = ctx.add(t[ctx.add(x, int(a))], neg_t)
+            vals = (ctx.add_hi[ctx.translate(hi, a) + neg_hi]
+                    + ctx.add_lo[ctx.translate(lo, a) + neg_lo])
             seen[:] = False
             seen[vals] = True
             if not seen.all():

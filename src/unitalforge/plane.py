@@ -208,7 +208,7 @@ class ShiftPlane:
         else:
             a, b = lid // N, lid % N
             x = np.arange(N, dtype=np.int64)
-            ids[:N] = x * N + self.ctx.sub(self.f[self.ctx.add(x, a)], b)
+            ids[:N] = x * N + self.ctx.sub(self.ctx.translate(self.f, a), b)
             ids[N] = N * N + a
         return ids
 

@@ -100,13 +100,17 @@ class Unital:
 
     `points` is the ascending array of canonical point IDs.  Blocks are
     identified by the ID of the secant line carrying them, which is stable
-    across construction routes.
+    across construction routes.  An int64 array that is already strictly
+    ascending is kept as it is, without a sorted copy.
     """
 
     def __init__(self, plane: ShiftPlane, points: np.ndarray, provenance: str,
                  theta: int | None = None, kappa: "InvolutionSpec | None" = None):
         self.plane = plane
-        self.points = np.sort(np.asarray(points, dtype=np.int64))
+        points = np.asarray(points, dtype=np.int64)
+        if _first_non_increase(points) >= 0:
+            points = np.sort(points)
+        self.points = points
         self.provenance = provenance
         self.theta = theta
         self.kappa = kappa
@@ -121,13 +125,10 @@ class Unital:
         if pts[0] < 0 or pts[-1] >= n:
             bad = int(pts[0] if pts[0] < 0 else pts[-1])
             raise InvalidPointSet(f"point ID {bad} outside [0, {n})")
-        # sorted IDs repeat iff two neighbours agree; blocks bound the temporaries
-        for start in range(0, len(pts) - 1, BATCH):
-            block = pts[start:start + BATCH + 1]
-            same = block[1:] == block[:-1]
-            if same.any():
-                raise InvalidPointSet(
-                    f"point ID {int(block[np.argmax(same)])} listed twice")
+        # sorted IDs repeat iff two neighbours agree
+        repeat = _first_non_increase(pts)
+        if repeat >= 0:
+            raise InvalidPointSet(f"point ID {int(pts[repeat])} listed twice")
 
     # -- membership --
 
@@ -163,22 +164,14 @@ class Unital:
             return None
         plane, N = self.plane, self.plane.N
         ys = parabolic_y_values(plane, self.theta)
-        X = np.arange(N, dtype=np.int64)
-        if not (self.points[-1] == plane.infinity_id and np.array_equal(
-                self.points[:-1].reshape(N, len(ys)), X[:, None] * N + ys)):
+        rows = self.points[:-1].reshape(N, len(ys))
+        # row x must read x*N + ys; blocks of rows bound the temporaries
+        if not (self.points[-1] == plane.infinity_id and all(
+                np.array_equal(rows[X], X[:, None] * N + ys)
+                for X in id_batches(N, len(ys)))):
             raise ProvenanceMismatch(
                 f"points differ from the parabolic set of theta={self.theta}")
         return ys
-
-    @cached_property
-    def y_mask(self) -> np.ndarray | None:
-        """For parabolic sets the affine part is all x times a y-set; the
-        mask over second coordinates answers membership in O(1)."""
-        if self.theta_y_values is None:
-            return None
-        mask = np.zeros(self.plane.N, dtype=bool)
-        mask[self.theta_y_values] = True
-        return mask
 
     @cached_property
     def shifted_counts_by_b(self) -> np.ndarray | None:
@@ -191,29 +184,38 @@ class Unital:
         if self.theta_y_values is None:
             return None
         plane = self.plane
-        ctx, N = plane.ctx, plane.N
-        fhist = np.bincount(plane.f, minlength=N)
-        counts = np.zeros(N, dtype=np.int64)
-        b = np.arange(N, dtype=np.int64)
+        fhist = np.bincount(plane.f, minlength=plane.N)
+        counts = np.zeros(plane.N, dtype=np.int64)
         for y in self.theta_y_values:
-            counts += fhist[np.asarray(ctx.add(b, int(y)))]
+            counts += plane.ctx.translate(fhist, y)
         return counts
 
     # -- line sections --
 
-    def line_count(self, lid: int) -> int:
-        """|line ∩ U| by direct membership counting (O(1) for graph lines of
-        parabolic sets through the per-b count table)."""
+    def line_counts(self, lids) -> np.ndarray:
+        """|line ∩ U| for each line ID, by direct membership counting.
+
+        Parabolic sets answer from their checked structure: a graph line
+        from the per-b count table, a vertical from its q y-values plus
+        infinity, L_inf from infinity alone.
+        """
         plane, N = self.plane, self.plane.N
-        lid = int(lid)
-        if self.y_mask is not None:
-            if lid == plane.at_infinity_id:
-                return 1
-            if lid >= N * N:
-                return int(self.y_mask.sum()) + 1
-            return int(self.shifted_counts_by_b[lid % N])
-        pts = plane.points_on_line(lid)
-        return int(np.count_nonzero(self.contains(pts)))
+        lids = np.asarray(lids, dtype=np.int64).reshape(-1)
+        if self.theta_y_values is not None:
+            graph = lids < N * N
+            counts = np.full(len(lids), len(self.theta_y_values) + 1, dtype=np.int64)
+            counts[graph] = self.shifted_counts_by_b[lids[graph] % N]
+            counts[lids == plane.at_infinity_id] = 1
+            return counts
+        counts = np.empty(len(lids), dtype=np.int64)
+        for idx in id_batches(len(lids), N + 1):
+            member = self.contains(plane.points_on_lines(lids[idx]))
+            counts[idx] = np.count_nonzero(member, axis=1)
+        return counts
+
+    def line_count(self, lid: int) -> int:
+        """|line ∩ U| for one line ID."""
+        return int(self.line_counts(lid)[0])
 
     def line_section(self, lid: int) -> np.ndarray:
         pts = self.plane.points_on_line(int(lid))
@@ -252,6 +254,17 @@ class Unital:
     def __repr__(self):
         return (f"Unital({self.provenance}, q={self.q}, "
                 f"|points|={len(self.points)}, checks={len(self.checks)})")
+
+
+def _first_non_increase(ids: np.ndarray) -> int:
+    """The first i with ids[i + 1] <= ids[i], or -1 when ids strictly
+    ascend; compared in blocks of BATCH, so no full-length temporary."""
+    for start in range(0, len(ids) - 1, BATCH):
+        block = ids[start:start + BATCH + 1]
+        down = block[1:] <= block[:-1]
+        if down.any():
+            return start + int(np.argmax(down))
+    return -1
 
 
 # ----------------------------------------------------------------------
@@ -308,8 +321,11 @@ def build_parabolic_unital(plane: ShiftPlane, theta: int) -> Unital:
         raise HypothesisFailed(f"fiber histogram violates {{1, q+1}}: {bad}")
     N = plane.N
     ys = parabolic_y_values(plane, theta)
-    ids = (np.arange(N, dtype=np.int64)[:, None] * N + ys[None, :]).ravel()
-    points = np.concatenate([ids, [plane.infinity_id]])
+    # written once, ascending, so Unital keeps the array as it is
+    points = np.empty(N * len(ys) + 1, dtype=np.int64)
+    np.add((np.arange(N, dtype=np.int64) * N)[:, None], ys,
+           out=points[:-1].reshape(N, len(ys)))
+    points[-1] = plane.infinity_id
     u = Unital(plane, points, f"utheta:theta={theta}", theta=theta)
     u.record(Check("parabolic-hypothesis", "exhaustive", "pass"))
     return u
@@ -333,7 +349,7 @@ def build_general_unital(plane: ShiftPlane, g_table: np.ndarray) -> Unital:
     member[np.repeat(np.arange(N), q), g_table.ravel()] = True
     X = np.arange(N, dtype=np.int64)
     for a in range(N):
-        fs = plane.f[np.asarray(ctx.add(X, a))]
+        fs = ctx.translate(plane.f, a)
         for b in range(N):
             vals = np.asarray(ctx.sub(fs, b))
             count = int(member[X, vals].sum())
@@ -441,12 +457,12 @@ def verify_unital_embedded(unital: Unital, mode: str = "exhaustive",
     shifted = np.unique(rng.integers(0, N * N, size=trials))
     n_vert = min(N, max(1, trials // 4))
     verts = N * N + np.sort(rng.choice(N, size=n_vert, replace=False))
-    tangents = 0
-    for lid in np.concatenate([shifted, verts, [plane.at_infinity_id]]):
-        c = unital.line_count(int(lid))
-        if c not in (1, q + 1):
-            raise IntersectionViolation(int(lid), c)
-        tangents += c == 1
+    lids = np.concatenate([shifted, verts, [plane.at_infinity_id]])
+    counts = unital.line_counts(lids)
+    bad = np.flatnonzero((counts != 1) & (counts != q + 1))
+    if len(bad):
+        raise IntersectionViolation(int(lids[bad[0]]), int(counts[bad[0]]))
+    tangents = int((counts == 1).sum())
     # tangent pencils of a point sample (each pencil costs O(N^2), so the
     # sample size adapts to the field size)
     n_pencil = max(1, min(50, 10 ** 9 // (N * N)))
@@ -454,9 +470,9 @@ def verify_unital_embedded(unital: Unital, mode: str = "exhaustive",
                         replace=False)
     pencil_ok = all(_pencil_tangent_count(unital, int(pid)) == 1
                     for pid in sample)
-    n_checked = int(len(shifted) + len(verts) + 1)
+    n_checked = len(lids)
     report = EmbeddedReport(pencil_ok, "sampled", n_checked - tangents,
-                            int(tangents), pencil_ok, n_checked)
+                            tangents, pencil_ok, n_checked)
     unital.record(Check("embedded-intersections", "sampled",
                         "pass" if pencil_ok else "fail",
                         witness={"seed": seed, "lines": n_checked,
@@ -466,32 +482,10 @@ def verify_unital_embedded(unital: Unital, mode: str = "exhaustive",
 
 def _pencil_tangent_count(unital: Unital, pid: int) -> int:
     """Tangent lines through one point, by counting over its full pencil."""
-    plane, N = unital.plane, unital.plane.N
-    ctx = plane.ctx
-    if pid == plane.infinity_id:
-        # pencil: all verticals plus the line at infinity
-        count = sum(unital.line_count(plane.vertical_id(a)) == 1 for a in range(N))
-        return count + (unital.line_count(plane.at_infinity_id) == 1)
-    if pid >= N * N:
+    plane = unital.plane
+    if plane.N ** 2 <= pid < plane.infinity_id:
         raise ValueError("slope points do not lie on these unitals")
-    x0, y0 = pid // N, pid % N
-    a = np.arange(N, dtype=np.int64)
-    b = np.asarray(ctx.sub(plane.f[np.asarray(ctx.add(np.int64(x0), a))],
-                           np.int64(y0)))
-    tangents = int(unital.line_count(plane.vertical_id(x0)) == 1)
-    if unital.shifted_counts_by_b is not None:
-        return tangents + int((unital.shifted_counts_by_b[b] == 1).sum())
-    # generic fallback for small planes: count each pencil line directly
-    member = unital.point_mask[: N * N].reshape(N, N)
-    chunk = max(1, (1 << 22) // N)
-    X = a
-    for start in range(0, N, chunk):
-        ac = a[start: start + chunk]
-        vals = plane.f[np.asarray(ctx.add(X[:, None], ac[None, :]))]   # (N, C)
-        ys = np.asarray(ctx.sub(vals, b[start: start + chunk][None, :]))
-        counts = member[X[:, None], ys].sum(axis=0)
-        tangents += int((counts == 1).sum())
-    return int(tangents)
+    return int((unital.line_counts(plane.lines_through_point(pid)) == 1).sum())
 
 
 @dataclass
@@ -740,7 +734,7 @@ def ovals_decomposition(unital: Unital) -> list[np.ndarray]:
     # |O_c ∩ L(a,b)| = #{x : f(x+a) = b + c}: one fiber histogram per shift a
     # bounds every (b, c) pair at once; verticals meet in (a, c) + infinity
     for a in range(N):
-        hist = np.bincount(plane.f[np.asarray(ctx.add(X, a))], minlength=N)
+        hist = np.bincount(ctx.translate(plane.f, a), minlength=N)
         if hist.max() > 2:
             v = int(np.argmax(hist))
             raise OvalViolation(f"some graph line meets an oval {int(hist[v])} times "
@@ -821,6 +815,8 @@ def read_unital_file(path) -> Unital:
     if points.ndim != 1:
         raise UsageError("malformed point ID line: one ID per line expected")
     ctx = gf.parse_descriptor(header[1])
+    if ctx.m % 2:
+        raise UsageError(f"field {header[1]!r} has odd degree; the plane needs F_(q^2)")
     split = gf.split_new(ctx, ctx.m // 2)
     plane = ShiftPlane(parse_spec(split, header[2]))
     provenance = header[3]

@@ -288,3 +288,31 @@ def test_corrupt_cache_file_is_a_miss(capsys, tmp_path):
         assert code == code2 == 0 and "cache hit" not in err2
         assert json.loads(out2)["hash"] == json.loads(out)["hash"]
         assert "cache hit" in run(capsys, *args)[2]       # rebuilt and stored again
+
+
+@pytest.mark.parametrize("line", ["p=3,m=x,mod=[1,0,1]", "p=3,m=x", "p=3,m=2",
+                                  "p=4,m=2,mod=[1,0,1]", "p=3,m=3,mod=[1,2,0,1]"])
+def test_malformed_field_descriptor_is_usage_error(capsys, tmp_path, unital_q3, line):
+    path = _edited_unital_file(tmp_path, unital_q3, lambda l: l[:1] + [line] + l[2:])
+    code, _, err = run(capsys, "unital", "verify", "--p", "3", "--m", "2", "--in", path)
+    assert code == 2 and "usage error" in err and repr(line) in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("planar", "verify", "--p", "3", "--m", "2", "--spec", "foo"),
+     "unknown spec string 'foo'"),
+    (("planar", "verify", "--p", "4", "--m", "2"), "--p must be an odd prime, got 4"),
+    (("field", "check", "--p", "2", "--m", "2"), "--p must be an odd prime, got 2"),
+    (("plane", "verify", "--p", "3", "--m", "3"), "--m must be even, got 3"),
+    (("field", "check", "--p", "3", "--m", "0"), "--m must be at least 1, got 0"),
+    (("field", "check", "--p", "3", "--m", "2", "--modulus", "1,x,1"),
+     "malformed --modulus '1,x,1'"),
+])
+def test_flag_out_of_range_is_usage_error(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and f"usage error: {message}" in err
+
+
+def test_odd_m_field_check_still_runs(capsys):
+    code, out, _ = run(capsys, "field", "check", "--p", "3", "--m", "3")
+    assert code == 0 and "axioms: pass (size 27)" in out

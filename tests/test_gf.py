@@ -399,3 +399,24 @@ def test_field_axioms_random_large(p, m):
     assert np.array_equal(ctx.mul(a, ctx.add(b, c)),
                           ctx.add(ctx.mul(a, b), ctx.mul(a, c)))
     assert np.all(ctx.add(a, ctx.neg(a)) == 0) and np.array_equal(ctx.add(a, 0), a)
+
+
+@pytest.mark.parametrize("p,m", [(3, 4), (5, 2), (3, 7)] + LARGE_FIELDS)
+def test_translate_matches_addition(p, m):
+    # every shift a up to F_3^7, a seeded sample beyond
+    ctx = gf.field_new(p, m)
+    x = np.arange(ctx.size, dtype=np.int64)
+    rng = np.random.default_rng([7, ctx.size])
+    table = rng.integers(0, 10 ** 6, ctx.size)
+    shifts = x if ctx.size <= 2187 else np.append(rng.integers(0, ctx.size, 30),
+                                                   [0, 1, ctx.size - 1])
+    for a in shifts:
+        assert np.array_equal(ctx.translate(table, a), table[ctx.add(x, int(a))]), a
+    assert ctx.translate(table, np.int64(1)).shape == (ctx.size,)
+
+
+def test_small_field_split_form_is_the_addition_table():
+    # P = N, Q = 1: the low table is the whole one, the high table trivial
+    ctx = gf.field_new(3, 4)
+    assert ctx.split_base == ctx.size and np.array_equal(ctx.add_hi, [0])
+    assert np.array_equal(ctx.add_lo.reshape(ctx.size, ctx.size), ctx.add_table)

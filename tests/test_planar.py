@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -250,3 +252,88 @@ def test_bh_k1_as_stated_is_not_planar(s729):
     assert ctx.pow(u, 2) == ctx.pow(u, 26) == ctx.minus_one_index
     assert ctx.sub(f.eval(ctx.add(u, 1)), f.eval(u)) == ctx.sub(f.eval(1), f.eval(0))
     assert not planar.check_planarity(f).passed
+
+
+# -- split-digit translation sweep against the former field additions ----------
+
+def _reference_planarity(spec, mode="exhaustive", trials=1000, seed=0, workers=1):
+    """The former sweep: two full-field ctx.add calls per shift."""
+    ctx = spec.split.ctx
+    N = ctx.size
+    t = spec.table
+    x = np.arange(N, dtype=np.int64)
+    if mode == "exhaustive":
+        shifts = np.arange(1, N, dtype=np.int64)
+        seed_used = None
+    else:
+        rng = np.random.default_rng(seed)
+        shifts = np.sort(rng.choice(N - 1, size=min(trials, N - 1), replace=False) + 1)
+        seed_used = seed
+    neg_t = ctx.neg(t)
+
+    def scan(chunk):
+        seen = np.zeros(N, dtype=bool)
+        for a in chunk:
+            vals = ctx.add(t[ctx.add(x, int(a))], neg_t)
+            seen[:] = False
+            seen[vals] = True
+            if not seen.all():
+                order = np.argsort(vals, kind="stable")
+                sv = vals[order]
+                dup = np.flatnonzero(sv[1:] == sv[:-1])[0]
+                x1, x2 = sorted((int(order[dup]), int(order[dup + 1])))
+                return (int(a), x1, x2)
+        return None
+
+    results = [scan(chunk) for chunk in np.array_split(shifts, max(workers, 1))]
+    witness = next((w for w in results if w is not None), None)
+    if witness is not None:
+        checked = int(np.searchsorted(shifts, witness[0])) + 1
+        return planar.PlanarityCheck(False, mode, checked, witness=witness, seed=seed_used)
+    return planar.PlanarityCheck(True, mode, len(shifts), seed=seed_used)
+
+
+def _perturbed_squares(ctx, seeds):
+    """Seeded variants of f = x^2, by seed % 5: (0) f itself; (1) f with a
+    few entries overwritten, which fails at every shift; (2, 3) f + h with h
+    constant on the cosets of H = {index < p^k}, which passes exactly the
+    shifts in H, k <= 3 in (2) and k = m - 1 in (3); (4) f + c*x^p, planar
+    again."""
+    p, m = ctx.p, ctx.m
+    x = np.arange(ctx.size, dtype=np.int64)
+    for seed in seeds:
+        rng = np.random.default_rng([seed, ctx.size])
+        t = np.asarray(ctx.mul(x, x))
+        kind = seed % 5
+        if kind == 1:
+            at = rng.choice(ctx.size, size=int(rng.integers(1, 4)), replace=False)
+            t[at] = rng.integers(0, ctx.size, len(at))
+        elif kind in (2, 3):
+            k = int(rng.integers(1, min(m - 1, 3) + 1)) if kind == 2 else m - 1
+            h = rng.integers(0, ctx.size, ctx.size // p ** k)
+            t = np.asarray(ctx.add(t, h[x // p ** k]))
+        elif kind == 4:
+            t = np.asarray(ctx.add(t, ctx.mul(int(rng.integers(1, ctx.size)), ctx.pow(x, p))))
+        yield seed, SimpleNamespace(split=SimpleNamespace(ctx=ctx), table=t)
+
+
+# F_3^6 keeps one addition table; F_3^7 splits into unequal halves (Q = 27,
+# P = 81), F_5^6 and F_3^10 into equal ones
+@pytest.mark.parametrize("p, m", [(3, 6), (3, 7), (5, 6), (3, 10)])
+def test_planarity_matches_reference_sweep(p, m):
+    ctx = gf.field_new(p, m)
+    small = ctx.size <= 2187
+    for seed, spec in _perturbed_squares(ctx, range(10)):
+        runs = [("sampled", 25)]
+        # a full reference sweep of x^2 (seed 0) or of the k = m - 1 variant
+        # (seed 3) runs only up to F_3^7; the variants 1 and 2 stop within
+        # p^3 shifts everywhere
+        if seed % 5 in (1, 2) or (small and seed in (0, 3)):
+            runs.append(("exhaustive", None))
+        for mode, trials in runs:
+            for workers in (1, 2):
+                kwargs = dict(mode=mode, seed=seed, workers=workers)
+                if trials:
+                    kwargs["trials"] = trials
+                assert (planar.check_planarity(spec, **kwargs)
+                        == _reference_planarity(spec, **kwargs)), (seed, mode, workers)

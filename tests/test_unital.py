@@ -486,3 +486,97 @@ def test_unital_rejects_invalid_point_ids(unital_q5):
         with pytest.raises(InvalidPointSet, match=message):
             un.Unital(plane, points, "test")
     assert np.array_equal(un.Unital(plane, pts[::-1], "test").points, pts)
+
+
+# -- batched line counts against the former scalar routes -------------------------
+
+def _reference_sampled_embedded(unital, seed, trials):
+    """The former sampled loop: one count per line in draw order, each from
+    the line's own points; the first violation is returned, not raised."""
+    plane, q, N = unital.plane, unital.q, unital.plane.N
+    rng = np.random.default_rng(seed)
+    shifted = np.unique(rng.integers(0, N * N, size=trials))
+    n_vert = min(N, max(1, trials // 4))
+    verts = N * N + np.sort(rng.choice(N, size=n_vert, replace=False))
+    tangents = 0
+    for lid in np.concatenate([shifted, verts, [plane.at_infinity_id]]):
+        c = len(unital.line_section(int(lid)))
+        if c not in (1, q + 1):
+            return int(lid), c
+        tangents += c == 1
+    n_pencil = max(1, min(50, 10 ** 9 // (N * N)))
+    sample = rng.choice(unital.points, size=min(n_pencil, len(unital.points)),
+                        replace=False)
+    pencil_ok = all(sum(len(unital.line_section(int(lid))) == 1
+                        for lid in plane.lines_through_point(int(pid))) == 1
+                    for pid in sample)
+    n = len(shifted) + len(verts) + 1
+    return un.EmbeddedReport(pencil_ok, "sampled", n - tangents, tangents, pencil_ok, n)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_sampled_embedded_matches_scalar_loop(q, plane_q3, plane_q5):
+    plane = {3: plane_q3, 5: plane_q5}[q]
+    swapped = un.build_parabolic_unital(plane, plane.split.choose_theta()).points.copy()
+    swapped[-2] = plane.slope_id(0)
+    for make in (lambda: un.build_parabolic_unital(plane, plane.split.choose_theta()),
+                 lambda: un.build_polarity_unital(plane, un.InvolutionSpec("frobq")),
+                 lambda: _translated_general(plane, 2),
+                 lambda: un.Unital(plane, swapped, "swapped")):
+        for seed, trials in ((0, 500), (1, 40), (2, 8)):
+            u = make()
+            expected = _reference_sampled_embedded(u, seed, trials)
+            if isinstance(expected, tuple):
+                with pytest.raises(IntersectionViolation) as err:
+                    un.verify_unital_embedded(u, mode="sampled", seed=seed, trials=trials)
+                assert (err.value.line_id, err.value.count) == expected
+            else:
+                assert un.verify_unital_embedded(
+                    u, mode="sampled", seed=seed, trials=trials) == expected
+
+
+def test_pencil_tangent_counts_match_sections(unital_q3, polarity_q3):
+    for u in (unital_q3, polarity_q3):
+        plane = u.plane
+        for pid in u.points:
+            pencil = plane.lines_through_point(int(pid))
+            direct = sum(len(u.line_section(int(lid))) == 1 for lid in pencil)
+            assert un._pencil_tangent_count(u, int(pid)) == direct == 1
+        with pytest.raises(ValueError, match="slope points"):
+            un._pencil_tangent_count(u, plane.slope_id(0))
+
+
+def test_shifted_counts_by_b_match_former_formula(unital_q3, unital_q5, unital_cm81):
+    split = gf.split_new(gf.field_new(5, 6), 3)
+    plane = ShiftPlane(planar.zhou_pott(split, 1, 1))
+    for u in (unital_q3, unital_q5, unital_cm81, un.build_parabolic_unital(plane, split.xi)):
+        ctx, N = u.plane.ctx, u.plane.N
+        fhist = np.bincount(u.plane.f, minlength=N)
+        b = np.arange(N, dtype=np.int64)
+        former = sum(fhist[ctx.add(b, int(y))] for y in u.theta_y_values)
+        assert np.array_equal(u.shifted_counts_by_b, former)
+
+
+def test_parabolic_points_built_in_place(plane_q5):
+    u = un.build_parabolic_unital(plane_q5, plane_q5.split.choose_theta())
+    N, ys = plane_q5.N, un.parabolic_y_values(plane_q5, u.theta)
+    former = np.concatenate([(np.arange(N)[:, None] * N + ys).ravel(),
+                             [plane_q5.infinity_id]])
+    assert np.array_equal(u.points, former)
+    # an ascending int64 array is kept as it is; any other is sorted first
+    assert un.Unital(plane_q5, u.points, "again").points is u.points
+    shuffled = np.random.default_rng(0).permutation(u.points)
+    again = un.Unital(plane_q5, shuffled, "shuffled")
+    assert np.array_equal(again.points, u.points) and again.points is not shuffled
+
+
+def test_provenance_checked_in_every_row_block():
+    # at q = 125 the y-set check runs over 30 row blocks; a point swapped in
+    # the last of them is seen as well
+    split = gf.split_new(gf.field_new(5, 6), 3)
+    plane = ShiftPlane(planar.zhou_pott(split, 1, 1))
+    pts = un.build_parabolic_unital(plane, split.xi).points.copy()
+    pts[-2] = plane.slope_id(0)
+    u = un.Unital(plane, pts, f"utheta:theta={split.xi}", theta=split.xi)
+    with pytest.raises(ProvenanceMismatch):
+        u.theta_y_values
