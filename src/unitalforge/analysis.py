@@ -10,6 +10,8 @@ design-intrinsic field are certified non-isomorphic as designs.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -40,6 +42,8 @@ __all__ = [
     "onan_from_blocks",
     "find_onan_through_infinity",
     "construct_onan_explicit",
+    "OnanConfigs",
+    "OnanSearchResult",
     "find_onan_exhaustive",
     "SubgroupReport",
     "sigma_stabilizer_report",
@@ -532,12 +536,78 @@ def _assemble_template(unital: Unital, k: int, omega: int, av: int, aw: int,
     return onan_from_blocks(unital, lids)
 
 
-@dataclass
+class OnanConfigs(Sequence):
+    """Read-only sequence of OnanConfig over the (count, 4) block and
+    (count, 6) point ID arrays of a search; each item is made when read
+    and holds Python ints.  Slices are views too, and a view equals another
+    view or a list with the same configurations in the same order."""
+
+    _CHUNK = 4096                    # rows converted per step of iteration
+
+    def __init__(self, block_ids: np.ndarray, point_ids: np.ndarray):
+        self._blocks, self._points = block_ids, point_ids
+
+    def __len__(self) -> int:
+        return len(self._blocks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return OnanConfigs(self._blocks[i], self._points[i])
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"configuration {i} of {len(self)}")
+        return OnanConfig(tuple(self._blocks[i].tolist()),
+                          tuple(self._points[i].tolist()))
+
+    def __iter__(self):
+        for start in range(0, len(self), self._CHUNK):
+            stop = start + self._CHUNK
+            for bl, pt in zip(self._blocks[start:stop].tolist(),
+                              self._points[start:stop].tolist()):
+                yield OnanConfig(tuple(bl), tuple(pt))
+
+    def __eq__(self, other):
+        if isinstance(other, OnanConfigs):
+            return (np.array_equal(self._blocks, other._blocks)
+                    and np.array_equal(self._points, other._points))
+        if isinstance(other, list):
+            return len(other) == len(self) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"OnanConfigs(<{len(self)} configurations>)"
+
+
+@dataclass(eq=False)
 class OnanSearchResult:
-    count: int
-    configs: list
+    """Configurations found by find_onan_exhaustive, one row each, in
+    lexicographic order of block index (hence of carrier-line ID).
+
+    block_ids (count, 4) holds the ascending carrier-line IDs of the four
+    blocks and point_ids (count, 6) the ascending IDs of the six points,
+    both int64; `configs` reads the rows as OnanConfig objects.
+    """
+
+    block_ids: np.ndarray
+    point_ids: np.ndarray
     complete: bool
     examined: int
+
+    @property
+    def count(self) -> int:
+        return len(self.block_ids)
+
+    @property
+    def configs(self) -> OnanConfigs:
+        return OnanConfigs(self.block_ids, self.point_ids)
+
+
+def _nonzero_2d(mask: np.ndarray):
+    """np.nonzero of a 2-d mask, same order; several times faster through
+    the flat indices."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
 def find_onan_exhaustive(unital: Unital, budget: int | None = None,
@@ -553,35 +623,44 @@ def find_onan_exhaustive(unital: Unital, budget: int | None = None,
     exactly its three.  With more than `budget` quadruples, the result holds
     the configurations among the first `budget`, examined == budget and
     complete=False.
+
+    The configurations come back as two int64 arrays in the order they are
+    examined (see OnanSearchResult); no Python object is built per
+    configuration.
     """
     idx = index or DesignIndex(unital)
     meets, cp = idx.meets, idx.common_point
-    configs = []
+    quads, sixes = [], []                    # block indices, point ranks
     examined = 0
     complete = True
     for b1 in range(idx.B):
         nb = np.flatnonzero(meets[b1, b1 + 1:]) + b1 + 1     # later neighbours
         p1 = cp[b1, nb]                                      # their meets with b1
-        m = meets[np.ix_(nb, nb)]
+        cpl = cp[np.ix_(nb, nb)]                             # meets among them
+        m = cpl >= 0
+        later = np.triu(m, 1)                                # m, with j > i
         # (b2, b3) = (nb[i2], nb[i3]): meeting, not concurrent with b1
-        i2, i3 = np.nonzero(np.triu(m & (p1[:, None] != p1), 1))
+        i2, i3 = _nonzero_2d(later & (p1[:, None] != p1))
         # b4 = nb[i4] after b3, meeting b2 and b3; t numbers the triangle
-        t, i4 = np.nonzero(m[i2] & m[i3] & (np.arange(len(nb)) > i3[:, None]))
+        t, i4 = _nonzero_2d(m[i2] & later[i3])
         if budget is not None and examined + len(t) > budget:
             keep = max(budget - examined, 0)
             t, i4, complete = t[:keep], i4[:keep], False
         examined += len(t)
         i2, i3 = i2[t], i3[t]                                # one per quadruple
-        quad = np.stack([np.full(len(t), b1), nb[i2], nb[i3], nb[i4]])
-        _, b2, b3, b4 = quad
-        six = np.stack([p1[i2], p1[i3], cp[b2, b3], p1[i4], cp[b2, b4], cp[b3, b4]])
-        hit = (six[3] != six[4]) & (six[3] != six[5]) & (six[4] != six[5])
-        blocks = idx.block_lines[quad[:, hit].T].tolist()
-        points = unital.points[np.sort(six[:, hit], axis=0).T].tolist()
-        configs.extend(OnanConfig(tuple(bl), tuple(pt)) for bl, pt in zip(blocks, points))
+        # the three meets of b4; those of b1, b2, b3 are distinct already
+        q1, q2, q3 = p1[i4], cpl[i2, i4], cpl[i3, i4]
+        hit = (q1 != q2) & (q1 != q3) & (q2 != q3)
+        i2, i3, i4 = i2[hit], i3[hit], i4[hit]
+        quads.append(np.stack([np.full(len(i4), b1), nb[i2], nb[i3], nb[i4]], axis=1))
+        sixes.append(np.stack([p1[i2], p1[i3], cpl[i2, i3],
+                               q1[hit], q2[hit], q3[hit]], axis=1))
         if not complete:
             break
-    return OnanSearchResult(len(configs), configs, complete, examined)
+    # both tables are int64: line IDs from flatnonzero, points as Unital keeps them
+    block_ids = idx.block_lines[np.concatenate(quads)]
+    point_ids = unital.points[np.sort(np.concatenate(sixes), axis=1)]
+    return OnanSearchResult(block_ids, point_ids, complete, examined)
 
 
 # ----------------------------------------------------------------------
@@ -779,9 +858,8 @@ def invariant_profile(unital: Unital, with_onan: bool = True,
     idx = DesignIndex(unital)
     if with_onan:
         result = find_onan_exhaustive(unital, budget=onan_budget, index=idx)
-        per_point = np.zeros(len(unital.points), dtype=np.int64)
-        for cfg in result.configs:
-            per_point[unital.point_rank[np.asarray(cfg.points)]] += 1
+        per_point = np.bincount(unital.point_rank[result.point_ids].ravel(),
+                                minlength=len(unital.points))
         histo_vals, histo_mult = np.unique(per_point, return_counts=True)
         profile.onan_total = result.count if result.complete else None
         profile.onan_point_histogram = tuple(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import sys
@@ -70,13 +71,17 @@ def _field(args):
         raise UsageError(f"--p must be an odd prime, got {args.p}")
     if args.m < 1:
         raise UsageError(f"--m must be at least 1, got {args.m}")
-    modulus = None
-    if args.modulus:
-        try:
-            modulus = tuple(int(c) for c in args.modulus.split(","))
-        except ValueError:
-            raise UsageError(f"malformed --modulus {args.modulus!r}") from None
-    return gf.field_new(args.p, args.m, modulus)
+    return gf.field_new(args.p, args.m, _modulus(args))
+
+
+def _modulus(args):
+    """The coefficients of --modulus, None when it is not given."""
+    if not args.modulus:
+        return None
+    try:
+        return tuple(int(c) for c in args.modulus.split(","))
+    except ValueError:
+        raise UsageError(f"malformed --modulus {args.modulus!r}") from None
 
 
 def _context(args):
@@ -251,17 +256,29 @@ def cmd_unital_build(args) -> int:
     else:
         _emit(cert, None)
     if cache_file:
-        header = "\n".join(["UNITAL v1", ctx.descriptor(),
-                            spec.spec_string(), u.provenance, ""])
-        body = "".join(f"{int(p)}\n" for p in u.points)
+        text = io.StringIO()
+        un.write_unital_file(u, text)
         with open(cache_file, "w") as fh:
-            json.dump({"cert": cert, "unital_file": header + body}, fh)
+            json.dump({"cert": cert, "unital_file": text.getvalue()}, fh)
     return 0
+
+
+def _check_field_flags(args, ctx):
+    """--p, --m and a given --modulus must name the field of the file read."""
+    for flag, given, stored in (("--p", args.p, ctx.p), ("--m", args.m, ctx.m)):
+        if given != stored:
+            raise UsageError(f"{flag} {given} differs from the file's field "
+                             f"{ctx.descriptor()}")
+    modulus = _modulus(args)
+    if modulus is not None and tuple(c % ctx.p for c in modulus) != ctx.modulus:
+        raise UsageError(f"--modulus {args.modulus} differs from the file's field "
+                         f"{ctx.descriptor()}")
 
 
 def _load_or_build(args):
     if getattr(args, "infile", None):
         u = _read_unital(args.infile)
+        _check_field_flags(args, u.plane.ctx)
         return u.plane.ctx, u.plane, u
     return _build_unital(args)
 

@@ -335,6 +335,11 @@ def criterion_07c(full: bool = True) -> CriterionResult:
                            "" if ok else "char-3 template obstruction; see docs/LEDGER.md")
 
 
+def _found_blocks(res: an.OnanSearchResult, blocks: tuple) -> bool:
+    """Whether the search found the configuration on these block lines."""
+    return bool((res.block_ids == blocks).all(axis=1).any())
+
+
 def criterion_07d(full: bool = True) -> CriterionResult:
     t0 = time.time()
     details = {}
@@ -350,7 +355,7 @@ def criterion_07d(full: bool = True) -> CriterionResult:
                  and res_u.count == ONAN_COUNT_Q3_PARABOLIC)
     try:
         cfg = an.construct_onan_explicit(u3)
-        witness_ok = any(c.blocks == cfg.blocks for c in res_u.configs)
+        witness_ok = _found_blocks(res_u, cfg.blocks)
         details["witness"] = {"blocks": cfg.blocks, "found": witness_ok}
     except UnitalForgeError as e:
         witness_ok = False
@@ -361,7 +366,7 @@ def criterion_07d(full: bool = True) -> CriterionResult:
         res5 = an.find_onan_exhaustive(u5)
         details["q=5 cross-validation (supplement)"] = {
             "count": res5.count, "complete": res5.complete,
-            "witness_found": any(c.blocks == cfg5.blocks for c in res5.configs)}
+            "witness_found": _found_blocks(res5, cfg5.blocks)}
     return CriterionResult("7d", "exhaustive search + witness (q=3)",
                            counts_ok and witness_ok, time.time() - t0, details,
                            "" if witness_ok else

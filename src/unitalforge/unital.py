@@ -786,18 +786,21 @@ def gamma_orbit_partition(plane: ShiftPlane, thetas) -> list[list[int]]:
 # ----------------------------------------------------------------------
 
 
-def write_unital_file(unital: Unital, path):
+def write_unital_file(unital: Unital, dest):
     """Text format: `UNITAL v1`, field descriptor, spec string, provenance,
-    then one ascending point ID per line."""
+    then one ascending point ID per line.  `dest` is a path or an open text
+    stream, which is written to and left open."""
+    if not hasattr(dest, "write"):
+        with open(dest, "w") as fh:
+            return write_unital_file(unital, fh)
     header = ["UNITAL v1", unital.plane.ctx.descriptor(),
               unital.plane.spec.spec_string(), unital.provenance]
-    with open(path, "w") as fh:
-        fh.write("\n".join(header) + "\n")
-        # one joined write per block of IDs: fast, and the strings of a
-        # whole large unital are never held at once
-        for start in range(0, len(unital.points), _WRITE_BLOCK):
-            ids = unital.points[start:start + _WRITE_BLOCK].tolist()
-            fh.write("\n".join(map(str, ids)) + "\n")
+    dest.write("\n".join(header) + "\n")
+    # one joined write per block of IDs: fast, and the strings of a whole
+    # large unital are never held at once
+    for start in range(0, len(unital.points), _WRITE_BLOCK):
+        ids = unital.points[start:start + _WRITE_BLOCK].tolist()
+        dest.write("\n".join(map(str, ids)) + "\n")
 
 
 def read_unital_file(path) -> Unital:

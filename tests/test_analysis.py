@@ -374,6 +374,76 @@ def test_design_index_tables_q3(which, unital_q3, classical_q3):
             assert [idx.common_point[b, c]] == (common or [-1])
 
 
+def _reference_onan_configs(unital, idx):
+    """The former object-building search: one OnanConfig per configuration,
+    in order, and the number of quadruples examined."""
+    meets, cp = idx.meets, idx.common_point
+    configs, examined = [], 0
+    for b1 in range(idx.B):
+        nb = np.flatnonzero(meets[b1, b1 + 1:]) + b1 + 1
+        p1 = cp[b1, nb]
+        m = meets[np.ix_(nb, nb)]
+        i2, i3 = np.nonzero(np.triu(m & (p1[:, None] != p1), 1))
+        t, i4 = np.nonzero(m[i2] & m[i3] & (np.arange(len(nb)) > i3[:, None]))
+        examined += len(t)
+        i2, i3 = i2[t], i3[t]
+        quad = np.stack([np.full(len(t), b1), nb[i2], nb[i3], nb[i4]])
+        _, b2, b3, b4 = quad
+        six = np.stack([p1[i2], p1[i3], cp[b2, b3], p1[i4], cp[b2, b4], cp[b3, b4]])
+        hit = (six[3] != six[4]) & (six[3] != six[5]) & (six[4] != six[5])
+        blocks = idx.block_lines[quad[:, hit].T].tolist()
+        points = unital.points[np.sort(six[:, hit], axis=0).T].tolist()
+        configs.extend(an.OnanConfig(tuple(bl), tuple(pt)) for bl, pt in zip(blocks, points))
+    return configs, examined
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_exhaustive_arrays_match_reference(q, unital_q3, unital_q5):
+    u = {3: unital_q3, 5: unital_q5}[q]
+    idx = an.DesignIndex(u)
+    res = an.find_onan_exhaustive(u, index=idx)
+    ref, examined = _reference_onan_configs(u, idx)
+    assert res.complete and res.examined == examined and res.count == len(ref)
+    assert res.block_ids.dtype == res.point_ids.dtype == np.int64
+    assert res.block_ids.shape == (len(ref), 4) and res.point_ids.shape == (len(ref), 6)
+    assert res.block_ids.tolist() == [list(c.blocks) for c in ref]
+    assert res.point_ids.tolist() == [list(c.points) for c in ref]
+    assert res.configs == ref
+
+
+def test_exhaustive_configs_view(full_search_q3):
+    res = full_search_q3
+    view, as_list = res.configs, list(res.configs)
+    assert len(view) == len(as_list) == res.count == Q3_PARABOLIC_ONAN
+    assert view[-1] == as_list[-1] == view[res.count - 1]
+    assert view[np.int64(7)] == as_list[7]
+    assert view[5:9] == as_list[5:9] and list(view[5:9]) == as_list[5:9]
+    assert view[::-3] == as_list[::-3] and len(view[400:]) == 0
+    assert view == as_list and as_list == view and view == view[:]
+    assert view != as_list[:-1] and view[1:] != view[:-1]
+    assert [cfg for cfg in view] == as_list
+    for i in (res.count, -res.count - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    first = an.OnanConfig(tuple(int(v) for v in res.block_ids[0]),
+                          tuple(int(v) for v in res.point_ids[0]))
+    assert view[0] == first and hash(view[0]) == hash(first)
+    assert repr(view[0]) == f"OnanConfig(blocks={first.blocks}, points={first.points})"
+    for cfg in (view[0], view[-1], as_list[100]):
+        assert all(type(v) is int for v in cfg.blocks + cfg.points)
+
+
+@pytest.mark.parametrize("scale, offset", [(0, 0), (0, 1), (0, 50), (1, -1),
+                                           (1, 0), (1, 1)],
+                         ids=["0", "1", "50", "total-1", "total", "total+1"])
+def test_exhaustive_budget_prefix_arrays(unital_q3, full_search_q3, scale, offset):
+    budget = scale * full_search_q3.examined + offset
+    res = an.find_onan_exhaustive(unital_q3, budget=budget)
+    assert res.block_ids.shape == (res.count, 4) and res.point_ids.shape == (res.count, 6)
+    assert np.array_equal(res.block_ids, full_search_q3.block_ids[:res.count])
+    assert np.array_equal(res.point_ids, full_search_q3.point_ids[:res.count])
+
+
 def test_explicit_construction_q5(unital_q5):
     cfg = an.construct_onan_explicit(unital_q5)
     assert an.onan_from_blocks(unital_q5, cfg.blocks) == cfg
@@ -459,6 +529,18 @@ def test_profiles_distinguish(unital_q3, classical_q3):
     assert verdict == "NON-ISOMORPHIC"
     assert p1.onan_total == Q3_PARABOLIC_ONAN and p2.onan_total == 0
     assert p1.strong_vertex_count == 1 and p2.strong_vertex_count == 28
+
+
+@pytest.mark.parametrize("q, histogram", [(3, ((0, 1), (72, 27))),
+                                          (5, ((0, 1), (6840, 125)))])
+def test_profile_onan_point_histogram(q, histogram, unital_q3, unital_q5, s9, s25):
+    u = {3: unital_q3, 5: unital_q5}[q]
+    p = an.invariant_profile(u, with_wilbrink=False)
+    assert p.onan_point_histogram == histogram
+    assert p.onan_total == sum(c * n for c, n in histogram) // 6   # 6 points each
+    classical = un.build_classical_baseline({3: s9, 5: s25}[q])
+    p_cl = an.invariant_profile(classical, with_wilbrink=False)
+    assert p_cl.onan_point_histogram == ((0, q ** 3 + 1),) and p_cl.onan_total == 0
 
 
 def test_profile_invariant_under_collineation(unital_q3):

@@ -91,6 +91,17 @@ def test_unital_build_cache(capsys, tmp_path):
     assert json.loads(out1)["hash"] == json.loads(out2)["hash"]
 
 
+def test_unital_build_cache_hit_writes_same_file(capsys, tmp_path):
+    args = ("unital", "build", "--p", "3", "--m", "2", "--spec", "square",
+            "--cache-dir", str(tmp_path / "cache"))
+    fresh, hit = tmp_path / "fresh.unital", tmp_path / "hit.unital"
+    code1, _, err1 = run(capsys, *args, "--out", str(fresh))
+    code2, _, err2 = run(capsys, *args, "--out", str(hit))
+    assert code1 == code2 == 0
+    assert "cache hit" not in err1 and "cache hit" in err2
+    assert hit.read_bytes() == fresh.read_bytes()
+
+
 def test_unital_dual_and_ovals(capsys):
     code, out, _ = run(capsys, "unital", "dual", "--p", "3", "--m", "2",
                        "--spec", "square")
@@ -316,3 +327,31 @@ def test_flag_out_of_range_is_usage_error(capsys, argv, message):
 def test_odd_m_field_check_still_runs(capsys):
     code, out, _ = run(capsys, "field", "check", "--p", "3", "--m", "3")
     assert code == 0 and "axioms: pass (size 27)" in out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--p", "3", "--m", "2"), "--p 3 differs from the file's field p=5,m=2,mod=[1,1,1]"),
+    (("--p", "5", "--m", "4"), "--m 4 differs from the file's field"),
+    (("--p", "5", "--m", "2", "--modulus", "2,0,1"),
+     "--modulus 2,0,1 differs from the file's field"),
+])
+def test_flags_against_file_header_are_usage_error(capsys, tmp_path, unital_q5,
+                                                   flags, message):
+    from unitalforge import unital as un
+
+    path = tmp_path / "u5.unital"
+    un.write_unital_file(unital_q5, path)
+    code, _, err = run(capsys, "unital", "verify", *flags, "--in", str(path))
+    assert code == 2 and f"usage error: {message}" in err
+
+
+@pytest.mark.parametrize("modulus", [None, "1,1,1", "6,-4,1"])
+def test_flags_matching_file_header_pass(capsys, tmp_path, unital_q5, modulus):
+    from unitalforge import unital as un
+
+    path = tmp_path / "u5.unital"
+    un.write_unital_file(unital_q5, path)
+    extra = ("--modulus", modulus) if modulus else ()
+    code, out, _ = run(capsys, "unital", "verify", "--p", "5", "--m", "2", *extra,
+                       "--in", str(path))
+    assert code == 0 and "embedded: passed=True" in out
