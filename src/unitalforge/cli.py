@@ -51,8 +51,9 @@ def _add_field_args(p: argparse.ArgumentParser, spec_required: bool = True):
     p.add_argument("--modulus", type=str, default=None,
                    help="comma-separated modulus coefficients, constant first")
     if spec_required:
-        p.add_argument("--spec", type=str, default="square",
-                       help="function spec string (square, albert:k=2, cm:k=3, ...)")
+        p.add_argument("--spec", type=str, default=None,
+                       help="function spec string (square, albert:k=2, cm:k=3, ...); "
+                            "square when not given")
     p.add_argument("--theta", type=str, default="auto",
                    help="'auto' (smallest admissible) or an element index")
     p.add_argument("--kappa", choices=["frobq", "conjxi"], default="frobq")
@@ -90,8 +91,13 @@ def _context(args):
                          "F_{q^2} = F_{p^m}")
     ctx = _field(args)
     split = gf.split_new(ctx, args.m // 2)
-    spec = planar.parse_spec(split, args.spec)
+    spec = planar.parse_spec(split, _spec_arg(args))
     return ctx, split, spec
+
+
+def _spec_arg(args) -> str:
+    """--spec, or "square" when it is not given."""
+    return "square" if args.spec is None else args.spec
 
 
 def _theta_index(split, spec, theta_arg: str) -> int:
@@ -103,7 +109,7 @@ def _theta_index(split, spec, theta_arg: str) -> int:
 
 
 def _runconfig(args, ctx) -> RunConfig:
-    return RunConfig(field=ctx.descriptor(), spec=args.spec,
+    return RunConfig(field=ctx.descriptor(), spec=_spec_arg(args),
                      theta=str(args.theta), mode=args.mode, seed=args.seed,
                      trials=args.trials, workers=args.threads)
 
@@ -263,8 +269,10 @@ def cmd_unital_build(args) -> int:
     return 0
 
 
-def _check_field_flags(args, ctx):
-    """--p, --m and a given --modulus must name the field of the file read."""
+def _check_field_flags(args, plane):
+    """--p, --m and a given --modulus must name the field of the file read,
+    and a given --spec its planar function."""
+    ctx = plane.ctx
     for flag, given, stored in (("--p", args.p, ctx.p), ("--m", args.m, ctx.m)):
         if given != stored:
             raise UsageError(f"{flag} {given} differs from the file's field "
@@ -273,12 +281,16 @@ def _check_field_flags(args, ctx):
     if modulus is not None and tuple(c % ctx.p for c in modulus) != ctx.modulus:
         raise UsageError(f"--modulus {args.modulus} differs from the file's field "
                          f"{ctx.descriptor()}")
+    stored = plane.spec.spec_string()
+    if args.spec is not None and planar.parse_spec(plane.split,
+                                                   args.spec).spec_string() != stored:
+        raise UsageError(f"--spec {args.spec} differs from the file's spec {stored}")
 
 
 def _load_or_build(args):
     if getattr(args, "infile", None):
         u = _read_unital(args.infile)
-        _check_field_flags(args, u.plane.ctx)
+        _check_field_flags(args, u.plane)
         return u.plane.ctx, u.plane, u
     return _build_unital(args)
 

@@ -21,6 +21,8 @@ construction, so each route checks the other.
 from __future__ import annotations
 
 import hashlib
+import io
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,7 +72,10 @@ __all__ = [
 ]
 
 _MASK_LIMIT = 1 << 24     # beyond this many plane points, fall back to sorted lookup
-_WRITE_BLOCK = 1 << 16    # point IDs joined into one write by write_unital_file
+_WRITE_BLOCK = 1 << 16    # point IDs formatted into one write by write_unital_file
+_READ_CHUNK = 1 << 16     # bytes of ID lines parsed at once by read_unital_file
+_MAX_ID_DIGITS = 18       # the longest ID line read; 19 digits could overflow int64
+_QUOTE_BYTES = 24         # of a malformed ID line quoted in its error, longer than any ID
 
 
 @dataclass
@@ -240,7 +245,7 @@ class Unital:
             "field": self.plane.ctx.descriptor(),
             "spec": self.plane.spec.spec_string(),
             "provenance": self.provenance,
-            "points": [int(p) for p in self.points],
+            "points": self.points.tolist(),
             "checks": [c.as_dict() for c in self.checks],
         }
         if extra:
@@ -786,42 +791,142 @@ def gamma_orbit_partition(plane: ShiftPlane, thetas) -> list[list[int]]:
 # ----------------------------------------------------------------------
 
 
+def _format_ids(ids: np.ndarray):
+    """The lines `f"{id}\\n"` of ascending non-negative IDs as bytes, in blocks
+    of at most _WRITE_BLOCK IDs.
+
+    IDs with the same number of digits are contiguous in an ascending array,
+    so each block is one (n, width + 1) table of digit bytes, filled column
+    by column from the right.
+    """
+    stops = np.searchsorted(ids, 10 ** np.arange(1, 19, dtype=np.int64)).tolist()
+    stops.append(len(ids))
+    start = 0
+    for width, stop in enumerate(stops, 1):
+        for lo in range(start, stop, _WRITE_BLOCK):
+            rest = ids[lo:min(lo + _WRITE_BLOCK, stop)]
+            buf = np.empty((len(rest), width + 1), dtype=np.uint8)
+            buf[:, width] = ord("\n")
+            for col in range(width - 1, 0, -1):
+                quot = rest // 10            # faster than np.divmod
+                buf[:, col] = rest - 10 * quot
+                rest = quot
+            buf[:, 0] = rest
+            buf[:, :width] += ord("0")
+            yield buf.tobytes()
+        start = stop
+
+
+def _parse_id_lines(data) -> np.ndarray:
+    """The IDs of `data`, whole lines each ending in a newline and holding
+    1 to _MAX_ID_DIGITS decimal digits; blank lines are skipped.
+
+    One flat pass checks every byte; each run of lines of equal length is
+    then a zero-copy (n, width + 1) view read by Horner's rule.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    digits = raw - ord("0")                  # any other byte wraps to 10 or more
+    ends = np.flatnonzero(raw == ord("\n"))
+    if not len(ends):
+        return np.zeros(0, dtype=np.int64)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    widths = ends - starts
+    if (np.count_nonzero(digits < 10) != len(raw) - len(ends)
+            or widths.max() > _MAX_ID_DIGITS):
+        bad = widths > _MAX_ID_DIGITS
+        stray = np.flatnonzero((digits >= 10) & (raw != ord("\n")))
+        bad[np.searchsorted(ends, stray)] = True
+        line = np.argmax(bad)
+        raise _malformed_line(data[starts[line]:ends[line]])
+    ids = np.empty(np.count_nonzero(widths), dtype=np.int64)
+    bounds = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), len(widths)]
+    n = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        width = int(widths[lo])
+        if width == 0:
+            continue
+        rows = digits[starts[lo]:ends[hi - 1] + 1].reshape(hi - lo, width + 1)
+        value = ids[n:n + hi - lo]
+        value[:] = rows[:, 0]
+        for col in range(1, width):
+            value *= 10
+            value += rows[:, col]
+        n += hi - lo
+    return ids
+
+
+def _malformed_line(line) -> UsageError:
+    text = bytes(line[:_QUOTE_BYTES]).decode(errors="replace")
+    if len(line) > _QUOTE_BYTES:
+        text += "..."
+    return UsageError(f"malformed point ID line: {text!r}")
+
+
+def _read_ids(fh, capacity: int) -> np.ndarray:
+    """The point IDs of the rest of the binary stream `fh`, one per line.
+
+    The body is read in _READ_CHUNK pieces cut after their last newline, so
+    every temporary is bounded by the chunk; the IDs go into one array sized
+    for `capacity` IDs, which grows only for a file with more lines.  CRLF
+    line ends and a missing final newline are accepted.
+    """
+    ids, n, tail = np.empty(capacity, dtype=np.int64), 0, b""
+    while True:
+        chunk = fh.read(_READ_CHUNK)
+        data = tail + chunk
+        if tail and not chunk:
+            data += b"\n"                      # the last line has no newline
+        cut = data.rfind(b"\n") + 1
+        lines, tail = memoryview(data)[:cut], data[cut:]
+        if data.find(b"\r", 0, cut) >= 0:
+            lines = data[:cut].replace(b"\r\n", b"\n")
+        part = _parse_id_lines(lines)
+        if n + len(part) > len(ids):
+            ids = np.concatenate((ids[:n], np.empty(n + len(part), dtype=np.int64)))
+        ids[n:n + len(part)] = part
+        n += len(part)
+        if len(tail) > _QUOTE_BYTES:            # no valid line is this long
+            raise _malformed_line(tail)
+        if not chunk:
+            return ids[:n]
+
+
 def write_unital_file(unital: Unital, dest):
     """Text format: `UNITAL v1`, field descriptor, spec string, provenance,
-    then one ascending point ID per line.  `dest` is a path or an open text
-    stream, which is written to and left open."""
+    then one ascending point ID per line.  `dest` is a path, written in
+    binary mode, or an open stream, binary or text, which is written to and
+    left open."""
     if not hasattr(dest, "write"):
-        with open(dest, "w") as fh:
+        with open(dest, "wb") as fh:
             return write_unital_file(unital, fh)
     header = ["UNITAL v1", unital.plane.ctx.descriptor(),
               unital.plane.spec.spec_string(), unital.provenance]
-    dest.write("\n".join(header) + "\n")
-    # one joined write per block of IDs: fast, and the strings of a whole
-    # large unital are never held at once
-    for start in range(0, len(unital.points), _WRITE_BLOCK):
-        ids = unital.points[start:start + _WRITE_BLOCK].tolist()
-        dest.write("\n".join(map(str, ids)) + "\n")
+    blocks = itertools.chain(["".join(f"{line}\n" for line in header).encode()],
+                             _format_ids(unital.points))
+    text = isinstance(dest, io.TextIOBase)
+    for block in blocks:
+        dest.write(block.decode() if text else block)
 
 
 def read_unital_file(path) -> Unital:
+    """The unital of a file in write_unital_file's format.
+
+    The header is checked before the body is read; a malformed header or ID
+    line is a UsageError, and the points get Unital's own checks.
+    """
     from . import gf
     from .planar import parse_spec
 
-    with open(path) as fh:
-        header = [fh.readline().strip() for _ in range(4)]
+    with open(path, "rb") as fh:
+        header = [fh.readline().decode(errors="replace").strip() for _ in range(4)]
         if header[0] != "UNITAL v1":
             raise UsageError(f"not a unital file: {header[0]!r}")
-        try:
-            points = np.loadtxt(fh, dtype=np.int64, ndmin=1, comments=None)
-        except ValueError as exc:
-            raise UsageError(f"malformed point ID line: {exc}") from None
-    if points.ndim != 1:
-        raise UsageError("malformed point ID line: one ID per line expected")
-    ctx = gf.parse_descriptor(header[1])
-    if ctx.m % 2:
-        raise UsageError(f"field {header[1]!r} has odd degree; the plane needs F_(q^2)")
-    split = gf.split_new(ctx, ctx.m // 2)
-    plane = ShiftPlane(parse_spec(split, header[2]))
+        ctx = gf.parse_descriptor(header[1])
+        if ctx.m % 2:
+            raise UsageError(f"field {header[1]!r} has odd degree; the plane needs F_(q^2)")
+        split = gf.split_new(ctx, ctx.m // 2)
+        plane = ShiftPlane(parse_spec(split, header[2]))
+        points = _read_ids(fh, split.sub_size ** 3 + 1)
     provenance = header[3]
     theta = None
     kappa = None

@@ -355,3 +355,60 @@ def test_flags_matching_file_header_pass(capsys, tmp_path, unital_q5, modulus):
     code, out, _ = run(capsys, "unital", "verify", "--p", "5", "--m", "2", *extra,
                        "--in", str(path))
     assert code == 0 and "embedded: passed=True" in out
+
+
+@pytest.mark.parametrize("line", ["-4", "+4", " 4", "4a", "1" * 19])
+def test_malformed_id_line_is_usage_error(capsys, tmp_path, unital_q3, line):
+    # a negative ID is a malformed line (exit 2), no longer a point outside
+    # the plane (exit 1)
+    path = _edited_unital_file(tmp_path, unital_q3, lambda l: l[:5] + [line] + l[6:])
+    code, _, err = run(capsys, "unital", "verify", "--p", "3", "--m", "2", "--in", path)
+    assert code == 2 and f"usage error: malformed point ID line: {line!r}" in err
+
+
+def test_crlf_unital_file_verifies(capsys, tmp_path, unital_q3):
+    from unitalforge import unital as un
+
+    path = tmp_path / "crlf.unital"
+    un.write_unital_file(unital_q3, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    code, out, _ = run(capsys, "unital", "verify", "--p", "3", "--m", "2", "--in", str(path))
+    assert code == 0 and "embedded: passed=True" in out
+
+
+@pytest.mark.parametrize("spec, code", [(None, 0), ("square", 0), (" square", 0),
+                                        ("custom:2:1", 2), ("custom:2", 2)])
+def test_spec_against_file_header(capsys, tmp_path, unital_q5, spec, code):
+    from unitalforge import unital as un
+
+    path = tmp_path / "u5.unital"
+    un.write_unital_file(unital_q5, path)
+    flags = ("--spec", spec) if spec is not None else ()
+    got, out, err = run(capsys, "unital", "verify", "--p", "5", "--m", "2", *flags,
+                        "--in", str(path))
+    assert got == code
+    if spec == "custom:2:1":
+        assert "usage error: --spec custom:2:1 differs from the file's spec square" in err
+    elif code == 0:
+        assert "embedded: passed=True" in out
+
+
+def test_spec_flag_omitted_reads_a_non_square_file(capsys, tmp_path, unital_cm81):
+    from unitalforge import unital as un
+
+    path = tmp_path / "cm.unital"
+    un.write_unital_file(unital_cm81, path)
+    argv = ("circles", "--p", "3", "--m", "4", "--in", str(path))
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv, "--spec", "cm:k=3")[0] == 0
+    code, _, err = run(capsys, *argv, "--spec", "square")
+    assert code == 2 and "--spec square differs from the file's spec cm:k=3" in err
+
+
+def test_spec_default_keeps_runconfig_hash(capsys):
+    # a missing --spec resolves to square, so the RunConfig and its hash agree
+    base = ("unital", "build", "--p", "3", "--m", "2")
+    out1 = json.loads(run(capsys, *base)[1])
+    out2 = json.loads(run(capsys, *base, "--spec", "square")[1])
+    assert out1["runconfig"]["spec"] == "square"
+    assert out1["runconfig_hash"] == out2["runconfig_hash"] and out1["hash"] == out2["hash"]

@@ -1,5 +1,11 @@
+import hashlib
+import io
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitalforge import gf, planar, unital as un
 from unitalforge.errors import (
@@ -10,6 +16,7 @@ from unitalforge.errors import (
     InvalidPointSet,
     NotInjective,
     ProvenanceMismatch,
+    UsageError,
     ZeroTheta,
 )
 from unitalforge.plane import Gamma, Shift, ShiftPlane
@@ -580,3 +587,147 @@ def test_provenance_checked_in_every_row_block():
     u = un.Unital(plane, pts, f"utheta:theta={split.xi}", theta=split.xi)
     with pytest.raises(ProvenanceMismatch):
         u.theta_y_values
+
+
+# -- unital files as bytes: the ID formatter and parser ----------------------------
+
+def _reference_file_text(u):
+    """The file as the earlier one-string-per-ID writer produced it."""
+    head = ["UNITAL v1", u.plane.ctx.descriptor(), u.plane.spec.spec_string(),
+            u.provenance]
+    return "".join(f"{line}\n" for line in head) + "".join(f"{int(p)}\n" for p in u.points)
+
+
+@pytest.fixture(scope="module")
+def unital_zp125():
+    split = gf.split_new(gf.field_new(5, 6), 3)
+    return un.build_parabolic_unital(ShiftPlane(planar.zhou_pott(split, 1, 1)), split.xi)
+
+
+def test_certificate_hash_matches_int_list_body(unital_zp125):
+    # the hash body lists the points by tolist(); the former per-point int()
+    # comprehension gives the same JSON, so the same hash
+    u = unital_zp125
+    extra = {"points_count": len(u.points), "theta": u.theta}
+    body = {"field": u.plane.ctx.descriptor(), "spec": u.plane.spec.spec_string(),
+            "provenance": u.provenance, "points": [int(p) for p in u.points],
+            "checks": [c.as_dict() for c in u.checks], **extra}
+    digest = hashlib.sha256(json.dumps(body, sort_keys=True, default=str).encode())
+    assert u.certificate(extra)["hash"] == digest.hexdigest()
+
+
+@pytest.mark.parametrize("which", ["unital_cm81", "polarity_q3", "unital_zp125"])
+def test_unital_file_bytes_larger_and_polarity(which, request, tmp_path):
+    u = request.getfixturevalue(which)
+    path = tmp_path / "u.unital"
+    un.write_unital_file(u, path)
+    assert path.read_bytes() == _reference_file_text(u).encode()
+    assert np.array_equal(un.read_unital_file(path).points, u.points)
+
+
+def test_stream_destinations_receive_the_file(unital_cm81, tmp_path):
+    path = tmp_path / "u.unital"
+    un.write_unital_file(unital_cm81, path)
+    text, raw = io.StringIO(), io.BytesIO()
+    un.write_unital_file(unital_cm81, text)
+    un.write_unital_file(unital_cm81, raw)
+    assert text.getvalue() == path.read_text()
+    assert raw.getvalue() == path.read_bytes()
+    assert not text.closed and not raw.closed
+
+
+_BOUNDARY_IDS = [0, 10 ** 18 - 1, *(10 ** k - 1 for k in range(1, 18)),
+                 *(10 ** k for k in range(1, 18))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ids=st.sets(st.sampled_from(_BOUNDARY_IDS) | st.integers(0, 10 ** 18 - 1),
+                   max_size=120).map(sorted),
+       block=st.sampled_from([1, 3, 1 << 16]),
+       chunk=st.sampled_from([7, 19, 64, 1 << 20]))
+def test_id_lines_round_trip(ids, block, chunk):
+    # the formatter against one f-string per ID, and the parser back again,
+    # across write blocks and read chunks of every size that matters
+    points = np.array(ids, dtype=np.int64)
+    with mock.patch.object(un, "_WRITE_BLOCK", block):
+        data = b"".join(un._format_ids(points))
+    assert data == "".join(f"{i}\n" for i in ids).encode()
+    with mock.patch.object(un, "_READ_CHUNK", chunk):
+        for capacity in (len(ids), 0):           # the buffer also grows
+            assert np.array_equal(un._read_ids(io.BytesIO(data), capacity), points)
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_chunk_boundaries(chunk, unital_q5, unital_cm81, tmp_path, monkeypatch):
+    monkeypatch.setattr(un, "_READ_CHUNK", chunk)
+    for u in (unital_q5, unital_cm81):
+        path = tmp_path / "u.unital"
+        un.write_unital_file(u, path)
+        back = un.read_unital_file(path)
+        assert np.array_equal(back.points, u.points) and back.theta == u.theta
+
+
+def _body_edit(u, tmp_path, edit, sep="\n"):
+    """A copy of u's file whose lines pass through edit, joined by sep."""
+    path = tmp_path / "u.unital"
+    un.write_unital_file(u, path)
+    bad = tmp_path / "edited.unital"
+    bad.write_bytes(sep.join(edit(path.read_text().splitlines())).encode())
+    return bad
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 20])
+@pytest.mark.parametrize("edit, sep", [
+    (lambda l: l + [""], "\r\n"),                                  # CRLF
+    (lambda l: l, "\n"),                                           # no final newline
+    (lambda l: l, "\r\n"),                                         # both
+    (lambda l: l[:4] + [""] + l[4:9] + ["", ""] + l[9:] + ["", ""], "\n"),  # blank lines
+    (lambda l: l[:4] + [""] + l[4:] + [""], "\r\n"),               # blank CRLF lines
+])
+def test_reader_accepts_loadtxt_line_variants(unital_q3, tmp_path, monkeypatch,
+                                              chunk, edit, sep):
+    monkeypatch.setattr(un, "_READ_CHUNK", chunk)
+    back = un.read_unital_file(_body_edit(unital_q3, tmp_path, edit, sep))
+    assert np.array_equal(back.points, unital_q3.points) and back.theta == unital_q3.theta
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 20])
+@pytest.mark.parametrize("line", ["+4", "-4", " 4", "4 ", "1 7", "\t4", "4a", "0x4",
+                                  "4\r5", "1" * 19, "0" * 19, "9" * 40])
+def test_reader_rejects_malformed_id_lines(unital_q3, tmp_path, monkeypatch, chunk, line):
+    # the first bad line is quoted, here the second ID line; a later one is not
+    monkeypatch.setattr(un, "_READ_CHUNK", chunk)
+    bad = _body_edit(unital_q3, tmp_path,
+                     lambda l: l[:5] + [line] + l[6:-1] + ["later"] + l[-1:] + [""])
+    quoted = repr(line[:24] + ("..." if len(line) > 24 else ""))
+    with pytest.raises(UsageError, match="^malformed point ID line: ") as err:
+        un.read_unital_file(bad)
+    assert str(err.value) == f"malformed point ID line: {quoted}"
+
+
+def test_reader_rejects_an_unterminated_long_line(unital_q3, tmp_path, monkeypatch):
+    monkeypatch.setattr(un, "_READ_CHUNK", 7)
+    bad = _body_edit(unital_q3, tmp_path, lambda l: l[:-1] + ["7" * 100])
+    with pytest.raises(UsageError, match="malformed point ID line: '7777"):
+        un.read_unital_file(bad)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("p=3,m=x", "malformed field descriptor"),
+    ("p=3,m=3,mod=[1,2,0,1]", "has odd degree"),
+])
+def test_header_checked_before_the_body(unital_q3, tmp_path, line, message):
+    bad = _body_edit(unital_q3, tmp_path,
+                     lambda l: l[:1] + [line] + l[2:5] + ["seven"] + l[6:] + [""])
+    with pytest.raises(UsageError, match=message):
+        un.read_unital_file(bad)
+
+
+def test_extra_and_missing_id_lines_are_counted(unital_q3, tmp_path):
+    # more lines than the buffer sized from the header: still all counted
+    extra = _body_edit(unital_q3, tmp_path, lambda l: l + ["90", "91", ""])
+    with pytest.raises(InvalidPointSet, match="expected 28 points, got 30"):
+        un.read_unital_file(extra)
+    short = _body_edit(unital_q3, tmp_path, lambda l: l[:4] + [""])
+    with pytest.raises(InvalidPointSet, match="expected 28 points, got 0"):
+        un.read_unital_file(short)
