@@ -219,20 +219,17 @@ def verify_circle_design(unital: Unital) -> CircleDesignReport:
 
 
 class DesignIndex:
-    """Block-level lookup tables of a unital (intended q <= 9), blocks in
-    line ID order, points by rank.  Raises PairCoverageViolation unless
-    every point lies on q^2 blocks, as the per-point tables need."""
+    """Block-level lookup tables over `unital.blocks` (intended q <= 9).
+    Raises PairCoverageViolation unless every point lies on q^2 blocks, as
+    the per-point tables need."""
 
     def __init__(self, unital: Unital):
         self.unital = unital
         self.q = unital.q
         self.n = len(unital.points)
         self.block_lines = unital.secant_line_ids
-        self.B = len(self.block_lines)
-        # a secant row holds q+1 members, ascending; ranks keep that order
-        rows = unital.plane.points_on_lines(self.block_lines)
-        self.block_points = unital.point_rank[
-            rows[unital.contains(rows)].reshape(self.B, self.q + 1)]
+        self.block_points = unital.blocks
+        self.B = len(self.block_points)
         reps = np.bincount(self.block_points.ravel(), minlength=self.n)
         bad = np.flatnonzero(reps != self.q ** 2)
         if len(bad):

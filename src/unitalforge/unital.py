@@ -52,7 +52,6 @@ from .plane import BATCH, Gamma, ShiftPlane, id_batches
 
 __all__ = [
     "Unital",
-    "Block",
     "Check",
     "InvolutionSpec",
     "check_parabolic_hypothesis",
@@ -92,46 +91,39 @@ class Check:
         return d
 
 
-@dataclass(frozen=True, slots=True)
-class Block:
-    """One design block: the q+1 unital points on a secant line."""
-
-    line_id: int
-    points: tuple
-
-
 class Unital:
-    """A certified point set of size q^3 + 1 with derived blocks.
+    """A certified point set of size q^3 + 1 with the table of its blocks.
 
-    `points` is the ascending array of canonical point IDs.  Blocks are
-    identified by the ID of the secant line carrying them, which is stable
-    across construction routes.  An int64 array that is already strictly
-    ascending is kept as it is, without a sorted copy.
+    `points` is the ascending array of canonical point IDs; an int64 array
+    that is already strictly ascending is kept as it is, without a sorted
+    copy.  `blocks` lists each block as point ranks, by secant line ID.
     """
 
     def __init__(self, plane: ShiftPlane, points: np.ndarray, provenance: str,
                  theta: int | None = None, kappa: "InvolutionSpec | None" = None):
         self.plane = plane
         points = np.asarray(points, dtype=np.int64)
-        if _first_non_increase(points) >= 0:
+        # strictly ascending IDs cannot repeat; sorted IDs repeat iff two
+        # neighbours agree
+        repeat = _first_non_increase(points)
+        if repeat >= 0:
             points = np.sort(points)
+            repeat = _first_non_increase(points)
         self.points = points
         self.provenance = provenance
         self.theta = theta
         self.kappa = kappa
         self.q = plane.split.sub_size
         self.checks: list[Check] = []
-        self._check_points()
+        self._check_points(repeat)
 
-    def _check_points(self):
+    def _check_points(self, repeat: int):
         pts, n = self.points, self.plane.n_points
         if len(pts) != self.q ** 3 + 1:
             raise InvalidPointSet(f"expected {self.q ** 3 + 1} points, got {len(pts)}")
         if pts[0] < 0 or pts[-1] >= n:
             bad = int(pts[0] if pts[0] < 0 else pts[-1])
             raise InvalidPointSet(f"point ID {bad} outside [0, {n})")
-        # sorted IDs repeat iff two neighbours agree
-        repeat = _first_non_increase(pts)
         if repeat >= 0:
             raise InvalidPointSet(f"point ID {int(pts[repeat])} listed twice")
 
@@ -233,9 +225,17 @@ class Unital:
         return np.flatnonzero(counts == self.q + 1)
 
     @cached_property
-    def blocks(self) -> list[Block]:
-        return [Block(int(lid), tuple(int(p) for p in self.line_section(int(lid))))
-                for lid in self.secant_line_ids]
+    def blocks(self) -> np.ndarray:
+        """The design's blocks as a (B, q+1) int64 table of point ranks
+        (indices into `points`): row k holds the q+1 points of the secant
+        line secant_line_ids[k], ascending."""
+        lids, plane = self.secant_line_ids, self.plane
+        table = np.empty((len(lids), self.q + 1), dtype=np.int64)
+        for idx in id_batches(len(lids), plane.N + 1):
+            # a secant row holds q+1 members, ascending; ranks keep that order
+            rows = plane.points_on_lines(lids[idx])
+            table[idx] = self.point_rank[rows[self.contains(rows)].reshape(len(idx), -1)]
+        return table
 
     def record(self, check: Check):
         self.checks.append(check)
@@ -343,26 +343,24 @@ def build_general_unital(plane: ShiftPlane, g_table: np.ndarray) -> Unital:
     must be injective.  For every (a, b) the number of pairs (x, t) with
     f(x+a) - b = g_x(t) must be 1 or q+1; the first offending pair raises.
     """
-    ctx, N, q = plane.ctx, plane.N, plane.split.sub_size
+    N, q = plane.N, plane.split.sub_size
     g_table = np.asarray(g_table, dtype=np.int64)
-    if g_table.shape != (N, q):
-        raise ValueError(f"expected table of shape ({N}, {q})")
-    for x in range(N):
-        if len(np.unique(g_table[x])) != q:
-            raise NotInjective(f"g_{x} is not injective")
-    member = np.zeros((N, N), dtype=bool)          # member[x, y] = y in g_x(F_q)
-    member[np.repeat(np.arange(N), q), g_table.ravel()] = True
-    X = np.arange(N, dtype=np.int64)
-    for a in range(N):
-        fs = ctx.translate(plane.f, a)
-        for b in range(N):
-            vals = np.asarray(ctx.sub(fs, b))
-            count = int(member[X, vals].sum())
-            if count not in (1, q + 1):
-                raise CountViolation(a, b, count)
+    if g_table.shape != (N, q) or g_table.min() < 0 or g_table.max() >= N:
+        raise ValueError(f"expected table of shape ({N}, {q}) with entries in [0, {N})")
+    rows = np.sort(g_table, axis=1)
+    repeats = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    if repeats.any():
+        raise NotInjective(f"g_{int(np.argmax(repeats))} is not injective")
     ids = (np.arange(N, dtype=np.int64)[:, None] * N + g_table).ravel()
     points = np.concatenate([ids, [plane.infinity_id]])
     u = Unital(plane, points, "general", theta=None)
+    # the solutions (x, t) for (a, b) are the points of U on L(a, b), whose
+    # ID a*N + b orders the pairs row-major
+    counts = line_intersection_counts(u)[:N * N]
+    bad = np.flatnonzero((counts != 1) & (counts != q + 1))
+    if len(bad):
+        a, b = divmod(int(bad[0]), N)
+        raise CountViolation(a, b, int(counts[bad[0]]))
     u.record(Check("solution-counts", "exhaustive", "pass"))
     return u
 
@@ -506,23 +504,22 @@ class DesignReport:
 def verify_design(unital: Unital, mode: str = "exhaustive",
                   seed: int = 0, trials: int = 20000) -> DesignReport:
     """Every unordered point pair lies in exactly one block; the block count
-    is q^4 - q^3 + q^2 and every point sits in q^2 blocks."""
+    is q^4 - q^3 + q^2 and every point sits in q^2 blocks.
+
+    Sampled mode checks the point pairs of `trials` seeded rank draws,
+    skipping draws i == j, and raises at the first failing one drawn.
+    """
     q = unital.q
     blocks = unital.blocks
     n = len(unital.points)
     expected_blocks = q ** 4 - q ** 3 + q ** 2
     if len(blocks) != expected_blocks:
         raise PairCoverageViolation(("block-count",), len(blocks))
-    rank = unital.point_rank
+    ii, jj = np.triu_indices(q + 1, k=1)
+    # block rows ascend, so each code has i < j
+    codes = (blocks[:, ii] * n + blocks[:, jj]).ravel()
     if mode == "exhaustive":
-        counts = np.zeros(n * n, dtype=np.int8)
-        reps = np.zeros(n, dtype=np.int64)
-        ii, jj = np.triu_indices(q + 1, k=1)
-        for blk in blocks:
-            # the points of a block are distinct, so a plain increment counts
-            r = np.sort(rank[np.asarray(blk.points)])
-            reps[r] += 1
-            counts[r[ii] * n + r[jj]] += 1
+        counts = np.bincount(codes, minlength=n * n)
         if counts.max() > 1:
             k = int(np.argmax(counts))
             pair = (int(unital.points[k // n]), int(unital.points[k % n]))
@@ -530,24 +527,21 @@ def verify_design(unital: Unital, mode: str = "exhaustive",
         total = int(counts.sum())
         if total != n * (n - 1) // 2:
             raise PairCoverageViolation(("coverage-total",), total)
-        replication_ok = bool(np.all(reps == q * q))
+        replication_ok = bool(np.all(np.bincount(blocks.ravel(), minlength=n) == q * q))
         report = DesignReport(replication_ok, mode, n, len(blocks), total,
                               replication_ok)
     else:
-        rng = np.random.default_rng(seed)
-        by_point: dict[int, list[int]] = {}
-        for bi, blk in enumerate(blocks):
-            for p in blk.points:
-                by_point.setdefault(p, []).append(bi)
-        for _ in range(trials):
-            i, j = rng.integers(0, n, 2)
-            if i == j:
-                continue
-            p1, p2 = int(unital.points[i]), int(unital.points[j])
-            common = set(by_point[p1]) & set(by_point[p2])
-            if len(common) != 1:
-                raise PairCoverageViolation((p1, p2), len(common))
-        report = DesignReport(True, "sampled", n, len(blocks), trials, True)
+        draws = np.random.default_rng(seed).integers(0, n, (trials, 2))
+        i, j = draws[draws[:, 0] != draws[:, 1]].T
+        keys = np.minimum(i, j) * n + np.maximum(i, j)
+        codes.sort()
+        common = np.searchsorted(codes, keys, "right") - np.searchsorted(codes, keys)
+        bad = np.flatnonzero(common != 1)
+        if len(bad):
+            k = bad[0]
+            pair = (int(unital.points[i[k]]), int(unital.points[j[k]]))
+            raise PairCoverageViolation(pair, int(common[k]))
+        report = DesignReport(True, "sampled", n, len(blocks), len(keys), True)
     unital.record(Check("design-pair-coverage", report.mode,
                         "pass" if report.passed else "fail"))
     return report

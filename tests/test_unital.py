@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitalforge import gf, planar, unital as un
+from unitalforge import analysis as an, gf, planar, unital as un
 from unitalforge.errors import (
     ConditionBFailed,
     CountViolation,
@@ -15,6 +15,7 @@ from unitalforge.errors import (
     IntersectionViolation,
     InvalidPointSet,
     NotInjective,
+    PairCoverageViolation,
     ProvenanceMismatch,
     UsageError,
     ZeroTheta,
@@ -74,8 +75,9 @@ def test_general_reduces_to_parabolic(plane_q3, unital_q3):
 def test_general_rejects_subfield_line(plane_q3):
     # g_x(t) = t is the theta = 1 case and violates the solution counts
     g_table = np.tile(np.sort(plane_q3.split.sub_elements), (9, 1))
-    with pytest.raises(CountViolation):
+    with pytest.raises(CountViolation) as err:
         un.build_general_unital(plane_q3, g_table)
+    assert (err.value.a, err.value.b, err.value.count) == (0, 0, 5)
 
 
 def test_general_accepts_shifted_values(plane_q3, unital_q3):
@@ -92,8 +94,56 @@ def test_general_accepts_shifted_values(plane_q3, unital_q3):
 
 def test_general_rejects_noninjective(plane_q3):
     g_table = np.zeros((9, 3), dtype=np.int64)
-    with pytest.raises(NotInjective):
+    with pytest.raises(NotInjective, match="g_0 "):
         un.build_general_unital(plane_q3, g_table)
+    g_table = np.tile(np.arange(3), (9, 1))
+    g_table[4, 2] = g_table[6, 0] = 1
+    with pytest.raises(NotInjective, match="g_4 "):
+        un.build_general_unital(plane_q3, g_table)
+
+
+@pytest.mark.parametrize("bad", [-1, 9])
+def test_general_rejects_entries_outside_the_field(plane_q3, bad):
+    g_table = np.tile(np.arange(3), (9, 1))
+    g_table[5, 1] = bad
+    with pytest.raises(ValueError, match=r"entries in \[0, 9\)"):
+        un.build_general_unital(plane_q3, g_table)
+
+
+def _reference_solution_counts(plane, g_table):
+    """The former (a, b) loop of build_general_unital: the first (a, b),
+    row-major, whose solution count is not 1 or q+1, else None."""
+    ctx, N, q = plane.ctx, plane.N, plane.split.sub_size
+    member = np.zeros((N, N), dtype=bool)
+    member[np.repeat(np.arange(N), q), g_table.ravel()] = True
+    X = np.arange(N, dtype=np.int64)
+    for a in range(N):
+        fs = ctx.translate(plane.f, a)
+        for b in range(N):
+            count = int(member[X, np.asarray(ctx.sub(fs, b))].sum())
+            if count not in (1, q + 1):
+                return a, b, count
+    return None
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_general_counts_match_former_loop(q, plane_q3, plane_q5):
+    plane = {3: plane_q3, 5: plane_q5}[q]
+    N = plane.N
+    good = np.tile(un.parabolic_y_values(plane, plane.split.choose_theta()), (N, 1))
+    moved = good.copy()
+    moved[N - 1, 0] = (moved[N - 1, 0] + 1) % N
+    rng = np.random.default_rng(0)
+    tables = [good, moved, good[:, ::-1]] + [
+        np.array([rng.permutation(N)[:q] for _ in range(N)]) for _ in range(3)]
+    for g_table in tables:
+        expected = _reference_solution_counts(plane, g_table)
+        if expected is None:
+            assert un.build_general_unital(plane, g_table).checks[0].status == "pass"
+        else:
+            with pytest.raises(CountViolation) as err:
+                un.build_general_unital(plane, g_table)
+            assert (err.value.a, err.value.b, err.value.count) == expected
 
 
 # -- certification ---------------------------------------------------------------
@@ -135,12 +185,23 @@ def test_design_q3_q5(unital_q3, unital_q5):
     assert rep5.passed and rep5.point_count == 126 and rep5.block_count == 525
 
 
-def test_block_sizes_and_replication(unital_q3):
-    assert all(len(b.points) == 4 for b in unital_q3.blocks)
-    rank_counts = np.zeros(28, dtype=int)
-    for b in unital_q3.blocks:
-        rank_counts[unital_q3.point_rank[np.asarray(b.points)]] += 1
-    assert np.all(rank_counts == 9)          # replication number q^2
+def _design_unitals(plane):
+    return (un.build_parabolic_unital(plane, plane.split.choose_theta()),
+            un.build_polarity_unital(plane, un.InvolutionSpec("frobq")),
+            _translated_general(plane, 2))
+
+
+def test_block_sizes_and_replication(plane_q3, plane_q5):
+    for u in _design_unitals(plane_q3) + _design_unitals(plane_q5):
+        q, blocks = u.q, u.blocks
+        assert blocks.dtype == np.int64
+        assert blocks.shape == (q ** 4 - q ** 3 + q ** 2, q + 1)
+        for row, lid in zip(blocks, u.secant_line_ids):
+            assert np.array_equal(row, u.point_rank[u.line_section(int(lid))])
+        assert np.all(np.diff(blocks, axis=1) > 0)
+        # replication number q^2
+        assert np.all(np.bincount(blocks.ravel(), minlength=len(u.points)) == q * q)
+        assert an.DesignIndex(u).block_points is u.blocks
 
 
 def test_line_count_matches_section(unital_cm81):
@@ -153,6 +214,70 @@ def test_line_count_matches_section(unital_cm81):
 def test_design_sampled_mode(unital_q5):
     rep = un.verify_design(unital_q5, mode="sampled", seed=1, trials=2000)
     assert rep.passed
+
+
+def _reference_sampled_design(unital, block_points, seed, trials):
+    """The former sampled loop over blocks given as tuples of point IDs:
+    a dict of block lists per point, one draw pair per trial; returns the
+    number of pairs checked, or the first failing (pair, count)."""
+    n = len(unital.points)
+    rng = np.random.default_rng(seed)
+    by_point: dict[int, list[int]] = {}
+    for bi, pts in enumerate(block_points):
+        for p in pts:
+            by_point.setdefault(p, []).append(bi)
+    checked = 0
+    for _ in range(trials):
+        i, j = rng.integers(0, n, 2)
+        if i == j:
+            continue
+        p1, p2 = int(unital.points[i]), int(unital.points[j])
+        common = set(by_point[p1]) & set(by_point[p2])
+        if len(common) != 1:
+            return (p1, p2), len(common)
+        checked += 1
+    return checked
+
+
+def _swap_block_points(blocks):
+    """The table with one point of block 0 exchanged for a point of another
+    block: block count and replication stay, pair coverage breaks."""
+    blocks = blocks.copy()
+    x = int(blocks[0, 0])
+    k = next(k for k, row in enumerate(blocks) if x not in row
+             and not set(row.tolist()) & set(blocks[0, 1:].tolist()))
+    blocks[0, 0], blocks[k, 0] = blocks[k, 0], x
+    blocks.sort(axis=1)
+    return blocks
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_sampled_design_matches_dict_loop(q, plane_q3, plane_q5):
+    plane = {3: plane_q3, 5: plane_q5}[q]
+    swapped = un.build_parabolic_unital(plane, plane.split.choose_theta()).points.copy()
+    swapped[-2] = plane.slope_id(0)
+    cases = [(u, None) for u in _design_unitals(plane)]
+    cases.append((un.Unital(plane, swapped, "swapped"), None))
+    cases.append((un.build_parabolic_unital(plane, plane.split.choose_theta()),
+                  _swap_block_points))
+    for u, tamper in cases:
+        if tamper is not None:
+            u.blocks = tamper(u.blocks)
+        # each block as a tuple of point IDs, as the former Block held it
+        block_points = [tuple(int(p) for p in u.points[row]) for row in u.blocks]
+        for seed, trials in ((0, 500), (1, 60), (2, 5), (3, 2000)):
+            if len(block_points) != q ** 4 - q ** 3 + q ** 2:
+                with pytest.raises(PairCoverageViolation, match="block-count"):
+                    un.verify_design(u, mode="sampled", seed=seed, trials=trials)
+                continue
+            expected = _reference_sampled_design(u, block_points, seed, trials)
+            if isinstance(expected, tuple):
+                with pytest.raises(PairCoverageViolation) as err:
+                    un.verify_design(u, mode="sampled", seed=seed, trials=trials)
+                assert (err.value.pair, err.value.count) == expected
+            else:
+                rep = un.verify_design(u, mode="sampled", seed=seed, trials=trials)
+                assert rep.passed and rep.pairs_covered == expected
 
 
 # -- polarities -------------------------------------------------------------------
@@ -486,7 +611,10 @@ def test_tampered_parabolic_file_rejected(unital_q5, tmp_path):
 
 def test_unital_rejects_invalid_point_ids(unital_q5):
     plane, pts = unital_q5.plane, unital_q5.points
+    unsorted_repeat = pts[::-1].copy()
+    unsorted_repeat[0] = pts[40]
     for points, message in ((np.append(pts[:-1], pts[-2]), "listed twice"),
+                            (unsorted_repeat, f"point ID {pts[40]} listed twice"),
                             (np.append(pts[:-1], plane.n_points), "outside"),
                             (np.append(pts[1:], -1), "outside"),
                             (pts[:-1], "expected 126 points, got 125")):
