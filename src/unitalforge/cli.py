@@ -304,7 +304,7 @@ def cmd_unital_verify(args) -> int:
           f"tangents={emb.tangent_count} mode={emb.mode}")
     ok = emb.passed
     if plane.split.sub_size <= 9:
-        des = un.verify_design(u, mode="exhaustive")
+        des = un.verify_design(u)
         print(f"design: passed={des.passed} points={des.point_count} "
               f"blocks={des.block_count} pairs={des.pairs_covered}")
         ok &= des.passed

@@ -223,12 +223,14 @@ class ShiftPlane:
 
     def sample_flags(self, rng: np.random.Generator, trials: int):
         """Seeded incident (point, line) pairs: per trial a line, then one of
-        its points by position.  Returns (point IDs, line IDs)."""
-        lids = np.empty(trials, dtype=np.int64)
-        cols = np.empty(trials, dtype=np.int64)
-        for t in range(trials):
-            lids[t] = rng.integers(0, self.n_lines)
-            cols[t] = rng.integers(0, self.N + 1)
+        its points by position.  Returns (point IDs, line IDs).
+
+        One draw with the bounds alternating n_lines, N + 1 yields the same
+        values, and leaves rng in the same state, as drawing a line and a
+        position per trial with two scalar calls.
+        """
+        draws = rng.integers(0, np.tile([self.n_lines, self.N + 1], trials))
+        lids, cols = draws[0::2], draws[1::2]
         pids = np.empty(trials, dtype=np.int64)
         for idx in id_batches(trials):
             pids[idx] = self.points_at(lids[idx], cols[idx])
@@ -262,30 +264,48 @@ class ShiftPlane:
         x1, y1 = lo[solve] // N, lo[solve] % N
         x2 = hi[solve] // N
         c, d = self.ctx.sub(x1, x2), self.ctx.sub(y1, hi[solve] % N)
-        for idx, hits in self._difference_rows(c, d):
-            counts = hits.sum(axis=1)
-            if np.any(counts != 1):
-                j = int(np.argmax(counts != 1))
-                i = solve[idx[j]]
-                raise AxiomViolation(
-                    f"{counts[j]} candidate lines through {p1[i]}, {p2[i]}",
-                    witness=(int(lo[i]), int(hi[i])))
-            a = self.ctx.sub(np.argmax(hits, axis=1), x2[idx])
-            out[solve[idx]] = a * N + self.ctx.sub(self.f[self.ctx.add(x1[idx], a)],
-                                                   y1[idx])
+        counts, u = self._difference_solutions(c, d)
+        if np.any(counts != 1):
+            j = int(np.argmax(counts != 1))
+            i = solve[j]
+            raise AxiomViolation(
+                f"{counts[j]} candidate lines through {p1[i]}, {p2[i]}",
+                witness=(int(lo[i]), int(hi[i])))
+        a = self.ctx.sub(u, x2)
+        out[solve] = a * N + self.ctx.sub(self.f[self.ctx.add(x1, a)], y1)
         return out.reshape(shape)
 
     def line_through(self, pid1: int, pid2: int) -> int:
         """The unique line through two distinct points."""
         return int(self.line_through_many(pid1, pid2))
 
-    def _difference_rows(self, c, d):
-        """Row i marks the u in F with f(u + c[i]) = d[i] + f(u); yields
-        (indices, rows) in id_batches blocks of N-wide rows."""
-        U = np.arange(self.N, dtype=np.int64)
-        for idx in id_batches(len(c), self.N):
-            yield idx, (self.f[self.ctx.add(c[idx, None], U)]
-                        == self.ctx.add(d[idx, None], self.f))
+    def _difference_solutions(self, c, d):
+        """For each i, the number of u in F with f(u + c[i]) = d[i] + f(u),
+        and such a u where that number is 1 (elsewhere an arbitrary value).
+
+        The work is per distinct c: its row D_c(u) = f(u + c) - f(u) is
+        built once, in id_batches blocks of N-wide rows, and one bincount of
+        row * N + D_c counts the solutions of every (c, d) at once; one
+        scatter of u over the same codes keeps a solution of each.
+        """
+        N, ctx = self.N, self.ctx
+        counts = np.empty(len(c), dtype=np.int64)
+        sols = np.empty(len(c), dtype=np.int64)
+        cs, row = np.unique(c, return_inverse=True)
+        order = np.argsort(row, kind="stable")        # the pairs of each c together
+        ranked = row[order]
+        U = np.arange(N, dtype=np.int64)
+        for rows in id_batches(len(cs), N):
+            pick = order[np.searchsorted(ranked, rows[0]):
+                         np.searchsorted(ranked, rows[-1] + 1)]
+            codes = (ctx.sub(self.f[ctx.add(cs[rows, None], U)], self.f)
+                     + (rows - rows[0])[:, None] * N).ravel()
+            table = np.bincount(codes, minlength=len(rows) * N)
+            where = np.empty(len(rows) * N, dtype=np.int64)
+            where[codes] = np.tile(U, len(rows))
+            keys = (row[pick] - rows[0]) * N + d[pick]
+            counts[pick], sols[pick] = table[keys], where[keys]
+        return counts, sols
 
     def meet_counts(self, lids1, lids2) -> np.ndarray:
         """Number of points common to lines lids1[i] and lids2[i].
@@ -302,8 +322,7 @@ class ShiftPlane:
         graph = np.flatnonzero((l1 < NN) & (l2 < NN))
         c = self.ctx.sub(l1[graph] // N, l2[graph] // N)
         d = self.ctx.sub(l1[graph] % N, l2[graph] % N)
-        for idx, hits in self._difference_rows(c, d):
-            out[graph[idx]] = hits.sum(axis=1) + (c[idx] == 0)
+        out[graph] = self._difference_solutions(c, d)[0] + (c == 0)
         rest = np.flatnonzero((l1 >= NN) | (l2 >= NN))
         for idx in id_batches(len(rest), 2 * (N + 1)):
             k = rest[idx]
@@ -323,6 +342,9 @@ class ShiftPlane:
         Exhaustive mode certifies all three through full pair coverage;
         sampled mode draws `trials` seeded point pairs, then `trials` line
         pairs (equal draws skipped); the first failing draw is the witness.
+        Its affine pairs are solved per distinct difference c, not per
+        pair (see _difference_solutions), so a sample costs at most N
+        difference rows however many trials it has.
         """
         if mode == "exhaustive":
             return self._verify_exhaustive()

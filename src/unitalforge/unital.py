@@ -219,6 +219,15 @@ class Unital:
         return pts[np.asarray(self.contains(pts))]
 
     @cached_property
+    def _line_pass(self) -> tuple[np.ndarray, np.ndarray]:
+        """The result of _line_counts, computed once per unital: (|line ∩
+        U| per line ID, tangent lines through each point), both read-only.
+        Every reader of the exhaustive line counts shares it."""
+        counts, tangents = _line_counts(self)
+        counts.flags.writeable = tangents.flags.writeable = False
+        return counts, tangents
+
+    @cached_property
     def secant_line_ids(self) -> np.ndarray:
         """IDs of all lines meeting the point set in q+1 points."""
         counts = line_intersection_counts(self)
@@ -377,9 +386,11 @@ def line_intersection_counts(unital: Unital) -> np.ndarray:
     the graph line L(a, f(x+a) - y) through them, and one bincount per
     shift gives the whole row of counts.  That is O(q^5) work, in batches
     of at most BATCH (point, shift) pairs, with no mask over the q^4 + q^2
-    + 1 plane points.
+    + 1 plane points.  The pass runs once per unital: the read-only array
+    returned is the one that the embedded check, the secant and tangent
+    lines and the invariant profile read too.
     """
-    return _line_counts(unital)[0]
+    return unital._line_pass[0]
 
 
 def _line_counts(unital: Unital):
@@ -443,7 +454,7 @@ def verify_unital_embedded(unital: Unital, mode: str = "exhaustive",
     """
     plane, q = unital.plane, unital.q
     if mode == "exhaustive":
-        counts, tangents_per_point = _line_counts(unital)
+        counts, tangents_per_point = unital._line_pass
         bad = np.flatnonzero((counts != 1) & (counts != q + 1))
         if len(bad):
             lid = int(bad[0])
@@ -501,14 +512,14 @@ class DesignReport:
     replication_ok: bool
 
 
-def verify_design(unital: Unital, mode: str = "exhaustive",
-                  seed: int = 0, trials: int = 20000) -> DesignReport:
+def verify_design(unital: Unital, mode: str = "exhaustive") -> DesignReport:
     """Every unordered point pair lies in exactly one block; the block count
     is q^4 - q^3 + q^2 and every point sits in q^2 blocks.
 
-    Sampled mode checks the point pairs of `trials` seeded rank draws,
-    skipping draws i == j, and raises at the first failing one drawn.
+    The check is exhaustive; `mode` names it and takes no other value.
     """
+    if mode != "exhaustive":
+        raise ValueError(f"verify_design is exhaustive only, got mode={mode!r}")
     q = unital.q
     blocks = unital.blocks
     n = len(unital.points)
@@ -517,32 +528,17 @@ def verify_design(unital: Unital, mode: str = "exhaustive",
         raise PairCoverageViolation(("block-count",), len(blocks))
     ii, jj = np.triu_indices(q + 1, k=1)
     # block rows ascend, so each code has i < j
-    codes = (blocks[:, ii] * n + blocks[:, jj]).ravel()
-    if mode == "exhaustive":
-        counts = np.bincount(codes, minlength=n * n)
-        if counts.max() > 1:
-            k = int(np.argmax(counts))
-            pair = (int(unital.points[k // n]), int(unital.points[k % n]))
-            raise PairCoverageViolation(pair, int(counts[k]))
-        total = int(counts.sum())
-        if total != n * (n - 1) // 2:
-            raise PairCoverageViolation(("coverage-total",), total)
-        replication_ok = bool(np.all(np.bincount(blocks.ravel(), minlength=n) == q * q))
-        report = DesignReport(replication_ok, mode, n, len(blocks), total,
-                              replication_ok)
-    else:
-        draws = np.random.default_rng(seed).integers(0, n, (trials, 2))
-        i, j = draws[draws[:, 0] != draws[:, 1]].T
-        keys = np.minimum(i, j) * n + np.maximum(i, j)
-        codes.sort()
-        common = np.searchsorted(codes, keys, "right") - np.searchsorted(codes, keys)
-        bad = np.flatnonzero(common != 1)
-        if len(bad):
-            k = bad[0]
-            pair = (int(unital.points[i[k]]), int(unital.points[j[k]]))
-            raise PairCoverageViolation(pair, int(common[k]))
-        report = DesignReport(True, "sampled", n, len(blocks), len(keys), True)
-    unital.record(Check("design-pair-coverage", report.mode,
+    counts = np.bincount((blocks[:, ii] * n + blocks[:, jj]).ravel(), minlength=n * n)
+    if counts.max() > 1:
+        k = int(np.argmax(counts))
+        pair = (int(unital.points[k // n]), int(unital.points[k % n]))
+        raise PairCoverageViolation(pair, int(counts[k]))
+    total = int(counts.sum())
+    if total != n * (n - 1) // 2:
+        raise PairCoverageViolation(("coverage-total",), total)
+    replication_ok = bool(np.all(np.bincount(blocks.ravel(), minlength=n) == q * q))
+    report = DesignReport(replication_ok, mode, n, len(blocks), total, replication_ok)
+    unital.record(Check("design-pair-coverage", mode,
                         "pass" if report.passed else "fail"))
     return report
 

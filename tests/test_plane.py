@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitalforge import plane as plane_mod, planar
 from unitalforge.errors import AxiomViolation, EqualPoints, FamilyMismatch
@@ -428,3 +431,147 @@ def test_meet_counts_all_pairs_q3(plane_q3, s9):
         expect = [len(np.intersect1d(P.points_on_line(a), P.points_on_line(b)))
                   for a, b in zip(l1.tolist(), l2.tolist())]
         assert P.meet_counts(l1, l2).tolist() == expect
+
+
+# -- difference solver ------------------------------------------------------------
+
+def _reference_difference_rows(P, c, d):
+    """The per-pair row builder the distinct-difference solver replaced:
+    row i marks the u in F with f(u + c[i]) = d[i] + f(u)."""
+    U = np.arange(P.N, dtype=np.int64)
+    for idx in plane_mod.id_batches(len(c), P.N):
+        yield idx, (P.f[P.ctx.add(c[idx, None], U)] == P.ctx.add(d[idx, None], P.f))
+
+
+def _check_difference_solutions(P, c, d):
+    counts, sols = P._difference_solutions(c, d)
+    ref_counts = np.empty(len(c), dtype=np.int64)
+    ref_sols = np.empty(len(c), dtype=np.int64)
+    for idx, hits in _reference_difference_rows(P, c, d):
+        ref_counts[idx] = hits.sum(axis=1)
+        ref_sols[idx] = np.argmax(hits, axis=1)
+    assert np.array_equal(counts, ref_counts)
+    unique = counts == 1
+    assert np.array_equal(sols[unique], ref_sols[unique])
+    return counts
+
+
+def _difference_batches(N, seed):
+    """Seeded (c, d) batches: spread c, many repeats of few c, and c = 0."""
+    rng = np.random.default_rng([seed, N])
+    spread = rng.integers(0, N, (2, 3000))
+    few = np.stack([rng.choice(rng.integers(0, N, 4), 3000), rng.integers(0, N, 3000)])
+    zero = np.stack([np.zeros(200, dtype=np.int64), rng.integers(0, N, 200)])
+    mixed = np.concatenate([spread, few, zero], axis=1)
+    return [spread, few, zero, mixed[:, rng.permutation(mixed.shape[1])],
+            np.zeros((2, 0), dtype=np.int64)]
+
+
+@pytest.mark.parametrize("spec", ["square", "cm:k=3", "albert:k=2"])
+def test_difference_solutions_match_rows(spec, s9, s81, s729):
+    split = {"square": s9, "cm:k=3": s81, "albert:k=2": s729}[spec]
+    P = ShiftPlane(planar.parse_spec(split, spec))
+    for seed in range(2):
+        for c, d in _difference_batches(P.N, seed):
+            counts = _check_difference_solutions(P, c, d)
+            # a planar f: one solution unless c = 0, where d = 0 gives N
+            assert np.array_equal(counts, np.where(c != 0, 1, np.where(d == 0, P.N, 0)))
+
+
+def test_difference_solutions_match_rows_non_planar(s9, s81):
+    counts = np.concatenate([_check_difference_solutions(P, c, d)
+                             for P in _non_planar_planes(s9, s81)
+                             for seed in range(2)
+                             for c, d in _difference_batches(P.N, seed)])
+    assert set(np.unique(counts).tolist()) > {0, 1, 2}
+
+
+# -- sampled flags ------------------------------------------------------------------
+
+def _reference_flag_draws(n_lines, N, rng, trials):
+    """The per-trial loop the one-call draw replaced: a line, then a position."""
+    lids = np.empty(trials, dtype=np.int64)
+    cols = np.empty(trials, dtype=np.int64)
+    for t in range(trials):
+        lids[t] = rng.integers(0, n_lines)
+        cols[t] = rng.integers(0, N + 1)
+    return lids, cols
+
+
+def _reference_sample_flags(self, rng, trials):
+    lids, cols = _reference_flag_draws(self.n_lines, self.N, rng, trials)
+    return self.points_at(lids, cols), lids
+
+
+def _albert27(s729):
+    return ShiftPlane(planar.parse_spec(s729, "albert:k=2"))
+
+
+@pytest.mark.parametrize("which", ["square-q3", "cm-q9", "albert-q27", "bounds-3^10"])
+def test_sample_flags_match_per_trial_loop(which, plane_q3, plane_cm81, s729):
+    if which == "bounds-3^10":
+        # the draw alone at the F_3^10 plane's bounds, N^2 + N + 1 > 2^31
+        N = 3 ** 10
+        P = SimpleNamespace(N=N, n_lines=N * N + N + 1,
+                            points_at=lambda lids, cols: lids * (N + 1) + cols)
+    else:
+        P = {"square-q3": plane_q3, "cm-q9": plane_cm81}.get(which) or _albert27(s729)
+    for seed in range(4):
+        for trials in (1, 7, 20000):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            pids, lids = ShiftPlane.sample_flags(P, rng, trials)
+            ref_pids, ref_lids = _reference_sample_flags(P, ref_rng, trials)
+            assert np.array_equal(lids, ref_lids) and np.array_equal(pids, ref_pids)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if isinstance(P, ShiftPlane):
+        pids, lids = P.sample_flags(np.random.default_rng(0), 500)
+        assert P.incident_many(pids, lids).all()
+
+
+def test_sampled_reports_match_per_trial_loop_albert27(s729, monkeypatch):
+    from unitalforge import unital as un
+
+    P = _albert27(s729)
+    kappa = un.InvolutionSpec("frobq")
+    g = Sigma(P, 5, 11, 7)
+
+    def reports():
+        return [(verify_collineation(P, g, mode="sampled", seed=seed),
+                 un.verify_polarity(P, kappa, seed=seed)) for seed in range(4)]
+
+    new = reports()
+    monkeypatch.setattr(ShiftPlane, "sample_flags", _reference_sample_flags)
+    assert new == reports()
+    assert new[0] == (True, un.PolarityReport(True, "sampled", 27 ** 3 + 1, 20000))
+
+
+# -- properties of the batch routines ---------------------------------------------
+
+def _property_planes(s9, s25, s81):
+    return [ShiftPlane(planar.square(s9)), ShiftPlane(planar.square(s25)),
+            ShiftPlane(planar.coulter_matthews(s81, 3))]
+
+
+_ID_PAIRS = st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)),
+                     min_size=1, max_size=60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(0, 2), pairs=_ID_PAIRS)
+def test_line_through_many_is_incident_with_both(which, pairs, s9, s25, s81):
+    P = _property_planes(s9, s25, s81)[which]
+    p1, p2 = (np.array(v, dtype=np.int64) % P.n_points for v in zip(*pairs))
+    p2 = np.where(p1 == p2, (p2 + 1) % P.n_points, p2)
+    lids = P.line_through_many(p1, p2)
+    assert P.incident_many(p1, lids).all() and P.incident_many(p2, lids).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(0, 2), pairs=_ID_PAIRS)
+def test_meet_counts_match_point_rows(which, pairs, s9, s25, s81):
+    P = _property_planes(s9, s25, s81)[which]
+    l1, l2 = (np.array(v, dtype=np.int64) % P.n_lines for v in zip(*pairs))
+    l2 = np.where(l1 == l2, (l2 + 1) % P.n_lines, l2)
+    expect = [len(np.intersect1d(P.points_on_line(a), P.points_on_line(b)))
+              for a, b in zip(l1.tolist(), l2.tolist())]
+    assert P.meet_counts(l1, l2).tolist() == expect == [1] * len(expect)

@@ -211,34 +211,6 @@ def test_line_count_matches_section(unital_cm81):
         assert unital_cm81.line_count(int(lid)) == len(unital_cm81.line_section(int(lid)))
 
 
-def test_design_sampled_mode(unital_q5):
-    rep = un.verify_design(unital_q5, mode="sampled", seed=1, trials=2000)
-    assert rep.passed
-
-
-def _reference_sampled_design(unital, block_points, seed, trials):
-    """The former sampled loop over blocks given as tuples of point IDs:
-    a dict of block lists per point, one draw pair per trial; returns the
-    number of pairs checked, or the first failing (pair, count)."""
-    n = len(unital.points)
-    rng = np.random.default_rng(seed)
-    by_point: dict[int, list[int]] = {}
-    for bi, pts in enumerate(block_points):
-        for p in pts:
-            by_point.setdefault(p, []).append(bi)
-    checked = 0
-    for _ in range(trials):
-        i, j = rng.integers(0, n, 2)
-        if i == j:
-            continue
-        p1, p2 = int(unital.points[i]), int(unital.points[j])
-        common = set(by_point[p1]) & set(by_point[p2])
-        if len(common) != 1:
-            return (p1, p2), len(common)
-        checked += 1
-    return checked
-
-
 def _swap_block_points(blocks):
     """The table with one point of block 0 exchanged for a point of another
     block: block count and replication stay, pair coverage breaks."""
@@ -251,33 +223,29 @@ def _swap_block_points(blocks):
     return blocks
 
 
+def _replace_block_point(blocks):
+    """The table with one point of block 0 replaced by a point outside it:
+    replications become q^2 - 1, q^2 and q^2 + 1."""
+    blocks = blocks.copy()
+    blocks[0, 0] = next(p for p in range(blocks.max() + 1) if p not in blocks[0])
+    blocks.sort(axis=1)
+    return blocks
+
+
 @pytest.mark.parametrize("q", [3, 5])
-def test_sampled_design_matches_dict_loop(q, plane_q3, plane_q5):
+def test_design_rejects_tampered_tables(q, plane_q3, plane_q5):
     plane = {3: plane_q3, 5: plane_q5}[q]
-    swapped = un.build_parabolic_unital(plane, plane.split.choose_theta()).points.copy()
-    swapped[-2] = plane.slope_id(0)
-    cases = [(u, None) for u in _design_unitals(plane)]
-    cases.append((un.Unital(plane, swapped, "swapped"), None))
-    cases.append((un.build_parabolic_unital(plane, plane.split.choose_theta()),
-                  _swap_block_points))
-    for u, tamper in cases:
-        if tamper is not None:
-            u.blocks = tamper(u.blocks)
-        # each block as a tuple of point IDs, as the former Block held it
-        block_points = [tuple(int(p) for p in u.points[row]) for row in u.blocks]
-        for seed, trials in ((0, 500), (1, 60), (2, 5), (3, 2000)):
-            if len(block_points) != q ** 4 - q ** 3 + q ** 2:
-                with pytest.raises(PairCoverageViolation, match="block-count"):
-                    un.verify_design(u, mode="sampled", seed=seed, trials=trials)
-                continue
-            expected = _reference_sampled_design(u, block_points, seed, trials)
-            if isinstance(expected, tuple):
-                with pytest.raises(PairCoverageViolation) as err:
-                    un.verify_design(u, mode="sampled", seed=seed, trials=trials)
-                assert (err.value.pair, err.value.count) == expected
-            else:
-                rep = un.verify_design(u, mode="sampled", seed=seed, trials=trials)
-                assert rep.passed and rep.pairs_covered == expected
+    for tamper in (_swap_block_points, _replace_block_point):
+        u = un.build_parabolic_unital(plane, plane.split.choose_theta())
+        u.blocks = tamper(u.blocks)
+        replication = np.bincount(u.blocks.ravel(), minlength=len(u.points))
+        assert (replication == q * q).all() == (tamper is _swap_block_points)
+        with pytest.raises(PairCoverageViolation) as err:
+            un.verify_design(u)
+        assert err.value.count == 2
+        assert [c.name for c in u.checks] == ["parabolic-hypothesis"]
+    with pytest.raises(ValueError, match="exhaustive only"):
+        un.verify_design(u, mode="sampled")
 
 
 # -- polarities -------------------------------------------------------------------
@@ -536,6 +504,28 @@ def test_slope_point_swap_counts_and_rejection(q, plane_q3, plane_q5):
     assert len(tangents) == len(u.points)
     with pytest.raises(IntersectionViolation):
         un.verify_unital_embedded(u)
+
+
+def test_line_count_pass_runs_once_per_unital(plane_q5, monkeypatch):
+    calls = []
+    raw = un._line_counts
+
+    def counted(unital):
+        calls.append(unital)
+        return raw(unital)
+
+    monkeypatch.setattr(un, "_line_counts", counted)
+    u = un.build_parabolic_unital(plane_q5, plane_q5.split.choose_theta())
+    assert un.verify_unital_embedded(u).passed
+    assert len(u.blocks) == 525
+    dual, _ = un.dual_unital(u)
+    profile = an.invariant_profile(u)
+    assert calls == [u]
+    counts = un.line_intersection_counts(u)
+    assert calls == [u] and not counts.flags.writeable
+    assert profile.line_spectrum == ((1, 126), (6, 525))
+    assert np.array_equal(dual.points, u.points)
+    assert np.array_equal(counts, _recount(u))
 
 
 # certificate hashes of freshly built unitals after the checks below, as
