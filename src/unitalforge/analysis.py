@@ -19,14 +19,16 @@ from math import gcd
 import numpy as np
 
 from .errors import (
+    CompositionLawFailed,
     ElementDoesNotFix,
+    FamilyMismatch,
     HypothesisUnmet,
     PairCoverageViolation,
     SingularSystem,
     WitnessCheckFailed,
     ZeroBeta,
 )
-from .plane import Gamma, Shift, ShiftPlane, Sigma, sigma_compose
+from .plane import ShiftPlane, id_batches
 from .planar import polarization
 from .unital import Unital, beta_of, parabolic_y_values, phi_table
 
@@ -674,95 +676,127 @@ class SubgroupReport:
     commutator_witness: tuple | None = None
 
 
-def _sigma_params_equal(g1: Sigma, g2: Sigma) -> bool:
-    return (g1.u, g1.v, g1.w) == (g2.u, g2.v, g2.w)
+def _fixing(unital: Unital, u, v, w=None) -> np.ndarray:
+    """Which elements send every point of the unital into it: the shears
+    sigma(u[i], v[i], w[i]) or, without w, the translations tau(u[i], v[i]).
+
+    Each element is a bijection of the plane, so it maps U into U iff onto
+    U.  The points are taken in id_batches, each against the elements still
+    standing, so the first batch already discards most of a large
+    candidate set.
+    """
+    plane = unital.plane
+    ctx, N, NN = plane.ctx, plane.N, plane.N * plane.N
+    alive = np.arange(len(u))
+    for idx in id_batches(len(unital.points), len(u)):
+        pts = unital.points[idx]
+        x, y = pts[pts < NN] // N, pts[pts < NN] % N
+        a = pts[(pts >= NN) & (pts != plane.infinity_id)] - NN   # infinity stays
+        eu, ev = u[alive, None], v[alive, None]
+        if w is None:                 # (x, y) -> (x+u, y+v), (a) -> (a-u)
+            ys, slopes = ctx.add(y, ev), ctx.sub(a, eu)
+        else:                         # (x, y) -> (x+u, y + 2w*x - v), (a) -> (a-u+w)
+            ew = w[alive, None]
+            ys = ctx.sub(ctx.add(y, polarization(plane.spec, ew, x)), ev)
+            slopes = ctx.add(ctx.sub(a, eu), ew)
+        ok = (unital.contains(np.asarray(ctx.add(x, eu)) * N + ys).all(axis=1)
+              & unital.contains(NN + np.asarray(slopes)).all(axis=1))
+        alive = alive[ok]
+    return np.isin(np.arange(len(u)), alive)
 
 
-def sigma_stabilizer_report(unital: Unital, check_fixing: bool = True) -> SubgroupReport:
+def _first_noncommuting(plane: ShiftPlane, u, w) -> tuple | None:
+    """The first pair (i, j), i < j, in element order whose shears do not
+    commute, or None.
+
+    By the composition law (sigma_compose) sigma_i sigma_j = sigma_j sigma_i
+    iff pol(w_i, u_j) = pol(w_j, u_i), so one D x D comparison over the D
+    distinct (u, w) values decides every pair.
+    """
+    keys, cls = np.unique(u * plane.N + w, return_inverse=True)
+    pol = polarization(plane.spec, keys[:, None] % plane.N, keys // plane.N)
+    bad = pol != pol.T                              # bad[a, b]: classes a, b clash
+    last = np.zeros(len(keys), dtype=np.int64)      # last element of each class
+    np.maximum.at(last, cls, np.arange(len(u)))
+    # element k clashes with a later one iff its class clashes with a class
+    # whose last element comes after k
+    later = np.where(bad, last, -1).max(axis=1)[cls] > np.arange(len(u))
+    if not later.any():
+        return None
+    i = int(np.argmax(later))
+    return i, i + 1 + int(np.argmax(bad[cls[i], cls[i + 1:]]))
+
+
+def sigma_stabilizer_report(unital: Unital) -> SubgroupReport:
     """The natural shear-translation stabilizer of the unital.
 
     Parabolic: {(u, v, 0) : v in theta*F_q}, expected abelian of order q^3.
     Polarity: {(u, v, u+conj(u)) : f(u+conj(u)) = -(v+conj(v))}, expected
-    non-abelian of order q^3; the first non-commuting pair is recorded.
+    non-abelian of order q^3.  Elements are ordered by u, then v; the first
+    that moves the unital raises ElementDoesNotFix.
+
+    Commutation is exhaustive at every size: two shears commute iff
+    pol(w1, u2) = pol(w2, u1), so the distinct (u, w) values decide every
+    pair.  The witness is the first non-commuting pair (i, j), i < j, in
+    element order, as ((u, v, w), (u, v, w)).
     """
     plane = unital.plane
-    ctx, split, N = plane.ctx, plane.split, plane.N
+    ctx, N = plane.ctx, plane.N
+    X = np.arange(N, dtype=np.int64)
     if unital.theta is not None:
         ys = parabolic_y_values(plane, unital.theta)
-        params = [(u, int(v), 0) for u in range(N) for v in ys]
+        u, v = np.repeat(X, len(ys)), np.tile(ys, N)
+        w = np.zeros_like(u)
         desc = "shear stabilizer of the parabolic unital (w = 0, v in theta*F_q)"
     elif unital.kappa is not None:
-        bar = unital.kappa.table(plane)
-        tr = np.asarray(ctx.add(np.arange(N, dtype=np.int64), bar))
-        by_val: dict[int, list[int]] = {}
-        for v, t in enumerate(tr):
-            by_val.setdefault(int(t), []).append(v)
-        params = []
-        for u in range(N):
-            w = int(ctx.add(u, int(bar[u])))
-            rhs = int(ctx.neg(int(plane.f[w])))
-            for v in by_val.get(rhs, []):
-                params.append((u, v, w))
+        tr = np.asarray(ctx.add(X, unital.kappa.table(plane)))     # x + conj(x)
+        rhs = np.asarray(ctx.neg(plane.f[tr]))                      # indexed by u
+        u, v = np.nonzero(rhs[:, None] == tr[None, :])
+        w = tr[u]
         desc = "shear stabilizer of the polarity unital (w = u+conj(u))"
     else:
         raise ValueError("unital carries neither theta nor kappa provenance")
-    elements = [Sigma(plane, *p) for p in params]
-    if check_fixing:
-        for g in elements:
-            if not g.fixes_point_set(unital.points):
-                raise ElementDoesNotFix(f"sigma{(g.u, g.v, g.w)} moves the unital")
-    witness = None
-    is_abelian = True
-    if len(elements) <= 729:
-        for i, g1 in enumerate(elements):
-            for g2 in elements[i + 1:]:
-                if not _sigma_params_equal(sigma_compose(g1, g2),
-                                           sigma_compose(g2, g1)):
-                    witness = ((g1.u, g1.v, g1.w), (g2.u, g2.v, g2.w))
-                    is_abelian = False
-                    break
-            if witness:
-                break
-    else:
-        rng = np.random.default_rng(0)
-        for _ in range(2000):
-            g1, g2 = (elements[int(i)] for i in rng.integers(0, len(elements), 2))
-            if not _sigma_params_equal(sigma_compose(g1, g2), sigma_compose(g2, g1)):
-                witness = ((g1.u, g1.v, g1.w), (g2.u, g2.v, g2.w))
-                is_abelian = False
-                break
-    return SubgroupReport(desc, len(elements), is_abelian, True, witness)
+    if not plane.spec.is_dembowski_ostrom:
+        raise FamilyMismatch("sigma collineations need a Dembowski-Ostrom plane")
+    params = np.stack([u, v, w], axis=1)
+    moved = ~_fixing(unital, u, v, w)
+    if moved.any():
+        g = tuple(params[np.argmax(moved)].tolist())
+        raise ElementDoesNotFix(f"sigma{g} moves the unital")
+    pair = _first_noncommuting(plane, u, w)
+    witness = None if pair is None else tuple(tuple(params[k].tolist()) for k in pair)
+    return SubgroupReport(desc, len(params), witness is None, True, witness)
 
 
-def verify_sigma_composition(plane: ShiftPlane, chunk: int = 2048) -> dict:
+def verify_sigma_composition(plane: ShiftPlane) -> dict:
     """Exhaustively verify the composition law over all parameter pairs.
 
     For each pair the composite parameters are compared against sequential
     application on the probe points (0,0) and slope(0), which recover
     (u, v, w) of any shear-translation.  Together with the exhaustively
     verified symmetry and biadditivity of the star table, probe agreement
-    forces functional equality on every point of the plane.
+    forces functional equality on every point of the plane.  Raises
+    FamilyMismatch off Dembowski-Ostrom planes, CompositionLawFailed when a
+    check fails.
     """
+    if not plane.spec.is_dembowski_ostrom:
+        raise FamilyMismatch("sigma collineations need a Dembowski-Ostrom plane")
     ctx, N = plane.ctx, plane.N
     star = plane.spec.polarization_table    # star[w, x] = 2 w*x
     X = np.arange(N, dtype=np.int64)
     if not np.array_equal(star, star.T):
-        raise AssertionError("star table is not symmetric")
+        raise CompositionLawFailed("star table is not symmetric")
     for w in range(N):
         row = star[w]
         lhs = row[np.asarray(ctx.add(X[:, None], X[None, :]))]
         rhs = np.asarray(ctx.add(row[X[:, None]], row[X[None, :]]))
         if not np.array_equal(lhs, rhs):
-            raise AssertionError(f"star biadditivity fails at w={w}")
+            raise CompositionLawFailed(f"star biadditivity fails at w={w}")
     n3 = N ** 3
-    params = np.arange(n3, dtype=np.int64)
-    u = params // (N * N)
-    v = (params // N) % N
-    w = params % N
+    u, v, w = np.unravel_index(np.arange(n3, dtype=np.int64), (N, N, N))
     pairs_checked = 0
-    for start in range(0, n3, chunk):
-        s = slice(start, min(start + chunk, n3))
-        u1, v1, w1 = u[s][:, None], v[s][:, None], w[s][:, None]
+    for rows in id_batches(n3, n3):
+        u1, v1, w1 = u[rows, None], v[rows, None], w[rows, None]
         u2, v2, w2 = u[None, :], v[None, :], w[None, :]
         # composite parameters per the composition law
         u3 = np.asarray(ctx.add(u2, u1))
@@ -773,43 +807,25 @@ def verify_sigma_composition(plane: ShiftPlane, chunk: int = 2048) -> dict:
         y_seq = np.asarray(ctx.sub(ctx.add(np.broadcast_to(np.asarray(ctx.neg(v2)),
                                                            u3.shape), star[w1, u2]), v1))
         if not np.array_equal(y_seq, np.broadcast_to(np.asarray(ctx.neg(v3)), u3.shape)):
-            raise AssertionError("composition law fails on the affine probe")
+            raise CompositionLawFailed("composition law fails on the affine probe")
         # slope probe (0): inner (w2 - u2), outer adds (w1 - u1)
         s_mid = np.broadcast_to(np.asarray(ctx.sub(w2, u2)), u3.shape)
         s_seq = np.asarray(ctx.add(ctx.sub(s_mid, u1), w1))
         if not np.array_equal(s_seq, np.asarray(ctx.sub(w3, u3))):
-            raise AssertionError("composition law fails on the slope probe")
+            raise CompositionLawFailed("composition law fails on the slope probe")
         pairs_checked += u3.size
     return {"pairs_checked": pairs_checked, "biadditivity": "exhaustive",
             "symmetry": "exhaustive"}
 
 
 def shift_stabilizer_report(unital: Unital) -> SubgroupReport:
-    """Order of the translation subgroup fixing the unital setwise.
-
-    Candidates are prefiltered by membership probes of a few image points,
-    then checked by full set comparison.
-    """
-    plane = unital.plane
-    ctx, N = plane.ctx, plane.N
-    affine = unital.points[unital.points < N * N]
-    xs, ys = affine // N, affine % N
-    probes = affine[:3]
-    mask = unital.point_mask
-    A = np.arange(N, dtype=np.int64)
-    uu, vv = np.meshgrid(A, A, indexing="ij")
-    cand = np.ones((N, N), dtype=bool)
-    for p in probes:
-        px, py = int(p) // N, int(p) % N
-        img = np.asarray(ctx.add(px, uu)) * N + np.asarray(ctx.add(py, vv))
-        cand &= mask[img]
-    fixing = []
-    for ui, vi in zip(*np.nonzero(cand)):
-        g = Shift(plane, int(ui), int(vi))
-        if g.fixes_point_set(unital.points):
-            fixing.append((int(ui), int(vi)))
-    return SubgroupReport("translation stabilizer", len(fixing),
-                          True, True, None)
+    """Order of the translation subgroup fixing the unital setwise: all N^2
+    translations tau(u, v), in (u, v) order, narrowed by one batched image
+    check (see _fixing); the order is the number left."""
+    N = unital.plane.N
+    X = np.arange(N, dtype=np.int64)
+    order = int(np.count_nonzero(_fixing(unital, np.repeat(X, N), np.tile(X, N))))
+    return SubgroupReport("translation stabilizer", order, True, True, None)
 
 
 # ----------------------------------------------------------------------

@@ -158,3 +158,8 @@ class WitnessCheckFailed(UnitalForgeError):
 
 class ElementDoesNotFix(UnitalForgeError):
     """A subgroup element expected to stabilize the unital moved it."""
+
+
+class CompositionLawFailed(UnitalForgeError):
+    """The shear-translation composition law, or the symmetry or
+    biadditivity of the polarization table it rests on, failed."""

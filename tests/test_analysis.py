@@ -1,16 +1,20 @@
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitalforge import analysis as an, gf, planar, unital as un
 from unitalforge.errors import (
+    ElementDoesNotFix,
+    FamilyMismatch,
     HypothesisUnmet,
     ProvenanceMismatch,
     WitnessCheckFailed,
     ZeroBeta,
 )
-from unitalforge.plane import ShiftPlane, Sigma, sigma_compose
+from unitalforge.plane import Shift, ShiftPlane, Sigma, sigma_compose
 
 # frozen regression values (first verified computation)
 Q3_PARABOLIC_ONAN = 324
@@ -504,6 +508,122 @@ def test_sigma_composition_law_exhaustive(plane_q3):
     res = an.verify_sigma_composition(plane_q3)
     assert res["pairs_checked"] == 729 ** 2
     assert res["biadditivity"] == "exhaustive"
+
+
+def test_sigma_composition_needs_dembowski_ostrom(plane_cm81, unital_cm81):
+    # Coulter-Matthews q=9 is not Dembowski-Ostrom: its star table is not
+    # biadditive, so neither the law nor the shears apply
+    with pytest.raises(FamilyMismatch):
+        an.verify_sigma_composition(plane_cm81)
+    with pytest.raises(FamilyMismatch):
+        an.sigma_stabilizer_report(unital_cm81)
+
+
+# per-element references: one Sigma or Shift object per element, one
+# fixes_point_set call each, and every pair compared by two sigma_compose calls
+
+def _sigma_reference(unital):
+    """(order, is_abelian, commutator_witness) element by element."""
+    plane, ctx, N = unital.plane, unital.plane.ctx, unital.plane.N
+    if unital.theta is not None:
+        ys = un.parabolic_y_values(plane, unital.theta)
+        params = [(u, int(v), 0) for u in range(N) for v in ys]
+    else:
+        tr = [int(ctx.add(x, int(c))) for x, c in enumerate(unital.kappa.table(plane))]
+        params = [(u, v, tr[u]) for u in range(N) for v in range(N)
+                  if tr[v] == int(ctx.neg(int(plane.f[tr[u]])))]
+    elements = [Sigma(plane, *p) for p in params]
+    for g in elements:
+        if not g.fixes_point_set(unital.points):
+            raise ElementDoesNotFix(f"sigma{(g.u, g.v, g.w)} moves the unital")
+    for i, g1 in enumerate(elements):
+        for g2 in elements[i + 1:]:
+            c12, c21 = sigma_compose(g1, g2), sigma_compose(g2, g1)
+            if (c12.u, c12.v, c12.w) != (c21.u, c21.v, c21.w):
+                return len(elements), False, ((g1.u, g1.v, g1.w), (g2.u, g2.v, g2.w))
+    return len(elements), True, None
+
+
+def _shift_reference(unital):
+    plane, N = unital.plane, unital.plane.N
+    return sum(Shift(plane, u, v).fixes_point_set(unital.points)
+               for u in range(N) for v in range(N))
+
+
+@pytest.fixture(scope="module")
+def classical_q5(s25):
+    return un.build_classical_baseline(s25)
+
+
+@pytest.fixture(scope="module")
+def parabolic_sq81(s81):
+    return un.build_parabolic_unital(ShiftPlane(planar.square(s81)), s81.choose_theta())
+
+
+@pytest.fixture(scope="module")
+def polarity_sq81(parabolic_sq81):
+    return un.build_polarity_unital(parabolic_sq81.plane, un.InvolutionSpec("frobq"))
+
+
+@pytest.mark.parametrize("name", ["unital_q3", "classical_q3", "unital_q5", "classical_q5",
+                                  "parabolic_sq81", "polarity_sq81"])
+def test_sigma_report_matches_reference(name, request):
+    u = request.getfixturevalue(name)
+    rep = an.sigma_stabilizer_report(u)
+    assert (rep.order, rep.is_abelian, rep.commutator_witness) == _sigma_reference(u)
+    assert rep.order == u.q ** 3
+
+
+@pytest.mark.parametrize("swap", ["affine", "slope"])
+@pytest.mark.parametrize("name", ["unital_q3", "polarity_q3"])
+def test_reports_on_tampered_point_set(name, swap, request):
+    # the second point of U swapped for the first affine point off U, or
+    # for the slope point (1)
+    u = request.getfixturevalue(name)
+    plane, pts = u.plane, u.points.copy()
+    off = np.flatnonzero(~u.contains(np.arange(plane.N ** 2)))[0]
+    pts[1] = off if swap == "affine" else plane.slope_id(1)
+    tampered = un.Unital(plane, pts, u.provenance, theta=u.theta, kappa=u.kappa)
+    with pytest.raises(ElementDoesNotFix) as ref:
+        _sigma_reference(tampered)
+    with pytest.raises(ElementDoesNotFix) as new:
+        an.sigma_stabilizer_report(tampered)
+    assert str(new.value) == str(ref.value)
+    assert an.shift_stabilizer_report(tampered).order == _shift_reference(tampered)
+
+
+def _closure(gens, seeds):
+    """The smallest point set holding seeds that every generator maps into
+    itself."""
+    pts = np.unique(seeds)
+    while True:
+        grown = np.union1d(pts, np.concatenate([g.apply_point(pts) for g in gens]))
+        if len(grown) == len(pts):
+            return pts
+        pts = grown
+
+
+@settings(max_examples=25, deadline=None)
+@given(gens=st.lists(st.tuples(*[st.integers(0, 8)] * 3), min_size=1, max_size=2),
+       seeds=st.lists(st.integers(0, 90), min_size=1, max_size=3))
+def test_fixing_matches_fixes_point_set(gens, seeds, plane_q3):
+    # point sets with slope points and nontrivial stabilizers: the closures
+    # of a few points, one of them a slope point, under random generators
+    P = plane_q3
+    seeds = seeds + [P.slope_id(seeds[0] % P.N)]
+    u, v, w = np.unravel_index(np.arange(P.N ** 3), (P.N,) * 3)
+    for kind, params in ((Sigma, (u, v, w)), (Shift, (u[::P.N], v[::P.N]))):
+        pts = _closure([kind(P, *g[:len(params)]) for g in gens], seeds)
+        stand_in = SimpleNamespace(plane=P, points=pts,
+                                   contains=lambda ids, pts=pts: np.isin(ids, pts))
+        expect = [kind(P, *p).fixes_point_set(pts) for p in zip(*(a.tolist() for a in params))]
+        assert an._fixing(stand_in, *params).tolist() == expect
+
+
+def test_shift_report_matches_reference(unital_q3, polarity_q3, unital_cm81, plane_cm81):
+    upol = un.build_polarity_unital(plane_cm81, un.InvolutionSpec("frobq"))
+    for u in (unital_q3, polarity_q3, unital_cm81, upol):
+        assert an.shift_stabilizer_report(u).order == _shift_reference(u)
 
 
 def test_cm_shift_stabilizers(unital_cm81, plane_cm81):

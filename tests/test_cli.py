@@ -221,6 +221,14 @@ def test_subgroups(capsys):
     assert "pairs=531441" in out
 
 
+def test_subgroups_skips_composition_law_above_q5(capsys):
+    # the law check covers N^6 parameter pairs, 2.8 * 10^11 at q = 9
+    code, out, _ = run(capsys, "subgroups", "--p", "3", "--m", "4",
+                       "--spec", "square")
+    assert code == 0 and "order=729 abelian=False" in out
+    assert "composition law" not in out
+
+
 def test_compare_command(capsys, tmp_path, unital_q3, classical_q3):
     from unitalforge import unital as un
 

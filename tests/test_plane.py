@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from unitalforge import plane as plane_mod, planar
 from unitalforge.errors import AxiomViolation, EqualPoints, FamilyMismatch
@@ -543,6 +543,35 @@ def test_sampled_reports_match_per_trial_loop_albert27(s729, monkeypatch):
     monkeypatch.setattr(ShiftPlane, "sample_flags", _reference_sample_flags)
     assert new == reports()
     assert new[0] == (True, un.PolarityReport(True, "sampled", 27 ** 3 + 1, 20000))
+
+
+# -- properties of the collineations ----------------------------------------------
+
+def _collineation_planes(s9, s25, s81):
+    """Power maps with and without the Dembowski-Ostrom property, and a
+    Dembowski-Ostrom plane that is no power map."""
+    return [ShiftPlane(planar.square(s9)), ShiftPlane(planar.coulter_matthews(s9, 3)),
+            ShiftPlane(planar.square(s25)), ShiftPlane(planar.dickson(s81, 1)),
+            ShiftPlane(planar.coulter_matthews(s81, 3))]
+
+
+@settings(max_examples=20, deadline=None)
+@given(which=st.integers(0, 4), kind=st.sampled_from(["shift", "gamma", "sigma"]),
+       params=st.tuples(*[st.integers(0, 10 ** 6)] * 3))
+def test_collineations_preserve_incidence(which, kind, params, s9, s25, s81):
+    P = _collineation_planes(s9, s25, s81)[which]
+    assume(kind != "gamma" or P.spec.is_power_map)
+    assume(kind != "sigma" or P.spec.is_dembowski_ostrom)
+    u, v, w = (x % P.N for x in params)
+    g = {"shift": lambda: Shift(P, u, v), "gamma": lambda: Gamma(P, 1 + u % (P.N - 1), v),
+         "sigma": lambda: Sigma(P, u, v, w)}[kind]()
+    assert verify_collineation(P, g)
+    # a bijection of points and of lines, and a scalar ID maps as in the array
+    for apply, ids in ((g.apply_point, P.point_ids()), (g.apply_line, P.line_ids())):
+        images = apply(ids)
+        assert np.array_equal(np.sort(images), ids)
+        scalar = [apply(i) for i in ids.tolist()]
+        assert all(type(x) is int for x in scalar) and scalar == images.tolist()
 
 
 # -- properties of the batch routines ---------------------------------------------
