@@ -25,6 +25,7 @@ from .errors import (
     HypothesisUnmet,
     PairCoverageViolation,
     SingularSystem,
+    UsageError,
     WitnessCheckFailed,
     ZeroBeta,
 )
@@ -287,12 +288,13 @@ def wilbrink_vertex_check(unital: Unital, point_id: int, strong: bool = True,
     strong=True short-circuits at the first failing (B, C, w) with the
     smallest-ID witness; strong=False counts satisfied/total over the full
     range.  Exactly q+1 blocks through v meet B (one per point of B, since
-    two blocks share at most one point).
+    two blocks share at most one point).  A point_id off the unital, or
+    outside [0, n_points), is a UsageError.
     """
-    idx = index or DesignIndex(unital)
+    if not 0 <= point_id < unital.plane.n_points or unital.point_rank[point_id] < 0:
+        raise UsageError(f"point {point_id} not in the unital")
     v = int(unital.point_rank[point_id])
-    if v < 0:
-        raise ValueError(f"point {point_id} not in the unital")
+    idx = index or DesignIndex(unital)
     n_blocks = idx.B
     satisfied = 0
     total = 0

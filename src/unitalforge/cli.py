@@ -105,6 +105,9 @@ def _theta_index(split, spec, theta_arg: str) -> int:
         if spec.family in ("dickson", "zhoupott", "ganley", "pw", "bh"):
             return split.xi
         return split.choose_theta()
+    if not (theta_arg.isdecimal() and int(theta_arg) < split.ctx.size):
+        raise UsageError(f"--theta must be 'auto' or an element index in "
+                         f"[0, {split.ctx.size}), got {theta_arg!r}")
     return int(theta_arg)
 
 
@@ -348,14 +351,12 @@ def cmd_circles(args) -> int:
 
 
 def cmd_wilbrink(args) -> int:
+    if args.point not in ("all", "inf") and not args.point.removeprefix("-").isdecimal():
+        raise UsageError(f"--point must be 'inf', 'all' or a point ID, got {args.point!r}")
     ctx, plane, u = _load_or_build(args)
     idx = an.DesignIndex(u)
-    if args.point == "all":
-        pids = [int(p) for p in u.points]
-    elif args.point == "inf":
-        pids = [plane.infinity_id]
-    else:
-        pids = [int(args.point)]
+    named = {"all": u.points.tolist(), "inf": [plane.infinity_id]}
+    pids = named.get(args.point) or [int(args.point)]
     code = 0
     for pid in pids:
         rep = an.wilbrink_vertex_check(u, pid, strong=not args.ratio, index=idx)
@@ -418,11 +419,8 @@ def cmd_polarity(args) -> int:
 
 
 def cmd_subgroups(args) -> int:
-    ctx, split, spec = _context(args)
-    plane = ShiftPlane(spec)
-    theta = _theta_index(split, spec, args.theta)
-    u = un.build_parabolic_unital(plane, theta)
-    if spec.is_dembowski_ostrom:
+    ctx, plane, u = _build_unital(args)
+    if plane.spec.is_dembowski_ostrom:
         rep1 = an.sigma_stabilizer_report(u)
         print(f"shear stabilizer (parabolic): order={rep1.order} "
               f"abelian={rep1.is_abelian}")

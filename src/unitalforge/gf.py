@@ -459,13 +459,6 @@ class FieldCtx:
             raise ValueError(f"index {index} out of range for field of size {self.size}")
         return FieldElem(self, index)
 
-    def from_coeffs(self, coeffs) -> FieldElem:
-        coeffs = [int(c) % self.p for c in coeffs]
-        if len(coeffs) > self.m:
-            raise ValueError("too many coefficients")
-        coeffs += [0] * (self.m - len(coeffs))
-        return FieldElem(self, int(np.asarray(coeffs, dtype=np.int64) @ self.pow_p))
-
     def index_of(self, x) -> int:
         if isinstance(x, FieldElem):
             if x.ctx is not self:
@@ -621,12 +614,6 @@ class ExtensionSplit:
         if np.isscalar(x):
             return 0 if x == 0 else (1 if v == 1 else -1)
         return np.where(np.asarray(x) == 0, 0, np.where(v == 1, 1, -1))
-
-    def sub_nu(self, b) -> int:
-        return self.sub_size - 1 if self.ctx.index_of(b) == 0 else -1
-
-    def sub_element_by_rank(self, r: int) -> int:
-        return int(self.sub_elements[r])
 
     def __repr__(self):
         return (f"ExtensionSplit(q={self.sub_size}, q^2={self.ctx.size}, "

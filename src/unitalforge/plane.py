@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AxiomViolation, EqualPoints, FamilyMismatch
+from .errors import AxiomViolation, EqualPoints, FamilyMismatch, UsageError
 from .planar import PlanarFunctionSpec, polarization
 
 __all__ = [
@@ -40,6 +40,9 @@ __all__ = [
 # most (point, line) pairs one batch of the array routines holds; 2^16 keeps
 # a batch's temporaries near a few MB
 BATCH = 1 << 16
+
+# exhaustive axioms hold one count byte per point: 43 MB at q = 81, 3.5 GB at q = 243
+EXHAUSTIVE_MAX_POINTS = 1 << 28
 
 
 def id_batches(n: int, width: int = 1):
@@ -326,8 +329,23 @@ class ShiftPlane:
         """(i) two points lie on one common line, (ii) two lines meet in one
         point, (iii) every line carries q^2 + 1 points.
 
-        Exhaustive mode certifies all three through full pair coverage;
-        sampled mode draws `trials` seeded point pairs, then `trials` line
+        Exhaustive mode works by translations.  tau(c, d) maps (x, y) ->
+        (x + c, y + d), (s) -> (s - c), L(a, b) -> L(a - c, b - d), V(a) ->
+        V(a + c), and fixes inf and L_inf; as y + b = f(x + a) is invariant,
+        for any f it maps the points_at row of a line onto that of its image.
+        Its orbits are the affine points, the slope points, {inf}, the graph
+        lines, the verticals and {L_inf}.  So (iii) holds once the rows of
+        L(0, 0), V(0) and L_inf hold N + 1 distinct points, and (i) once the
+        N + 1 lines lines_through_point lists through P = (0, 0), (0), inf
+        contain P and cover every other point exactly once.  No other line
+        passes through P: every point then lies on >= N + 1 lines, and the
+        n_lines (N + 1) = n_points (N + 1) flags allow no more.  (ii)
+        follows: a 2-(n_points, N + 1, 1) design with as many blocks as
+        points is symmetric, so its blocks meet pairwise in one point.  The
+        first pair not covered exactly once raises AxiomViolation, witness
+        the sorted pair; over EXHAUSTIVE_MAX_POINTS points is a UsageError.
+
+        Sampled mode draws `trials` seeded point pairs, then `trials` line
         pairs (equal draws skipped); the first failing draw is the witness.
         Its affine pairs are solved per distinct difference c, not per
         pair (see _difference_solutions), so a sample costs at most N
@@ -352,36 +370,33 @@ class ShiftPlane:
         return PlaneReport(True, "sampled", self.n_points, self.n_lines, 2 * trials)
 
     def _verify_exhaustive(self) -> PlaneReport:
-        npts, nlines = self.n_points, self.n_lines
-        if npts > 10_000:
-            raise ValueError(
-                f"exhaustive pair check needs <= 10^4 points, got {npts}; "
-                "use sampled mode")
-        # point pairs: every line contributes C(N+1, 2) pairs; with all line
-        # sizes equal to N+1 the total equals C(npts, 2), so max count 1
-        # forces every pair to be covered exactly once.  The lines are then
-        # the blocks of a 2-(npts, N+1, 1) design with as many blocks as
-        # points, a symmetric design, whose blocks meet pairwise in exactly
-        # one point: axiom (ii) follows without a pass of its own
-        N = self.N
-        counts = np.zeros(npts * npts, dtype=np.int8)
-        ii, jj = np.triu_indices(N + 1, k=1)
-        for lids in id_batches(nlines, len(ii)):        # each row yields len(ii) codes
-            rows = self.points_on_lines(lids)
-            repeated = np.any(rows[:, 1:] == rows[:, :-1], axis=1)
-            if repeated.any():
-                k = int(np.argmax(repeated))
-                raise AxiomViolation(
-                    f"line {int(lids[k])} has {len(np.unique(rows[k]))} "
-                    "distinct points", witness=(int(lids[k]),))
-            # the codes of one row are distinct, so a plain increment counts
-            for row in rows:
-                counts[row[ii] * npts + row[jj]] += 1
-        if counts.max() > 1:
-            k = int(np.argmax(counts))
-            raise AxiomViolation("point pair covered more than once",
-                                 witness=(k // npts, k % npts))
-        return PlaneReport(True, "exhaustive", npts, nlines,
+        npts, N, NN = self.n_points, self.N, self.N * self.N
+        if npts > EXHAUSTIVE_MAX_POINTS:
+            raise UsageError(f"exhaustive axioms need <= {EXHAUSTIVE_MAX_POINTS} "
+                             f"points, got {npts}; use sampled mode")
+        # (iii) one row per line orbit: L(0, 0), V(0), L_inf
+        reps = [0, NN, self.at_infinity_id]
+        for lid, row in zip(reps, self.points_on_lines(reps)):
+            if len(np.unique(row)) != N + 1:
+                raise AxiomViolation(f"line {lid} repeats a point", witness=(lid,))
+        # (i) one pencil per point orbit: (0, 0), (0), infinity
+        for pid in (0, NN, self.infinity_id):
+            pencil = self.lines_through_point(pid)
+            count = np.zeros(npts, dtype=np.uint8)     # 2 stands for "2 or more"
+            for idx in id_batches(N + 1, N + 1):
+                rows = self.points_on_lines(pencil[idx])
+                if not (rows == pid).any(axis=1).all():
+                    raise AxiomViolation(f"a line listed through point {pid} "
+                                         "misses it", witness=(pid,))
+                ids, times = np.unique(rows, return_counts=True)
+                count[ids] = np.minimum(count[ids] + times, 2)
+            count[pid] = 1
+            if (count != 1).any():
+                other = int(np.argmax(count != 1))
+                many = "no" if count[other] == 0 else "more than one"
+                raise AxiomViolation(f"points {pid}, {other} lie on {many} common line",
+                                     witness=tuple(sorted((pid, other))))
+        return PlaneReport(True, "exhaustive", npts, self.n_lines,
                            npts * (npts - 1) // 2)
 
     def __repr__(self):

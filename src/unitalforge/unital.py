@@ -210,10 +210,6 @@ class Unital:
             counts[idx] = np.count_nonzero(member, axis=1)
         return counts
 
-    def line_count(self, lid: int) -> int:
-        """|line ∩ U| for one line ID."""
-        return int(self.line_counts(lid)[0])
-
     def line_section(self, lid: int) -> np.ndarray:
         pts = self.plane.points_on_line(int(lid))
         return pts[np.asarray(self.contains(pts))]
@@ -399,12 +395,13 @@ def _line_counts(unital: Unital):
     The tangents per point come out of the same pass: a point's pencil is
     the graph line it votes for at every shift, plus its vertical (affine
     points), the graph lines of its slope plus L_inf (slope points), or
-    every vertical plus L_inf (infinity).  Points are taken as a set.
+    every vertical plus L_inf (infinity).  unital.points is strictly
+    ascending (Unital.__init__ sees to it), so infinity, if present, is last.
     """
     plane = unital.plane
     ctx, N = plane.ctx, plane.N
     NN = N * N
-    pts = np.unique(unital.points)
+    pts = unital.points
     aff = pts[pts < NN]
     xs, ys = aff // N, aff % N
     slopes = pts[(pts >= NN) & (pts < NN + N)] - NN

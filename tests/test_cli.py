@@ -420,3 +420,46 @@ def test_spec_default_keeps_runconfig_hash(capsys):
     out2 = json.loads(run(capsys, *base, "--spec", "square")[1])
     assert out1["runconfig"]["spec"] == "square"
     assert out1["runconfig_hash"] == out2["runconfig_hash"] and out1["hash"] == out2["hash"]
+
+
+def test_plane_verify_albert27_exhaustive(capsys):
+    code, out, _ = run(capsys, "plane", "verify", "--p", "3", "--m", "6",
+                       "--spec", "albert:k=2")
+    assert code == 0 and "points=532171" in out and "mode=exhaustive" in out
+    assert "passed=True" in out
+
+
+def test_plane_verify_q243_exhaustive_is_usage_error(capsys):
+    code, out, err = run(capsys, "plane", "verify", "--p", "3", "--m", "10")
+    assert code == 2 and out == ""
+    assert "usage error: exhaustive axioms need <= 268435456 points" in err
+
+
+@pytest.mark.parametrize("point, message", [
+    ("abc", "--point must be 'inf', 'all' or a point ID, got 'abc'"),
+    ("5", "point 5 not in the unital"),
+    ("99999", "point 99999 not in the unital"),
+    ("-1", "point -1 not in the unital"),
+])
+def test_wilbrink_bad_point_is_usage_error(capsys, point, message):
+    code, out, err = run(capsys, "wilbrink", "--p", "3", "--m", "2", "--point", point)
+    assert code == 2 and out == "" and f"usage error: {message}" in err
+
+
+def test_wilbrink_point_id(capsys, plane_q3):
+    code, out, _ = run(capsys, "wilbrink", "--p", "3", "--m", "2",
+                       "--point", str(plane_q3.infinity_id))
+    assert code == 0 and out.startswith(f"VERTEX {plane_q3.infinity_id} strong=True")
+
+
+@pytest.mark.parametrize("theta", ["x", "999", "-1", "2.0"])
+def test_theta_out_of_range_is_usage_error(capsys, theta):
+    for cmd in (("unital", "build"), ("unital", "verify"), ("subgroups",)):
+        code, _, err = run(capsys, *cmd, "--p", "3", "--m", "2", "--theta", theta)
+        assert code == 2 and ("usage error: --theta must be 'auto' or an element "
+                              f"index in [0, 9), got {theta!r}") in err
+
+
+def test_zero_theta_is_check_failure(capsys):
+    code, _, err = run(capsys, "unital", "build", "--p", "3", "--m", "2", "--theta", "0")
+    assert code == 1 and "CHECK FAILED (ZeroTheta)" in err

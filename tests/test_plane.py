@@ -1,11 +1,12 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from unitalforge import plane as plane_mod, planar
-from unitalforge.errors import AxiomViolation, EqualPoints, FamilyMismatch
+from unitalforge import gf, plane as plane_mod, planar
+from unitalforge.errors import AxiomViolation, EqualPoints, FamilyMismatch, UsageError
 from unitalforge.plane import Gamma, Shift, ShiftPlane, Sigma, sigma_compose, verify_collineation
 
 
@@ -431,6 +432,126 @@ def test_meet_counts_all_pairs_q3(plane_q3, s9):
         expect = [len(np.intersect1d(P.points_on_line(a), P.points_on_line(b)))
                   for a, b in zip(l1.tolist(), l2.tolist())]
         assert P.meet_counts(l1, l2).tolist() == expect
+
+
+# -- exhaustive axioms by translation pencils -------------------------------------
+
+def _reference_exhaustive(P):
+    """The pair-table check the pencil check replaced: every line adds its
+    C(N+1, 2) point pairs to an n_points^2 table, which then must hold 1
+    for every pair (the totals agree, so at most 1 suffices)."""
+    npts, N = P.n_points, P.N
+    counts = np.zeros(npts * npts, dtype=np.int8)
+    ii, jj = np.triu_indices(N + 1, k=1)
+    for lids in plane_mod.id_batches(P.n_lines, len(ii)):
+        rows = P.points_on_lines(lids)
+        repeated = np.any(rows[:, 1:] == rows[:, :-1], axis=1)
+        if repeated.any():
+            k = int(np.argmax(repeated))
+            raise AxiomViolation(f"line {int(lids[k])} has {len(np.unique(rows[k]))} "
+                                 "distinct points", witness=(int(lids[k]),))
+        for row in rows:
+            counts[row[ii] * npts + row[jj]] += 1
+    if counts.max() > 1:
+        k = int(np.argmax(counts))
+        raise AxiomViolation("point pair covered more than once",
+                             witness=(k // npts, k % npts))
+    return plane_mod.PlaneReport(True, "exhaustive", npts, P.n_lines,
+                                 npts * (npts - 1) // 2)
+
+
+def test_exhaustive_axioms_match_pair_table(plane_q3, plane_q5, plane_cm81):
+    for P in (plane_q3, plane_q5, plane_cm81):
+        rep = P.verify_projective_plane()
+        assert rep == _reference_exhaustive(P) and rep.passed
+
+
+def _common_lines(P, pair):
+    return int(P.incident_many(np.array(pair)[:, None], P.line_ids()[None, :])
+               .all(axis=0).sum())
+
+
+def _first_bad_pair(P):
+    """The first pair not on exactly one listed line, pencil by pencil in the
+    order (0, 0), (0), inf, from exact counts rather than saturating bytes."""
+    for pid in (0, P.N ** 2, P.infinity_id):
+        rows = P.points_on_lines(P.lines_through_point(pid))
+        count = np.bincount(rows.ravel(), minlength=P.n_points)
+        count[pid] = 1
+        if (count != 1).any():
+            return tuple(sorted((pid, int(np.argmax(count != 1)))))
+    return None
+
+
+def test_exhaustive_axioms_reject_non_planar(s9, s81):
+    witnesses = []
+    for P in _non_planar_planes(s9, s81):
+        with pytest.raises(AxiomViolation):
+            _reference_exhaustive(P)
+        with pytest.raises(AxiomViolation) as err:
+            P.verify_projective_plane()
+        pair = err.value.witness
+        assert pair == _first_bad_pair(P) and _common_lines(P, pair) != 1
+        witnesses.append(pair)
+    assert witnesses[0] == (0, 9)               # (0, 0) and (1, 0) on x^3 over F_9
+
+
+def test_exhaustive_axioms_check_the_listed_pencil(plane_q3, monkeypatch):
+    # a listed pencil with a line off its point is refused before any count
+    P = ShiftPlane(plane_q3.spec)
+    pencil = P.lines_through_point
+    monkeypatch.setattr(P, "lines_through_point", lambda pid: pencil(pid - (pid > 0)))
+    with pytest.raises(AxiomViolation, match="through point 81 misses it") as err:
+        P.verify_projective_plane()
+    assert err.value.witness == (81,)
+
+
+def test_exhaustive_axioms_check_orbit_rows(plane_q3, monkeypatch):
+    P = ShiftPlane(plane_q3.spec)
+    rows = P.points_on_lines
+
+    def repeating(lids):
+        out = rows(lids)
+        out[:, -1] = out[:, 0]
+        return out
+
+    monkeypatch.setattr(P, "points_on_lines", repeating)
+    with pytest.raises(AxiomViolation, match="line 0 repeats a point") as err:
+        P.verify_projective_plane()
+    assert err.value.witness == (0,)
+
+
+def test_translation_generators_are_collineations(s9, s25, s81, s729):
+    # the lemma the pencil check rests on, for planar and non-planar f alike
+    planes = ([ShiftPlane(planar.square(s9)), ShiftPlane(planar.square(s25)),
+               ShiftPlane(planar.coulter_matthews(s81, 3))] + _non_planar_planes(s9, s81))
+    for P in planes:
+        for unit in P.ctx.pow_p.tolist():
+            for c, d in ((unit, 0), (0, unit)):
+                assert verify_collineation(P, Shift(P, c, d))
+    P = _albert27(s729)
+    for seed, unit in enumerate(P.ctx.pow_p.tolist()):
+        for c, d in ((unit, 0), (0, unit)):
+            assert verify_collineation(P, Shift(P, c, d), mode="sampled", seed=seed)
+
+
+def test_exhaustive_axioms_albert27(s729):
+    P = _albert27(s729)
+    assert P.verify_projective_plane() == plane_mod.PlaneReport(
+        True, "exhaustive", 532171, 532171, 532171 * 532170 // 2)
+
+
+def test_exhaustive_axioms_refuse_q243_before_allocating():
+    P = ShiftPlane(planar.square(gf.split_new(gf.field_new(3, 10), 5)))
+    assert P.n_points > plane_mod.EXHAUSTIVE_MAX_POINTS
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match="use sampled mode"):
+            P.verify_projective_plane()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 # -- difference solver ------------------------------------------------------------
