@@ -31,7 +31,7 @@ from .errors import (
 )
 from .plane import ShiftPlane, id_batches
 from .planar import polarization
-from .unital import Unital, beta_of, parabolic_y_values, phi_table
+from .unital import Unital, _fixing, beta_of, parabolic_y_values, phi_table
 
 __all__ = [
     "derive_delta",
@@ -145,7 +145,8 @@ def _circle_table(unital: Unital):
     shift a, first among them firsts[a], and counts[a, r] = |C(a, beta_r)|.
     """
     plane, q, N = unital.plane, unital.q, unital.plane.N
-    rank = np.maximum(plane.split.sub_rank[_checked_phi(unital)], 0)
+    # ranks are below q: int16 keeps the N x N table R at a quarter of int64
+    rank = np.maximum(plane.split.sub_rank[_checked_phi(unital)], 0).astype(np.int16)
     X = np.arange(N, dtype=np.int64)
     R = rank[plane.ctx.add(X[:, None], X)]
     keys = (X[:, None] * q + R).ravel()
@@ -678,35 +679,6 @@ class SubgroupReport:
     commutator_witness: tuple | None = None
 
 
-def _fixing(unital: Unital, u, v, w=None) -> np.ndarray:
-    """Which elements send every point of the unital into it: the shears
-    sigma(u[i], v[i], w[i]) or, without w, the translations tau(u[i], v[i]).
-
-    Each element is a bijection of the plane, so it maps U into U iff onto
-    U.  The points are taken in id_batches, each against the elements still
-    standing, so the first batch already discards most of a large
-    candidate set.
-    """
-    plane = unital.plane
-    ctx, N, NN = plane.ctx, plane.N, plane.N * plane.N
-    alive = np.arange(len(u))
-    for idx in id_batches(len(unital.points), len(u)):
-        pts = unital.points[idx]
-        x, y = pts[pts < NN] // N, pts[pts < NN] % N
-        a = pts[(pts >= NN) & (pts != plane.infinity_id)] - NN   # infinity stays
-        eu, ev = u[alive, None], v[alive, None]
-        if w is None:                 # (x, y) -> (x+u, y+v), (a) -> (a-u)
-            ys, slopes = ctx.add(y, ev), ctx.sub(a, eu)
-        else:                         # (x, y) -> (x+u, y + 2w*x - v), (a) -> (a-u+w)
-            ew = w[alive, None]
-            ys = ctx.sub(ctx.add(y, polarization(plane.spec, ew, x)), ev)
-            slopes = ctx.add(ctx.sub(a, eu), ew)
-        ok = (unital.contains(np.asarray(ctx.add(x, eu)) * N + ys).all(axis=1)
-              & unital.contains(NN + np.asarray(slopes)).all(axis=1))
-        alive = alive[ok]
-    return np.isin(np.arange(len(u)), alive)
-
-
 def _first_noncommuting(plane: ShiftPlane, u, w) -> tuple | None:
     """The first pair (i, j), i < j, in element order whose shears do not
     commute, or None.
@@ -821,13 +793,11 @@ def verify_sigma_composition(plane: ShiftPlane) -> dict:
 
 
 def shift_stabilizer_report(unital: Unital) -> SubgroupReport:
-    """Order of the translation subgroup fixing the unital setwise: all N^2
-    translations tau(u, v), in (u, v) order, narrowed by one batched image
-    check (see _fixing); the order is the number left."""
-    N = unital.plane.N
-    X = np.arange(N, dtype=np.int64)
-    order = int(np.count_nonzero(_fixing(unital, np.repeat(X, N), np.tile(X, N))))
-    return SubgroupReport("translation stabilizer", order, True, True, None)
+    """Order of the translation subgroup fixing the unital setwise: p^r for
+    the r basis elements of unital.translation_group, each certified by one
+    image check of every point."""
+    return SubgroupReport("translation stabilizer", unital.translation_group.order,
+                          True, True, None)
 
 
 # ----------------------------------------------------------------------

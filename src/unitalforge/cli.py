@@ -65,6 +65,17 @@ def _add_field_args(p: argparse.ArgumentParser, spec_required: bool = True):
     p.add_argument("--cache-dir", type=str, default=None)
 
 
+# the least value of each numeric flag; a smaller one is a usage error
+_FLAG_FLOORS = (("trials", 1), ("seed", 0), ("budget", 0), ("threads", 1))
+
+
+def _check_flag_floors(args):
+    for name, floor in _FLAG_FLOORS:
+        value = getattr(args, name, None)
+        if value is not None and value < floor:
+            raise UsageError(f"--{name} must be at least {floor}, got {value}")
+
+
 def _field(args):
     """F_{p^m} of --p, --m and --modulus; flags outside their range are
     usage errors."""
@@ -591,6 +602,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        _check_flag_floors(args)
         return args.fn(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -48,10 +48,12 @@ from .errors import (
     UsageError,
     ZeroTheta,
 )
+from .planar import polarization
 from .plane import BATCH, Gamma, ShiftPlane, id_batches
 
 __all__ = [
     "Unital",
+    "TranslationGroup",
     "Check",
     "InvolutionSpec",
     "check_parabolic_hypothesis",
@@ -75,6 +77,7 @@ _WRITE_BLOCK = 1 << 16    # point IDs formatted into one write by write_unital_f
 _READ_CHUNK = 1 << 16     # bytes of ID lines parsed at once by read_unital_file
 _MAX_ID_DIGITS = 18       # the longest ID line read; 19 digits could overflow int64
 _QUOTE_BYTES = 24         # of a malformed ID line quoted in its error, longer than any ID
+_PRUNE_POINTS = 64        # points of U that every candidate translation is tried on first
 
 
 @dataclass
@@ -215,6 +218,12 @@ class Unital:
         return pts[np.asarray(self.contains(pts))]
 
     @cached_property
+    def translation_group(self) -> "TranslationGroup":
+        """The translations that fix the point set, found and certified once
+        per unital (see _translation_group)."""
+        return _translation_group(self)
+
+    @cached_property
     def _line_pass(self) -> tuple[np.ndarray, np.ndarray]:
         """The result of _line_counts, computed once per unital: (|line ∩
         U| per line ID, tangent lines through each point), both read-only.
@@ -275,6 +284,158 @@ def _first_non_increase(ids: np.ndarray) -> int:
         if down.any():
             return start + int(np.argmax(down))
     return -1
+
+
+# ----------------------------------------------------------------------
+# Collineations fixing the point set
+# ----------------------------------------------------------------------
+
+
+def _images_in(unital: Unital, pts, u, v, w=None) -> np.ndarray:
+    """(elements, points) table: whether element i sends pts[j] into the
+    unital, the elements being the shears sigma(u[i], v[i], w[i]) or,
+    without w, the translations tau(u[i], v[i])."""
+    plane = unital.plane
+    ctx, N, NN = plane.ctx, plane.N, plane.N * plane.N
+    aff, slope = pts < NN, (pts >= NN) & (pts != plane.infinity_id)   # infinity stays
+    x, y, a = pts[aff] // N, pts[aff] % N, pts[slope] - NN
+    eu, ev = np.asarray(u)[:, None], np.asarray(v)[:, None]
+    if w is None:                 # (x, y) -> (x+u, y+v), (a) -> (a-u)
+        ys, slopes = ctx.add(y, ev), ctx.sub(a, eu)
+    else:                         # (x, y) -> (x+u, y + 2w*x - v), (a) -> (a-u+w)
+        ew = w[:, None]
+        ys = ctx.sub(ctx.add(y, polarization(plane.spec, ew, x)), ev)
+        slopes = ctx.add(ctx.sub(a, eu), ew)
+    inside = np.ones((len(eu), len(pts)), dtype=bool)
+    inside[:, aff] = unital.contains(np.asarray(ctx.add(x, eu)) * N + ys)
+    inside[:, slope] = unital.contains(NN + np.asarray(slopes))
+    return inside
+
+
+def _fixing(unital: Unital, u, v, w=None) -> np.ndarray:
+    """Which elements fix the unital: the shears sigma(u[i], v[i], w[i]) or,
+    without w, the translations tau(u[i], v[i]).
+
+    Each element is a bijection of the plane, so it maps U into U iff onto
+    U.  The points are taken in id_batches, each against the elements still
+    standing, so the first batch already discards most of a large
+    candidate set.
+    """
+    alive = np.arange(len(u))
+    for idx in id_batches(len(unital.points), len(u)):
+        alive = alive[_images_in(unital, unital.points[idx], u[alive], v[alive],
+                                 None if w is None else w[alive]).all(axis=1)]
+    return np.isin(np.arange(len(u)), alive)
+
+
+def _moved_out(unital: Unital, c: int, d: int) -> np.ndarray:
+    """The first _PRUNE_POINTS points of U, or fewer, that tau(c, d) sends
+    out of U; none iff tau(c, d) fixes U.  Points go in id_batches."""
+    out = []
+    for idx in id_batches(len(unital.points)):
+        pts = unital.points[idx]
+        out.extend(pts[~_images_in(unital, pts, [c], [d])[0]][:_PRUNE_POINTS].tolist())
+        if len(out) >= _PRUNE_POINTS:
+            break
+    return np.array(out[:_PRUNE_POINTS], dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class TranslationGroup:
+    """The translations tau(c, d): (x, y) -> (x + c, y + d) that fix a point
+    set: an F_p-space of order p^r.
+
+    `basis` holds r elements (c, d) in echelon form over the digit vector
+    of (c, d), the m digits of c and then those of d: each element's first
+    nonzero digit is a 1 in a place where the others have no first nonzero
+    digit.  Each is a candidate checked on every point of the set, less
+    multiples of the elements before it.
+    """
+
+    plane: ShiftPlane
+    basis: np.ndarray             # (r, 2) int64 rows (c, d)
+
+    @property
+    def order(self) -> int:
+        return self.plane.ctx.p ** len(self.basis)
+
+    def slope_lifts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(c, d): one element tau(c, d) for each c in the projection C of
+        the group onto its first coordinate, c distinct, identity first.
+
+        The basis elements with c != 0 lead in a digit of c, so their c
+        parts are independent and, as the others have c = 0, span C; their
+        p^s combinations give each c of C once.
+        """
+        ctx = self.plane.ctx
+        c = d = np.zeros(1, dtype=np.int64)
+        for gc, gd in self.basis[self.basis[:, 0] != 0].tolist():
+            cs, ds = [c], [d]
+            for _ in range(ctx.p - 1):
+                cs.append(np.asarray(ctx.add(cs[-1], gc)))
+                ds.append(np.asarray(ctx.add(ds[-1], gd)))
+            c, d = np.concatenate(cs), np.concatenate(ds)
+        return c, d
+
+
+def _translation_group(unital: Unital) -> TranslationGroup:
+    """The translation stabilizer of the unital's points, by a greedy
+    F_p-basis (docs/ORBITS.md).
+
+    A translation fixing U maps the first affine point (x0, y0) of U into
+    U, so the candidates are (x - x0, y - y0) over U's affine points (every
+    translation when U has none).  One image check of the first
+    _PRUNE_POINTS points of U discards most that move U.  The rest go in
+    order: one in the span of the basis so far fixes U, since the
+    stabilizer is a group; one outside it is checked on every point of U
+    and, if it fixes U, joins the basis less its part in the span.
+    Otherwise the points it moves out of U discard, by one more image
+    check, every candidate that moves one of them, itself included.  The
+    span then holds every candidate that fixes U, so it is the stabilizer.
+    """
+    plane = unital.plane
+    ctx, N, NN, p = plane.ctx, plane.N, plane.N * plane.N, plane.ctx.p
+    pts = unital.points
+    aff = pts[pts < NN]
+    if len(aff):
+        c = np.asarray(ctx.sub(aff // N, aff[0] // N))
+        d = np.asarray(ctx.sub(aff % N, aff[0] % N))
+    else:
+        c, d = np.divmod(np.arange(NN, dtype=np.int64), N)
+
+    def keeping(points):
+        return np.concatenate([_images_in(unital, points, c[idx], d[idx]).all(axis=1)
+                               for idx in id_batches(len(c), len(points))])
+
+    keep = keeping(pts[:_PRUNE_POINTS])
+    c, d = c[keep], d[keep]
+    # (rc, rd): the candidates minus their parts along the basis so far,
+    # which are (0, 0) just for the candidates in its span
+    rc, rd = c, d
+    basis, start = [], 0
+    multiples = np.arange(p, dtype=np.int64)
+    while True:
+        live = np.flatnonzero((rc[start:] != 0) | (rd[start:] != 0))
+        if not len(live):
+            break
+        k = start + int(live[0])
+        out = _moved_out(unital, int(c[k]), int(d[k]))
+        if len(out):
+            # the candidates before k lie in the span and stay
+            keep = keeping(out)
+            c, d, rc, rd = c[keep], d[keep], rc[keep], rd[keep]
+            start = k
+            continue
+        part = rc if rc[k] else rd                   # holds the first nonzero digit
+        place = int(np.argmax(ctx.digits[part[k]] != 0))
+        scale = pow(int(ctx.digits[part[k], place]), p - 2, p)
+        ec, ed = ctx.mul(int(rc[k]), scale), ctx.mul(int(rd[k]), scale)
+        along = ctx.digits[part, place]              # each candidate's digit there
+        rc = np.asarray(ctx.sub(rc, ctx.mul(ec, multiples)[along]))
+        rd = np.asarray(ctx.sub(rd, ctx.mul(ed, multiples)[along]))
+        basis.append((ec, ed))
+        start = k + 1
+    return TranslationGroup(plane, np.array(basis, dtype=np.int64).reshape(-1, 2))
 
 
 # ----------------------------------------------------------------------
@@ -378,13 +539,14 @@ def build_general_unital(plane: ShiftPlane, g_table: np.ndarray) -> Unital:
 def line_intersection_counts(unital: Unital) -> np.ndarray:
     """|line ∩ U| for every line ID, by direct incidence counting.
 
-    Point-driven: for each shift a, the affine points (x, y) of U vote for
-    the graph line L(a, f(x+a) - y) through them, and one bincount per
-    shift gives the whole row of counts.  That is O(q^5) work, in batches
-    of at most BATCH (point, shift) pairs, with no mask over the q^4 + q^2
-    + 1 plane points.  The pass runs once per unital: the read-only array
-    returned is the one that the embedded check, the secant and tangent
-    lines and the invariant profile read too.
+    Point-driven: for a shift a, the affine points (x, y) of U vote for the
+    graph line L(a, f(x+a) - y) through them, and one bincount gives the
+    whole row of counts.  The translations that fix U carry each counted
+    row onto the rows of its orbit, so only one row per orbit is counted
+    (see _line_counts); with no such translation that is O(q^5) work, with
+    no mask over the q^4 + q^2 + 1 plane points.  The pass runs once per
+    unital: the read-only array returned is the one that the embedded
+    check, the secant and tangent lines and the invariant profile read too.
     """
     return unital._line_pass[0]
 
@@ -392,11 +554,23 @@ def line_intersection_counts(unital: Unital) -> np.ndarray:
 def _line_counts(unital: Unital):
     """(counts per line ID, tangent lines through each distinct point of U).
 
+    Graph lines go by translation orbits; docs/ORBITS.md has the argument.
+    A translation tau(c, d) that fixes U maps L(a, b) onto L(a - c, b - d)
+    and the slope point (a) to (a - c), so row a - c of the counts is row a
+    read at b + d.  With C the projection of unital.translation_group onto
+    the slopes, one direct row per coset a0 + C gives every row; a unital
+    whose group is trivial counts all N rows directly.  A direct row bins
+    the votes f(x + a0) - y of the affine points through flat gathers in
+    the halves of the addition table.
+
     The tangents per point come out of the same pass: a point's pencil is
     the graph line it votes for at every shift, plus its vertical (affine
     points), the graph lines of its slope plus L_inf (slope points), or
-    every vertical plus L_inf (infinity).  unital.points is strictly
-    ascending (Unital.__init__ sees to it), so infinity, if present, is last.
+    every vertical plus L_inf (infinity).  A tangent graph line of a direct
+    row holds one affine point of U or none, and a bincount of the voters'
+    indices, weighted, names it; tau carries that point with its line.
+    unital.points is strictly ascending (Unital.__init__ sees to it), so
+    infinity, if present, is last.
     """
     plane = unital.plane
     ctx, N = plane.ctx, plane.N
@@ -409,15 +583,36 @@ def _line_counts(unital: Unital):
     slope_in[slopes] = 1
     has_inf = int(pts[-1] == plane.infinity_id)
     counts = np.empty(plane.n_lines, dtype=np.int64)
-    tangents = np.zeros(len(aff), dtype=np.int64)
-    for a in id_batches(N, max(1, len(aff))):
-        # row r, column j: the b with affine point j on L(a[r], b), offset by r*N
-        votes = np.asarray(ctx.sub(plane.f[ctx.add(xs[None, :], a[:, None])], ys[None, :]))
-        votes += (np.arange(len(a), dtype=np.int64) * N)[:, None]
-        block = np.bincount(votes.ravel(), minlength=len(a) * N)
-        block += np.repeat(slope_in[a], N)          # the slope point (a) on L(a, b)
-        counts[a[0] * N: (a[-1] + 1) * N] = block
-        tangents += (block[votes] == 1).sum(axis=0)
+    graph = counts[:NN].reshape(N, N)
+    lift_c, lift_d = unital.translation_group.slope_lifts()
+    # an index is hi * P + lo; f(x + a0) - y has low part add_lo[f_lo * P +
+    # (-y)_lo] and high part add_hi[f_hi * Q + (-y)_hi]
+    P = ctx.split_base
+    Q = N // P
+    neg_y = ctx.neg(ys)
+    f_lo, y_lo = plane.f % P * P, neg_y % P
+    f_hi, y_hi = plane.f // P * Q, neg_y // P
+    voter = np.arange(len(aff), dtype=np.float64)
+    moved = []                      # the affine point of each tangent graph line
+    done = np.zeros(N, dtype=bool)
+    for a0 in range(N):
+        if done[a0]:
+            continue
+        votes = ctx.add_lo[ctx.translate(f_lo, a0)[xs] + y_lo]
+        if Q > 1:
+            votes += ctx.add_hi[ctx.translate(f_hi, a0)[xs] + y_hi]
+        row = np.bincount(votes, minlength=N)
+        owner = np.bincount(votes, weights=voter, minlength=N)
+        tangent = aff[owner[(row == 1) & (slope_in[a0] == 0)].astype(np.int64)]
+        row += slope_in[a0]                          # the slope point (a0) on L(a0, b)
+        orbit = np.asarray(ctx.sub(a0, lift_c))
+        for a, d in zip(orbit.tolist(), lift_d.tolist()):
+            graph[a] = ctx.translate(row, d)
+        done[orbit] = True
+        moved.append((np.asarray(ctx.add(tangent // N, lift_c[:, None])) * N
+                      + ctx.add(tangent % N, lift_d[:, None])).ravel())
+    tangents = np.bincount(np.searchsorted(aff, np.concatenate(moved)),
+                           minlength=len(aff))
     counts[NN: NN + N] = np.bincount(xs, minlength=N) + has_inf
     counts[plane.at_infinity_id] = len(slopes) + has_inf
     tangent_lines = counts == 1

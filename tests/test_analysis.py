@@ -617,7 +617,40 @@ def test_fixing_matches_fixes_point_set(gens, seeds, plane_q3):
         stand_in = SimpleNamespace(plane=P, points=pts,
                                    contains=lambda ids, pts=pts: np.isin(ids, pts))
         expect = [kind(P, *p).fixes_point_set(pts) for p in zip(*(a.tolist() for a in params))]
-        assert an._fixing(stand_in, *params).tolist() == expect
+        assert un._fixing(stand_in, *params).tolist() == expect
+
+
+def _span(plane, group):
+    """Every element (c, d) of the group, by adding basis elements until
+    nothing new comes."""
+    ctx, span = plane.ctx, {(0, 0)}
+    while True:
+        grown = span | {(int(ctx.add(a, c)), int(ctx.add(b, d)))
+                        for a, b in span for c, d in group.basis.tolist()}
+        if grown == span:
+            return span
+        span = grown
+
+
+@settings(max_examples=25, deadline=None)
+@given(gens=st.lists(st.tuples(*[st.integers(0, 8)] * 3), min_size=1, max_size=2),
+       seeds=st.lists(st.integers(0, 90), min_size=1, max_size=3),
+       probe=st.tuples(st.integers(0, 8), st.integers(0, 8)))
+def test_translation_group_is_the_fixing_set(gens, seeds, probe, plane_q3):
+    # the point sets of test_fixing_matches_fixes_point_set: a translation
+    # lies in the span of the greedy basis iff _fixing accepts it, for a
+    # drawn one and for each of the N^2
+    P = plane_q3
+    seeds = seeds + [P.slope_id(seeds[0] % P.N)]
+    u, v = np.divmod(np.arange(P.N ** 2), P.N)
+    for kind in (Sigma, Shift):
+        pts = _closure([kind(P, *g[:2 if kind is Shift else 3]) for g in gens], seeds)
+        stand_in = SimpleNamespace(plane=P, points=pts,
+                                   contains=lambda ids, pts=pts: np.isin(ids, pts))
+        span = _span(P, un._translation_group(stand_in))
+        fixing = un._fixing(stand_in, u, v)
+        assert (probe in span) == fixing[probe[0] * P.N + probe[1]]
+        assert span == {(int(a), int(b)) for a, b in zip(u[fixing], v[fixing])}
 
 
 def test_shift_report_matches_reference(unital_q3, polarity_q3, unital_cm81, plane_cm81):

@@ -326,6 +326,18 @@ def test_malformed_field_descriptor_is_usage_error(capsys, tmp_path, unital_q3, 
     (("field", "check", "--p", "3", "--m", "0"), "--m must be at least 1, got 0"),
     (("field", "check", "--p", "3", "--m", "2", "--modulus", "1,x,1"),
      "malformed --modulus '1,x,1'"),
+    (("plane", "verify", "--p", "3", "--m", "2", "--mode", "sampled", "--trials", "0"),
+     "--trials must be at least 1, got 0"),
+    (("unital", "verify", "--p", "3", "--m", "2", "--mode", "sampled", "--trials", "-5"),
+     "--trials must be at least 1, got -5"),
+    (("planar", "verify", "--p", "3", "--m", "2", "--mode", "sampled", "--trials", "0"),
+     "--trials must be at least 1, got 0"),
+    (("field", "check", "--p", "3", "--m", "2", "--seed", "-1"),
+     "--seed must be at least 0, got -1"),
+    (("onan", "find", "--p", "3", "--m", "2", "--exhaustive", "--budget", "-1"),
+     "--budget must be at least 0, got -1"),
+    (("planar", "verify", "--p", "3", "--m", "2", "--threads", "0"),
+     "--threads must be at least 1, got 0"),
 ])
 def test_flag_out_of_range_is_usage_error(capsys, argv, message):
     code, _, err = run(capsys, *argv)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from unitalforge.errors import (
     UsageError,
     ZeroTheta,
 )
-from unitalforge.plane import Gamma, Shift, ShiftPlane
+from unitalforge.plane import Gamma, Shift, ShiftPlane, id_batches
 
 
 # -- hypothesis and construction ---------------------------------------------
@@ -508,25 +509,188 @@ def test_slope_point_swap_counts_and_rejection(q, plane_q3, plane_q5):
 
 
 def test_line_count_pass_runs_once_per_unital(plane_q5, monkeypatch):
-    calls = []
-    raw = un._line_counts
+    calls, searches = [], []
+    raw, raw_group = un._line_counts, un._translation_group
 
     def counted(unital):
         calls.append(unital)
         return raw(unital)
 
+    def searched(unital):
+        searches.append(unital)
+        return raw_group(unital)
+
     monkeypatch.setattr(un, "_line_counts", counted)
+    monkeypatch.setattr(un, "_translation_group", searched)
     u = un.build_parabolic_unital(plane_q5, plane_q5.split.choose_theta())
     assert un.verify_unital_embedded(u).passed
     assert len(u.blocks) == 525
     dual, _ = un.dual_unital(u)
     profile = an.invariant_profile(u)
-    assert calls == [u]
+    assert an.shift_stabilizer_report(u).order == 125
+    assert calls == [u] and searches == [u]
     counts = un.line_intersection_counts(u)
-    assert calls == [u] and not counts.flags.writeable
+    assert calls == [u] and searches == [u] and not counts.flags.writeable
     assert profile.line_spectrum == ((1, 126), (6, 525))
     assert np.array_equal(dual.points, u.points)
     assert np.array_equal(counts, _recount(u))
+
+
+def test_sampled_mode_never_searches_the_group(plane_q5, monkeypatch):
+    def refuse(unital):
+        raise AssertionError("translation group searched in sampled mode")
+
+    monkeypatch.setattr(un, "_translation_group", refuse)
+    u = un.build_parabolic_unital(plane_q5, plane_q5.split.choose_theta())
+    pol = un.build_polarity_unital(plane_q5, un.InvolutionSpec("frobq"))
+    for v in (u, pol):
+        assert un.verify_unital_embedded(v, mode="sampled", seed=0, trials=500).passed
+
+
+# -- line counts by translation orbits -------------------------------------------
+
+def _direct_line_counts(unital):
+    """The all-rows pass: every shift a counted directly, O(q^5) in all; the
+    reference for the orbit route of un._line_counts."""
+    plane = unital.plane
+    ctx, N = plane.ctx, plane.N
+    NN = N * N
+    pts = unital.points
+    aff = pts[pts < NN]
+    xs, ys = aff // N, aff % N
+    slopes = pts[(pts >= NN) & (pts < NN + N)] - NN
+    slope_in = np.zeros(N, dtype=np.int64)
+    slope_in[slopes] = 1
+    has_inf = int(pts[-1] == plane.infinity_id)
+    counts = np.empty(plane.n_lines, dtype=np.int64)
+    tangents = np.zeros(len(aff), dtype=np.int64)
+    for a in id_batches(N, max(1, len(aff))):
+        # row r, column j: the b with affine point j on L(a[r], b), offset by r*N
+        votes = np.asarray(ctx.sub(plane.f[ctx.add(xs[None, :], a[:, None])], ys[None, :]))
+        votes += (np.arange(len(a), dtype=np.int64) * N)[:, None]
+        block = np.bincount(votes.ravel(), minlength=len(a) * N)
+        block += np.repeat(slope_in[a], N)          # the slope point (a) on L(a, b)
+        counts[a[0] * N: (a[-1] + 1) * N] = block
+        tangents += (block[votes] == 1).sum(axis=0)
+    counts[NN: NN + N] = np.bincount(xs, minlength=N) + has_inf
+    counts[plane.at_infinity_id] = len(slopes) + has_inf
+    tangent_lines = counts == 1
+    at_inf_tangent = int(tangent_lines[plane.at_infinity_id])
+    tangents += tangent_lines[NN + xs]
+    graph_tangents = tangent_lines[:NN].reshape(N, N).sum(axis=1)
+    per_point = [tangents, graph_tangents[slopes] + at_inf_tangent]
+    if has_inf:
+        per_point.append([int(tangent_lines[NN: NN + N].sum()) + at_inf_tangent])
+    return counts, np.concatenate(per_point)
+
+
+def _swapped(u, rank, new_id):
+    pts = u.points.copy()
+    pts[rank] = new_id
+    return un.Unital(u.plane, pts, "swapped")
+
+
+def _orbit_cases(plane):
+    """Point sets with large, small and trivial translation groups, by name."""
+    par = un.build_parabolic_unital(plane, plane.split.choose_theta())
+    off = int(np.flatnonzero(~par.contains(np.arange(plane.N ** 2)))[0])
+    return {"parabolic": par,
+            "polarity": un.build_polarity_unital(plane, un.InvolutionSpec("frobq")),
+            "translated-general": _translated_general(plane, 2),
+            "slope-swap": _swapped(par, -2, plane.slope_id(0)),
+            "affine-swap": _swapped(par, 1, off)}
+
+
+def _assert_orbit_pass_matches(u, name):
+    counts, tangents = un._line_counts(u)
+    ref_counts, ref_tangents = _direct_line_counts(u)
+    assert np.array_equal(counts, ref_counts), name
+    assert np.array_equal(tangents, ref_tangents), name
+    q = u.q
+    bad = np.flatnonzero((ref_counts != 1) & (ref_counts != q + 1))
+    if len(bad):
+        with pytest.raises(IntersectionViolation) as err:
+            un.verify_unital_embedded(u)
+        assert (err.value.line_id, err.value.count) == (bad[0], ref_counts[bad[0]])
+    else:
+        rep = un.verify_unital_embedded(u)
+        assert rep == un.EmbeddedReport(
+            bool(np.all(ref_tangents == 1)), "exhaustive", int((ref_counts == q + 1).sum()),
+            int((ref_counts == 1).sum()), bool(np.all(ref_tangents == 1)), u.plane.n_lines)
+
+
+@pytest.mark.parametrize("plane_name", ["plane_q3", "plane_q5", "plane_cm81"])
+def test_orbit_line_counts_match_direct_pass(plane_name, request):
+    plane = request.getfixturevalue(plane_name)
+    q = plane.split.sub_size
+    cases = _orbit_cases(plane)
+    orders = {name: u.translation_group.order for name, u in cases.items()}
+    # both routes run: one direct row (parabolic, translated), q (polarity), all N
+    assert orders == {"parabolic": q ** 3, "polarity": q ** 2, "translated-general": q ** 3,
+                      "slope-swap": 1, "affine-swap": 1}
+    for name, u in cases.items():
+        _assert_orbit_pass_matches(u, name)
+
+
+def test_orbit_line_counts_match_direct_pass_albert27(s729):
+    plane = ShiftPlane(planar.parse_spec(s729, "albert:k=2"))
+    for name, u in (("parabolic", un.build_parabolic_unital(plane, s729.choose_theta())),
+                    ("polarity", un.build_polarity_unital(plane, un.InvolutionSpec("frobq")))):
+        _assert_orbit_pass_matches(u, name)
+        assert u.translation_group.order == {"parabolic": 19683, "polarity": 729}[name]
+
+
+def test_orbit_line_counts_on_a_two_table_field(monkeypatch):
+    # F_81 split into 9 x 9 halves: the direct rows add through add_lo and add_hi
+    monkeypatch.setattr(gf, "ADD_TABLE_MAX", 27)
+    ctx = gf.FieldCtx(3, 4)
+    assert ctx.split_base == 9 and ctx.add_table is None
+    plane = ShiftPlane(planar.coulter_matthews(gf.ExtensionSplit(ctx, 2), 3))
+    for name, u in _orbit_cases(plane).items():
+        _assert_orbit_pass_matches(u, name)
+
+
+@settings(max_examples=30, deadline=None)
+@given(gens=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=2),
+       seeds=st.lists(st.integers(0, 90), min_size=1, max_size=4))
+def test_orbit_line_counts_on_translation_closed_sets(gens, seeds, plane_q3):
+    # point sets of any size whose groups need not split as C x D: the
+    # closures of a few points, slope points and infinity included, under
+    # drawn translations
+    P = plane_q3
+    pts = np.unique(seeds)
+    while True:
+        grown = np.union1d(pts, np.concatenate([Shift(P, c, d).apply_point(pts)
+                                                for c, d in gens]))
+        if len(grown) == len(pts):
+            break
+        pts = grown
+    stand_in = SimpleNamespace(plane=P, points=pts,
+                               contains=lambda ids: np.isin(ids, pts))
+    stand_in.translation_group = un._translation_group(stand_in)
+    counts, tangents = un._line_counts(stand_in)
+    ref_counts, ref_tangents = _direct_line_counts(stand_in)
+    assert np.array_equal(counts, ref_counts)
+    assert np.array_equal(tangents, ref_tangents)
+
+
+@pytest.mark.parametrize("plane_name", ["plane_q3", "plane_q5", "plane_cm81"])
+def test_translation_group_basis_fixes_the_unital(plane_name, request):
+    plane = request.getfixturevalue(plane_name)
+    for name, u in _orbit_cases(plane).items():
+        group = u.translation_group
+        assert group.order == plane.ctx.p ** len(group.basis), name
+        for c, d in group.basis.tolist():
+            assert Shift(plane, c, d).fixes_point_set(u.points), (name, c, d)
+        # against every translation checked on every point
+        X = np.arange(plane.N, dtype=np.int64)
+        fixing = un._fixing(u, np.repeat(X, plane.N), np.tile(X, plane.N))
+        assert group.order == np.count_nonzero(fixing), name
+        # one lift per slope of the projection, each a group element
+        lift_c, lift_d = group.slope_lifts()
+        assert (lift_c[0], lift_d[0]) == (0, 0)
+        assert sorted(lift_c.tolist()) == np.unique(np.repeat(X, plane.N)[fixing]).tolist()
+        assert fixing[lift_c * plane.N + lift_d].all(), name
 
 
 # certificate hashes of freshly built unitals after the checks below, as
