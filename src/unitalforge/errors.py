@@ -14,6 +14,13 @@ class UsageError(UnitalForgeError, ValueError):
     that is not in the unital format.  The command line exits 2 on it."""
 
 
+def require_trials(trials: int) -> None:
+    """A sampled check of fewer than one trial would pass having checked
+    nothing; it is a UsageError."""
+    if trials < 1:
+        raise UsageError(f"sampled mode needs at least 1 trial, got {trials}")
+
+
 # --- field construction / arithmetic ---
 
 class NotPrime(UnitalForgeError):
@@ -97,10 +104,6 @@ class PairCoverageViolation(UnitalForgeError):
 
 
 class NotNormal(UnitalForgeError):
-    pass
-
-
-class OvalViolation(UnitalForgeError):
     pass
 
 

@@ -21,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import SpecConstraintViolated, UsageError
+from .errors import SpecConstraintViolated, UsageError, require_trials
 from .gf import ExtensionSplit
 
 __all__ = [
@@ -399,6 +399,7 @@ def check_planarity(spec: PlanarFunctionSpec, mode: str = "exhaustive",
         shifts = np.arange(1, N, dtype=np.int64)
         seed_used = None
     else:
+        require_trials(trials)
         rng = np.random.default_rng(seed)
         count = min(trials, N - 1)
         shifts = np.sort(rng.choice(N - 1, size=count, replace=False) + 1)

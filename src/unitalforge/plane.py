@@ -22,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AxiomViolation, EqualPoints, FamilyMismatch, UsageError
+from .errors import (AxiomViolation, EqualPoints, FamilyMismatch, UsageError,
+                     require_trials)
 from .planar import PlanarFunctionSpec, polarization
 
 __all__ = [
@@ -353,6 +354,7 @@ class ShiftPlane:
         """
         if mode == "exhaustive":
             return self._verify_exhaustive()
+        require_trials(trials)
         rng = np.random.default_rng(seed)
         pairs = rng.integers(0, self.n_points, (trials, 2))
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
@@ -410,35 +412,36 @@ class ShiftPlane:
 
 
 class _Collineation:
+    """Point and line maps from the coordinate maps of a family.
+
+    The parameters of Shift and Sigma may be ints or integer arrays; they
+    broadcast against the IDs, so parameters of shape (E, 1) and P IDs give
+    the (E, P) table of E elements' images.  Every coordinate map runs on
+    all IDs, whose quotient by N is clipped into the field (slope IDs give
+    N, infinity N + 1), and one np.where picks each ID's kind.
+    """
+
     def apply_point(self, pid):
-        """Images of point IDs, elementwise; a scalar ID gives a Python int."""
-        if np.isscalar(pid):
-            return int(self.apply_point(np.array([pid]))[0])
-        pl, N = self.plane, self.plane.N
-        pid = np.asarray(pid)
-        out = np.empty_like(pid)
-        aff = pid < N * N
-        slope = (pid >= N * N) & (pid != pl.infinity_id)
-        x, y = self._affine_map(pid[aff] // N, pid[aff] % N)
-        out[aff] = np.asarray(x) * N + np.asarray(y)
-        out[slope] = N * N + np.asarray(self._slope_map(pid[slope] - N * N))
-        out[pid == pl.infinity_id] = pl.infinity_id
-        return out
+        """Images of point IDs, elementwise after broadcasting; a scalar ID
+        under scalar parameters gives a Python int."""
+        N, NN, inf = self.plane.N, self.plane.N ** 2, self.plane.infinity_id
+        pid = np.asarray(pid, dtype=np.int64)
+        x, y = np.divmod(pid, N)         # y is also the slope a of (a) = N^2 + a
+        x, y2 = self._affine_map(np.minimum(x, N - 1), y)
+        out = np.where(pid < NN, np.asarray(x) * N + y2,
+                       np.where(pid < inf, NN + np.asarray(self._slope_map(y)), pid))
+        return int(out) if out.ndim == 0 else out
 
     def apply_line(self, lid):
-        """Images of line IDs, elementwise; a scalar ID gives a Python int."""
-        if np.isscalar(lid):
-            return int(self.apply_line(np.array([lid]))[0])
-        pl, N = self.plane, self.plane.N
-        lid = np.asarray(lid)
-        out = np.empty_like(lid)
-        sh = lid < N * N
-        vert = (lid >= N * N) & (lid != pl.at_infinity_id)
-        a, b = self._shifted_map(lid[sh] // N, lid[sh] % N)
-        out[sh] = np.asarray(a) * N + np.asarray(b)
-        out[vert] = N * N + np.asarray(self._vertical_map(lid[vert] - N * N))
-        out[lid == pl.at_infinity_id] = pl.at_infinity_id
-        return out
+        """Images of line IDs, elementwise after broadcasting; a scalar ID
+        under scalar parameters gives a Python int."""
+        N, NN, at_inf = self.plane.N, self.plane.N ** 2, self.plane.at_infinity_id
+        lid = np.asarray(lid, dtype=np.int64)
+        a, b = np.divmod(lid, N)         # b is also the a of V(a) = N^2 + a
+        a, b2 = self._shifted_map(np.minimum(a, N - 1), b)
+        out = np.where(lid < NN, np.asarray(a) * N + b2,
+                       np.where(lid < at_inf, NN + np.asarray(self._vertical_map(b)), lid))
+        return int(out) if out.ndim == 0 else out
 
     def fixes_point_set(self, pids: np.ndarray) -> bool:
         image = np.sort(np.asarray(self.apply_point(pids)))
@@ -448,11 +451,15 @@ class _Collineation:
 @dataclass(frozen=True)
 class Shift(_Collineation):
     """Translation: (x, y) -> (x+u, y+v), slopes (a) -> (a-u), lines
-    L(a,b) -> L(a-u, b-v), verticals V(a) -> V(a+u)."""
+    L(a,b) -> L(a-u, b-v), verticals V(a) -> V(a+u).
+
+    u and v are field indices, ints or integer arrays that broadcast with
+    each other and with the IDs: Shift(plane, c[:, None], d[:, None])
+    maps P IDs to the (E, P) images of the E translations tau(c, d)."""
 
     plane: ShiftPlane
-    u: int
-    v: int
+    u: int | np.ndarray
+    v: int | np.ndarray
 
     def _affine_map(self, x, y):
         ctx = self.plane.ctx
@@ -516,21 +523,23 @@ class Sigma(_Collineation):
 
     Line images follow from the point map by expanding f(x+a+w) through
     biadditivity: L(a,b) -> L(a+w-u, b+v+f(w)+pol(a,w)), V(a) -> V(a+u).
-    Needs a Dembowski-Ostrom plane."""
+    Needs a Dembowski-Ostrom plane.
+
+    u, v and w are ints or integer arrays that broadcast with each other
+    and with the IDs, as for Shift."""
 
     plane: ShiftPlane
-    u: int
-    v: int
-    w: int
+    u: int | np.ndarray
+    v: int | np.ndarray
+    w: int | np.ndarray
 
     def __post_init__(self):
         if not self.plane.spec.is_dembowski_ostrom:
             raise FamilyMismatch("sigma collineations need a Dembowski-Ostrom plane")
 
     def _affine_map(self, x, y):
-        ctx, f = self.plane.ctx, self.plane.f
-        fwx = f[np.asarray(ctx.add(self.w, x))]
-        shear = ctx.sub(ctx.sub(fwx, int(f[self.w])), f[np.asarray(x)])
+        ctx = self.plane.ctx
+        shear = polarization(self.plane.spec, self.w, x)
         return ctx.add(x, self.u), ctx.sub(ctx.add(y, shear), self.v)
 
     def _slope_map(self, a):
@@ -540,7 +549,7 @@ class Sigma(_Collineation):
     def _shifted_map(self, a, b):
         ctx, f = self.plane.ctx, self.plane.f
         cross = polarization(self.plane.spec, a, self.w)
-        nb = ctx.add(ctx.add(ctx.add(b, self.v), int(f[self.w])), cross)
+        nb = ctx.add(ctx.add(ctx.add(b, self.v), f[self.w]), cross)
         return ctx.add(ctx.sub(a, self.u), self.w), nb
 
     def _vertical_map(self, a):
@@ -563,14 +572,36 @@ def sigma_compose(g1: Sigma, g2: Sigma) -> Sigma:
 
 def verify_collineation(plane: ShiftPlane, g, mode: str = "exhaustive",
                         seed: int = 0, trials: int = 20000) -> bool:
-    """Images of incident (point, line) pairs remain incident."""
+    """Images of incident (point, line) pairs remain incident: every flag
+    in exhaustive mode, `trials` >= 1 seeded flags otherwise."""
+    def images_incident(pids, lids):
+        return plane.incident_many(g.apply_point(pids), g.apply_line(lids))
+
+    return _first_failing_flag(plane, images_incident, mode, seed, trials)[0] is None
+
+
+def _first_failing_flag(plane: ShiftPlane, holds, mode: str, seed: int, trials: int):
+    """(the first incident (point, line) pair at which holds(pids, lids) is
+    False, or None; the number of pairs checked before it).
+
+    Exhaustive mode takes every flag: per id_batches block of lines, their
+    points_on_lines rows with the line IDs as a column, which broadcast, so
+    holds maps each line once.  Any other mode takes `trials` seeded
+    sample_flags.  verify_collineation and unital.verify_polarity run their
+    flag checks here.
+    """
     if mode == "exhaustive":
-        for lids in id_batches(plane.n_lines, plane.N + 1):
-            pts = plane.points_on_lines(lids)
-            img_pts = np.asarray(g.apply_point(pts.ravel())).reshape(pts.shape)
-            img_lines = np.asarray(g.apply_line(lids))[:, None]
-            if not plane.incident_many(img_pts, img_lines).all():
-                return False
-        return True
-    pids, lids = plane.sample_flags(np.random.default_rng(seed), trials)
-    return bool(plane.incident_many(g.apply_point(pids), g.apply_line(lids)).all())
+        batches = ((plane.points_on_lines(lids), lids[:, None])
+                   for lids in id_batches(plane.n_lines, plane.N + 1))
+    else:
+        require_trials(trials)
+        batches = [plane.sample_flags(np.random.default_rng(seed), trials)]
+    checked = 0
+    for pids, lids in batches:
+        ok = holds(pids, lids)
+        if not ok.all():
+            k = np.unravel_index(np.argmin(ok), ok.shape)
+            pids, lids = np.broadcast_arrays(pids, lids)
+            return (int(pids[k]), int(lids[k])), checked
+        checked += ok.size
+    return None, checked

@@ -41,15 +41,14 @@ from .errors import (
     NotInjective,
     NotNormal,
     NotPolarity,
-    OvalViolation,
     PairCoverageViolation,
     ProvenanceMismatch,
     SwitchMismatch,
     UsageError,
     ZeroTheta,
+    require_trials,
 )
-from .planar import polarization
-from .plane import BATCH, Gamma, ShiftPlane, id_batches
+from .plane import BATCH, Gamma, Shift, ShiftPlane, Sigma, _first_failing_flag, id_batches
 
 __all__ = [
     "Unital",
@@ -77,7 +76,7 @@ _WRITE_BLOCK = 1 << 16    # point IDs formatted into one write by write_unital_f
 _READ_CHUNK = 1 << 16     # bytes of ID lines parsed at once by read_unital_file
 _MAX_ID_DIGITS = 18       # the longest ID line read; 19 digits could overflow int64
 _QUOTE_BYTES = 24         # of a malformed ID line quoted in its error, longer than any ID
-_PRUNE_POINTS = 64        # points of U that every candidate translation is tried on first
+_PRUNE_POINTS = 64        # most points moved out of U that a rejected translation prunes by
 
 
 @dataclass
@@ -291,27 +290,6 @@ def _first_non_increase(ids: np.ndarray) -> int:
 # ----------------------------------------------------------------------
 
 
-def _images_in(unital: Unital, pts, u, v, w=None) -> np.ndarray:
-    """(elements, points) table: whether element i sends pts[j] into the
-    unital, the elements being the shears sigma(u[i], v[i], w[i]) or,
-    without w, the translations tau(u[i], v[i])."""
-    plane = unital.plane
-    ctx, N, NN = plane.ctx, plane.N, plane.N * plane.N
-    aff, slope = pts < NN, (pts >= NN) & (pts != plane.infinity_id)   # infinity stays
-    x, y, a = pts[aff] // N, pts[aff] % N, pts[slope] - NN
-    eu, ev = np.asarray(u)[:, None], np.asarray(v)[:, None]
-    if w is None:                 # (x, y) -> (x+u, y+v), (a) -> (a-u)
-        ys, slopes = ctx.add(y, ev), ctx.sub(a, eu)
-    else:                         # (x, y) -> (x+u, y + 2w*x - v), (a) -> (a-u+w)
-        ew = w[:, None]
-        ys = ctx.sub(ctx.add(y, polarization(plane.spec, ew, x)), ev)
-        slopes = ctx.add(ctx.sub(a, eu), ew)
-    inside = np.ones((len(eu), len(pts)), dtype=bool)
-    inside[:, aff] = unital.contains(np.asarray(ctx.add(x, eu)) * N + ys)
-    inside[:, slope] = unital.contains(NN + np.asarray(slopes))
-    return inside
-
-
 def _fixing(unital: Unital, u, v, w=None) -> np.ndarray:
     """Which elements fix the unital: the shears sigma(u[i], v[i], w[i]) or,
     without w, the translations tau(u[i], v[i]).
@@ -321,20 +299,21 @@ def _fixing(unital: Unital, u, v, w=None) -> np.ndarray:
     standing, so the first batch already discards most of a large
     candidate set.
     """
+    kind, params = (Shift, (u, v)) if w is None else (Sigma, (u, v, w))
     alive = np.arange(len(u))
     for idx in id_batches(len(unital.points), len(u)):
-        alive = alive[_images_in(unital, unital.points[idx], u[alive], v[alive],
-                                 None if w is None else w[alive]).all(axis=1)]
+        g = kind(unital.plane, *(a[alive, None] for a in params))
+        alive = alive[unital.contains(g.apply_point(unital.points[idx])).all(axis=1)]
     return np.isin(np.arange(len(u)), alive)
 
 
 def _moved_out(unital: Unital, c: int, d: int) -> np.ndarray:
     """The first _PRUNE_POINTS points of U, or fewer, that tau(c, d) sends
     out of U; none iff tau(c, d) fixes U.  Points go in id_batches."""
-    out = []
+    g, out = Shift(unital.plane, c, d), []
     for idx in id_batches(len(unital.points)):
         pts = unital.points[idx]
-        out.extend(pts[~_images_in(unital, pts, [c], [d])[0]][:_PRUNE_POINTS].tolist())
+        out.extend(pts[~unital.contains(g.apply_point(pts))][:_PRUNE_POINTS].tolist())
         if len(out) >= _PRUNE_POINTS:
             break
     return np.array(out[:_PRUNE_POINTS], dtype=np.int64)
@@ -384,14 +363,13 @@ def _translation_group(unital: Unital) -> TranslationGroup:
 
     A translation fixing U maps the first affine point (x0, y0) of U into
     U, so the candidates are (x - x0, y - y0) over U's affine points (every
-    translation when U has none).  One image check of the first
-    _PRUNE_POINTS points of U discards most that move U.  The rest go in
-    order: one in the span of the basis so far fixes U, since the
-    stabilizer is a group; one outside it is checked on every point of U
-    and, if it fixes U, joins the basis less its part in the span.
-    Otherwise the points it moves out of U discard, by one more image
-    check, every candidate that moves one of them, itself included.  The
-    span then holds every candidate that fixes U, so it is the stabilizer.
+    translation when U has none).  They go in order: one in the span of
+    the basis so far fixes U, since the stabilizer is a group; one outside
+    it is checked on every point of U and, if it fixes U, joins the basis
+    less its part in the span.  Otherwise the points it moves out of U
+    discard, by one image check, every candidate that moves one of them,
+    itself included.  The span then holds every candidate that fixes U, so
+    it is the stabilizer.
     """
     plane = unital.plane
     ctx, N, NN, p = plane.ctx, plane.N, plane.N * plane.N, plane.ctx.p
@@ -403,12 +381,6 @@ def _translation_group(unital: Unital) -> TranslationGroup:
     else:
         c, d = np.divmod(np.arange(NN, dtype=np.int64), N)
 
-    def keeping(points):
-        return np.concatenate([_images_in(unital, points, c[idx], d[idx]).all(axis=1)
-                               for idx in id_batches(len(c), len(points))])
-
-    keep = keeping(pts[:_PRUNE_POINTS])
-    c, d = c[keep], d[keep]
     # (rc, rd): the candidates minus their parts along the basis so far,
     # which are (0, 0) just for the candidates in its span
     rc, rd = c, d
@@ -422,7 +394,10 @@ def _translation_group(unital: Unital) -> TranslationGroup:
         out = _moved_out(unital, int(c[k]), int(d[k]))
         if len(out):
             # the candidates before k lie in the span and stay
-            keep = keeping(out)
+            keep = np.concatenate([
+                unital.contains(Shift(plane, c[idx, None], d[idx, None])
+                                .apply_point(out)).all(axis=1)
+                for idx in id_batches(len(c), len(out))])
             c, d, rc, rd = c[keep], d[keep], rc[keep], rd[keep]
             start = k
             continue
@@ -585,6 +560,7 @@ def _line_counts(unital: Unital):
     counts = np.empty(plane.n_lines, dtype=np.int64)
     graph = counts[:NN].reshape(N, N)
     lift_c, lift_d = unital.translation_group.slope_lifts()
+    lifts = Shift(plane, lift_c[:, None], lift_d[:, None])
     # an index is hi * P + lo; f(x + a0) - y has low part add_lo[f_lo * P +
     # (-y)_lo] and high part add_hi[f_hi * Q + (-y)_hi]
     P = ctx.split_base
@@ -609,8 +585,7 @@ def _line_counts(unital: Unital):
         for a, d in zip(orbit.tolist(), lift_d.tolist()):
             graph[a] = ctx.translate(row, d)
         done[orbit] = True
-        moved.append((np.asarray(ctx.add(tangent // N, lift_c[:, None])) * N
-                      + ctx.add(tangent % N, lift_d[:, None])).ravel())
+        moved.append(lifts.apply_point(tangent).ravel())
     tangents = np.bincount(np.searchsorted(aff, np.concatenate(moved)),
                            minlength=len(aff))
     counts[NN: NN + N] = np.bincount(xs, minlength=N) + has_inf
@@ -658,6 +633,7 @@ def verify_unital_embedded(unital: Unital, mode: str = "exhaustive",
                             "pass" if report.passed else "fail"))
         return report
     # sampled: seeded choice of shifted lines plus every vertical and L_inf
+    require_trials(trials)
     rng = np.random.default_rng(seed)
     N = plane.N
     shifted = np.unique(rng.integers(0, N * N, size=trials))
@@ -818,23 +794,12 @@ def verify_polarity(plane: ShiftPlane, kappa: InvolutionSpec,
     if mode == "auto":
         mode = "exhaustive" if q <= 9 else "sampled"
 
-    def first_unreversed(pids, lids):
-        """Raise at the first (point, line) pair whose images are not incident."""
-        ok = plane.incident_many(rho(lids), rho(pids))
-        if not ok.all():
-            k = int(np.argmin(ok))
-            raise NotPolarity(f"incidence not reversed at ({int(pids[k])}, {int(lids[k])})")
+    def reversed_incident(pids, lids):
+        return plane.incident_many(rho(lids), rho(pids))
 
-    checked = 0
-    if mode == "exhaustive":
-        for lids in id_batches(plane.n_lines, N + 1):
-            pts = plane.points_on_lines(lids)
-            first_unreversed(pts.ravel(), np.repeat(lids, N + 1))
-            checked += pts.size
-    else:
-        pids, lids = plane.sample_flags(np.random.default_rng(seed), trials)
-        first_unreversed(pids, lids)
-        checked = trials
+    flag, checked = _first_failing_flag(plane, reversed_incident, mode, seed, trials)
+    if flag is not None:
+        raise NotPolarity(f"incidence not reversed at ({flag[0]}, {flag[1]})")
     absolute = absolute_point_ids(plane, kappa)
     if len(absolute) != q ** 3 + 1:
         raise AbsoluteCountMismatch(
@@ -902,11 +867,15 @@ def dual_unital(unital: Unital):
 
 
 def ovals_decomposition(unital: Unital) -> list[np.ndarray]:
-    """The q point sets {(x, c)} + infinity with c ranging over theta*F_q.
+    """The q point sets O_c = {(x, c)} + infinity, c over theta*F_q, whose
+    union is the unital.  Needs a normal plane function.
 
-    Each is verified to be an oval (every line meets it in at most 2
-    points) and their union must be the unital.  Needs a normal plane
-    function.
+    Each O_c is an oval: L(a, b) meets it in #{x : f(x + a) = b + c} points,
+    at most 2 because check_normality, run first, bounds every fiber of f
+    by 2 and x -> x + a permutes F; a vertical meets it in (a, c) and
+    infinity, L_inf in infinity.  So no line is left to check.  The c are
+    unital.theta_y_values, which raises ProvenanceMismatch unless the
+    points are exactly that parabolic set, so the union is the unital.
     """
     from .planar import check_normality
 
@@ -916,25 +885,9 @@ def ovals_decomposition(unital: Unital) -> list[np.ndarray]:
     ok, witness = check_normality(plane.spec)
     if not ok:
         raise NotNormal(f"plane function is not normal: {witness}")
-    N, ctx = plane.N, plane.ctx
-    X = np.arange(N, dtype=np.int64)
-    # |O_c ∩ L(a,b)| = #{x : f(x+a) = b + c}: one fiber histogram per shift a
-    # bounds every (b, c) pair at once; verticals meet in (a, c) + infinity
-    for a in range(N):
-        hist = np.bincount(ctx.translate(plane.f, a), minlength=N)
-        if hist.max() > 2:
-            v = int(np.argmax(hist))
-            raise OvalViolation(f"some graph line meets an oval {int(hist[v])} times "
-                                f"(shift a={a}, value {v})")
-    ovals = []
-    union = {int(plane.infinity_id)}
-    for c in parabolic_y_values(plane, unital.theta):
-        ids = np.concatenate([X * N + int(c), [plane.infinity_id]])
-        ovals.append(ids)
-        union.update(int(i) for i in ids[:-1])
-    if union != {int(p) for p in unital.points}:
-        raise OvalViolation("oval union differs from the unital")
-    return ovals
+    column = np.arange(plane.N, dtype=np.int64) * plane.N
+    return [np.concatenate([column + c, [plane.infinity_id]])
+            for c in unital.theta_y_values.tolist()]
 
 
 def gamma_orbit_partition(plane: ShiftPlane, thetas) -> list[list[int]]:

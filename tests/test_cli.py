@@ -150,6 +150,12 @@ def _non_unital_file(tmp_path, unital_q3):
     return str(bad)
 
 
+def test_ovals_rejects_non_unital(capsys, tmp_path, unital_q3):
+    code, out, _ = run(capsys, "unital", "ovals", "--p", "3", "--m", "2",
+                       "--in", _non_unital_file(tmp_path, unital_q3))
+    assert code == 1 and "oval decomposition FAILED: points differ" in out
+
+
 def test_wilbrink_rejects_non_unital(capsys, tmp_path, unital_q3):
     code, _, err = run(capsys, "wilbrink", "--p", "3", "--m", "2", "--point",
                        "inf", "--in", _non_unital_file(tmp_path, unital_q3))

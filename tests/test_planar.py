@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unitalforge import gf, planar
-from unitalforge.errors import SpecConstraintViolated
+from unitalforge.errors import SpecConstraintViolated, UsageError
 
 
 def test_square_eval_examples(s9):
@@ -82,6 +82,14 @@ def test_sampled_planarity_deterministic(s729):
     c1 = planar.check_planarity(alb, mode="sampled", trials=50, seed=7)
     c2 = planar.check_planarity(alb, mode="sampled", trials=50, seed=7)
     assert c1.passed and c2.passed and c1.shifts_checked == c2.shifts_checked == 50
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_sampled_planarity_needs_a_trial(trials, s9):
+    # a sample of no shift would pass the non-planar cube having checked nothing
+    cube = planar.custom(s9, [(3, 1)])
+    with pytest.raises(UsageError, match="at least 1 trial"):
+        planar.check_planarity(cube, mode="sampled", trials=trials)
 
 
 def test_workers_agree_on_witness(s9):

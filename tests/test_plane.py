@@ -205,7 +205,7 @@ def test_elation_fixes_axis_pointwise(plane_q3):
     assert g.apply_point(plane_q3.infinity_id) == plane_q3.infinity_id
 
 
-def test_broken_map_rejected(plane_q3):
+def _broken_map(plane_q3):
     # (x, y) -> (x, y^3) with all lines fixed is not incidence-preserving
     f9 = plane_q3.ctx
 
@@ -219,7 +219,25 @@ def test_broken_map_rejected(plane_q3):
         def apply_line(self, lid):
             return lid
 
-    assert not verify_collineation(plane_q3, Broken())
+    return Broken()
+
+
+def test_broken_map_rejected(plane_q3):
+    assert not verify_collineation(plane_q3, _broken_map(plane_q3))
+    assert not verify_collineation(plane_q3, _broken_map(plane_q3), mode="sampled")
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_sampled_collineation_needs_a_trial(trials, plane_q3):
+    # no flag drawn would let the broken map pass
+    with pytest.raises(UsageError, match="at least 1 trial"):
+        verify_collineation(plane_q3, _broken_map(plane_q3), mode="sampled", trials=trials)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_sampled_axioms_need_a_trial(trials, plane_q3):
+    with pytest.raises(UsageError, match="at least 1 trial"):
+        plane_q3.verify_projective_plane(mode="sampled", trials=trials)
 
 
 # -- batch incidence ------------------------------------------------------------
@@ -693,6 +711,24 @@ def test_collineations_preserve_incidence(which, kind, params, s9, s25, s81):
         assert np.array_equal(np.sort(images), ids)
         scalar = [apply(i) for i in ids.tolist()]
         assert all(type(x) is int for x in scalar) and scalar == images.tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=st.integers(0, 2), kind=st.sampled_from([Shift, Sigma]),
+       params=st.lists(st.tuples(*[st.integers(0, 10 ** 6)] * 3), min_size=1, max_size=6),
+       ids=st.lists(st.integers(0, 10 ** 9), min_size=1, max_size=50))
+def test_array_parameters_match_scalar_elements(field, kind, params, ids, s9, s25, s81):
+    # parameters of shape (E, 1) give, row by row, the images under the E
+    # scalar elements, for every kind of point and line ID
+    P = ShiftPlane(planar.square((s9, s25, s81)[field]))
+    E = np.array(params, dtype=np.int64)[:, :2 if kind is Shift else 3] % P.N
+    batch = kind(P, *(E[:, [i]] for i in range(E.shape[1])))
+    for apply, size in (("apply_point", P.n_points), ("apply_line", P.n_lines)):
+        xs = np.concatenate([np.array(ids) % size, [0, P.N ** 2, size - 1]])
+        table = getattr(batch, apply)(xs)
+        assert table.shape == (len(E), len(xs))
+        for row, e in zip(table, E.tolist()):
+            assert row.tolist() == getattr(kind(P, *e), apply)(xs).tolist()
 
 
 # -- properties of the batch routines ---------------------------------------------

@@ -17,6 +17,7 @@ from unitalforge.errors import (
     InvalidPointSet,
     NotInjective,
     PairCoverageViolation,
+    NotPolarity,
     ProvenanceMismatch,
     UsageError,
     ZeroTheta,
@@ -307,6 +308,35 @@ def test_classical_baseline(classical_q3):
 def test_cm_polarity(plane_cm81):
     rep = un.verify_polarity(plane_cm81, un.InvolutionSpec("frobq"))
     assert rep.passed and rep.absolute_points == 730
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_polarity_witness_is_first_unreversed_flag(mode, plane_q3, monkeypatch):
+    # incidences with the images of L(2, 5) and V(4) read False: the witness
+    # is the first flag on either line, lines ascending then points, or in
+    # sample order
+    P, kappa = plane_q3, un.InvolutionSpec("frobq")
+    bar = kappa.table(P)
+    images = [P.affine_id(int(bar[2]), int(bar[5])), P.slope_id(int(bar[4]))]
+    lines = [P.shifted_id(2, 5), P.vertical_id(4)]
+    real = ShiftPlane.incident_many
+    monkeypatch.setattr(ShiftPlane, "incident_many",
+                        lambda self, p, l: real(self, p, l) & ~np.isin(p, images))
+    if mode == "exhaustive":
+        flag = (int(P.points_on_line(lines[0])[0]), lines[0])
+    else:
+        pids, lids = P.sample_flags(np.random.default_rng(4), 300)
+        k = int(np.argmax(np.isin(lids, lines)))
+        flag = (int(pids[k]), int(lids[k]))
+    with pytest.raises(NotPolarity, match=rf"not reversed at \({flag[0]}, {flag[1]}\)"):
+        un.verify_polarity(P, kappa, mode=mode, seed=4, trials=300)
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_sampled_polarity_needs_a_trial(trials, plane_q3):
+    with pytest.raises(UsageError, match="at least 1 trial"):
+        un.verify_polarity(plane_q3, un.InvolutionSpec("frobq"), mode="sampled",
+                           trials=trials)
 
 
 # -- duality, ovals, scaling orbits --------------------------------------------
@@ -762,6 +792,20 @@ def test_tampered_parabolic_file_rejected(unital_q5, tmp_path):
         assert u.theta == unital_q5.theta and new_id in u.points
         with pytest.raises(ProvenanceMismatch):
             un.verify_unital_embedded(u, mode="sampled", seed=0, trials=500)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_sampled_embedded_needs_a_trial(trials, unital_q3):
+    with pytest.raises(UsageError, match="at least 1 trial"):
+        un.verify_unital_embedded(unital_q3, mode="sampled", trials=trials)
+
+
+def test_ovals_of_tampered_parabolic_file_rejected(unital_q3, tmp_path):
+    path, bad = tmp_path / "u.unital", tmp_path / "bad.unital"
+    un.write_unital_file(unital_q3, path)
+    _swap_last_affine(path, bad, unital_q3.plane.slope_id(0))
+    with pytest.raises(ProvenanceMismatch):
+        un.ovals_decomposition(un.read_unital_file(bad))
 
 
 def test_unital_rejects_invalid_point_ids(unital_q5):
