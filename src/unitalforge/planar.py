@@ -8,9 +8,12 @@ user polynomials.  Parameter validation is eager: a spec outside its family's
 admissible range fails at construction rather than silently producing a
 non-planar function.
 
-Verification is always computational: planarity and normality certificates
-come from full (or documented, seeded sampled) sweeps of the field, never
-from the catalog membership itself.
+Verification is always computational and reads only the table of f, never
+the catalog membership.  Normality comes from a sweep of the field.  A shift
+of the planarity check is proved either by rank, when the table is quadratic
+in the base-p digits (the Dembowski-Ostrom families, whatever spec produced
+them), or by a full sweep of its difference map; sampled mode checks a
+documented, seeded set of shifts.
 """
 
 from __future__ import annotations
@@ -380,16 +383,106 @@ class PlanarityCertificate:
     witness: tuple | None = None
 
 
+# rows of the table checked per batch of the quadratic identity, and shifts
+# per batch of the rank filter, whose (batch, m, m) matrices stay a few MB
+_IDENTITY_ROWS = 1024
+_RANK_BATCH = 4096
+
+
+def _digit_quadratic(ctx, t) -> bool:
+    """Whether each base-p digit of t[x] is a polynomial of degree <= 2 in
+    the digits x_i of x, checked exactly at every x.
+
+    The only candidate is g(x) = c + l.x + (1/2) x^T H x with c = t[0],
+    l_i + H_ii / 2 = t[e_i] - c and H_ij = t[e_i + e_j] - t[e_i] - t[e_j] + c
+    (digit-wise, e_i = p^i, and i = j allowed: e_i + e_i = 2 e_i).  Writing
+    x = x_lo + x_hi by its low k and high m - k digits, g(x) = g(x_lo) +
+    g(x_hi) - c + x_lo^T H x_hi, so g is evaluated on the p^k low and the
+    p^(m-k) high parts alone and the table is compared with it in batches of
+    about _IDENTITY_ROWS rows.
+    """
+    p, m, D, e = ctx.p, ctx.m, ctx.digits, ctx.pow_p
+    c = D[t[0]].astype(np.int64)
+    g1 = D[t[e]] - c
+    H = (D[t[e[:, None] + e]] - g1[:, None] - g1 - c) % p      # (m, m, digit)
+    half = (p + 1) // 2
+    lin = (g1 - half * H[np.arange(m), np.arange(m)]) % p
+
+    def g(X):
+        return (c + X @ lin + half * np.einsum("ki,kj,ijr->kr", X, X, H)) % p
+
+    k = m // 2
+    B = p ** k
+    lo, hi = D[:B].astype(np.int64), D[::B].astype(np.int64)
+    g_lo, g_hi = g(lo), g(hi) - c
+    cross = np.einsum("li,ijr->jlr", lo[:, :k], H[:k, k:]).reshape(m - k, B * m)
+    step = max(1, _IDENTITY_ROWS // B)
+    for h in range(0, len(hi), step):
+        xh = hi[h:h + step, k:]
+        pred = (g_lo + g_hi[h:h + step, None] + (xh @ cross).reshape(len(xh), B, m)) % p
+        if not np.array_equal(pred.reshape(-1, m), D[t[h * B:(h + step) * B]]):
+            return False
+    return True
+
+
+def _invertible_mod_p(M, p: int) -> np.ndarray:
+    """Which of the (s, m, m) matrices over F_p are invertible: one Gaussian
+    elimination run on all of them at once (M is overwritten)."""
+    s, m, _ = M.shape
+    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=M.dtype)
+    rows = np.arange(s)
+    ok = np.ones(s, dtype=bool)
+    for col in range(m):
+        piv = col + np.argmax(M[:, col:, col] != 0, axis=1)
+        top = M[rows, piv]
+        ok &= top[:, col] != 0
+        M[rows, piv] = M[:, col]
+        top = top * inv[top[:, col]][:, None] % p
+        M[:, col + 1:] = (M[:, col + 1:] - M[:, col + 1:, col, None] * top[:, None, :]) % p
+    return ok
+
+
+def _proved_by_rank(ctx, t, shifts) -> np.ndarray:
+    """Boolean mask of the shifts a whose difference map is proved bijective.
+
+    When t is quadratic in the digits (_digit_quadratic), D_a(x) = t[x + a] -
+    t[x] is t[a] - t[0] plus a map linear in x over F_p, whose matrix M_a has
+    as column i the digits of t[e_i + a] - t[e_i] - t[a] + t[0].  D_a is
+    bijective exactly when M_a is invertible.  Any other table proves no
+    shift.
+    """
+    proved = np.zeros(len(shifts), dtype=bool)
+    if not _digit_quadratic(ctx, t):
+        return proved
+    p, D, e = ctx.p, ctx.digits, ctx.pow_p
+    base = D[t[e]] - D[t[0]]
+    for lo in range(0, len(shifts), _RANK_BATCH):
+        a = shifts[lo:lo + _RANK_BATCH]
+        M = (D[t[ctx.add(e, a[:, None])]] - base - D[t[a]][:, None]) % p
+        # int16 digits mean p < 2^15, so (p - 1)^2 fits int32
+        proved[lo:lo + _RANK_BATCH] = _invertible_mod_p(M.astype(np.int32), p)
+    return proved
+
+
 def check_planarity(spec: PlanarFunctionSpec, mode: str = "exhaustive",
                     trials: int = 1000, seed: int = 0,
                     workers: int = 1) -> PlanarityCheck:
     """Difference maps x -> f(x+a) - f(x) are bijections for nonzero a.
 
-    Exhaustive mode scans every nonzero shift a; sampled mode scans a seeded
-    sample of `trials` distinct shifts, each with a full bijection sweep.
-    The shift range splits into contiguous chunks processed by `workers`
-    threads; the reported witness is the one with the smallest shift
-    regardless of worker count.
+    Exhaustive mode checks every nonzero shift a; sampled mode checks a
+    seeded sample of `trials` distinct shifts.  A shift is proved either by
+    rank or by a full bijection sweep of its difference map.  When every
+    digit of f(x) over F_p is a polynomial of degree <= 2 in the digits of x
+    (checked on the whole table, never read from the catalog), D_a is an
+    affine map over F_p, bijective exactly when its m x m matrix M_a is
+    invertible; the shifts with invertible M_a are proved and dropped, the
+    rest are swept.  A shift with singular M_a does fail, but its witness
+    comes from the sweep, as for every other table.
+
+    The shifts left for the sweep split into contiguous chunks processed by
+    `workers` threads; the reported witness is the one with the smallest
+    shift regardless of worker count, and `shifts_checked` counts it within
+    all the shifts of the mode.
     """
     ctx = spec.split.ctx
     N, P = ctx.size, ctx.split_base
@@ -427,12 +520,13 @@ def check_planarity(spec: PlanarFunctionSpec, mode: str = "exhaustive",
                 return (int(a), x1, x2)
         return None
 
+    left = shifts[~_proved_by_rank(ctx, t, shifts)]
     if workers <= 1:
-        witness = scan(shifts)
+        witness = scan(left)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        chunks = np.array_split(shifts, workers)
+        chunks = np.array_split(left, workers)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(scan, chunks))
         witness = next((w for w in results if w is not None), None)

@@ -78,6 +78,11 @@ _MAX_ID_DIGITS = 18       # the longest ID line read; 19 digits could overflow i
 _QUOTE_BYTES = 24         # of a malformed ID line quoted in its error, longer than any ID
 _PRUNE_POINTS = 64        # most points moved out of U that a rejected translation prunes by
 
+# verify_design counts every point pair in one bincount over n^2 codes, n =
+# q^3 + 1, 8 bytes each: 4.3 MB at q = 9, 134 MB at this limit, 3.1 GB at
+# q = 27.  So q <= 13 passes and q >= 17 is refused.
+DESIGN_MAX_PAIR_CODES = 1 << 24
+
 
 @dataclass
 class Check:
@@ -684,13 +689,18 @@ def verify_design(unital: Unital, mode: str = "exhaustive") -> DesignReport:
     """Every unordered point pair lies in exactly one block; the block count
     is q^4 - q^3 + q^2 and every point sits in q^2 blocks.
 
-    The check is exhaustive; `mode` names it and takes no other value.
+    The check is exhaustive; `mode` names it and takes no other value.  Over
+    DESIGN_MAX_PAIR_CODES pair codes n^2 it is a UsageError, raised before
+    the blocks are built.
     """
     if mode != "exhaustive":
         raise ValueError(f"verify_design is exhaustive only, got mode={mode!r}")
     q = unital.q
-    blocks = unital.blocks
     n = len(unital.points)
+    if n * n > DESIGN_MAX_PAIR_CODES:
+        raise UsageError(f"verify_design needs n^2 <= {DESIGN_MAX_PAIR_CODES} point-pair "
+                         f"codes (q <= 13), got n = {n} points")
+    blocks = unital.blocks
     expected_blocks = q ** 4 - q ** 3 + q ** 2
     if len(blocks) != expected_blocks:
         raise PairCoverageViolation(("block-count",), len(blocks))

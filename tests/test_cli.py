@@ -37,6 +37,13 @@ def test_planar_verify_failure(capsys):
     assert code == 1 and "witness=" in out
 
 
+def test_planar_verify_exhaustive_pw_q243(capsys):
+    code, out, _ = run(capsys, "planar", "verify", "--p", "3", "--m", "10",
+                       "--spec", "pw", "--mode", "exhaustive")
+    assert code == 0
+    assert "planar=True (exhaustive, 59048 shifts)" in out and "normal=True" in out
+
+
 def test_plane_verify(capsys):
     code, out, _ = run(capsys, "plane", "verify", "--p", "3", "--m", "2",
                        "--spec", "square")

@@ -1,7 +1,9 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitalforge import gf, planar
 from unitalforge.errors import SpecConstraintViolated, UsageError
@@ -224,8 +226,12 @@ def s15625():
     return gf.split_new(gf.field_new(5, 6), 3)
 
 
-def test_sampled_planarity_frozen_large(s15625):
-    s59049 = gf.split_new(gf.field_new(3, 10), 5)
+@pytest.fixture(scope="module")
+def s59049():
+    return gf.split_new(gf.field_new(3, 10), 5)
+
+
+def test_sampled_planarity_frozen_large(s15625, s59049):
     for split, text in ((s15625, "zhoupott:i=1,k=1"), (s59049, "pw")):
         chk = planar.check_planarity(planar.parse_spec(split, text),
                                      mode="sampled", trials=1000, seed=0)
@@ -301,6 +307,10 @@ def _reference_planarity(spec, mode="exhaustive", trials=1000, seed=0, workers=1
     return planar.PlanarityCheck(True, mode, len(shifts), seed=seed_used)
 
 
+def _as_spec(ctx, t):
+    return SimpleNamespace(split=SimpleNamespace(ctx=ctx), table=t)
+
+
 def _perturbed_squares(ctx, seeds):
     """Seeded variants of f = x^2, by seed % 5: (0) f itself; (1) f with a
     few entries overwritten, which fails at every shift; (2, 3) f + h with h
@@ -322,7 +332,7 @@ def _perturbed_squares(ctx, seeds):
             t = np.asarray(ctx.add(t, h[x // p ** k]))
         elif kind == 4:
             t = np.asarray(ctx.add(t, ctx.mul(int(rng.integers(1, ctx.size)), ctx.pow(x, p))))
-        yield seed, SimpleNamespace(split=SimpleNamespace(ctx=ctx), table=t)
+        yield seed, _as_spec(ctx, t)
 
 
 # F_3^6 keeps one addition table; F_3^7 splits into unequal halves (Q = 27,
@@ -345,3 +355,81 @@ def test_planarity_matches_reference_sweep(p, m):
                     kwargs["trials"] = trials
                 assert (planar.check_planarity(spec, **kwargs)
                         == _reference_planarity(spec, **kwargs)), (seed, mode, workers)
+
+
+# -- planarity by rank on digit-quadratic tables -------------------------------
+
+def _sample_shifts(ctx, trials=1000, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.choice(ctx.size - 1, size=min(trials, ctx.size - 1), replace=False) + 1)
+
+
+def _quadratic_table(ctx, rng, square_part):
+    """A random table of digit degree <= 2: digits c + l.x + sum q_i x_i^2 +
+    sum_{i<j} D_ij x_i x_j with random coefficient digits, or x^2 plus a
+    random affine part (planar) when `square_part`."""
+    p, m = ctx.p, ctx.m
+    X = ctx.digits.astype(np.int64)
+    digits = rng.integers(0, p, m) + X @ rng.integers(0, p, (m, m))
+    if square_part:
+        x = np.arange(ctx.size)
+        digits = digits + ctx.digits[ctx.mul(x, x)]
+    else:
+        iu, ju = np.triu_indices(m)
+        digits = digits + (X[:, iu] * X[:, ju]) @ rng.integers(0, p, (len(iu), m))
+    return (digits % p) @ ctx.pow_p
+
+
+@settings(max_examples=25, deadline=None)
+@given(field=st.sampled_from([(3, 4), (3, 5), (5, 3)]), seed=st.integers(0, 2 ** 32 - 1),
+       square_part=st.booleans())
+def test_planarity_on_quadratic_tables_matches_reference(field, seed, square_part):
+    # mostly non-planar: singular M_a leave their shifts, and the witness, to the sweep
+    ctx = gf.field_new(*field)
+    spec = _as_spec(ctx, _quadratic_table(ctx, np.random.default_rng(seed), square_part))
+    for mode in ("exhaustive", "sampled"):
+        for workers in (1, 2):
+            kwargs = dict(mode=mode, trials=40, seed=seed % 100, workers=workers)
+            assert (planar.check_planarity(spec, **kwargs)
+                    == _reference_planarity(spec, **kwargs)), kwargs
+
+
+def test_rank_proves_every_sampled_shift_of_do_families(s729, s15625, s59049):
+    for spec in (planar.penttila_williams(s59049), planar.zhou_pott(s15625, 1, 1),
+                 planar.albert(s729, 2)):
+        ctx = spec.split.ctx
+        assert planar._proved_by_rank(ctx, spec.table, _sample_shifts(ctx)).all(), spec
+
+
+def test_rank_proves_nothing_off_the_quadratic_tables(s81, s59049):
+    cm = planar.coulter_matthews(s81, 3)
+    assert not planar._proved_by_rank(s81.ctx, cm.table, np.arange(1, 81)).any()
+    pw = planar.penttila_williams(s59049)
+    ctx = s59049.ctx
+    t = pw.table.copy()
+    t[12345] = ctx.add(int(t[12345]), 1)
+    assert not planar._digit_quadratic(ctx, t)
+    assert not planar._proved_by_rank(ctx, t, _sample_shifts(ctx)).any()
+
+
+def test_linear_cube_keeps_its_witness(s9):
+    # x^3 is additive over F_9: every M_a is 0, so the sweep finds the witness
+    cube = planar.custom(s9, [(3, 1)])
+    assert planar._digit_quadratic(s9.ctx, cube.table)
+    assert not planar._proved_by_rank(s9.ctx, cube.table, np.arange(1, 9)).any()
+    assert planar.check_planarity(cube) == planar.PlanarityCheck(
+        False, "exhaustive", 1, (1, 0, 1), None)
+    assert planar.check_planarity(cube, mode="sampled", trials=5, seed=1) == \
+        planar.PlanarityCheck(False, "sampled", 1, (1, 0, 1), 1)
+
+
+def test_exhaustive_planarity_pw_q243(s59049):
+    # every one of the 59 048 shifts, proved by rank within a few MB
+    tracemalloc.start()
+    try:
+        chk = planar.check_planarity(planar.penttila_williams(s59049), "exhaustive")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chk == planar.PlanarityCheck(True, "exhaustive", 59048, None, None)
+    assert peak < 64 * 2 ** 20

@@ -1,6 +1,8 @@
 import hashlib
 import io
 import json
+import time
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -249,6 +251,23 @@ def test_design_rejects_tampered_tables(q, plane_q3, plane_q5):
         assert [c.name for c in u.checks] == ["parabolic-hypothesis"]
     with pytest.raises(ValueError, match="exhaustive only"):
         un.verify_design(u, mode="sampled")
+
+
+def test_design_refuses_q27_before_allocating(s729):
+    plane = ShiftPlane(planar.albert(s729, 2))
+    u = un.build_parabolic_unital(plane, s729.choose_theta())
+    assert len(u.points) ** 2 > un.DESIGN_MAX_PAIR_CODES >= 730 ** 2     # q = 27, q = 9
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(UsageError, match="q <= 13"):
+            un.verify_design(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 100 * 2 ** 20
+    assert "blocks" not in u.__dict__
 
 
 # -- polarities -------------------------------------------------------------------
