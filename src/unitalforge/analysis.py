@@ -39,6 +39,7 @@ __all__ = [
     "circle",
     "all_circles",
     "verify_circle_design",
+    "DESIGN_INDEX_MAX_BYTES",
     "DesignIndex",
     "wilbrink_vertex_check",
     "OnanConfig",
@@ -222,14 +223,59 @@ def verify_circle_design(unital: Unital) -> CircleDesignReport:
 # ----------------------------------------------------------------------
 
 
+# DesignIndex holds two int32 pair tables, common_point over B^2 block pairs
+# and block_through_pair over n^2 point pairs, with B = q^4 - q^3 + q^2 and
+# n = q^3 + 1: 142 MB at q = 9, 722 MB at q = 11, 1 TB at q = 27.  So q <= 9
+# passes and q >= 11 is refused.
+DESIGN_INDEX_MAX_BYTES = 1 << 28
+_ONAN_PAIRS = 1024        # meeting block pairs per step of find_onan_exhaustive
+
+
+def _pack_rows(mask: np.ndarray) -> np.ndarray:
+    """(rows, W) uint64 bitsets of a 2-d bool mask: column j is bit j % 64
+    of word j // 64; the bits past the last column are 0."""
+    rows, cols = mask.shape
+    out = np.zeros((rows, -(-cols // 64) * 8), dtype=np.uint8)
+    out[:, :-(-cols // 8)] = np.packbits(mask, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+def _set_bits(bits: np.ndarray):
+    """(rows, columns) of the set bits of (k, W) bitsets, in row-major
+    order, as np.nonzero of the unpacked mask.  Each round takes the lowest
+    bit left in every nonzero word into that word's next output slot."""
+    words = np.flatnonzero(bits)
+    w = bits.ravel()[words]
+    counts = np.bitwise_count(w)
+    slot = np.cumsum(counts, dtype=np.int64)
+    pos = np.empty(slot[-1] if len(slot) else 0, dtype=np.int64)
+    slot -= counts
+    base = words * 64
+    while len(w):
+        low = w & (~w + 1)
+        pos[slot] = base + np.bitwise_count(low - 1)
+        w ^= low
+        left = np.flatnonzero(w)
+        w, slot, base = w[left], slot[left] + 1, base[left]
+    return np.divmod(pos, bits.shape[1] * 64)
+
+
 class DesignIndex:
-    """Block-level lookup tables over `unital.blocks` (intended q <= 9).
-    Raises PairCoverageViolation unless every point lies on q^2 blocks, as
-    the per-point tables need."""
+    """Block-level lookup tables over `unital.blocks`.
+
+    Over DESIGN_INDEX_MAX_BYTES of pair tables (q >= 11) it is a UsageError,
+    raised from the closed forms before the blocks are built.  Raises
+    PairCoverageViolation unless every point lies on q^2 blocks, as the
+    per-point tables need."""
 
     def __init__(self, unital: Unital):
+        q = unital.q
+        n_blocks, n_points = q ** 4 - q ** 3 + q ** 2, q ** 3 + 1
+        if 4 * (n_blocks ** 2 + n_points ** 2) > DESIGN_INDEX_MAX_BYTES:
+            raise UsageError(f"DesignIndex needs <= {DESIGN_INDEX_MAX_BYTES} bytes of "
+                             f"pair tables (q <= 9), got q = {q}")
         self.unital = unital
-        self.q = unital.q
+        self.q = q
         self.n = len(unital.points)
         self.block_lines = unital.secant_line_ids
         self.block_points = unital.blocks
@@ -269,6 +315,24 @@ class DesignIndex:
     def meets(self) -> np.ndarray:
         """(B, B) boolean: blocks sharing a point."""
         return self.common_point >= 0
+
+    @cached_property
+    def meets_bits(self) -> np.ndarray:
+        """(B, W) bitsets of `meets` (see _pack_rows)."""
+        return _pack_rows(self.meets)
+
+    @cached_property
+    def after_bits(self) -> np.ndarray:
+        """(B, W) bitsets: row b holds the blocks after b."""
+        b = np.arange(self.B)
+        return _pack_rows(b > b[:, None])
+
+    @cached_property
+    def avoid_bits(self) -> np.ndarray:
+        """(n, W) bitsets: row P holds the blocks not through point rank P."""
+        avoid = np.ones((self.n, self.B), dtype=bool)
+        avoid[np.arange(self.n)[:, None], self.blocks_by_point] = False
+        return _pack_rows(avoid)
 
 
 @dataclass
@@ -606,10 +670,15 @@ class OnanSearchResult:
         return OnanConfigs(self.block_ids, self.point_ids)
 
 
-def _nonzero_2d(mask: np.ndarray):
-    """np.nonzero of a 2-d mask, same order; several times faster through
-    the flat indices."""
-    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+def _take_rows(table: np.ndarray, parts: list, width: int) -> np.ndarray:
+    """table[np.concatenate(parts)], (rows, width), filled part by part with
+    no concatenated copy of the parts."""
+    out = np.empty((sum(len(part) for part in parts), width), dtype=table.dtype)
+    row = 0
+    for part in parts:
+        np.take(table, part, out=out[row:row + len(part)])
+        row += len(part)
+    return out
 
 
 def find_onan_exhaustive(unital: Unital, budget: int | None = None,
@@ -617,51 +686,73 @@ def find_onan_exhaustive(unital: Unital, budget: int | None = None,
     """All configurations, from the design index tables alone (q <= 5).
 
     Examined are the pairwise meeting blocks b1 < b2 < b3 < b4 whose first
-    three meet in three distinct points, once each, in lexicographic order.
-    Lemma: such a quadruple is a configuration iff b4 meets the other three
-    in distinct points.  Two blocks share at most one point, so any repeat
-    among the six meets puts a point on three blocks and repeats a meet of
-    b4 or of the first three; with six distinct meets each block holds
-    exactly its three.  With more than `budget` quadruples, the result holds
-    the configurations among the first `budget`, examined == budget and
-    complete=False.
+    three meet in three distinct points, the vertices P12, P13, P23 of a
+    triangle, once each, in lexicographic order.  Lemma: such a quadruple
+    is a configuration iff b4 passes through no vertex.  Two blocks share
+    at most one point.  A b4 that meets all three blocks and passes through
+    no vertex meets them in three distinct points: any coincidence of two
+    of those points would lie on two of b1, b2, b3, so it would be a
+    vertex.  A b4 through a vertex meets both blocks of that vertex there,
+    so it repeats a meet.  The six points of a configuration are distinct,
+    and each block holds exactly its three.  With more than `budget`
+    quadruples, the result holds the configurations among the first
+    `budget`, examined == budget and complete=False.
 
-    The configurations come back as two int64 arrays in the order they are
-    examined (see OnanSearchResult); no Python object is built per
-    configuration.
+    The pass runs on the packed bitsets of the index, a chunk of meeting
+    pairs b1 < b2 at a time.  The third blocks of a pair are
+    meets[b1] & meets[b2] & after[b2] & avoid[P12]; for a triangle,
+    M = meets[b1] & meets[b2] & meets[b3] & after[b3] holds the fourth
+    blocks examined, and M & avoid[P12] & avoid[P13] & avoid[P23] the
+    configurations.  The configurations come back as two int64 arrays in
+    the order they are examined (see OnanSearchResult); no Python object is
+    built per configuration.
     """
     idx = index or DesignIndex(unital)
-    meets, cp = idx.meets, idx.common_point
-    quads, sixes = [], []                    # block indices, point ranks
+    cp, meets, avoid = idx.common_point, idx.meets_bits, idx.avoid_bits
+    later = meets & idx.after_bits           # the blocks after b that meet b
+    quads, sixes = [], []                    # int32 block indices, point ranks
     examined = 0
     complete = True
-    for b1 in range(idx.B):
-        nb = np.flatnonzero(meets[b1, b1 + 1:]) + b1 + 1     # later neighbours
-        p1 = cp[b1, nb]                                      # their meets with b1
-        cpl = cp[np.ix_(nb, nb)]                             # meets among them
-        m = cpl >= 0
-        later = np.triu(m, 1)                                # m, with j > i
-        # (b2, b3) = (nb[i2], nb[i3]): meeting, not concurrent with b1
-        i2, i3 = _nonzero_2d(later & (p1[:, None] != p1))
-        # b4 = nb[i4] after b3, meeting b2 and b3; t numbers the triangle
-        t, i4 = _nonzero_2d(m[i2] & later[i3])
-        if budget is not None and examined + len(t) > budget:
-            keep = max(budget - examined, 0)
-            t, i4, complete = t[:keep], i4[:keep], False
-        examined += len(t)
-        i2, i3 = i2[t], i3[t]                                # one per quadruple
-        # the three meets of b4; those of b1, b2, b3 are distinct already
-        q1, q2, q3 = p1[i4], cpl[i2, i4], cpl[i3, i4]
-        hit = (q1 != q2) & (q1 != q3) & (q2 != q3)
-        i2, i3, i4 = i2[hit], i3[hit], i4[hit]
-        quads.append(np.stack([np.full(len(i4), b1), nb[i2], nb[i3], nb[i4]], axis=1))
-        sixes.append(np.stack([p1[i2], p1[i3], cpl[i2, i3],
-                               q1[hit], q2[hit], q3[hit]], axis=1))
+    pairs_1, pairs_2 = _set_bits(later)      # meeting pairs b1 < b2, in order
+    for start in range(0, len(pairs_1), _ONAN_PAIRS):
+        b1 = pairs_1[start:start + _ONAN_PAIRS]
+        b2 = pairs_2[start:start + _ONAN_PAIRS]
+        both = np.take(meets, b1, axis=0)    # after b2, meeting b1 and b2
+        both &= np.take(later, b2, axis=0)
+        third = np.take(avoid, cp[b1, b2], axis=0)
+        third &= both
+        r, b3 = _set_bits(third)             # triangles (b1[r], b2[r], b3)
+        b1, b2 = b1[r], b2[r]
+        p12, p13, p23 = cp[b1, b2], cp[b1, b3], cp[b2, b3]
+        fourth = np.take(both, r, axis=0)    # M of each triangle
+        fourth &= np.take(later, b3, axis=0)
+        seen = np.bitwise_count(fourth)
+        n_seen = int(seen.sum())
+        cfg = np.take(avoid, p13, axis=0)
+        cfg &= np.take(avoid, p23, axis=0)
+        cfg &= np.take(third, r, axis=0)
+        cfg &= fourth
+        t, b4 = _set_bits(cfg)
+        if budget is not None and examined + n_seen > budget:
+            n_seen = max(int(budget) - examined, 0)
+            cum = np.cumsum(seen.sum(axis=1))
+            cut = int(np.searchsorted(cum, n_seen, side="right"))  # triangles wholly in
+            keep = n_seen - (int(cum[cut - 1]) if cut else 0)      # b4 kept in triangle `cut`
+            last = _set_bits(fourth[cut:cut + 1])[1][keep - 1] if keep else -1
+            kept = (t < cut) | ((t == cut) & (b4 <= last))
+            t, b4 = t[kept], b4[kept]
+            complete = False
+        examined += n_seen
+        b1, b2, b3 = b1[t], b2[t], b3[t]
+        quads.append(np.stack([b1, b2, b3, b4], axis=1, dtype=np.int32))
+        sixes.append(np.sort(np.stack([p12[t], p13[t], p23[t], cp[b1, b4],
+                                       cp[b2, b4], cp[b3, b4]], axis=1), axis=1))
         if not complete:
             break
     # both tables are int64: line IDs from flatnonzero, points as Unital keeps them
-    block_ids = idx.block_lines[np.concatenate(quads)]
-    point_ids = unital.points[np.sort(np.concatenate(sixes), axis=1)]
+    block_ids = _take_rows(idx.block_lines, quads, 4)
+    del quads                    # freed before point_ids is allocated
+    point_ids = _take_rows(unital.points, sixes, 6)
     return OnanSearchResult(block_ids, point_ids, complete, examined)
 
 
@@ -831,16 +922,15 @@ def invariant_profile(unital: Unital, with_onan: bool = True,
                       onan_budget: int | None = None) -> InvariantProfile:
     """Design parameters, O'Nan statistics, strong-vertex count, and the
     line intersection spectrum.  O'Nan and Wilbrink sweeps run only when
-    requested (intended q <= 5)."""
+    requested (intended q <= 5).  The DesignIndex comes first, so that its
+    size limit refuses a large unital before anything is built."""
     from .unital import line_intersection_counts
 
-    q = unital.q
+    idx = DesignIndex(unital)
     counts = line_intersection_counts(unital)
     vals, mult = np.unique(counts, return_counts=True)
     spectrum = tuple((int(a), int(b)) for a, b in zip(vals, mult))
-    profile = InvariantProfile(len(unital.points), q + 1, len(unital.blocks),
-                               line_spectrum=spectrum)
-    idx = DesignIndex(unital)
+    profile = InvariantProfile(idx.n, idx.q + 1, idx.B, line_spectrum=spectrum)
     if with_onan:
         result = find_onan_exhaustive(unital, budget=onan_budget, index=idx)
         per_point = np.bincount(unital.point_rank[result.point_ids].ravel(),

@@ -771,6 +771,21 @@ def _polarity_precheck(plane: ShiftPlane, kappa: InvolutionSpec) -> np.ndarray:
     return bar
 
 
+def _correlation(plane: ShiftPlane, bar: np.ndarray, ids) -> np.ndarray:
+    """rho of an involution table `bar` on point or line IDs.  Points and
+    lines share the ID scheme, so one map sends points to lines and lines
+    to points; infinity and L_inf keep their ID."""
+    N = plane.N
+    NN = N * N
+    ids = np.asarray(ids, dtype=np.int64)
+    out = ids.copy()
+    low = ids < NN
+    out[low] = bar[ids[low] // N] * N + bar[ids[low] % N]
+    mid = (ids >= NN) & (ids < NN + N)
+    out[mid] = NN + bar[ids[mid] - NN]
+    return out
+
+
 def verify_polarity(plane: ShiftPlane, kappa: InvolutionSpec,
                     mode: str = "auto", seed: int = 0,
                     trials: int = 20000) -> PolarityReport:
@@ -785,15 +800,7 @@ def verify_polarity(plane: ShiftPlane, kappa: InvolutionSpec,
     NN = N * N
 
     def rho(ids):
-        """Points and lines share the ID scheme, so one map sends points to
-        lines and lines to points; infinity and L_inf keep their ID."""
-        ids = np.asarray(ids, dtype=np.int64)
-        out = ids.copy()
-        low = ids < NN
-        out[low] = bar[ids[low] // N] * N + bar[ids[low] % N]
-        mid = (ids >= NN) & (ids < NN + N)
-        out[mid] = NN + bar[ids[mid] - NN]
-        return out
+        return _correlation(plane, bar, ids)
 
     probe = np.array([0, NN - 1, NN, plane.infinity_id], dtype=np.int64)
     if not np.array_equal(rho(rho(probe)), probe):

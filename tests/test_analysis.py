@@ -1,4 +1,6 @@
 import hashlib
+import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +13,7 @@ from unitalforge.errors import (
     FamilyMismatch,
     HypothesisUnmet,
     ProvenanceMismatch,
+    UsageError,
     WitnessCheckFailed,
     ZeroBeta,
 )
@@ -446,6 +449,113 @@ def test_exhaustive_budget_prefix_arrays(unital_q3, full_search_q3, scale, offse
     assert res.block_ids.shape == (res.count, 4) and res.point_ids.shape == (res.count, 6)
     assert np.array_equal(res.block_ids, full_search_q3.block_ids[:res.count])
     assert np.array_equal(res.point_ids, full_search_q3.point_ids[:res.count])
+
+
+
+def _reference_quadruples(idx):
+    """Every quadruple the search examines, in order: the number of its
+    triangle (b1, b2, b3) and whether b4 meets the three in distinct points."""
+    meets, cp = idx.meets, idx.common_point
+    triangle, hit, triangles = [], [], 0
+    for b1 in range(idx.B):
+        nb = np.flatnonzero(meets[b1, b1 + 1:]) + b1 + 1
+        p1 = cp[b1, nb]
+        m = meets[np.ix_(nb, nb)]
+        i2, i3 = np.nonzero(np.triu(m & (p1[:, None] != p1), 1))
+        t, i4 = np.nonzero(m[i2] & m[i3] & (np.arange(len(nb)) > i3[:, None]))
+        b2, b3, b4 = nb[i2[t]], nb[i3[t]], nb[i4]
+        q1, q2, q3 = p1[i4], cp[b2, b4], cp[b3, b4]
+        triangle.append(triangles + t)
+        hit.append((q1 != q2) & (q1 != q3) & (q2 != q3))
+        triangles += len(i2)
+    return np.concatenate(triangle), np.concatenate(hit)
+
+
+@pytest.fixture(scope="module")
+def full_search_q5(unital_q5):
+    idx = an.DesignIndex(unital_q5)
+    return an.find_onan_exhaustive(unital_q5, index=idx), _reference_quadruples(idx)
+
+
+@pytest.mark.parametrize("where", ["inside-early", "inside-late", "boundary-early",
+                                   "boundary-late", "total-1", "total", "total+1"])
+def test_exhaustive_budget_prefix_q5(unital_q5, full_search_q5, where):
+    full, (triangle, hit) = full_search_q5
+    total = full.examined
+    assert total == len(triangle) and full.count == hit.sum()
+    # cuts between two configurations: both in one triangle, or the first
+    # ending a triangle and the second opening the next
+    same = triangle[1:] == triangle[:-1]
+    both = hit[1:] & hit[:-1]
+    inside, boundary = np.flatnonzero(same & both) + 1, np.flatnonzero(~same & both) + 1
+    budget = {"inside-early": inside[len(inside) // 5],
+              "inside-late": inside[-len(inside) // 5],
+              "boundary-early": boundary[len(boundary) // 5],
+              "boundary-late": boundary[-len(boundary) // 5],
+              "total-1": total - 1, "total": total, "total+1": total + 1}[where]
+    res = an.find_onan_exhaustive(unital_q5, budget=int(budget))
+    assert res.examined == min(budget, total)
+    assert res.complete == (budget >= total)
+    assert res.count == hit[:budget].sum()
+    assert np.array_equal(res.block_ids, full.block_ids[:res.count])
+    assert np.array_equal(res.point_ids, full.point_ids[:res.count])
+
+
+def test_exhaustive_peak_memory_q5(unital_q5):
+    idx = an.DesignIndex(unital_q5)
+    idx.common_point, idx.meets
+    tracemalloc.start()
+    try:
+        res = an.find_onan_exhaustive(unital_q5, index=idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result alone is 10.9 MiB; the per-b1 mask search peaked at 21.9 MiB
+    assert res.block_ids.nbytes + res.point_ids.nbytes < 11 * 2 ** 20
+    assert peak < 18 * 2 ** 20
+
+
+def test_design_index_bitsets_q3(unital_q3):
+    idx = an.DesignIndex(unital_q3)
+    B = idx.B
+
+    def unpack(bits):
+        assert bits.dtype == np.uint64 and bits.shape[1] == -(-B // 64)
+        cols = np.unpackbits(bits.view(np.uint8), axis=1, bitorder="little")
+        assert not cols[:, B:].any()
+        return cols[:, :B].astype(bool)
+
+    assert np.array_equal(unpack(idx.meets_bits), idx.meets)
+    assert np.array_equal(unpack(idx.after_bits), np.triu(np.ones((B, B), dtype=bool), 1))
+    through = np.zeros((idx.n, B), dtype=bool)
+    for b, row in enumerate(idx.block_points):
+        through[row, b] = True
+    assert np.array_equal(unpack(idx.avoid_bits), ~through)
+
+
+def test_design_index_refuses_q27_before_allocating(s729):
+    def table_bytes(q):
+        return 4 * ((q ** 4 - q ** 3 + q ** 2) ** 2 + (q ** 3 + 1) ** 2)
+
+    assert table_bytes(9) <= an.DESIGN_INDEX_MAX_BYTES < table_bytes(11)
+    plane = ShiftPlane(planar.albert(s729, 2))
+    u = un.build_parabolic_unital(plane, s729.choose_theta())
+    calls = (lambda: an.DesignIndex(u), lambda: an.find_onan_exhaustive(u),
+             lambda: an.wilbrink_vertex_check(u, plane.infinity_id),
+             lambda: an.invariant_profile(u),
+             lambda: an.DesignIndex(SimpleNamespace(q=81)))   # q alone decides
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        for call in calls:
+            with pytest.raises(UsageError, match="q <= 9"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 100 * 2 ** 20
+    assert "blocks" not in u.__dict__
 
 
 def test_explicit_construction_q5(unital_q5):

@@ -454,6 +454,15 @@ def test_plane_verify_albert27_exhaustive(capsys):
     assert "passed=True" in out
 
 
+
+@pytest.mark.parametrize("argv", [("wilbrink", "--point", "inf"),
+                                  ("onan", "find", "--exhaustive")])
+def test_design_index_commands_refuse_q27(capsys, argv):
+    code, out, err = run(capsys, *argv, "--p", "3", "--m", "6", "--spec", "albert:k=2")
+    assert code == 2 and out == ""
+    assert "usage error: DesignIndex needs" in err and "(q <= 9)" in err
+
+
 def test_plane_verify_q243_exhaustive_is_usage_error(capsys):
     code, out, err = run(capsys, "plane", "verify", "--p", "3", "--m", "10")
     assert code == 2 and out == ""

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitalforge import gf
 from unitalforge.errors import (
@@ -420,3 +421,61 @@ def test_small_field_split_form_is_the_addition_table():
     ctx = gf.field_new(3, 4)
     assert ctx.split_base == ctx.size and np.array_equal(ctx.add_hi, [0])
     assert np.array_equal(ctx.add_lo.reshape(ctx.size, ctx.size), ctx.add_table)
+
+
+# -- properties over small random fields ---------------------------------------
+
+# prime fields, extensions, and two fields past ADD_TABLE_MAX (split addition)
+SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (11, 1), (3, 2), (5, 2), (7, 2), (11, 2),
+                (3, 3), (5, 3), (3, 4), (3, 5), (3, 7), (7, 4)]
+
+
+@st.composite
+def field_elements(draw, k=3):
+    """A field from SMALL_FIELDS and k of its elements."""
+    ctx = gf.field_new(*draw(st.sampled_from(SMALL_FIELDS)))
+    return ctx, [draw(st.integers(0, ctx.size - 1)) for _ in range(k)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_elements())
+def test_field_associativity_property(field):
+    ctx, (a, b, c) = field
+    assert ctx.add(ctx.add(a, b), c) == ctx.add(a, ctx.add(b, c))
+    assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_elements())
+def test_field_distributivity_property(field):
+    ctx, (a, b, c) = field
+    assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
+    assert ctx.mul(ctx.add(a, b), c) == ctx.add(ctx.mul(a, c), ctx.mul(b, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_elements(k=2))
+def test_field_inverses_property(field):
+    ctx, (a, b) = field
+    assert ctx.add(a, ctx.neg(a)) == 0 and ctx.add(a, 0) == a
+    assert ctx.sub(ctx.add(a, b), b) == a
+    assert ctx.mul(a, 1) == a
+    if a:
+        assert ctx.mul(a, ctx.inv(a)) == 1
+    if b:
+        assert ctx.div(ctx.mul(a, b), b) == a
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_elements(k=2))
+def test_table_and_digit_paths_agree_property(field):
+    # addition by table (or split tables) against the base-p digits; the
+    # log-table product against the polynomial product mod the modulus
+    ctx, (a, b) = field
+    p = ctx.p
+    da, db = [int(d) for d in ctx.digits[a]], [int(d) for d in ctx.digits[b]]
+    assert ctx.add(a, b) == idx_of([(x + y) % p for x, y in zip(da, db)], p)
+    assert ctx.mul(a, b) == idx_of(poly_mul_mod(da, db, list(ctx.modulus), p), p)
+    pair = np.array([a, b])
+    assert np.array_equal(ctx.add(pair, pair[::-1]), [ctx.add(a, b)] * 2)
+    assert np.array_equal(ctx.mul(pair, pair[::-1]), [ctx.mul(a, b)] * 2)

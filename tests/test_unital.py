@@ -277,6 +277,20 @@ def test_polarity_square_q3(plane_q3):
     assert rep.passed and rep.absolute_points == 28
 
 
+
+@pytest.mark.parametrize("kind", ["frobq", "conjxi"])
+@pytest.mark.parametrize("which", ["square-q3", "square-q5", "cm-q9", "albert-q27"])
+def test_correlation_squared_is_identity(kind, which, plane_q3, plane_q5, plane_cm81,
+                                         s729):
+    planes = {"square-q3": plane_q3, "square-q5": plane_q5, "cm-q9": plane_cm81}
+    plane = planes[which] if which in planes else ShiftPlane(planar.albert(s729, 2))
+    bar = un.InvolutionSpec(kind).table(plane)
+    ids = np.arange(plane.n_points, dtype=np.int64)       # every point and line ID
+    image = un._correlation(plane, bar, ids)
+    assert not np.array_equal(image, ids)
+    assert np.array_equal(un._correlation(plane, bar, image), ids)
+
+
 def test_conjxi_involution_table(s9):
     kappa = un.InvolutionSpec("conjxi")
     plane = ShiftPlane(planar.square(s9))
