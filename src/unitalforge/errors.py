@@ -21,6 +21,13 @@ def require_trials(trials: int) -> None:
         raise UsageError(f"sampled mode needs at least 1 trial, got {trials}")
 
 
+def require_mode(mode: str, allowed) -> None:
+    """A misspelt mode would silently run some other check; it is a
+    UsageError."""
+    if mode not in allowed:
+        raise UsageError(f"mode must be one of {', '.join(allowed)}, got {mode!r}")
+
+
 # --- field construction / arithmetic ---
 
 class NotPrime(UnitalForgeError):

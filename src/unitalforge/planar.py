@@ -24,7 +24,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import SpecConstraintViolated, UsageError, require_trials
+from .errors import SpecConstraintViolated, UsageError, require_mode, require_trials
 from .gf import ExtensionSplit
 
 __all__ = [
@@ -484,6 +484,7 @@ def check_planarity(spec: PlanarFunctionSpec, mode: str = "exhaustive",
     shift regardless of worker count, and `shifts_checked` counts it within
     all the shifts of the mode.
     """
+    require_mode(mode, ("exhaustive", "sampled"))
     ctx = spec.split.ctx
     N, P = ctx.size, ctx.split_base
     Q = N // P

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (AxiomViolation, EqualPoints, FamilyMismatch, UsageError,
-                     require_trials)
+                     require_mode, require_trials)
 from .planar import PlanarFunctionSpec, polarization
 
 __all__ = [
@@ -352,6 +352,7 @@ class ShiftPlane:
         pair (see _difference_solutions), so a sample costs at most N
         difference rows however many trials it has.
         """
+        require_mode(mode, ("exhaustive", "sampled"))
         if mode == "exhaustive":
             return self._verify_exhaustive()
         require_trials(trials)
@@ -573,22 +574,96 @@ def sigma_compose(g1: Sigma, g2: Sigma) -> Sigma:
 def verify_collineation(plane: ShiftPlane, g, mode: str = "exhaustive",
                         seed: int = 0, trials: int = 20000) -> bool:
     """Images of incident (point, line) pairs remain incident: every flag
-    in exhaustive mode, `trials` >= 1 seeded flags otherwise."""
-    def images_incident(pids, lids):
-        return plane.incident_many(g.apply_point(pids), g.apply_line(lids))
+    in exhaustive mode, `trials` >= 1 seeded flags in sampled mode.
 
-    return _first_failing_flag(plane, images_incident, mode, seed, trials)[0] is None
+    Exhaustive mode proves it by translation conjugation when it can, and
+    sweeps every flag otherwise (see _check_flags); either way the answer
+    is that of the sweep.
+    """
+    require_mode(mode, ("exhaustive", "sampled"))
+    return _check_flags(plane, g.apply_point, g.apply_line, False,
+                        mode, seed, trials)[0] is None
+
+
+def _check_flags(plane: ShiftPlane, on_points, on_lines, swaps: bool,
+                 mode: str, seed: int, trials: int):
+    """(the first flag whose image is not a flag, or None; the number of
+    flags checked) for a map given by its action on point IDs and on line
+    IDs.  A collineation (swaps False) sends flag (P, l) to (g P, g l); a
+    correlation (swaps True) sends points to lines and lines to points, so
+    its image of (P, l) is the flag (g l, g P).
+
+    Exhaustive mode first tries _proved_by_translations.  If that proof
+    holds, every flag holds and the count is that of the sweep; otherwise
+    _first_failing_flag sweeps as before, so a failing map gets the sweep's
+    witness.  Sampled mode always runs the seeded sample.
+    """
+    if swaps:
+        def holds(pids, lids):
+            return plane.incident_many(on_lines(lids), on_points(pids))
+    else:
+        def holds(pids, lids):
+            return plane.incident_many(on_points(pids), on_lines(lids))
+    if mode == "exhaustive" and _proved_by_translations(plane, on_points, on_lines,
+                                                        swaps, holds):
+        return None, plane.n_lines * (plane.N + 1)
+    return _first_failing_flag(plane, holds, mode, seed, trials)
+
+
+def _proved_by_translations(plane: ShiftPlane, on_points, on_lines, swaps: bool,
+                            holds) -> bool:
+    """True only if the map keeps every flag (docs/ORBITS.md, section 7).
+
+    (b) holds on the flags of L(0, 0), V(0) and L_inf, and (a) the map g
+    conjugates each unit-digit translation tau = tau(p^i, 0), tau(0, p^i)
+    to a translation tau': g(tau X) = tau'(g X) on every point and every
+    line ID, and every image is a valid ID.  tau' is read off the images
+    of (0, 0) and tau((0, 0)): two affine points for a collineation, two
+    graph lines for a correlation, whose tau' then acts on the swapped
+    kind.  The generators span the translations, each flag is a translate
+    of a flag on one of the three lines, and tau' keeps incidence, so (a)
+    and (b) cover every flag.  False means only that the proof failed, not
+    that a flag does.
+    """
+    N, ctx = plane.N, plane.ctx
+    reps = np.array([0, N * N, plane.at_infinity_id], dtype=np.int64)
+    if not holds(plane.points_on_lines(reps), reps[:, None]).all():
+        return False
+    zero = np.zeros(ctx.m, dtype=np.int64)
+    c, d = np.concatenate([ctx.pow_p, zero]), np.concatenate([zero, ctx.pow_p])
+    tau = Shift(plane, c[:, None], d[:, None])
+    base = np.asarray(on_points(np.concatenate([[0], c * N + d])))
+    if not ((base >= 0) & (base < N * N)).all():  # affine points, or graph lines for rho
+        return False
+    x, y = np.divmod(base, N)
+    if swaps:                               # L(a, b) -> L(a - c', b - d')
+        c2, d2 = ctx.sub(x[0], x[1:]), ctx.sub(y[0], y[1:])
+    else:                                   # (x, y) -> (x + c', y + d')
+        c2, d2 = ctx.sub(x[1:], x[0]), ctx.sub(y[1:], y[0])
+    prime = Shift(plane, c2[:, None], d2[:, None])
+    kinds = ((tau.apply_point, on_points, prime.apply_line if swaps else prime.apply_point),
+             (tau.apply_line, on_lines, prime.apply_point if swaps else prime.apply_line))
+    for move, act, move_image in kinds:
+        for ids in id_batches(plane.n_points, len(c)):
+            image = np.asarray(act(ids))
+            if image.min() < 0 or image.max() >= plane.n_points:
+                return False
+            moved = move(ids)
+            if not np.array_equal(np.asarray(act(moved.ravel())).reshape(moved.shape),
+                                  move_image(image)):
+                return False
+    return True
 
 
 def _first_failing_flag(plane: ShiftPlane, holds, mode: str, seed: int, trials: int):
     """(the first incident (point, line) pair at which holds(pids, lids) is
     False, or None; the number of pairs checked before it).
 
-    Exhaustive mode takes every flag: per id_batches block of lines, their
+    Exhaustive mode sweeps every flag: per id_batches block of lines, their
     points_on_lines rows with the line IDs as a column, which broadcast, so
-    holds maps each line once.  Any other mode takes `trials` seeded
-    sample_flags.  verify_collineation and unital.verify_polarity run their
-    flag checks here.
+    holds maps each line once.  Sampled mode takes `trials` seeded
+    sample_flags.  _check_flags falls back on this sweep whenever its proof
+    fails; the tests use it as the reference for that proof.
     """
     if mode == "exhaustive":
         batches = ((plane.points_on_lines(lids), lids[:, None])

@@ -46,9 +46,10 @@ from .errors import (
     SwitchMismatch,
     UsageError,
     ZeroTheta,
+    require_mode,
     require_trials,
 )
-from .plane import BATCH, Gamma, Shift, ShiftPlane, Sigma, _first_failing_flag, id_batches
+from .plane import BATCH, Gamma, Shift, ShiftPlane, Sigma, _check_flags, id_batches
 
 __all__ = [
     "Unital",
@@ -624,6 +625,7 @@ def verify_unital_embedded(unital: Unital, mode: str = "exhaustive",
     seeded sample of at least `trials` lines covering all three kinds and
     the tangent pencils of a point sample.
     """
+    require_mode(mode, ("exhaustive", "sampled"))
     plane, q = unital.plane, unital.q
     if mode == "exhaustive":
         counts, tangents_per_point = unital._line_pass
@@ -792,9 +794,13 @@ def verify_polarity(plane: ShiftPlane, kappa: InvolutionSpec,
     """rho: (x,y) <-> L(conj x, conj y), (a) <-> V(conj a), inf <-> L_inf.
 
     Checks the three admissibility conditions, rho^2 = id on all points,
-    incidence reversal (exhaustive for q <= 9, seeded sample otherwise),
-    and that the absolute points number exactly q^3 + 1.
+    incidence reversal, and that the absolute points number exactly
+    q^3 + 1.  Mode "auto" is exhaustive for q <= 9 and sampled otherwise.
+    Exhaustive reversal is proved by translation conjugation, with the
+    flag sweep and its first unreversed flag as the fallback
+    (plane._check_flags); sampled mode checks `trials` seeded flags.
     """
+    require_mode(mode, ("auto", "exhaustive", "sampled"))
     N, q = plane.N, plane.split.sub_size
     bar = _polarity_precheck(plane, kappa)
     NN = N * N
@@ -810,11 +816,7 @@ def verify_polarity(plane: ShiftPlane, kappa: InvolutionSpec,
         raise NotPolarity("correlation square is not the identity")
     if mode == "auto":
         mode = "exhaustive" if q <= 9 else "sampled"
-
-    def reversed_incident(pids, lids):
-        return plane.incident_many(rho(lids), rho(pids))
-
-    flag, checked = _first_failing_flag(plane, reversed_incident, mode, seed, trials)
+    flag, checked = _check_flags(plane, rho, rho, True, mode, seed, trials)
     if flag is not None:
         raise NotPolarity(f"incidence not reversed at ({flag[0]}, {flag[1]})")
     absolute = absolute_point_ids(plane, kappa)

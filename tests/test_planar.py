@@ -94,6 +94,12 @@ def test_sampled_planarity_needs_a_trial(trials, s9):
         planar.check_planarity(cube, mode="sampled", trials=trials)
 
 
+def test_unknown_planarity_mode_is_a_usage_error(s9):
+    # a misspelt mode used to sample and pass the non-planar cube
+    with pytest.raises(UsageError, match="mode must be one of"):
+        planar.check_planarity(planar.custom(s9, [(3, 1)]), mode="bogus")
+
+
 def test_workers_agree_on_witness(s9):
     cube = planar.custom(s9, [(3, 1)])
     w1 = planar.check_planarity(cube, workers=1).witness

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -238,6 +239,150 @@ def test_sampled_collineation_needs_a_trial(trials, plane_q3):
 def test_sampled_axioms_need_a_trial(trials, plane_q3):
     with pytest.raises(UsageError, match="at least 1 trial"):
         plane_q3.verify_projective_plane(mode="sampled", trials=trials)
+
+
+# -- exhaustive flag checks by translation conjugation ---------------------------
+
+def _sweep(P, g):
+    """The reference: every flag swept, (first failing flag or None, count)."""
+    def holds(pids, lids):
+        return P.incident_many(g.apply_point(pids), g.apply_line(lids))
+    return plane_mod._first_failing_flag(P, holds, "exhaustive", 0, 1)
+
+
+def _checked(P, g):
+    return plane_mod._check_flags(P, g.apply_point, g.apply_line, False, "exhaustive", 0, 1)
+
+
+def _conjugation_planes(s9, s25, s81):
+    """Square q=3 and 5, cm q=9, and a Dembowski-Ostrom F_81 that is no
+    power map."""
+    return [ShiftPlane(planar.square(s9)), ShiftPlane(planar.square(s25)),
+            ShiftPlane(planar.coulter_matthews(s81, 3)), ShiftPlane(planar.dickson(s81, 1))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(which=st.integers(0, 3), kind=st.sampled_from(["shift", "gamma", "sigma"]),
+       params=st.tuples(*[st.integers(0, 10 ** 6)] * 3))
+def test_exhaustive_collineation_matches_sweep(which, kind, params, s9, s25, s81):
+    P = _conjugation_planes(s9, s25, s81)[which]
+    assume(kind != "gamma" or P.spec.is_power_map)
+    assume(kind != "sigma" or P.spec.is_dembowski_ostrom)
+    u, v, w = (x % P.N for x in params)
+    g = {"shift": lambda: Shift(P, u, v), "gamma": lambda: Gamma(P, 1 + u % (P.N - 1), v),
+         "sigma": lambda: Sigma(P, u, v, w)}[kind]()
+    reference = _sweep(P, g)
+    assert _checked(P, g) == reference
+    assert verify_collineation(P, g) is (reference[0] is None)
+
+
+class _Transposed:
+    """A Shift whose point images of a and b are swapped: no collineation."""
+
+    def __init__(self, g, a, b):
+        self.g, self.a, self.b = g, a, b
+        self.apply_line = g.apply_line
+
+    def apply_point(self, pid):
+        image = np.asarray(self.g.apply_point(pid))
+        return np.where(image == self.a, self.b, np.where(image == self.b, self.a, image))
+
+
+class _Split:
+    """Points moved by one translation, lines by another: both conjugate
+    every translation to itself, yet most flags break."""
+
+    def __init__(self, P, points, lines):
+        self.apply_point = Shift(P, *points).apply_point
+        self.apply_line = Shift(P, *lines).apply_line
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_transposition_gets_the_sweeps_witness(which, s9, s25, s81):
+    P = _conjugation_planes(s9, s25, s81)[which]
+    NN = P.N ** 2
+    for a, b in ((3, 2 * P.N + 5), (7, NN + 1), (NN + 2, P.infinity_id),
+                 (0, P.infinity_id)):
+        g = _Transposed(Shift(P, 4, 1), a, b)
+        reference = _sweep(P, g)
+        assert reference[0] is not None
+        assert _checked(P, g) == reference
+        assert not verify_collineation(P, g)
+
+
+@pytest.mark.parametrize("which", [0, 2])
+def test_representative_flags_are_needed(which, s9, s25, s81):
+    # the conjugation part alone would accept this map; the flags of
+    # L(0, 0), V(0) and L_inf reject it, and the sweep gives the witness
+    P = _conjugation_planes(s9, s25, s81)[which]
+    g = _Split(P, (1, 2), (1, 3))
+    assert plane_mod._proved_by_translations(
+        P, g.apply_point, g.apply_line, False, lambda p, l: np.ones(np.broadcast(p, l).shape, bool))
+    reference = _sweep(P, g)
+    assert reference[0] is not None and _checked(P, g) == reference
+
+
+def test_sweep_runs_only_after_a_failed_proof(plane_q3, plane_cm81, monkeypatch):
+    from unitalforge import unital as un
+
+    calls = []
+    real = plane_mod._first_failing_flag
+
+    def spy(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(plane_mod, "_first_failing_flag", spy)
+    for P in (plane_q3, plane_cm81):
+        assert verify_collineation(P, Shift(P, 5, 2))
+        assert verify_collineation(P, Gamma(P, 2, 1))
+        assert un.verify_polarity(P, un.InvolutionSpec("frobq"), mode="exhaustive").passed
+    assert verify_collineation(plane_q3, Sigma(plane_q3, 1, 2, 3))
+    assert calls == []
+    assert verify_collineation(plane_q3, Shift(plane_q3, 5, 2), mode="sampled")
+    assert not verify_collineation(plane_q3, _broken_map(plane_q3))
+    assert calls == ["sampled", "exhaustive"]
+
+
+def _scale_check(run):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        result = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 5
+    assert peak < 64 * 2 ** 20
+    return result
+
+
+@pytest.mark.parametrize("kind", ["shift", "sigma"])
+def test_exhaustive_collineation_albert27(kind, s729):
+    # the sweep would visit 3.9e8 flags; the proof maps 12 generators
+    P = _albert27(s729)
+    g = Shift(P, 5, 11) if kind == "shift" else Sigma(P, 5, 11, 7)
+    assert _scale_check(lambda: verify_collineation(P, g))
+
+
+def test_exhaustive_polarity_albert27(s729):
+    from unitalforge import unital as un
+
+    P = _albert27(s729)
+    report = _scale_check(lambda: un.verify_polarity(P, un.InvolutionSpec("frobq"),
+                                                     mode="exhaustive"))
+    assert report == un.PolarityReport(True, "exhaustive", 27 ** 3 + 1,
+                                       P.n_lines * (P.N + 1))
+
+
+@pytest.mark.parametrize("call", ["collineation", "axioms"])
+def test_unknown_mode_is_a_usage_error(call, plane_q3):
+    # a misspelt mode used to run the sampled check and pass
+    with pytest.raises(UsageError, match="mode must be one of"):
+        if call == "collineation":
+            verify_collineation(plane_q3, Shift(plane_q3, 1, 1), mode="exhuastive")
+        else:
+            plane_q3.verify_projective_plane("bogus")
 
 
 # -- batch incidence ------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitalforge import analysis as an, gf, planar, unital as un
+from unitalforge import analysis as an, gf, planar, plane as plane_mod, unital as un
 from unitalforge.errors import (
     ConditionBFailed,
     CountViolation,
@@ -345,19 +345,31 @@ def test_cm_polarity(plane_cm81):
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
 def test_polarity_witness_is_first_unreversed_flag(mode, plane_q3, monkeypatch):
-    # incidences with the images of L(2, 5) and V(4) read False: the witness
-    # is the first flag on either line, lines ascending then points, or in
-    # sample order
+    # flags on L(2, 5) and V(4) are not reversed: the witness is the first
+    # flag on either line, lines ascending then points, or in sample order
     P, kappa = plane_q3, un.InvolutionSpec("frobq")
-    bar = kappa.table(P)
-    images = [P.affine_id(int(bar[2]), int(bar[5])), P.slope_id(int(bar[4]))]
     lines = [P.shifted_id(2, 5), P.vertical_id(4)]
-    real = ShiftPlane.incident_many
-    monkeypatch.setattr(ShiftPlane, "incident_many",
-                        lambda self, p, l: real(self, p, l) & ~np.isin(p, images))
     if mode == "exhaustive":
+        # the correlation sends both lines to infinity, which lies on no
+        # image of their affine points.  The fault sits in the map: faults
+        # in incident_many itself are not reachable, since translations
+        # keep the incidence equation, and the proof by them rests on that
+        real = un._check_flags
+
+        def faulty(plane, on_points, on_lines, *rest):
+            def wrong_lines(ids):
+                return np.where(np.isin(ids, lines), P.infinity_id, on_lines(ids))
+            return real(plane, on_points, wrong_lines, *rest)
+
+        monkeypatch.setattr(un, "_check_flags", faulty)
         flag = (int(P.points_on_line(lines[0])[0]), lines[0])
     else:
+        # incidences with the images of the two lines read False
+        bar = kappa.table(P)
+        images = [P.affine_id(int(bar[2]), int(bar[5])), P.slope_id(int(bar[4]))]
+        real = ShiftPlane.incident_many
+        monkeypatch.setattr(ShiftPlane, "incident_many",
+                            lambda self, p, l: real(self, p, l) & ~np.isin(p, images))
         pids, lids = P.sample_flags(np.random.default_rng(4), 300)
         k = int(np.argmax(np.isin(lids, lines)))
         flag = (int(pids[k]), int(lids[k]))
@@ -365,11 +377,37 @@ def test_polarity_witness_is_first_unreversed_flag(mode, plane_q3, monkeypatch):
         un.verify_polarity(P, kappa, mode=mode, seed=4, trials=300)
 
 
+@pytest.mark.parametrize("kind", ["frobq", "conjxi"])
+@pytest.mark.parametrize("which", ["square-q3", "square-q5", "cm-q9", "dickson-q9"])
+def test_exhaustive_polarity_matches_sweep(kind, which, plane_q3, plane_q5, plane_cm81,
+                                           s81):
+    planes = {"square-q3": plane_q3, "square-q5": plane_q5, "cm-q9": plane_cm81}
+    P = planes[which] if which in planes else ShiftPlane(planar.dickson(s81, 1))
+    kappa = un.InvolutionSpec(kind)
+    bar = kappa.table(P)
+
+    def reversed_incident(pids, lids):
+        return P.incident_many(un._correlation(P, bar, lids), un._correlation(P, bar, pids))
+
+    flag, checked = plane_mod._first_failing_flag(P, reversed_incident, "exhaustive", 0, 1)
+    assert flag is None
+    reference = un.PolarityReport(True, "exhaustive",
+                                  len(un.absolute_point_ids(P, kappa)), checked)
+    assert un.verify_polarity(P, kappa) == reference
+    assert un.verify_polarity(P, kappa, mode="exhaustive") == reference
+
+
 @pytest.mark.parametrize("trials", [0, -2])
 def test_sampled_polarity_needs_a_trial(trials, plane_q3):
     with pytest.raises(UsageError, match="at least 1 trial"):
         un.verify_polarity(plane_q3, un.InvolutionSpec("frobq"), mode="sampled",
                            trials=trials)
+
+
+def test_unknown_polarity_mode_is_a_usage_error(plane_q3):
+    # a misspelt mode used to run the sampled check and report mode='bogus'
+    with pytest.raises(UsageError, match="mode must be one of"):
+        un.verify_polarity(plane_q3, un.InvolutionSpec("frobq"), mode="bogus")
 
 
 # -- duality, ovals, scaling orbits --------------------------------------------
@@ -831,6 +869,11 @@ def test_tampered_parabolic_file_rejected(unital_q5, tmp_path):
 def test_sampled_embedded_needs_a_trial(trials, unital_q3):
     with pytest.raises(UsageError, match="at least 1 trial"):
         un.verify_unital_embedded(unital_q3, mode="sampled", trials=trials)
+
+
+def test_unknown_embedded_mode_is_a_usage_error(unital_q3):
+    with pytest.raises(UsageError, match="mode must be one of"):
+        un.verify_unital_embedded(unital_q3, mode="bogus")
 
 
 def test_ovals_of_tampered_parabolic_file_rejected(unital_q3, tmp_path):
