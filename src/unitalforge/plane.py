@@ -581,49 +581,46 @@ def verify_collineation(plane: ShiftPlane, g, mode: str = "exhaustive",
     is that of the sweep.
     """
     require_mode(mode, ("exhaustive", "sampled"))
-    return _check_flags(plane, g.apply_point, g.apply_line, False,
+
+    def images_incident(pids, lids):
+        return plane.incident_many(g.apply_point(pids), g.apply_line(lids))
+
+    return _check_flags(plane, g.apply_point, g.apply_line, images_incident,
                         mode, seed, trials)[0] is None
 
 
-def _check_flags(plane: ShiftPlane, on_points, on_lines, swaps: bool,
-                 mode: str, seed: int, trials: int):
-    """(the first flag whose image is not a flag, or None; the number of
-    flags checked) for a map given by its action on point IDs and on line
-    IDs.  A collineation (swaps False) sends flag (P, l) to (g P, g l); a
-    correlation (swaps True) sends points to lines and lines to points, so
-    its image of (P, l) is the flag (g l, g P).
+def _check_flags(plane: ShiftPlane, on_points, on_lines, holds, mode: str,
+                 seed: int, trials: int):
+    """(the first flag at which holds(pids, lids) is False, or None; the
+    number of flags checked) for a map given by its action on point IDs
+    and on line IDs.  holds tests the images of a flag for incidence:
+    incident_many(on_points(P), on_lines(l)) for a collineation, and with
+    the arguments the other way round for a correlation, which sends
+    points to line IDs and lines to point IDs.  Incidence is symmetric in
+    IDs (see ShiftPlane.lines_through_point), so both read the same.
 
     Exhaustive mode first tries _proved_by_translations.  If that proof
     holds, every flag holds and the count is that of the sweep; otherwise
     _first_failing_flag sweeps as before, so a failing map gets the sweep's
     witness.  Sampled mode always runs the seeded sample.
     """
-    if swaps:
-        def holds(pids, lids):
-            return plane.incident_many(on_lines(lids), on_points(pids))
-    else:
-        def holds(pids, lids):
-            return plane.incident_many(on_points(pids), on_lines(lids))
-    if mode == "exhaustive" and _proved_by_translations(plane, on_points, on_lines,
-                                                        swaps, holds):
+    if mode == "exhaustive" and _proved_by_translations(plane, on_points, on_lines, holds):
         return None, plane.n_lines * (plane.N + 1)
     return _first_failing_flag(plane, holds, mode, seed, trials)
 
 
-def _proved_by_translations(plane: ShiftPlane, on_points, on_lines, swaps: bool,
-                            holds) -> bool:
+def _proved_by_translations(plane: ShiftPlane, on_points, on_lines, holds) -> bool:
     """True only if the map keeps every flag (docs/ORBITS.md, section 7).
 
     (b) holds on the flags of L(0, 0), V(0) and L_inf, and (a) the map g
     conjugates each unit-digit translation tau = tau(p^i, 0), tau(0, p^i)
-    to a translation tau': g(tau X) = tau'(g X) on every point and every
-    line ID, and every image is a valid ID.  tau' is read off the images
-    of (0, 0) and tau((0, 0)): two affine points for a collineation, two
-    graph lines for a correlation, whose tau' then acts on the swapped
-    kind.  The generators span the translations, each flag is a translate
-    of a flag on one of the three lines, and tau' keeps incidence, so (a)
-    and (b) cover every flag.  False means only that the proof failed, not
-    that a flag does.
+    to the translation tau' = tau(x1 - x0, y1 - y0): g(tau X) = tau'(g X)
+    on every point and every line ID, and every image is a valid ID.
+    (x0, y0) and (x1, y1) are the IDs of g(0, 0) and g(tau(0, 0)), which
+    must be below N^2.  The generators span the translations, each flag is
+    a translate of a flag on one of the three lines, and tau' keeps
+    incidence, so (a) and (b) cover every flag.  False means only that the
+    proof failed, not that a flag does.
     """
     N, ctx = plane.N, plane.ctx
     reps = np.array([0, N * N, plane.at_infinity_id], dtype=np.int64)
@@ -633,17 +630,12 @@ def _proved_by_translations(plane: ShiftPlane, on_points, on_lines, swaps: bool,
     c, d = np.concatenate([ctx.pow_p, zero]), np.concatenate([zero, ctx.pow_p])
     tau = Shift(plane, c[:, None], d[:, None])
     base = np.asarray(on_points(np.concatenate([[0], c * N + d])))
-    if not ((base >= 0) & (base < N * N)).all():  # affine points, or graph lines for rho
+    if not ((base >= 0) & (base < N * N)).all():
         return False
     x, y = np.divmod(base, N)
-    if swaps:                               # L(a, b) -> L(a - c', b - d')
-        c2, d2 = ctx.sub(x[0], x[1:]), ctx.sub(y[0], y[1:])
-    else:                                   # (x, y) -> (x + c', y + d')
-        c2, d2 = ctx.sub(x[1:], x[0]), ctx.sub(y[1:], y[0])
-    prime = Shift(plane, c2[:, None], d2[:, None])
-    kinds = ((tau.apply_point, on_points, prime.apply_line if swaps else prime.apply_point),
-             (tau.apply_line, on_lines, prime.apply_point if swaps else prime.apply_line))
-    for move, act, move_image in kinds:
+    prime = Shift(plane, ctx.sub(x[1:], x[0])[:, None], ctx.sub(y[1:], y[0])[:, None])
+    for move, act, move_image in ((tau.apply_point, on_points, prime.apply_point),
+                                  (tau.apply_line, on_lines, prime.apply_line)):
         for ids in id_batches(plane.n_points, len(c)):
             image = np.asarray(act(ids))
             if image.min() < 0 or image.max() >= plane.n_points:

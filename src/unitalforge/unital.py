@@ -816,7 +816,11 @@ def verify_polarity(plane: ShiftPlane, kappa: InvolutionSpec,
         raise NotPolarity("correlation square is not the identity")
     if mode == "auto":
         mode = "exhaustive" if q <= 9 else "sampled"
-    flag, checked = _check_flags(plane, rho, rho, True, mode, seed, trials)
+
+    def reversed_incident(pids, lids):
+        return plane.incident_many(rho(lids), rho(pids))
+
+    flag, checked = _check_flags(plane, rho, rho, reversed_incident, mode, seed, trials)
     if flag is not None:
         raise NotPolarity(f"incidence not reversed at ({flag[0]}, {flag[1]})")
     absolute = absolute_point_ids(plane, kappa)

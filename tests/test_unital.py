@@ -356,10 +356,14 @@ def test_polarity_witness_is_first_unreversed_flag(mode, plane_q3, monkeypatch):
         # keep the incidence equation, and the proof by them rests on that
         real = un._check_flags
 
-        def faulty(plane, on_points, on_lines, *rest):
+        def faulty(plane, on_points, on_lines, holds, *rest):
             def wrong_lines(ids):
                 return np.where(np.isin(ids, lines), P.infinity_id, on_lines(ids))
-            return real(plane, on_points, wrong_lines, *rest)
+
+            def wrong_holds(pids, lids):
+                return holds(pids, lids) & plane.incident_many(wrong_lines(lids),
+                                                               on_points(pids))
+            return real(plane, on_points, wrong_lines, wrong_holds, *rest)
 
         monkeypatch.setattr(un, "_check_flags", faulty)
         flag = (int(P.points_on_line(lines[0])[0]), lines[0])
