@@ -356,9 +356,10 @@ def wilbrink_vertex_check(unital: Unital, point_id: int, strong: bool = True,
     two blocks share at most one point).  A point_id off the unital, or
     outside [0, n_points), is a UsageError.
     """
-    if not 0 <= point_id < unital.plane.n_points or unital.point_rank[point_id] < 0:
+    # the rank by search: unital.point_rank is a table over every plane point
+    v = int(np.searchsorted(unital.points, point_id))
+    if v == len(unital.points) or unital.points[v] != point_id:
         raise UsageError(f"point {point_id} not in the unital")
-    v = int(unital.point_rank[point_id])
     idx = index or DesignIndex(unital)
     n_blocks = idx.B
     satisfied = 0
@@ -439,7 +440,14 @@ def find_onan_through_infinity(unital: Unital, max_configs: int = 64):
 
     One exists iff circles C(a, beta) and C(0, beta') share >= 3 elements
     for some a != 0 (translation reduces the second circle's shift to 0).
-    Returns (list of verified configs, list of raw circle-pair hits).
+    Returns (list of verified configs, list of raw circle-pair hits
+    (a, beta, beta', |C(a, beta) & C(0, beta')|) as tuples of ints).
+
+    x lies in C(a, beta_s) & C(0, beta_t) iff R[a, x] = s and R[0, x] = t
+    for the rank table R of _circle_table, so one bincount of the keys
+    (a*q + R[a, x])*q + R[0, x] gives every intersection size at once.
+    With the a = 0 and rank-0 slices zeroed, the hits are the keys with
+    count >= 3 in (a, beta, beta') order.
 
     Every hit is recorded, but configurations are assembled only until
     `max_configs` of them are found: with the default cap of 64 the
@@ -448,40 +456,32 @@ def find_onan_through_infinity(unital: Unital, max_configs: int = 64):
     once the cap is lifted.  Raises ProvenanceMismatch when the points are
     not the parabolic set of the unital's theta.
     """
-    plane = unital.plane
-    ctx, split, N, q = plane.ctx, plane.split, plane.N, unital.q
-    phi = _checked_phi(unital)
-    theta = unital.theta
-    X = np.arange(N, dtype=np.int64)
-    nonzero_betas = [int(b) for b in split.sub_elements[1:]]
-    base = {bp: np.flatnonzero(phi == bp) for bp in nonzero_betas}
+    plane, q, N = unital.plane, unital.q, unital.plane.N
+    ctx, betas = plane.ctx, plane.split.sub_elements
+    R = _circle_table(unital)[0]
+    keys = (np.arange(N)[:, None] * q + R) * q + R[0]
+    meet = np.bincount(keys.ravel(), minlength=N * q * q).reshape(N, q, q)
+    meet[0], meet[:, 0], meet[:, :, 0] = 0, 0, 0
+    A, S, T = np.nonzero(meet >= 3)
+    hits = list(zip(A.tolist(), betas[S].tolist(), betas[T].tolist(),
+                    meet[A, S, T].tolist()))
     configs: list[OnanConfig] = []
     seen_blocks = set()
-    hits = []
-    # smallest b with beta(b) = beta, per beta (block representative)
-    beta_all = np.asarray(beta_of(plane, theta, X))
-    rep_b = {bp: int(np.flatnonzero(beta_all == bp)[0]) for bp in nonzero_betas}
-    for a in range(1, N):
-        shifted = ctx.translate(phi, a)
-        for beta in nonzero_betas:
-            members = np.flatnonzero(shifted == beta)
-            for beta_p in nonzero_betas:
-                common = np.intersect1d(members, base[beta_p], assume_unique=True)
-                if len(common) < 3:
-                    continue
-                hits.append((a, beta, beta_p, len(common)))
-                if len(configs) >= max_configs:
-                    continue
-                u, v, w = (int(c) for c in common[:3])
-                b = rep_b[beta]
-                # block through (u, f(u+a)-b) with first index 0
-                d_p = ctx.sub(ctx.add(int(plane.f[u]), b), int(plane.f[ctx.add(u, a)]))
-                lids = [plane.vertical_id(v), plane.vertical_id(w),
-                        plane.shifted_id(a, b), plane.shifted_id(0, int(d_p))]
-                cfg = onan_from_blocks(unital, lids)
-                if cfg is not None and cfg.blocks not in seen_blocks:
-                    seen_blocks.add(cfg.blocks)
-                    configs.append(cfg)
+    beta_all = np.asarray(beta_of(plane, unital.theta, np.arange(N)))
+    for a, s, t in zip(A.tolist(), S.tolist(), T.tolist()):
+        if len(configs) >= max_configs:
+            break
+        u, v, w = np.flatnonzero((R[a] == s) & (R[0] == t))[:3].tolist()
+        # smallest b with beta(b) = beta (block representative)
+        b = int(np.flatnonzero(beta_all == betas[s])[0])
+        # block through (u, f(u+a)-b) with first index 0
+        d_p = ctx.sub(ctx.add(int(plane.f[u]), b), int(plane.f[ctx.add(u, a)]))
+        lids = [plane.vertical_id(v), plane.vertical_id(w),
+                plane.shifted_id(a, b), plane.shifted_id(0, int(d_p))]
+        cfg = onan_from_blocks(unital, lids)
+        if cfg is not None and cfg.blocks not in seen_blocks:
+            seen_blocks.add(cfg.blocks)
+            configs.append(cfg)
     return configs, hits
 
 
@@ -540,21 +540,20 @@ def construct_onan_explicit(unital: Unital, a_v: int | None = None,
     theta = unital.theta
     inv_theta = ctx.inv(theta)
     four = 4 % ctx.p
-    cand_pairs = ([(int(a_v), int(a_w))] if a_v is not None and a_w is not None
-                  else [(int(av), int(aw)) for av in sub_elems[1:]
-                        for aw in sub_elems[1:]])
-    for av, aw in cand_pairs:
-        if av == aw or av == ctx.mul(omega, aw):
-            continue
-        diff = ctx.sub(av, aw)
-        t_u = ctx.mul(ctx.mul(ctx.mul(four, aw), ctx.mul(int(diff), omega)), inv_theta)
-        t_v = ctx.mul(ctx.mul(ctx.mul(four, av), int(diff)), inv_theta)
-        if not (split.in_subfield(int(t_u)) and split.in_subfield(int(t_v))):
-            continue
-        if t_u == t_v or t_u == 0 or t_v == 0:
-            continue
-        cfg = _assemble_template(unital, k, omega, int(av), int(aw),
-                                 int(t_u), int(t_v))
+    if a_v is not None and a_w is not None:
+        av, aw = np.array([int(a_v)]), np.array([int(a_w)])
+    else:
+        av, aw = (g.ravel() for g in np.meshgrid(sub_elems[1:], sub_elems[1:],
+                                                 indexing="ij"))
+    diff = ctx.sub(av, aw)
+    t_u = ctx.mul(ctx.mul(ctx.mul(four, aw), ctx.mul(diff, omega)), inv_theta)
+    t_v = ctx.mul(ctx.mul(ctx.mul(four, av), diff), inv_theta)
+    admissible = ((av != aw) & (av != ctx.mul(omega, aw))
+                  & split.in_subfield(t_u) & split.in_subfield(t_v)
+                  & (t_u != t_v) & (t_u != 0) & (t_v != 0))
+    for i in np.flatnonzero(admissible).tolist():
+        cfg = _assemble_template(unital, k, omega, int(av[i]), int(aw[i]),
+                                 int(t_u[i]), int(t_v[i]))
         if cfg is not None:
             return cfg
     raise WitnessCheckFailed(

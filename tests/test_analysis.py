@@ -1,6 +1,7 @@
 import hashlib
 import time
 import tracemalloc
+from math import gcd
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +26,7 @@ Q3_CLASSICAL_ONAN = 0
 CM81_THROUGH_INF_CONFIGS = 64      # the default max_configs cap, not a count
 CM81_THROUGH_INF_HITS = 288        # circle hits: every one, whatever the cap
 CM81_THROUGH_INF_ALL_CONFIGS = 288
+ALBERT27_THROUGH_INF_HITS = 39312  # circle hits of the per-(a, beta, beta') loop
 
 
 # -- delta and circles --------------------------------------------------------
@@ -214,19 +216,23 @@ def _reference_circles(u, phi):
             for a in range(N) for beta in split.sub_elements[1:]]
 
 
+def _random_phis(u):
+    """Seeded perturbations of phi: one to four entries set to random field
+    elements (often outside F_q), or phi read through a random permutation."""
+    N, real = u.plane.N, un.phi_table(u.plane, u.theta)
+    rng = np.random.default_rng(u.q)
+    for trial in range(40):
+        phi = real.copy()
+        if trial % 4 == 3:
+            phi = phi[rng.permutation(N)]
+        else:
+            phi[rng.integers(0, N, trial % 4 + 1)] = rng.integers(0, N, trial % 4 + 1)
+        yield phi
+
+
 def test_circle_design_matches_reference_on_random_phi(unital_q3, unital_q5, monkeypatch):
-    # seeded perturbations of phi: one to four entries set to random field
-    # elements (often outside F_q), or phi read through a random permutation
-    real = an.phi_table
     for u in (unital_q3, unital_q5):
-        N = u.plane.N
-        rng = np.random.default_rng(u.q)
-        for trial in range(40):
-            phi = real(u.plane, u.theta).copy()
-            if trial % 4 == 3:
-                phi = phi[rng.permutation(N)]
-            else:
-                phi[rng.integers(0, N, trial % 4 + 1)] = rng.integers(0, N, trial % 4 + 1)
+        for phi in _random_phis(u):
             monkeypatch.setattr(an, "phi_table", lambda plane, theta, phi=phi: phi)
             assert an.verify_circle_design(u) == _reference_circle_design(u, phi)
             assert [(c.a, c.beta, c.members) for c in an.all_circles(u)] == \
@@ -319,6 +325,78 @@ def test_configs_through_infinity_cm81_uncapped(unital_cm81):
     for cfg in cfgs:
         assert inf in cfg.points
         assert an.onan_from_blocks(unital_cm81, cfg.blocks) == cfg
+
+
+def _reference_through_infinity(u, max_configs=64):
+    """The per-(a, beta, beta') intersect1d loop the circle-table bincount
+    replaced, kept as its oracle."""
+    plane = u.plane
+    ctx, N = plane.ctx, plane.N
+    phi = an._checked_phi(u)
+    betas = [int(b) for b in plane.split.sub_elements[1:]]
+    base = {bp: np.flatnonzero(phi == bp) for bp in betas}
+    beta_all = np.asarray(un.beta_of(plane, u.theta, np.arange(N)))
+    rep_b = {bp: int(np.flatnonzero(beta_all == bp)[0]) for bp in betas}
+    configs, seen_blocks, hits = [], set(), []
+    for a in range(1, N):
+        shifted = ctx.translate(phi, a)
+        for beta in betas:
+            members = np.flatnonzero(shifted == beta)
+            for beta_p in betas:
+                common = np.intersect1d(members, base[beta_p], assume_unique=True)
+                if len(common) < 3:
+                    continue
+                hits.append((a, beta, beta_p, len(common)))
+                if len(configs) >= max_configs:
+                    continue
+                u0, v, w = (int(c) for c in common[:3])
+                b = rep_b[beta]
+                d_p = ctx.sub(ctx.add(int(plane.f[u0]), b), int(plane.f[ctx.add(u0, a)]))
+                lids = [plane.vertical_id(v), plane.vertical_id(w),
+                        plane.shifted_id(a, b), plane.shifted_id(0, int(d_p))]
+                cfg = an.onan_from_blocks(u, lids)
+                if cfg is not None and cfg.blocks not in seen_blocks:
+                    seen_blocks.add(cfg.blocks)
+                    configs.append(cfg)
+    return configs, hits
+
+
+@pytest.mark.parametrize("cap", [64, 10 ** 6])
+def test_through_infinity_matches_reference(cap, unital_q3, unital_q5, unital_cm81):
+    for u in (unital_q3, unital_q5, unital_cm81):
+        assert an.find_onan_through_infinity(u, cap) == _reference_through_infinity(u, cap)
+
+
+def test_through_infinity_matches_reference_on_broken_phi(unital_q3, unital_q5, monkeypatch):
+    # ranks outside F_q, broken circle sizes, repeated circles: every hit and
+    # every configuration the loop finds, under a small cap and none
+    for u in (unital_q3, unital_q5):
+        patches = [patch(un.phi_table(u.plane, u.theta))
+                   for patch in _phi_patches(u.plane.split).values()]
+        found = 0
+        for phi in [*patches, *_random_phis(u)]:
+            monkeypatch.setattr(an, "phi_table", lambda plane, theta, phi=phi: phi)
+            for cap in (2, 10 ** 6):
+                got = an.find_onan_through_infinity(u, cap)
+                assert got == _reference_through_infinity(u, cap)
+            found += len(got[1])
+        assert found > 0
+
+
+def test_configs_through_infinity_albert27(s729):
+    u = un.build_parabolic_unital(ShiftPlane(planar.albert(s729, 2)), s729.choose_theta())
+    cfgs, hits = an.find_onan_through_infinity(u)
+    assert len(hits) == ALBERT27_THROUGH_INF_HITS
+    assert len(cfgs) == 64 == len({cfg.blocks for cfg in cfgs})
+    inf = u.plane.infinity_id
+    for cfg in cfgs:
+        assert inf in cfg.points
+        assert an.onan_from_blocks(u, cfg.blocks) == cfg
+    # the counts against the single-row circle formula, on a seeded sample
+    for i in np.random.default_rng(27).choice(len(hits), 20, replace=False):
+        a, beta, beta_p, count = hits[i]
+        common = set(an.circle(u, a, beta).members) & set(an.circle(u, 0, beta_p).members)
+        assert count == len(common) >= 3
 
 
 def test_exhaustive_counts_q3(unital_q3, classical_q3):
@@ -558,6 +636,29 @@ def test_design_index_refuses_q27_before_allocating(s729):
     assert "blocks" not in u.__dict__
 
 
+def test_wilbrink_refuses_q81_before_allocating():
+    # the rank of the point is found by search: a point_rank table over the
+    # 43 M points of the q=81 plane would be 332 MiB before the refusal
+    s = gf.split_new(gf.field_new(3, 8), 4)
+    plane = ShiftPlane(planar.square(s))
+    u = un.build_parabolic_unital(plane, s.choose_theta())
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        for pid in (plane.infinity_id, int(u.points[5])):
+            with pytest.raises(UsageError, match="q <= 9"):
+                an.wilbrink_vertex_check(u, pid)
+        for pid in (-1, int(u.points[5]) + 1, plane.n_points):
+            with pytest.raises(UsageError, match="not in the unital"):
+                an.wilbrink_vertex_check(u, pid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 100 * 2 ** 20
+    assert "point_rank" not in u.__dict__ and "blocks" not in u.__dict__
+
+
 def test_explicit_construction_q5(unital_q5):
     cfg = an.construct_onan_explicit(unital_q5)
     assert an.onan_from_blocks(unital_q5, cfg.blocks) == cfg
@@ -584,6 +685,76 @@ def test_explicit_construction_char3_obstruction(unital_q3, s729):
     ua = un.build_parabolic_unital(plane, s729.choose_theta())
     with pytest.raises(WitnessCheckFailed):
         an.construct_onan_explicit(ua)
+
+
+def _reference_template_pairs(u, pairs=None):
+    """The scalar candidate loop the array filter of construct_onan_explicit
+    replaced: every admissible (a_v, a_w, t_u, t_v), in order."""
+    plane = u.plane
+    ctx, split = plane.ctx, plane.split
+    k = 2 * split.sub_degree if plane.spec.family == "square" else plane.spec.k
+    omega = an._omega_root(ctx)
+    g = gcd(2 * split.sub_degree, k)
+    sub_elems = np.flatnonzero(
+        np.asarray(ctx.frobenius(np.arange(ctx.size, dtype=np.int64), g)) == np.arange(ctx.size))
+    inv_theta, four = ctx.inv(u.theta), 4 % ctx.p
+    if pairs is None:
+        pairs = [(int(av), int(aw)) for av in sub_elems[1:] for aw in sub_elems[1:]]
+    out = []
+    for av, aw in pairs:
+        if av == aw or av == ctx.mul(omega, aw):
+            continue
+        diff = ctx.sub(av, aw)
+        t_u = ctx.mul(ctx.mul(ctx.mul(four, aw), ctx.mul(int(diff), omega)), inv_theta)
+        t_v = ctx.mul(ctx.mul(ctx.mul(four, av), int(diff)), inv_theta)
+        if not (split.in_subfield(int(t_u)) and split.in_subfield(int(t_v))):
+            continue
+        if t_u == t_v or t_u == 0 or t_v == 0:
+            continue
+        out.append((av, aw, int(t_u), int(t_v)))
+    return out
+
+
+def _template_candidates(u, monkeypatch, *pair):
+    """The (a_v, a_w, t_u, t_v) construct_onan_explicit hands to
+    _assemble_template when every assembly fails, and the error it ends in."""
+    calls = []
+
+    def record(unital, k, omega, av, aw, t_u, t_v):
+        calls.append((av, aw, t_u, t_v))
+        return None
+
+    monkeypatch.setattr(an, "_assemble_template", record)
+    with pytest.raises(WitnessCheckFailed) as err:
+        an.construct_onan_explicit(u, *pair)
+    return calls, str(err.value)
+
+
+def test_explicit_candidates_match_scalar_loop(unital_q3, unital_q5, s81, s729, monkeypatch):
+    square9 = un.build_parabolic_unital(ShiftPlane(planar.square(s81)), s81.choose_theta())
+    albert27 = un.build_parabolic_unital(ShiftPlane(planar.albert(s729, 2)),
+                                         s729.choose_theta())
+    messages = {}
+    for u in (unital_q3, unital_q5, square9, albert27):
+        calls, messages[u.q] = _template_candidates(u, monkeypatch)
+        assert calls == _reference_template_pairs(u)
+        assert all(type(v) is int for c in calls for v in c)
+    # only q=5 lies outside the characteristic-3 obstruction
+    assert len(_reference_template_pairs(unital_q5)) > 0
+    assert messages[9] == ("no admissible (a_v, a_w) places the template points "
+                           "in the unital (subfield size 81, q 9)")
+
+
+def test_explicit_pair_argument_matches_scalar_loop(unital_q5, monkeypatch):
+    # zero included: with a_w = 0 only t_u != 0 rules the pair out
+    elems = range(unital_q5.plane.ctx.size)
+    for pair in [(av, aw) for av in elems for aw in elems]:
+        calls, _ = _template_candidates(unital_q5, monkeypatch, *pair)
+        assert calls == _reference_template_pairs(unital_q5, [pair])
+    monkeypatch.undo()
+    av, aw = _reference_template_pairs(unital_q5)[0][:2]
+    assert an.construct_onan_explicit(unital_q5, av, aw) == \
+        an.construct_onan_explicit(unital_q5)
 
 
 def test_explicit_construction_rejects_cm(unital_cm81):

@@ -138,6 +138,12 @@ def test_onan_find_through_infinity(capsys):
     assert code == 0 and "count=0" in out
 
 
+def test_onan_find_through_infinity_albert27(capsys):
+    code, out, _ = run(capsys, "onan", "find", "--p", "3", "--m", "6",
+                       "--spec", "albert:k=2")
+    assert code == 0 and "count=64 circle_hits=39312" in out
+
+
 def test_onan_find_exhaustive(capsys):
     code, out, _ = run(capsys, "onan", "find", "--p", "3", "--m", "2",
                        "--spec", "square", "--exhaustive", "--limit", "2")
