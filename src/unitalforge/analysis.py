@@ -39,6 +39,7 @@ __all__ = [
     "circle",
     "all_circles",
     "verify_circle_design",
+    "CIRCLE_TABLE_MAX_BYTES",
     "DESIGN_INDEX_MAX_BYTES",
     "DesignIndex",
     "wilbrink_vertex_check",
@@ -134,41 +135,49 @@ def circle(unital: Unital, a: int, beta: int) -> Circle:
                   derive_delta(split, unital.theta))
 
 
-def _circle_table(unital: Unital):
-    """Every circle C(a, beta) = {x : phi(x+a) = beta} at once, a in F and
-    beta a nonzero F_q element, from R[a, x] = rank(phi(x+a)) in the F_q
-    ordering of split.sub_elements (0 for zero and for values outside F_q,
-    which lie in no circle).
+# meet holds N q^2 = q^4 int64 counts: 4 MB at q = 27, 63 MB at q = 53,
+# 97 MB at q = 59, 344 MB at q = 81.  So q <= 53 passes and q >= 59 is refused.
+CIRCLE_TABLE_MAX_BYTES = 1 << 26
 
-    One stable argsort of the key a*q + R[a, x] groups the members.
-    Returns R, the members of all circles in (a, beta) order, each
-    ascending, and counts with counts[a, 0] the number of x in no circle of
-    shift a, first among them firsts[a], and counts[a, r] = |C(a, beta_r)|.
+
+def _circle_ranks(unital: Unital) -> np.ndarray:
+    """rank0[x], the rank of phi(x) in split.sub_elements (0 for zero and for
+    values outside F_q, which lie in no circle).  Over CIRCLE_TABLE_MAX_BYTES
+    of meet (q >= 59) it is a UsageError, raised before any table is built.
     """
-    plane, q, N = unital.plane, unital.q, unital.plane.N
-    # ranks are below q: int16 keeps the N x N table R at a quarter of int64
-    rank = np.maximum(plane.split.sub_rank[_checked_phi(unital)], 0).astype(np.int16)
+    q = unital.q
+    if 8 * q ** 4 > CIRCLE_TABLE_MAX_BYTES:
+        raise UsageError(f"circle tables need 8 q^4 <= {CIRCLE_TABLE_MAX_BYTES} "
+                         f"bytes (q <= 53), got q = {q}")
+    return np.maximum(unital.plane.split.sub_rank[_checked_phi(unital)], 0)
+
+
+def _circle_meets(unital: Unital):
+    """rank0 and meet[d, s, t] = |C(d, beta_s) & C(0, beta_t)|, one bincount
+    of the keys (d*q + rank0[x + d])*q + rank0[x] over id_batches of d.
+    Every circle is a translate C(a, beta_s) = C(0, beta_s) - a, so these
+    two decide them all (docs/ORBITS.md section 8).
+    """
+    rank0 = _circle_ranks(unital)
+    ctx, q, N = unital.plane.ctx, unital.q, unital.plane.N
     X = np.arange(N, dtype=np.int64)
-    R = rank[plane.ctx.add(X[:, None], X)]
-    keys = (X[:, None] * q + R).ravel()
-    order = np.argsort(keys, kind="stable")
-    counts = np.bincount(keys, minlength=N * q).reshape(N, q)
-    in_circle = R.ravel()[order] > 0
-    return R, order[in_circle] % N, counts, order[X * N] - X * N
+    meet = np.empty((N, q, q), dtype=np.int64)
+    for D in id_batches(N, N):
+        keys = ((D - D[0])[:, None] * q + rank0[ctx.add(D[:, None], X)]) * q + rank0
+        meet[D] = np.bincount(keys.ravel(), minlength=len(D) * q * q).reshape(-1, q, q)
+    return rank0, meet
 
 
 def all_circles(unital: Unital) -> list[Circle]:
-    split, q = unital.plane.split, unital.q
-    _, members, counts, _ = _circle_table(unital)
+    """Every circle in (a, beta) order, as the sorted translate C(0, beta) - a."""
+    ctx, split = unital.plane.ctx, unital.plane.split
+    rank0 = _circle_ranks(unital)
     delta = derive_delta(split, unital.theta)
-    betas = split.sub_elements[1:].tolist()
-    flat, ends = members.tolist(), np.cumsum(counts[:, 1:]).tolist()
-    out, start = [], 0
-    for k, end in enumerate(ends):
-        out.append(Circle(k // (q - 1), betas[k % (q - 1)],
-                          tuple(flat[start:end]), delta))
-        start = end
-    return out
+    A = np.arange(unital.plane.N, dtype=np.int64)
+    members = [np.sort(ctx.sub(np.flatnonzero(rank0 == s), A[:, None]), axis=1).tolist()
+               for s in range(1, unital.q)]
+    return [Circle(a, beta, tuple(members[s][a]), delta)
+            for a in A.tolist() for s, beta in enumerate(split.sub_elements[1:].tolist())]
 
 
 @dataclass
@@ -184,38 +193,34 @@ class CircleDesignReport:
 def verify_circle_design(unital: Unital) -> CircleDesignReport:
     """All circles distinct, q^3 - q^2 of them, each of size q+1, the
     beta-slices partition F_{q^2} minus one point, and every unordered pair
-    of field elements lies in exactly q circles.  Raises ProvenanceMismatch
-    when the points are not the parabolic set of the unital's theta.
+    of field elements lies in exactly q circles, all read from the meet
+    table (docs/ORBITS.md section 8).  Raises ProvenanceMismatch when the
+    points are not the parabolic set of the unital's theta.
 
     A repeated circle ends the check: the report then counts the circles
     before the first repeat in (a, beta) order.
     """
-    plane, q, N = unital.plane, unital.q, unital.plane.N
-    R, members, counts, firsts = _circle_table(unital)
-    sizes = counts[:, 1:].ravel()
-    starts = np.cumsum(sizes) - sizes
-    first_repeat = len(sizes)
-    for s in np.unique(sizes):
-        ks = np.flatnonzero(sizes == s)
-        rows = members[starts[ks, None] + np.arange(s)]
-        _, first, inverse = np.unique(rows, axis=0, return_index=True,
-                                      return_inverse=True)
-        repeats = ks[first[inverse.ravel()] != np.arange(len(ks))]
-        if len(repeats):
-            first_repeat = min(first_repeat, int(repeats[0]))
-    if first_repeat < len(sizes):
+    rank0, meet = _circle_meets(unital)
+    ctx, q, N = unital.plane.ctx, unital.q, unital.plane.N
+    sizes = meet[0].diagonal()
+    # C(a, beta_s) = C(a - d, beta_t) iff meet[d, s, t] equals both sizes;
+    # C(a, beta_s) is the later one iff a - d < a as IDs, or d = 0 and t < s
+    # (the cell (-d, t, s) covers the pairs where C(a - d, beta_t) is later)
+    S = sizes[1:]
+    D, s, t = np.nonzero((meet[:, 1:, 1:] == S[:, None]) & (S[:, None] == S))
+    keep = (D != 0) | (t < s)
+    D, s = D[keep], s[keep]
+    if len(D):
+        # IDs add digitwise in base p, so a - d < a first at a = the leading
+        # base-p digit of d times its place value (0 for d = 0)
+        lead = ctx.pow_p[np.searchsorted(ctx.pow_p, D, side="right") - 1]
+        first_repeat = int(np.min(D // lead * lead * (q - 1) + s))
         return CircleDesignReport(False, first_repeat, q + 1, q, False, False)
-    # distinct circles number N(q-1) = q^3 - q^2 by construction
-    size_ok = bool(np.all(sizes == q + 1))
-    X = np.arange(N, dtype=np.int64)
-    partition_ok = bool(np.all(counts[:, 0] == 1)
-                        and np.array_equal(firsts, plane.ctx.neg(X)))
-    # (x, y) lies in C(a, beta) iff phi(x+a) = phi(y+a) = beta != 0; with
-    # z = x + a its circle count is #{z : phi(z) = phi(z+d) != 0}, d = y - x,
-    # which row d of R gives against row 0
-    lam = np.count_nonzero((R[1:] == R[0]) & (R[0] > 0), axis=1)
+    size_ok = bool(np.all(S == q + 1))
+    partition_ok = bool(sizes[0] == 1 and rank0[0] == 0)
+    lam = meet[1:, 1:, 1:].diagonal(axis1=1, axis2=2).sum(axis=1)
     passed = size_ok and partition_ok and bool(np.all(lam == q))
-    return CircleDesignReport(passed, len(sizes), q + 1, q, partition_ok, True)
+    return CircleDesignReport(passed, N * (q - 1), q + 1, q, partition_ok, True)
 
 
 # ----------------------------------------------------------------------
@@ -443,11 +448,9 @@ def find_onan_through_infinity(unital: Unital, max_configs: int = 64):
     Returns (list of verified configs, list of raw circle-pair hits
     (a, beta, beta', |C(a, beta) & C(0, beta')|) as tuples of ints).
 
-    x lies in C(a, beta_s) & C(0, beta_t) iff R[a, x] = s and R[0, x] = t
-    for the rank table R of _circle_table, so one bincount of the keys
-    (a*q + R[a, x])*q + R[0, x] gives every intersection size at once.
-    With the a = 0 and rank-0 slices zeroed, the hits are the keys with
-    count >= 3 in (a, beta, beta') order.
+    The meet table of _circle_meets holds every intersection size
+    |C(a, beta_s) & C(0, beta_t)|; outside its a = 0 and rank-0 slices the
+    hits are the cells with count >= 3, in (a, beta, beta') order.
 
     Every hit is recorded, but configurations are assembled only until
     `max_configs` of them are found: with the default cap of 64 the
@@ -456,13 +459,10 @@ def find_onan_through_infinity(unital: Unital, max_configs: int = 64):
     once the cap is lifted.  Raises ProvenanceMismatch when the points are
     not the parabolic set of the unital's theta.
     """
-    plane, q, N = unital.plane, unital.q, unital.plane.N
+    plane, N = unital.plane, unital.plane.N
     ctx, betas = plane.ctx, plane.split.sub_elements
-    R = _circle_table(unital)[0]
-    keys = (np.arange(N)[:, None] * q + R) * q + R[0]
-    meet = np.bincount(keys.ravel(), minlength=N * q * q).reshape(N, q, q)
-    meet[0], meet[:, 0], meet[:, :, 0] = 0, 0, 0
-    A, S, T = np.nonzero(meet >= 3)
+    rank0, meet = _circle_meets(unital)
+    A, S, T = (i + 1 for i in np.nonzero(meet[1:, 1:, 1:] >= 3))
     hits = list(zip(A.tolist(), betas[S].tolist(), betas[T].tolist(),
                     meet[A, S, T].tolist()))
     configs: list[OnanConfig] = []
@@ -471,7 +471,7 @@ def find_onan_through_infinity(unital: Unital, max_configs: int = 64):
     for a, s, t in zip(A.tolist(), S.tolist(), T.tolist()):
         if len(configs) >= max_configs:
             break
-        u, v, w = np.flatnonzero((R[a] == s) & (R[0] == t))[:3].tolist()
+        u, v, w = np.flatnonzero((ctx.translate(rank0, a) == s) & (rank0 == t))[:3].tolist()
         # smallest b with beta(b) = beta (block representative)
         b = int(np.flatnonzero(beta_all == betas[s])[0])
         # block through (u, f(u+a)-b) with first index 0

@@ -793,27 +793,20 @@ def verify_polarity(plane: ShiftPlane, kappa: InvolutionSpec,
                     trials: int = 20000) -> PolarityReport:
     """rho: (x,y) <-> L(conj x, conj y), (a) <-> V(conj a), inf <-> L_inf.
 
-    Checks the three admissibility conditions, rho^2 = id on all points,
-    incidence reversal, and that the absolute points number exactly
-    q^3 + 1.  Mode "auto" is exhaustive for q <= 9 and sampled otherwise.
+    Checks the three admissibility conditions (the first, conj an
+    involution, makes rho^2 = id on every ID), incidence reversal, and that
+    the absolute points number exactly q^3 + 1.  Mode "auto" is exhaustive for q <= 9 and sampled otherwise.
     Exhaustive reversal is proved by translation conjugation, with the
     flag sweep and its first unreversed flag as the fallback
     (plane._check_flags); sampled mode checks `trials` seeded flags.
     """
     require_mode(mode, ("auto", "exhaustive", "sampled"))
-    N, q = plane.N, plane.split.sub_size
+    q = plane.split.sub_size
     bar = _polarity_precheck(plane, kappa)
-    NN = N * N
 
     def rho(ids):
         return _correlation(plane, bar, ids)
 
-    probe = np.array([0, NN - 1, NN, plane.infinity_id], dtype=np.int64)
-    if not np.array_equal(rho(rho(probe)), probe):
-        raise NotPolarity("correlation square is not the identity")
-    idx = np.arange(N, dtype=np.int64)
-    if not np.array_equal(bar[bar[idx]], idx):
-        raise NotPolarity("correlation square is not the identity")
     if mode == "auto":
         mode = "exhaustive" if q <= 9 else "sampled"
 

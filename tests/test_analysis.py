@@ -126,7 +126,7 @@ def test_circle_distinctness_witness(unital_q3):
         assert an.circle(unital_q3, a, 1).members != c0.members
 
 
-# -- circle design by one grouping ---------------------------------------------
+# -- circle design by translation ----------------------------------------------
 
 def _report(passed, count, q, partition_ok, distinct_ok):
     return an.CircleDesignReport(passed, count, q + 1, q, partition_ok, distinct_ok)
@@ -170,7 +170,7 @@ def _phi_patches(split):
 
 
 def test_circle_design_frozen(unital_q3, unital_q5, unital_cm81, s729):
-    # the reports of the per-(a, beta) loop the grouping replaced
+    # the reports of the former per-(a, beta) loop
     ua = un.build_parabolic_unital(ShiftPlane(planar.albert(s729, 2)),
                                    s729.choose_theta())
     for u, q in ((unital_q3, 3), (unital_q5, 5), (unital_cm81, 9), (ua, 27)):
@@ -180,7 +180,8 @@ def test_circle_design_frozen(unital_q3, unital_q5, unital_cm81, s729):
 
 
 def _reference_circle_design(u, phi):
-    """The per-(a, beta) loop the grouping replaced, kept as its oracle."""
+    """The former per-(a, beta) loop, kept as the oracle of the reading by
+    translation."""
     q, ctx, split, N = u.q, u.plane.ctx, u.plane.split, u.plane.N
     X = np.arange(N, dtype=np.int64)
     seen = {}
@@ -268,6 +269,39 @@ def test_broken_circle_designs_frozen(q, unital_q3, unital_q5, monkeypatch):
         assert _circles_digest(an.all_circles(u)) == digest, name
 
 
+def test_circle_design_peak_memory_albert27(s729):
+    u = un.build_parabolic_unital(ShiftPlane(planar.albert(s729, 2)), s729.choose_theta())
+    tracemalloc.start()
+    try:
+        rep = an.verify_circle_design(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep == _report(True, 27 ** 3 - 27 ** 2, 27, True, True)
+    # the stable argsort of the 729^2 circle keys peaked at 22.5 MiB
+    assert peak < 16 * 2 ** 20
+
+
+def test_circle_readers_refuse_q81_before_allocating():
+    # the meet table holds 8 q^4 bytes: 4 MB at q = 27, 344 MB at q = 81
+    assert 8 * 53 ** 4 <= an.CIRCLE_TABLE_MAX_BYTES < 8 * 59 ** 4
+    s = gf.split_new(gf.field_new(3, 8), 4)
+    u = un.build_parabolic_unital(ShiftPlane(planar.square(s)), s.choose_theta())
+    calls = (an.verify_circle_design, an.all_circles, an.find_onan_through_infinity,
+             lambda u: an.verify_circle_design(SimpleNamespace(q=81)))   # q alone decides
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        for call in calls:
+            with pytest.raises(UsageError, match=r"\(q <= 53\), got q = 81"):
+                call(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 100 * 2 ** 20
+
+
 # -- Wilbrink ----------------------------------------------------------------
 
 def test_infinity_is_strong_vertex(unital_q3):
@@ -328,8 +362,8 @@ def test_configs_through_infinity_cm81_uncapped(unital_cm81):
 
 
 def _reference_through_infinity(u, max_configs=64):
-    """The per-(a, beta, beta') intersect1d loop the circle-table bincount
-    replaced, kept as its oracle."""
+    """The former per-(a, beta, beta') intersect1d loop, kept as the oracle
+    of the meet table."""
     plane = u.plane
     ctx, N = plane.ctx, plane.N
     phi = an._checked_phi(u)

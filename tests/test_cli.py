@@ -469,6 +469,13 @@ def test_design_index_commands_refuse_q27(capsys, argv):
     assert "usage error: DesignIndex needs" in err and "(q <= 9)" in err
 
 
+@pytest.mark.parametrize("argv", [("circles",), ("onan", "find")])
+def test_circle_commands_refuse_q81(capsys, argv):
+    code, out, err = run(capsys, *argv, "--p", "3", "--m", "8")
+    assert code == 2 and out == ""
+    assert "usage error: circle tables need" in err and "(q <= 53)" in err
+
+
 def test_plane_verify_q243_exhaustive_is_usage_error(capsys):
     code, out, err = run(capsys, "plane", "verify", "--p", "3", "--m", "10")
     assert code == 2 and out == ""

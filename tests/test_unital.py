@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from unitalforge import analysis as an, gf, planar, plane as plane_mod, unital as un
 from unitalforge.errors import (
+    ConditionAFailed,
     ConditionBFailed,
     CountViolation,
     HypothesisFailed,
@@ -307,6 +308,18 @@ def test_conjxi_equals_frobq_on_canonical_split(plane_cm81):
     t1 = un.InvolutionSpec("frobq").table(plane_cm81)
     t2 = un.InvolutionSpec("conjxi").table(plane_cm81)
     assert np.array_equal(t1, t2)
+
+
+def test_polarity_rejects_non_involution(plane_q3, monkeypatch):
+    # a 3-cycle squares to its inverse, so condition (a) refuses it
+    def cycled(self, plane):
+        table = np.arange(plane.N)
+        table[[1, 2, 3]] = 2, 3, 1
+        return table
+
+    monkeypatch.setattr(un.InvolutionSpec, "table", cycled)
+    with pytest.raises(ConditionAFailed, match="frobq is not an involution"):
+        un.verify_polarity(plane_q3, un.InvolutionSpec("frobq"))
 
 
 def test_polarity_commutation_rejected_for_bh(s729):
