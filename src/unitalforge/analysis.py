@@ -136,7 +136,8 @@ def circle(unital: Unital, a: int, beta: int) -> Circle:
 
 
 # meet holds N q^2 = q^4 int64 counts: 4 MB at q = 27, 63 MB at q = 53,
-# 97 MB at q = 59, 344 MB at q = 81.  So q <= 53 passes and q >= 59 is refused.
+# 97 MB at q = 59, 344 MB at q = 81.  So q <= 53 passes and q >= 59 is
+# refused.
 CIRCLE_TABLE_MAX_BYTES = 1 << 26
 
 
@@ -148,7 +149,7 @@ def _circle_ranks(unital: Unital) -> np.ndarray:
     q = unital.q
     if 8 * q ** 4 > CIRCLE_TABLE_MAX_BYTES:
         raise UsageError(f"circle tables need 8 q^4 <= {CIRCLE_TABLE_MAX_BYTES} "
-                         f"bytes (q <= 53), got q = {q}")
+                         f"bytes, got {8 * q ** 4} at q = {q}")
     return np.maximum(unital.plane.split.sub_rank[_checked_phi(unital)], 0)
 
 

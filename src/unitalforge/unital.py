@@ -795,7 +795,8 @@ def verify_polarity(plane: ShiftPlane, kappa: InvolutionSpec,
 
     Checks the three admissibility conditions (the first, conj an
     involution, makes rho^2 = id on every ID), incidence reversal, and that
-    the absolute points number exactly q^3 + 1.  Mode "auto" is exhaustive for q <= 9 and sampled otherwise.
+    the absolute points number exactly q^3 + 1.  Mode "auto" is exhaustive
+    for q <= 9 and sampled otherwise.
     Exhaustive reversal is proved by translation conjugation, with the
     flag sweep and its first unreversed flag as the fallback
     (plane._check_flags); sampled mode checks `trials` seeded flags.

@@ -473,7 +473,7 @@ def test_design_index_commands_refuse_q27(capsys, argv):
 def test_circle_commands_refuse_q81(capsys, argv):
     code, out, err = run(capsys, *argv, "--p", "3", "--m", "8")
     assert code == 2 and out == ""
-    assert "usage error: circle tables need" in err and "(q <= 53)" in err
+    assert "usage error: circle tables need" in err and "at q = 81" in err
 
 
 def test_plane_verify_q243_exhaustive_is_usage_error(capsys):
