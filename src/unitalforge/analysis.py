@@ -362,7 +362,6 @@ def wilbrink_vertex_check(unital: Unital, point_id: int, strong: bool = True,
     two blocks share at most one point).  A point_id off the unital, or
     outside [0, n_points), is a UsageError.
     """
-    # the rank by search: unital.point_rank is a table over every plane point
     v = int(np.searchsorted(unital.points, point_id))
     if v == len(unital.points) or unital.points[v] != point_id:
         raise UsageError(f"point {point_id} not in the unital")
@@ -933,8 +932,8 @@ def invariant_profile(unital: Unital, with_onan: bool = True,
     profile = InvariantProfile(idx.n, idx.q + 1, idx.B, line_spectrum=spectrum)
     if with_onan:
         result = find_onan_exhaustive(unital, budget=onan_budget, index=idx)
-        per_point = np.bincount(unital.point_rank[result.point_ids].ravel(),
-                                minlength=len(unital.points))
+        ranks = np.searchsorted(unital.points, result.point_ids)
+        per_point = np.bincount(ranks.ravel(), minlength=len(unital.points))
         histo_vals, histo_mult = np.unique(per_point, return_counts=True)
         profile.onan_total = result.count if result.complete else None
         profile.onan_point_histogram = tuple(

@@ -84,6 +84,11 @@ _PRUNE_POINTS = 64        # most points moved out of U that a rejected translati
 # q = 27.  So q <= 13 passes and q >= 17 is refused.
 DESIGN_MAX_PAIR_CODES = 1 << 24
 
+# the exhaustive line pass holds one int64 count per line, n_lines = q^4 +
+# q^2 + 1 of them: 111 MB at q = 61, 161 MB at q = 67, 344 MB at q = 81.
+# So q <= 61 passes and q >= 67 is refused.
+LINE_PASS_MAX_BYTES = 1 << 27
+
 
 @dataclass
 class Check:
@@ -150,12 +155,6 @@ class Unital:
             return self.point_mask[pids]
         pos = np.clip(np.searchsorted(self.points, pids), 0, len(self.points) - 1)
         return self.points[pos] == pids
-
-    @cached_property
-    def point_rank(self) -> np.ndarray:
-        rank = np.full(self.plane.n_points, -1, dtype=np.int64)
-        rank[self.points] = np.arange(len(self.points))
-        return rank
 
     @cached_property
     def theta_y_values(self) -> np.ndarray | None:
@@ -232,7 +231,13 @@ class Unital:
     def _line_pass(self) -> tuple[np.ndarray, np.ndarray]:
         """The result of _line_counts, computed once per unital: (|line ∩
         U| per line ID, tangent lines through each point), both read-only.
-        Every reader of the exhaustive line counts shares it."""
+        Every reader of the exhaustive line counts shares it.  Counts over
+        LINE_PASS_MAX_BYTES are a UsageError, raised before the translation
+        group is searched or anything is allocated."""
+        size = 8 * self.plane.n_lines
+        if size > LINE_PASS_MAX_BYTES:
+            raise UsageError(f"the exhaustive line pass needs <= {LINE_PASS_MAX_BYTES} "
+                             f"bytes of line counts, got {size} at q = {self.q}")
         counts, tangents = _line_counts(self)
         counts.flags.writeable = tangents.flags.writeable = False
         return counts, tangents
@@ -247,14 +252,18 @@ class Unital:
     def blocks(self) -> np.ndarray:
         """The design's blocks as a (B, q+1) int64 table of point ranks
         (indices into `points`): row k holds the q+1 points of the secant
-        line secant_line_ids[k], ascending."""
-        lids, plane = self.secant_line_ids, self.plane
-        table = np.empty((len(lids), self.q + 1), dtype=np.int64)
-        for idx in id_batches(len(lids), plane.N + 1):
-            # a secant row holds q+1 members, ascending; ranks keep that order
-            rows = plane.points_on_lines(lids[idx])
-            table[idx] = self.point_rank[rows[self.contains(rows)].reshape(len(idx), -1)]
-        return table
+        line secant_line_ids[k], ascending.
+
+        Point-driven: incidence is symmetric in the IDs, (x, y) on L(a, b)
+        iff (a, b) on L(x, y), so row r of points_on_lines(points) is the
+        pencil of points[r].  Its secants give (rank, line) pairs in rank
+        order, and a stable sort by line lists each block's ranks
+        ascending."""
+        counts = line_intersection_counts(self)
+        pencils = self.plane.points_on_lines(self.points)
+        ranks, cols = np.nonzero(counts[pencils] == self.q + 1)
+        order = np.argsort(pencils[ranks, cols], kind="stable")
+        return ranks[order].reshape(-1, self.q + 1)
 
     def record(self, check: Check):
         self.checks.append(check)
@@ -701,7 +710,7 @@ def verify_design(unital: Unital, mode: str = "exhaustive") -> DesignReport:
     n = len(unital.points)
     if n * n > DESIGN_MAX_PAIR_CODES:
         raise UsageError(f"verify_design needs n^2 <= {DESIGN_MAX_PAIR_CODES} point-pair "
-                         f"codes (q <= 13), got n = {n} points")
+                         f"codes, got {n * n} at q = {q}")
     blocks = unital.blocks
     expected_blocks = q ** 4 - q ** 3 + q ** 2
     if len(blocks) != expected_blocks:

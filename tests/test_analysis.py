@@ -475,7 +475,7 @@ def test_design_index_tables_q3(which, unital_q3, classical_q3):
     lines = [lid for lid in range(u.plane.n_lines)
              if len(u.line_section(lid)) == q + 1]
     assert idx.block_lines.tolist() == lines
-    blocks = [set(u.point_rank[u.line_section(lid)].tolist()) for lid in lines]
+    blocks = [set(np.searchsorted(u.points, u.line_section(lid)).tolist()) for lid in lines]
     B = len(blocks)
     assert idx.B == B and idx.n == n
     assert [set(row) for row in idx.block_points.tolist()] == blocks
@@ -671,8 +671,8 @@ def test_design_index_refuses_q27_before_allocating(s729):
 
 
 def test_wilbrink_refuses_q81_before_allocating():
-    # the rank of the point is found by search: a point_rank table over the
-    # 43 M points of the q=81 plane would be 332 MiB before the refusal
+    # the rank of the point is found by search: a rank table over the 43 M
+    # points of the q=81 plane would be 332 MiB before the refusal
     s = gf.split_new(gf.field_new(3, 8), 4)
     plane = ShiftPlane(planar.square(s))
     u = un.build_parabolic_unital(plane, s.choose_theta())
@@ -690,7 +690,7 @@ def test_wilbrink_refuses_q81_before_allocating():
         tracemalloc.stop()
     assert time.perf_counter() - start < 1
     assert peak < 100 * 2 ** 20
-    assert "point_rank" not in u.__dict__ and "blocks" not in u.__dict__
+    assert "blocks" not in u.__dict__
 
 
 def test_explicit_construction_q5(unital_q5):

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from unitalforge.cli import main
+from unitalforge.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -52,7 +53,7 @@ def test_plane_verify(capsys):
 
 def test_plane_dump_format(capsys, tmp_path):
     out_file = tmp_path / "lines.txt"
-    code, _, _ = run(capsys, "plane", "dump", "--lines", "--p", "3", "--m", "2",
+    code, _, _ = run(capsys, "plane", "dump", "--p", "3", "--m", "2",
                      "--spec", "square", "--out", str(out_file))
     assert code == 0
     lines = out_file.read_text().splitlines()
@@ -510,3 +511,126 @@ def test_theta_out_of_range_is_usage_error(capsys, theta):
 def test_zero_theta_is_check_failure(capsys):
     code, _, err = run(capsys, "unital", "build", "--p", "3", "--m", "2", "--theta", "0")
     assert code == 1 and "CHECK FAILED (ZeroTheta)" in err
+
+
+# the flags each subcommand takes beyond --p --m --modulus
+_SUBCOMMAND_FLAGS = {
+    "field check": "--seed",
+    "planar verify": "--spec --mode --seed --trials --threads",
+    "plane verify": "--spec --mode --seed --trials",
+    "plane dump": "--spec --out",
+    "unital build": "--spec --theta --mode --seed --trials --out --cache-dir",
+    "unital verify": "--spec --in --theta --mode --seed --trials",
+    "unital dual": "--spec --in --theta",
+    "unital ovals": "--spec --in --theta",
+    "circles": "--spec --in --theta",
+    "wilbrink": "--spec --in --theta --point --ratio",
+    "onan find": "--spec --in --theta --exhaustive --budget --limit",
+    "onan construct": "--spec --in --theta",
+    "polarity build": "--spec --kappa --seed --trials --out",
+    "polarity verify": "--spec --kappa --seed --trials",
+    "subgroups": "--spec --theta --kappa",
+}
+_FIELD_FLAGS = {"--p", "--m", "--modulus"}
+# the flags that every subcommand above took before each got only its own,
+# with a value each; plane dump also took a --lines that nothing read
+_FORMER_FLAGS = {"--spec": "square", "--theta": "auto", "--kappa": "conjxi",
+                 "--mode": "sampled", "--seed": "1", "--trials": "5", "--threads": "2",
+                 "--out": "F", "--cache-dir": "C"}
+
+
+def _leaf_flags(parser, path=""):
+    """{subcommand: its option strings} under parser, --help left out."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {path: {s for a in parser._actions if not isinstance(a, argparse._HelpAction)
+                       for s in a.option_strings}}
+    found = {}
+    for name, child in subs[0].choices.items():
+        found.update(_leaf_flags(child, f"{path} {name}".strip()))
+    return found
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    leaves = _leaf_flags(build_parser())
+    assert sum(map(len, leaves.values())) == 110
+    assert leaves.pop("compare") == {"--left", "--right", "--out"}
+    assert leaves.pop("suite") == {"--quick", "--full"}
+    assert leaves == {name: _FIELD_FLAGS | set(flags.split())
+                      for name, flags in _SUBCOMMAND_FLAGS.items()}
+
+
+def _dropped_flags():
+    for name, flags in _SUBCOMMAND_FLAGS.items():
+        former = set(_FORMER_FLAGS) - ({"--spec"} if name == "field check" else set())
+        for flag in sorted(former - set(flags.split())):
+            yield name, flag, [flag, _FORMER_FLAGS[flag]]
+    yield "plane dump", "--lines", ["--lines"]
+
+
+def test_dropped_flags_are_usage_errors(capsys, tmp_path, monkeypatch):
+    # each of these was accepted and changed nothing the command computed
+    monkeypatch.chdir(tmp_path)
+    dropped = list(_dropped_flags())
+    assert len(dropped) == 197 - 110
+    for name, flag, argv in dropped:
+        code, out, err = run(capsys, *name.split(), "--p", "3", "--m", "2", *argv)
+        assert code == 2 and out == "" and f"unrecognized arguments: {flag}" in err, name
+    assert list(tmp_path.iterdir()) == []          # no --out or --cache-dir was written
+
+
+@pytest.mark.parametrize("name", [n for n, f in _SUBCOMMAND_FLAGS.items() if "--in" in f])
+def test_in_and_theta_exclude_each_other(capsys, tmp_path, unital_q3, name):
+    from unitalforge import unital as un
+
+    path = tmp_path / "u.unital"
+    un.write_unital_file(unital_q3, path)
+    code, out, err = run(capsys, *name.split(), "--p", "3", "--m", "2",
+                         "--in", str(path), "--theta", "4")
+    assert code == 2 and out == ""
+    assert "argument --theta: not allowed with argument --in" in err
+
+
+@pytest.mark.parametrize("cmd, field, frozen", [
+    ("unital", ("--p", "3", "--m", "2"),
+     "80561246fb67a04bd1f2d730d5ddfac56064a5b0666053affbd6e596750d655c"),
+    ("polarity", ("--p", "3", "--m", "2"),
+     "6ec833b406758130aabc4f69f9a4034bc21f55ba633084fe645be7d000c885b9"),
+    ("unital", ("--p", "3", "--m", "6", "--spec", "albert:k=2"), None),
+    ("polarity", ("--p", "3", "--m", "6", "--spec", "albert:k=2"), None),
+])
+def test_build_runconfig_records_the_mode_its_checks_ran(capsys, tmp_path, cmd, field,
+                                                         frozen):
+    out_file = tmp_path / "u.unital"
+    code, _, _ = run(capsys, cmd, "build", *field, "--out", str(out_file))
+    assert code == 0
+    cert = json.loads((tmp_path / "u.unital.json").read_text())
+    assert {c["mode"] for c in cert["checks"]} == {cert["runconfig"]["mode"]}
+    if frozen:       # the hashes of the default q = 3 builds are unchanged
+        assert cert["hash"] == frozen
+        assert cert["runconfig_hash"] == (
+            "e39ca96bd2ec00e81f6f326fd9e67bdf530e9ba4636938d2c279a7a2729807e4")
+    if cmd == "polarity" and frozen is None:          # q = 27 samples its flags
+        assert cert["runconfig"]["mode"] == "sampled"
+
+
+def test_exhaustive_embedded_check_is_certified_or_refused(capsys):
+    code, out, _ = run(capsys, "unital", "build", "--p", "37", "--m", "2")
+    modes = {c["name"]: c["mode"] for c in json.loads(out)["checks"]}
+    assert code == 0 and modes["embedded-intersections"] == "exhaustive"
+    code, out, err = run(capsys, "unital", "verify", "--p", "3", "--m", "8")
+    assert code == 2 and out == ""
+    assert ("usage error: the exhaustive line pass needs <= 134217728 bytes of line "
+            "counts, got 344426264 at q = 81") in err
+    code, out, _ = run(capsys, "unital", "verify", "--p", "3", "--m", "8", "--mode", "sampled")
+    assert code == 0 and "mode=sampled" in out
+
+
+@pytest.mark.parametrize("p, line", [
+    ("11", "design: passed=True points=1332 blocks=13431 pairs=886446"),
+    ("17", "design: skipped (verify_design needs n^2 <= 16777216 point-pair codes, "
+           "got 24147396 at q = 17)"),
+])
+def test_unital_verify_design_up_to_the_library_limit(capsys, p, line):
+    code, out, _ = run(capsys, "unital", "verify", "--p", p, "--m", "2")
+    assert code == 0 and line in out.splitlines()

@@ -202,7 +202,7 @@ def test_block_sizes_and_replication(plane_q3, plane_q5):
         assert blocks.dtype == np.int64
         assert blocks.shape == (q ** 4 - q ** 3 + q ** 2, q + 1)
         for row, lid in zip(blocks, u.secant_line_ids):
-            assert np.array_equal(row, u.point_rank[u.line_section(int(lid))])
+            assert np.array_equal(row, np.searchsorted(u.points, u.line_section(int(lid))))
         assert np.all(np.diff(blocks, axis=1) > 0)
         # replication number q^2
         assert np.all(np.bincount(blocks.ravel(), minlength=len(u.points)) == q * q)
@@ -261,7 +261,7 @@ def test_design_refuses_q27_before_allocating(s729):
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        with pytest.raises(UsageError, match="q <= 13"):
+        with pytest.raises(UsageError, match="codes, got 387459856 at q = 27"):
             un.verify_design(u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -269,6 +269,27 @@ def test_design_refuses_q27_before_allocating(s729):
     assert time.perf_counter() - start < 1
     assert peak < 100 * 2 ** 20
     assert "blocks" not in u.__dict__
+
+
+def test_line_pass_refuses_q81_before_allocating():
+    # 8 bytes per line: 111 MB at q = 61, 161 MB at q = 67, 344 MB at q = 81
+    assert 8 * (61 ** 4 + 61 ** 2 + 1) <= un.LINE_PASS_MAX_BYTES < 8 * (67 ** 4 + 67 ** 2 + 1)
+    s = gf.split_new(gf.field_new(3, 8), 4)
+    u = un.build_parabolic_unital(ShiftPlane(planar.square(s)), s.choose_theta())
+    calls = (lambda u: un.verify_unital_embedded(u, mode="exhaustive"),
+             un.line_intersection_counts, un.dual_unital)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        for call in calls:
+            with pytest.raises(UsageError, match="line counts, got 344426264 at q = 81"):
+                call(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 100 * 2 ** 20
+    assert "translation_group" not in u.__dict__ and len(u.checks) == 1   # the build's own
 
 
 # -- polarities -------------------------------------------------------------------
