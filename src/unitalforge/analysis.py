@@ -235,6 +235,7 @@ def verify_circle_design(unital: Unital) -> CircleDesignReport:
 # passes and q >= 11 is refused.
 DESIGN_INDEX_MAX_BYTES = 1 << 28
 _ONAN_PAIRS = 1024        # meeting block pairs per step of find_onan_exhaustive
+_WILBRINK_BYTES = 1 << 21  # gathered avoid rows per batch of wilbrink_vertex_check
 
 
 def _pack_rows(mask: np.ndarray) -> np.ndarray:
@@ -361,36 +362,53 @@ def wilbrink_vertex_check(unital: Unital, point_id: int, strong: bool = True,
     range.  Exactly q+1 blocks through v meet B (one per point of B, since
     two blocks share at most one point).  A point_id off the unital, or
     outside [0, n_points), is a UsageError.
+
+    The triples run on the packed bitsets of the index, the blocks B in
+    ascending order and a batch at a time.  T = the q+1 blocks
+    block_through_pair[v, B's points], sorted; ok = the AND of meets[C]
+    over C in T holds the blocks that meet all of them.  The blocks B'
+    through w that qualify are ok & ~avoid[w], so the per-triple count is
+    popcount(ok & ~avoid[w]) - ok[C].  C is never in ok, since no block is
+    counted as meeting itself, so (B, C, w) holds iff ok & ~avoid[w] is
+    not empty, that is iff ok & avoid[w] != ok.  The triples of a batch
+    lie in the row-major (B, C, w) order of the former per-triple loop:
+    B ascending, C ascending in T and w in block_points[C] order.  The
+    first failing one in that order is therefore the same triple, with the
+    same counts before it.  A batch starts at one block and doubles up to
+    _WILBRINK_BYTES of gathered avoid rows, so a vertex that fails early
+    costs one small batch.
     """
     v = int(np.searchsorted(unital.points, point_id))
     if v == len(unital.points) or unital.points[v] != point_id:
         raise UsageError(f"point {point_id} not in the unital")
     idx = index or DesignIndex(unital)
-    n_blocks = idx.B
-    satisfied = 0
-    total = 0
-    v_blocks = set(int(b) for b in idx.blocks_by_point[v])
-    for B in range(n_blocks):
-        if B in v_blocks:
-            continue
-        through_v = np.unique(idx.block_through_pair[v, idx.block_points[B]])
-        ok_blocks = idx.meets[:, through_v].all(axis=1)
-        for C in through_v:
-            z = int(idx.common_point[C, B])        # the point of B on C
-            for w in idx.block_points[C]:
-                w = int(w)
-                if w == v or w == z:
-                    continue
-                total += 1
-                cands = idx.blocks_by_point[w]
-                found = int(ok_blocks[cands].sum()) - int(ok_blocks[C]) > 0
-                if found:
-                    satisfied += 1
-                elif strong:
-                    witness = (int(idx.block_lines[B]), int(idx.block_lines[C]),
-                               int(unital.points[w]))
-                    return WilbrinkReport(point_id, False, satisfied, total,
-                                          witness)
+    avoid = idx.avoid_bits
+    q1 = idx.q + 1
+    cap = max(1, _WILBRINK_BYTES // (q1 * q1 * avoid[0].nbytes))
+    off_v = np.setdiff1d(np.arange(idx.B), idx.blocks_by_point[v], assume_unique=True)
+    satisfied = total = 0
+    size = 1
+    while len(off_v):
+        bs, off_v = off_v[:size], off_v[size:]
+        size = min(2 * size, cap)
+        T = np.sort(idx.block_through_pair[v, idx.block_points[bs]], axis=1)
+        ok = np.bitwise_and.reduce(np.take(idx.meets_bits, T, axis=0), axis=1)[:, None, None]
+        w = idx.block_points[T]                          # (k, q+1, q+1) point ranks
+        live = (w != v) & (w != idx.common_point[T, bs[:, None]][:, :, None])
+        rows = np.take(avoid, w, axis=0)
+        rows &= ok                                       # ok less the blocks through w
+        fails = live & (rows == ok).all(axis=3)
+        if strong and fails.any():
+            first = int(np.argmax(fails))
+            r, c, j = np.unravel_index(first, fails.shape)
+            before = int(np.count_nonzero(live.ravel()[:first]))
+            witness = (int(idx.block_lines[bs[r]]), int(idx.block_lines[T[r, c]]),
+                       int(unital.points[w[r, c, j]]))
+            return WilbrinkReport(point_id, False, satisfied + before,
+                                  total + before + 1, witness)
+        n_live = int(np.count_nonzero(live))
+        total += n_live
+        satisfied += n_live - int(np.count_nonzero(fails))
     return WilbrinkReport(point_id, satisfied == total, satisfied, total)
 
 
@@ -921,8 +939,9 @@ def invariant_profile(unital: Unital, with_onan: bool = True,
                       onan_budget: int | None = None) -> InvariantProfile:
     """Design parameters, O'Nan statistics, strong-vertex count, and the
     line intersection spectrum.  O'Nan and Wilbrink sweeps run only when
-    requested (intended q <= 5).  The DesignIndex comes first, so that its
-    size limit refuses a large unital before anything is built."""
+    requested; the O'Nan search is meant for q <= 5, the strong-vertex
+    sweep runs to q = 9.  The DesignIndex comes first, so that its size
+    limit refuses a large unital before anything is built."""
     from .unital import line_intersection_counts
 
     idx = DesignIndex(unital)

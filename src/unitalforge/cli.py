@@ -89,7 +89,8 @@ def _add_command_args(p: argparse.ArgumentParser, flags: str):
 
 
 # the least value of each numeric flag; a smaller one is a usage error
-_FLAG_FLOORS = (("trials", 1), ("seed", 0), ("budget", 0), ("threads", 1))
+_FLAG_FLOORS = (("trials", 1), ("seed", 0), ("budget", 0), ("threads", 1),
+                ("limit", 0))
 
 
 def _check_flag_floors(args):
@@ -432,23 +433,28 @@ def cmd_polarity(args) -> int:
     plane = ShiftPlane(spec)
     kappa = un.InvolutionSpec(args.kappa)
     try:
-        rep = un.verify_polarity(plane, kappa, seed=args.seed,
-                                 trials=args.trials)
+        if args.action == "verify":
+            rep = un.verify_polarity(plane, kappa, seed=args.seed,
+                                     trials=args.trials)
+            print(f"polarity kappa={args.kappa}: absolutes={rep.absolute_points} "
+                  f"mode={rep.mode} incidences={rep.incidences_checked}")
+            return 0
+        u = un.build_polarity_unital(plane, kappa, seed=args.seed,
+                                     trials=args.trials)
     except UnitalForgeError as e:
         print(f"polarity FAILED: {e}")
         return 1
-    print(f"polarity kappa={args.kappa}: absolutes={rep.absolute_points} "
-          f"mode={rep.mode} incidences={rep.incidences_checked}")
-    if args.action == "build":
-        u = un.build_polarity_unital(plane, kappa)
-        rc = _runconfig(args, ctx, rep.mode)
-        cert = _finish_certificate(
-            u.certificate({"points_count": len(u.points)}), rc)
-        if args.out:
-            un.write_unital_file(u, args.out)
-            _emit(cert, args.out + ".json")
-        else:
-            _emit(cert, None)
+    check = u.checks[-1]                  # its one verify_polarity run
+    print(f"polarity kappa={args.kappa}: "
+          f"absolutes={check.witness['absolute_points']} mode={check.mode}")
+    rc = _runconfig(args, ctx, check.mode)
+    cert = _finish_certificate(
+        u.certificate({"points_count": len(u.points)}), rc)
+    if args.out:
+        un.write_unital_file(u, args.out)
+        _emit(cert, args.out + ".json")
+    else:
+        _emit(cert, None)
     return 0
 
 
@@ -478,11 +484,7 @@ def cmd_subgroups(args) -> int:
 def cmd_compare(args) -> int:
     left = _read_unital(args.left)
     right = _read_unital(args.right)
-    profiles = []
-    for u in (left, right):
-        heavy = u.q <= 5
-        profiles.append(an.invariant_profile(u, with_onan=heavy,
-                                             with_wilbrink=heavy))
+    profiles = [an.invariant_profile(u, with_onan=u.q <= 5) for u in (left, right)]
     verdict, reasons = an.compare_profiles(*profiles)
     lhs, rhs = profiles[0].onan_total, profiles[1].onan_total
     if verdict == "NON-ISOMORPHIC":

@@ -252,9 +252,9 @@ def criterion_06(full: bool = True) -> CriterionResult:
         plane, u = _square_unital(p, 1)
         idx = an.DesignIndex(u)
         inf_rep = an.wilbrink_vertex_check(u, plane.infinity_id, index=idx)
-        strong = sum(
+        strong = inf_rep.strong + sum(
             an.wilbrink_vertex_check(u, int(pid), index=idx).strong
-            for pid in u.points)
+            for pid in u.points if pid != plane.infinity_id)
         details[f"q={p}"] = {"infinity_strong": inf_rep.strong,
                              "strong_count": int(strong),
                              "checked": inf_rep.total}

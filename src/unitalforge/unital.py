@@ -845,8 +845,11 @@ def absolute_point_ids(plane: ShiftPlane, kappa: InvolutionSpec) -> np.ndarray:
     return np.concatenate([xs * N + ys, [plane.infinity_id]])
 
 
-def build_polarity_unital(plane: ShiftPlane, kappa: InvolutionSpec) -> Unital:
-    report = verify_polarity(plane, kappa)
+def build_polarity_unital(plane: ShiftPlane, kappa: InvolutionSpec, seed: int = 0,
+                          trials: int = 20000) -> Unital:
+    """The absolute points of rho, certified by one verify_polarity run
+    with `seed` and `trials`, which the `polarity` check records."""
+    report = verify_polarity(plane, kappa, seed=seed, trials=trials)
     points = absolute_point_ids(plane, kappa)
     u = Unital(plane, points, f"polarity:kappa={kappa.kind}", kappa=kappa)
     u.record(Check("polarity", report.mode, "pass",

@@ -332,6 +332,92 @@ def test_wilbrink_ratio_mode(unital_q3):
     assert rep.total > 0 and 0 < rep.satisfied < rep.total
 
 
+def _reference_wilbrink(unital, point_id, strong=True, index=None):
+    """The former per-(B, C, w) loop, kept as the oracle of the bitset
+    kernel."""
+    v = int(np.searchsorted(unital.points, point_id))
+    idx = index or an.DesignIndex(unital)
+    satisfied = total = 0
+    v_blocks = set(int(b) for b in idx.blocks_by_point[v])
+    for B in range(idx.B):
+        if B in v_blocks:
+            continue
+        through_v = np.unique(idx.block_through_pair[v, idx.block_points[B]])
+        ok_blocks = idx.meets[:, through_v].all(axis=1)
+        for C in through_v:
+            z = int(idx.common_point[C, B])        # the point of B on C
+            for w in idx.block_points[C]:
+                w = int(w)
+                if w == v or w == z:
+                    continue
+                total += 1
+                cands = idx.blocks_by_point[w]
+                if int(ok_blocks[cands].sum()) - int(ok_blocks[C]) > 0:
+                    satisfied += 1
+                elif strong:
+                    witness = (int(idx.block_lines[B]), int(idx.block_lines[C]),
+                               int(unital.points[w]))
+                    return an.WilbrinkReport(point_id, False, satisfied, total, witness)
+    return an.WilbrinkReport(point_id, satisfied == total, satisfied, total)
+
+
+def _thinned_index(unital, seed, pairs=20):
+    """A DesignIndex of unital whose meets table drops `pairs` seeded
+    meeting pairs, in both its bool and its bitset form: strong vertices
+    then fail at triples far into the sweep."""
+    idx = an.DesignIndex(unital)
+    meets = idx.meets.copy()
+    rows, cols = np.nonzero(np.triu(meets))
+    pick = np.random.default_rng(seed).choice(len(rows), pairs, replace=False)
+    meets[rows[pick], cols[pick]] = meets[cols[pick], rows[pick]] = False
+    idx.__dict__.update(meets=meets, meets_bits=an._pack_rows(meets))
+    return idx
+
+
+@pytest.fixture(scope="module")
+def wilbrink_cases(unital_q3, classical_q3, unital_q5, classical_q5):
+    """(unital, index, point ID, strong, the reference report) over every
+    point of the q = 3 unitals, of two thinned classical q = 3 indexes and
+    of the parabolic q = 5 unital, and over infinity and 4 seeded points
+    of the classical q = 5 unital."""
+    both = (True, False)
+    runs = [(u, an.DesignIndex(u), u.points, both) for u in (unital_q3, classical_q3)]
+    runs += [(classical_q3, _thinned_index(classical_q3, seed), classical_q3.points, both)
+             for seed in (0, 1)]
+    inf5 = unital_q5.plane.infinity_id
+    idx5 = an.DesignIndex(unital_q5)
+    runs += [(unital_q5, idx5, unital_q5.points, (True,)), (unital_q5, idx5, [inf5], (False,))]
+    pick = np.random.default_rng(5).choice(classical_q5.points[:-1], 4, replace=False)
+    inf = classical_q5.plane.infinity_id
+    runs.append((classical_q5, an.DesignIndex(classical_q5), [inf, *pick], both))
+    return [(u, idx, int(pid), strong, _reference_wilbrink(u, int(pid), strong, idx))
+            for u, idx, pids, modes in runs for pid in pids for strong in modes]
+
+
+@pytest.mark.parametrize("batch_bytes", [None, 1])
+def test_wilbrink_matches_reference(batch_bytes, wilbrink_cases, monkeypatch):
+    # batch_bytes=1: one block B per batch, so the counts and the witnesses
+    # of the thinned indexes cross batch boundaries
+    if batch_bytes is not None:
+        monkeypatch.setattr(an, "_WILBRINK_BYTES", batch_bytes)
+    late = 0
+    for u, idx, pid, strong, want in wilbrink_cases:
+        assert an.wilbrink_vertex_check(u, pid, strong, idx) == want
+        late += want.witness is not None and want.total > 4 * (u.q - 1) * (u.q + 1)
+    assert late > 0                    # some witness lies past the fourth block B
+
+
+def test_wilbrink_strong_vertices_cm81(unital_cm81, plane_cm81):
+    # the only strong vertex of either cm q = 9 unital is infinity
+    upol = un.build_polarity_unital(plane_cm81, un.InvolutionSpec("frobq"))
+    for u in (unital_cm81, upol):
+        assert an.invariant_profile(u, with_onan=False).strong_vertex_count == 1
+    idx = an.DesignIndex(unital_cm81)
+    inf = plane_cm81.infinity_id
+    assert an.wilbrink_vertex_check(unital_cm81, inf, index=idx) == \
+        _reference_wilbrink(unital_cm81, inf, index=idx)
+
+
 # -- O'Nan configurations -------------------------------------------------------
 
 def test_no_config_through_infinity_square(unital_q3, unital_q5):

@@ -261,6 +261,44 @@ def test_compare_command(capsys, tmp_path, unital_q3, classical_q3):
     assert out.strip() == "NON-ISOMORPHIC (onan count: 324 vs 0)"
 
 
+def test_compare_reports_strong_vertices_at_q9(capsys, tmp_path, unital_cm81, plane_cm81):
+    from unitalforge import unital as un
+
+    upol = un.build_polarity_unital(plane_cm81, un.InvolutionSpec("frobq"))
+    left, right = tmp_path / "left.unital", tmp_path / "right.unital"
+    out_file = tmp_path / "c.json"
+    un.write_unital_file(unital_cm81, left)
+    un.write_unital_file(upol, right)
+    code, out, _ = run(capsys, "compare", "--left", str(left), "--right", str(right),
+                       "--out", str(out_file))
+    payload = json.loads(out_file.read_text())
+    assert code == 0 and out.startswith("INCONCLUSIVE")
+    assert [payload[side]["strong_vertex_count"] for side in ("left", "right")] == [1, 1]
+    assert payload["left"]["onan_total"] is None
+
+
+def test_polarity_build_verifies_once(capsys, tmp_path, monkeypatch):
+    # the certificate's polarity check is the run the runconfig names
+    from unitalforge import unital as un
+
+    calls, verify = [], un.verify_polarity
+
+    def counted(plane, kappa, **kw):
+        calls.append(kw)
+        return verify(plane, kappa, **kw)
+
+    monkeypatch.setattr(un, "verify_polarity", counted)
+    out_file = tmp_path / "h.unital"
+    code, out, _ = run(capsys, "polarity", "build", "--p", "3", "--m", "2",
+                       "--seed", "5", "--trials", "7", "--out", str(out_file))
+    cert = json.loads((tmp_path / "h.unital.json").read_text())
+    assert code == 0 and calls == [{"seed": 5, "trials": 7}]
+    assert (cert["runconfig"]["seed"], cert["runconfig"]["trials"]) == (5, 7)
+    (check,) = [c for c in cert["checks"] if c["name"] == "polarity"]
+    assert check["mode"] == cert["runconfig"]["mode"] == "exhaustive"
+    assert "polarity kappa=frobq: absolutes=28 mode=exhaustive" in out
+
+
 def test_compare_self_inconclusive(capsys, tmp_path, unital_q3):
     from unitalforge import unital as un
 
@@ -358,6 +396,9 @@ def test_malformed_field_descriptor_is_usage_error(capsys, tmp_path, unital_q3, 
      "--budget must be at least 0, got -1"),
     (("planar", "verify", "--p", "3", "--m", "2", "--threads", "0"),
      "--threads must be at least 1, got 0"),
+    # [:-1] would print 323 of the 324 configurations and exit 0
+    (("onan", "find", "--p", "3", "--m", "2", "--exhaustive", "--limit", "-1"),
+     "--limit must be at least 0, got -1"),
 ])
 def test_flag_out_of_range_is_usage_error(capsys, argv, message):
     code, _, err = run(capsys, *argv)
