@@ -318,15 +318,15 @@ class DesignIndex:
             np.arange(self.n)[:, None]
         return cp
 
-    @cached_property
+    @property
     def meets(self) -> np.ndarray:
-        """(B, B) boolean: blocks sharing a point."""
+        """(B, B) boolean: blocks sharing a point, built afresh per read."""
         return self.common_point >= 0
 
     @cached_property
     def meets_bits(self) -> np.ndarray:
         """(B, W) bitsets of `meets` (see _pack_rows)."""
-        return _pack_rows(self.meets)
+        return _pack_rows(self.common_point >= 0)
 
     @cached_property
     def after_bits(self) -> np.ndarray:
@@ -517,9 +517,10 @@ def construct_onan_explicit(unital: Unital, a_v: int | None = None,
                             a_w: int | None = None) -> OnanConfig:
     """Explicit configuration from the power-map template.
 
-    For f = x^2 (k taken as 2n) or an Albert map x^(p^k+1), picks a_v, a_w
-    in the subfield F_{p^gcd(2n,k)} with a_v != a_w, a_v != omega*a_w
-    (omega a root of w^2 - w + 1), sets
+    For a power map f = x^(p^k+1) with k even, whatever spec produced it
+    (x^2 is k = 0, and gcd(2n, 0) = 2n), picks a_v, a_w in the subfield
+    F_{p^gcd(2n,k)} with a_v != a_w, a_v != omega*a_w (omega a root of
+    w^2 - w + 1), sets
 
         a_u = a_w(1-omega) + omega*a_v,
         t_u = 4 a_w (a_v - a_w) omega / theta,
@@ -537,14 +538,10 @@ def construct_onan_explicit(unital: Unital, a_v: int | None = None,
     spec, ctx, split = plane.spec, plane.ctx, plane.split
     if unital.theta is None:
         raise HypothesisUnmet("template applies to parabolic unitals")
-    if spec.family == "square":
-        k = 2 * split.sub_degree
-    elif spec.family == "albert":
-        k = spec.k
-        if k % 2 != 0:
-            raise HypothesisUnmet("template needs an even Albert exponent index")
-    else:
-        raise HypothesisUnmet(f"template covers square/albert, not {spec.family}")
+    d = spec.power_exponent or 0
+    k = next((k for k in range(0, d.bit_length(), 2) if ctx.p ** k + 1 == d), None)
+    if k is None:
+        raise HypothesisUnmet("template needs f = x^(p^k+1) with k even")
     omega = _omega_root(ctx)
     if omega is None:
         raise HypothesisUnmet("no root of w^2 - w + 1 in this field")
@@ -570,7 +567,7 @@ def construct_onan_explicit(unital: Unital, a_v: int | None = None,
                   & split.in_subfield(t_u) & split.in_subfield(t_v)
                   & (t_u != t_v) & (t_u != 0) & (t_v != 0))
     for i in np.flatnonzero(admissible).tolist():
-        cfg = _assemble_template(unital, k, omega, int(av[i]), int(aw[i]),
+        cfg = _assemble_template(unital, omega, int(av[i]), int(aw[i]),
                                  int(t_u[i]), int(t_v[i]))
         if cfg is not None:
             return cfg
@@ -579,7 +576,7 @@ def construct_onan_explicit(unital: Unital, a_v: int | None = None,
         f"(subfield size {len(sub_elems)}, q {split.sub_size})")
 
 
-def _assemble_template(unital: Unital, k: int, omega: int, av: int, aw: int,
+def _assemble_template(unital: Unital, omega: int, av: int, aw: int,
                        t_u: int, t_v: int) -> OnanConfig | None:
     plane = unital.plane
     spec, ctx, split = plane.spec, plane.ctx, plane.split
@@ -837,7 +834,7 @@ def sigma_stabilizer_report(unital: Unital) -> SubgroupReport:
         w = tr[u]
         desc = "shear stabilizer of the polarity unital (w = u+conj(u))"
     else:
-        raise ValueError("unital carries neither theta nor kappa provenance")
+        raise HypothesisUnmet("unital carries neither theta nor kappa provenance")
     if not plane.spec.is_dembowski_ostrom:
         raise FamilyMismatch("sigma collineations need a Dembowski-Ostrom plane")
     params = np.stack([u, v, w], axis=1)
@@ -935,8 +932,7 @@ class InvariantProfile:
 
 
 def invariant_profile(unital: Unital, with_onan: bool = True,
-                      with_wilbrink: bool = True,
-                      onan_budget: int | None = None) -> InvariantProfile:
+                      with_wilbrink: bool = True) -> InvariantProfile:
     """Design parameters, O'Nan statistics, strong-vertex count, and the
     line intersection spectrum.  O'Nan and Wilbrink sweeps run only when
     requested; the O'Nan search is meant for q <= 5, the strong-vertex
@@ -950,11 +946,11 @@ def invariant_profile(unital: Unital, with_onan: bool = True,
     spectrum = tuple((int(a), int(b)) for a, b in zip(vals, mult))
     profile = InvariantProfile(idx.n, idx.q + 1, idx.B, line_spectrum=spectrum)
     if with_onan:
-        result = find_onan_exhaustive(unital, budget=onan_budget, index=idx)
+        result = find_onan_exhaustive(unital, index=idx)
         ranks = np.searchsorted(unital.points, result.point_ids)
         per_point = np.bincount(ranks.ravel(), minlength=len(unital.points))
         histo_vals, histo_mult = np.unique(per_point, return_counts=True)
-        profile.onan_total = result.count if result.complete else None
+        profile.onan_total = result.count
         profile.onan_point_histogram = tuple(
             (int(a), int(b)) for a, b in zip(histo_vals, histo_mult))
     if with_wilbrink:

@@ -137,7 +137,7 @@ def _spec_arg(args) -> str:
 
 def _theta_index(split, spec, theta_arg: str) -> int:
     if theta_arg == "auto":
-        if spec.family in ("dickson", "zhoupott", "ganley", "pw", "bh"):
+        if spec.is_two_component:
             return split.xi
         return split.choose_theta()
     if not (theta_arg.isdecimal() and int(theta_arg) < split.ctx.size):

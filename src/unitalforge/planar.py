@@ -18,9 +18,11 @@ documented, seeded set of shifts.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,27 +51,10 @@ __all__ = [
     "smallest_nonsquare",
 ]
 
-GANLEY_MIN_N = 3  # n = 1 degenerates toward the prime field; override via ganley(..., min_n=1)
-
-
 def smallest_nonsquare(ctx) -> int:
     """Smallest-index nonsquare of the whole field."""
     idx = np.arange(ctx.size)
     return int(np.flatnonzero(np.asarray(ctx.quadratic_character(idx)) == -1)[0])
-
-
-def _exponent_is_do(e: int, p: int) -> bool:
-    # e == p^i + p^j for some 0 <= i <= j
-    pi = 1
-    while 2 * pi <= e:
-        pj = e - pi
-        t = pj
-        while t > 1 and t % p == 0:
-            t //= p
-        if t == 1:
-            return True
-        pi *= p
-    return False
 
 
 @dataclass(frozen=True)
@@ -110,9 +95,10 @@ class PlanarFunctionSpec:
                     f"zhou-pott needs 0 < i,k < n, n/gcd(k,n) odd, p^n = 1 mod 4; "
                     f"got i={self.i}, k={self.k}, p^n={p ** n}")
         elif fam == "ganley":
-            if p != 3 or n % 2 == 0:
+            # n = 1 degenerates toward the prime field
+            if p != 3 or n % 2 == 0 or n < 3:
                 raise SpecConstraintViolated(
-                    f"ganley needs p=3 and odd n; got p={p}, n={n}")
+                    f"ganley needs p=3 and odd n >= 3; got p={p}, n={n}")
         elif fam == "pw":
             if p != 3 or n != 5:
                 raise SpecConstraintViolated(
@@ -149,20 +135,11 @@ class PlanarFunctionSpec:
     # -- identity / formatting --
 
     def spec_string(self) -> str:
-        fam = self.family
-        if fam in ("square", "ganley", "pw"):
-            return fam
-        if fam == "albert":
-            return f"albert:k={self.k}"
-        if fam == "cm":
-            return f"cm:k={self.k}"
-        if fam == "dickson":
-            return f"dickson:i={self.i}"
-        if fam == "zhoupott":
-            return f"zhoupott:i={self.i},k={self.k}"
-        if fam == "bh":
-            return f"bh:k={self.k},b={self.b}"
-        return "custom:" + ",".join(f"{e}:{c}" for e, c in self.terms)
+        """The text parse_spec reads back into this spec."""
+        if self.family == "custom":
+            return "custom:" + ",".join(f"{e}:{c}" for e, c in self.terms)
+        kv = ",".join(f"{key}={getattr(self, key)}" for key in _FAMILIES[self.family].params)
+        return f"{self.family}:{kv}" if kv else self.family
 
     def __repr__(self):
         return f"PlanarFunctionSpec({self.spec_string()} over {self.split!r})"
@@ -187,15 +164,22 @@ class PlanarFunctionSpec:
     def is_power_map(self) -> bool:
         return self.power_exponent is not None
 
-    @property
+    @cached_property
     def is_dembowski_ostrom(self) -> bool:
-        """All exponents of shape p^i + p^j (the commutative-semifield case)."""
-        p = self.split.ctx.p
-        if self.family in ("square", "albert", "dickson", "zhoupott", "ganley", "pw", "bh"):
-            return True
-        if self.family == "cm":
-            return _exponent_is_do((3 ** self.k + 1) // 2, 3)
-        return all(_exponent_is_do(e, p) for e, _ in self.terms if e)
+        """Whether the polarization f(x+y) - f(x) - f(y) is biadditive.
+
+        That holds exactly when f(0) = 0 and every base-p digit of f(x) is a
+        polynomial of degree <= 2 in the digits of x, which is the test
+        check_planarity's rank proof runs on the table (_digit_quadratic);
+        the catalog name is never read.
+        """
+        return bool(self.table[0] == 0) and _digit_quadratic(self.split.ctx, self.table)
+
+    @property
+    def is_two_component(self) -> bool:
+        """Whether f = f0 + f1*xi is a catalog family built from two
+        components over F_q (its natural theta is xi)."""
+        return _FAMILIES[self.family].two_component
 
     # -- evaluation --
 
@@ -297,10 +281,7 @@ def zhou_pott(split, i: int, k: int) -> PlanarFunctionSpec:
     return PlanarFunctionSpec(split, "zhoupott", i=i, k=k)
 
 
-def ganley(split, min_n: int = GANLEY_MIN_N) -> PlanarFunctionSpec:
-    if split.sub_degree < min_n:
-        raise SpecConstraintViolated(
-            f"ganley instantiated below the configured minimum n >= {min_n}")
+def ganley(split) -> PlanarFunctionSpec:
     return PlanarFunctionSpec(split, "ganley")
 
 
@@ -317,6 +298,28 @@ def budaghyan_helleseth(split, k: int, b: int | None = None) -> PlanarFunctionSp
 def custom(split, terms) -> PlanarFunctionSpec:
     return PlanarFunctionSpec(split, "custom",
                               terms=tuple((int(e), split.ctx.index_of(c)) for e, c in terms))
+
+
+# the catalog: spec_string writes and parse_spec reads a family's
+# parameters in this order, and the CLI takes theta = xi for two components
+class _Family(NamedTuple):
+    make: Callable                  # the public constructor, make(split, **params)
+    params: tuple = ()              # spec-string parameters, in spec-string order
+    two_component: bool = False     # f = f0 + f1*xi from two components over F_q
+    defaulted: tuple = ()           # params make fills in when a spec string omits them
+
+
+_FAMILIES = {
+    "square": _Family(square),
+    "albert": _Family(albert, ("k",)),
+    "cm": _Family(coulter_matthews, ("k",)),
+    "dickson": _Family(dickson, ("i",), True),
+    "zhoupott": _Family(zhou_pott, ("i", "k"), True),
+    "ganley": _Family(ganley, (), True),
+    "pw": _Family(penttila_williams, (), True),
+    "bh": _Family(budaghyan_helleseth, ("k", "b"), True, ("b",)),
+    "custom": _Family(custom),          # spec string: custom:<exp>:<coeff>[,...]
+}
 
 
 def parse_spec(split, text: str) -> PlanarFunctionSpec:
@@ -337,29 +340,13 @@ def parse_spec(split, text: str) -> PlanarFunctionSpec:
         raise UsageError(f"malformed spec string {text!r}") from None
     if name == "custom":
         return custom(split, pairs)
-
-    def arg(key):
-        if key not in kv:
+    if name not in _FAMILIES:
+        raise UsageError(f"unknown spec string {text!r}")
+    fam = _FAMILIES[name]
+    for key in fam.params:
+        if key not in kv and key not in fam.defaulted:
             raise UsageError(f"spec string {text!r} needs {key}=<int>")
-        return kv[key]
-
-    if name == "square":
-        return square(split)
-    if name == "albert":
-        return albert(split, arg("k"))
-    if name == "cm":
-        return coulter_matthews(split, arg("k"))
-    if name == "dickson":
-        return dickson(split, arg("i"))
-    if name == "zhoupott":
-        return zhou_pott(split, arg("i"), arg("k"))
-    if name == "ganley":
-        return ganley(split)
-    if name == "pw":
-        return penttila_williams(split)
-    if name == "bh":
-        return budaghyan_helleseth(split, arg("k"), kv.get("b"))
-    raise UsageError(f"unknown spec string {text!r}")
+    return fam.make(split, **{key: kv[key] for key in fam.params if key in kv})
 
 
 # -- verifiers --

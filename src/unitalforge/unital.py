@@ -36,6 +36,7 @@ from .errors import (
     ConditionCFailed,
     CountViolation,
     HypothesisFailed,
+    HypothesisUnmet,
     IntersectionViolation,
     InvalidPointSet,
     NotInjective,
@@ -461,10 +462,9 @@ def check_parabolic_hypothesis(plane: ShiftPlane, theta: int):
     phi = phi_table(plane, theta)
     counts = np.bincount(split.sub_rank[phi], minlength=split.sub_size)
     hist = {int(split.sub_elements[r]): int(c) for r, c in enumerate(counts)}
-    zero_rank = int(split.sub_rank[0])
-    ok = counts[zero_rank] == 1 and bool(
-        np.all(np.delete(counts, zero_rank) == split.sub_size + 1))
-    return ok, hist
+    need = np.full(split.sub_size, split.sub_size + 1)
+    need[split.sub_rank[0]] = 1
+    return bool(np.array_equal(counts, need)), hist
 
 
 def parabolic_y_values(plane: ShiftPlane, theta: int) -> np.ndarray:
@@ -478,7 +478,8 @@ def build_parabolic_unital(plane: ShiftPlane, theta: int) -> Unital:
     theta = plane.ctx.index_of(theta)
     ok, hist = check_parabolic_hypothesis(plane, theta)
     if not ok:
-        bad = {c: n for c, n in hist.items() if n not in (1, plane.split.sub_size + 1)}
+        q = plane.split.sub_size
+        bad = {c: n for c, n in hist.items() if n != (1 if c == 0 else q + 1)}
         raise HypothesisFailed(f"fiber histogram violates {{1, q+1}}: {bad}")
     N = plane.N
     ys = parabolic_y_values(plane, theta)
@@ -885,7 +886,7 @@ def dual_unital(unital: Unital):
     Returns (dual unital, witness dict).
     """
     if unital.theta is None:
-        raise ValueError("dual switch is defined for parabolic unitals")
+        raise HypothesisUnmet("dual switch is defined for parabolic unitals")
     duals = tangent_line_ids(unital)               # line IDs = dual point IDs
     if not np.array_equal(np.sort(duals), unital.points):
         raise SwitchMismatch("switch image differs from the original point set")
@@ -910,7 +911,7 @@ def ovals_decomposition(unital: Unital) -> list[np.ndarray]:
 
     plane = unital.plane
     if unital.theta is None:
-        raise ValueError("oval decomposition applies to parabolic unitals")
+        raise HypothesisUnmet("oval decomposition applies to parabolic unitals")
     ok, witness = check_normality(plane.spec)
     if not ok:
         raise NotNormal(f"plane function is not normal: {witness}")

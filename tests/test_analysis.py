@@ -337,13 +337,16 @@ def _reference_wilbrink(unital, point_id, strong=True, index=None):
     kernel."""
     v = int(np.searchsorted(unital.points, point_id))
     idx = index or an.DesignIndex(unital)
+    # the meeting table the kernel reads, so that a thinned index thins both
+    meets = np.unpackbits(idx.meets_bits.view(np.uint8), axis=1,
+                          bitorder="little")[:, :idx.B].astype(bool)
     satisfied = total = 0
     v_blocks = set(int(b) for b in idx.blocks_by_point[v])
     for B in range(idx.B):
         if B in v_blocks:
             continue
         through_v = np.unique(idx.block_through_pair[v, idx.block_points[B]])
-        ok_blocks = idx.meets[:, through_v].all(axis=1)
+        ok_blocks = meets[:, through_v].all(axis=1)
         for C in through_v:
             z = int(idx.common_point[C, B])        # the point of B on C
             for w in idx.block_points[C]:
@@ -362,15 +365,15 @@ def _reference_wilbrink(unital, point_id, strong=True, index=None):
 
 
 def _thinned_index(unital, seed, pairs=20):
-    """A DesignIndex of unital whose meets table drops `pairs` seeded
-    meeting pairs, in both its bool and its bitset form: strong vertices
-    then fail at triples far into the sweep."""
+    """A DesignIndex of unital whose meets_bits drop `pairs` seeded
+    meeting pairs: strong vertices then fail at triples far into the
+    sweep."""
     idx = an.DesignIndex(unital)
-    meets = idx.meets.copy()
+    meets = idx.meets
     rows, cols = np.nonzero(np.triu(meets))
     pick = np.random.default_rng(seed).choice(len(rows), pairs, replace=False)
     meets[rows[pick], cols[pick]] = meets[cols[pick], rows[pick]] = False
-    idx.__dict__.update(meets=meets, meets_bits=an._pack_rows(meets))
+    idx.__dict__.update(meets_bits=an._pack_rows(meets))
     return idx
 
 
@@ -713,6 +716,20 @@ def test_exhaustive_peak_memory_q5(unital_q5):
     assert peak < 18 * 2 ** 20
 
 
+def test_design_index_keeps_no_bool_meets_table(unital_q3, unital_q5):
+    # meets is rebuilt per read; the searches read only its bitsets, which
+    # are the bytes the cached bool table used to pack
+    frozen = {3: "57d0b4105a9af7997b83b7ffa405eb654e5c968ac0c8ea165fb983be8dcabd9c",
+              5: "345cf3e00bed9ad3daf5dbf6848fa490cf593924875f0dd9768448d4c89d91ef"}
+    for u in (unital_q3, unital_q5):
+        idx = an.DesignIndex(u)
+        an.find_onan_exhaustive(u, index=idx)
+        an.wilbrink_vertex_check(u, int(u.points[-1]), index=idx)
+        assert "meets" not in idx.__dict__
+        assert hashlib.sha256(idx.meets_bits.tobytes()).hexdigest() == frozen[u.q]
+        assert np.array_equal(idx.meets, idx.common_point >= 0)
+
+
 def test_design_index_bitsets_q3(unital_q3):
     idx = an.DesignIndex(unital_q3)
     B = idx.B
@@ -840,7 +857,7 @@ def _template_candidates(u, monkeypatch, *pair):
     _assemble_template when every assembly fails, and the error it ends in."""
     calls = []
 
-    def record(unital, k, omega, av, aw, t_u, t_v):
+    def record(unital, omega, av, aw, t_u, t_v):
         calls.append((av, aw, t_u, t_v))
         return None
 
@@ -882,6 +899,20 @@ def test_explicit_construction_rejects_cm(unital_cm81):
         an.construct_onan_explicit(unital_cm81)
 
 
+def test_explicit_template_reads_the_exponent(s9, s729, unital_q3, monkeypatch):
+    # k comes from f = x^(p^k+1), whatever spec produced f: cm:k=1 is x^2
+    # (k = 0) and custom x^10 is the Albert map k = 2 (an odd k is never
+    # planar on F_{p^2n})
+    cases = [(planar.coulter_matthews(s9, 1), unital_q3),
+             (planar.custom(s729, [(10, 1)]),
+              un.build_parabolic_unital(ShiftPlane(planar.albert(s729, 2)),
+                                        s729.choose_theta()))]
+    for spec, named in cases:
+        u = un.build_parabolic_unital(ShiftPlane(spec), named.theta)
+        assert _template_candidates(u, monkeypatch) == \
+            _template_candidates(named, monkeypatch)
+
+
 # -- stabilizers ------------------------------------------------------------------
 
 def test_sigma1_order_and_abelian(unital_q3):
@@ -909,6 +940,12 @@ def test_sigma_composition_law_exhaustive(plane_q3):
     res = an.verify_sigma_composition(plane_q3)
     assert res["pairs_checked"] == 729 ** 2
     assert res["biadditivity"] == "exhaustive"
+
+
+def test_stabilizer_needs_theta_or_kappa(plane_q3, unital_q3):
+    g_table = np.tile(un.parabolic_y_values(plane_q3, unital_q3.theta), (9, 1))
+    with pytest.raises(HypothesisUnmet, match="neither theta nor kappa"):
+        an.sigma_stabilizer_report(un.build_general_unital(plane_q3, g_table))
 
 
 def test_sigma_composition_needs_dembowski_ostrom(plane_cm81, unital_cm81):

@@ -675,3 +675,12 @@ def test_exhaustive_embedded_check_is_certified_or_refused(capsys):
 def test_unital_verify_design_up_to_the_library_limit(capsys, p, line):
     code, out, _ = run(capsys, "unital", "verify", "--p", p, "--m", "2")
     assert code == 0 and line in out.splitlines()
+
+
+@pytest.mark.parametrize("command", ["dual", "ovals"])
+def test_parabolic_only_commands_refuse_polarity_file(capsys, tmp_path, command):
+    path = str(tmp_path / "h3.unital")
+    code, _, _ = run(capsys, "polarity", "build", "--p", "3", "--m", "2", "--out", path)
+    assert code == 0
+    code, _, err = run(capsys, "unital", command, "--p", "3", "--m", "2", "--in", path)
+    assert code == 1 and "Traceback" not in err

@@ -189,7 +189,8 @@ def test_do_flags(s9, s81, s729):
     lambda s9, s729: planar.albert(s9, 1),                # 2n/gcd even
     lambda s9, s729: planar.coulter_matthews(s729, 2),    # gcd(k, 2n) != 1
     lambda s9, s729: planar.dickson(s9, 1),               # needs 0 < i < n
-    lambda s9, s729: planar.ganley(s9),                   # below min_n
+    lambda s9, s729: planar.ganley(s9),                   # needs n >= 3
+    lambda s9, s729: planar.PlanarFunctionSpec(s9, "ganley"),  # by either path
     lambda s9, s729: planar.penttila_williams(s729),      # needs n = 5
     lambda s9, s729: planar.budaghyan_helleseth(s729, 1),  # odd k: non-planar
     lambda s9, s729: planar.budaghyan_helleseth(s729, 2, b=1),  # square b
@@ -216,6 +217,63 @@ def test_spec_string_round_trip(s9, s81, s729):
         again = planar.parse_spec(spec.split, spec.spec_string())
         assert again.spec_string() == spec.spec_string()
         assert np.array_equal(again.table, spec.table)
+
+
+# one instance of every family and its spec string, as the family table
+# reproduces them byte for byte (bh with its default b = the smallest nonsquare)
+SPEC_STRINGS = [
+    ((3, 2), lambda s: planar.square(s), "square"),
+    ((3, 6), lambda s: planar.albert(s, 2), "albert:k=2"),
+    ((3, 4), lambda s: planar.coulter_matthews(s, 3), "cm:k=3"),
+    ((5, 4), lambda s: planar.dickson(s, 1), "dickson:i=1"),
+    ((5, 6), lambda s: planar.zhou_pott(s, 1, 1), "zhoupott:i=1,k=1"),
+    ((3, 6), lambda s: planar.ganley(s), "ganley"),
+    ((3, 10), lambda s: planar.penttila_williams(s), "pw"),
+    ((3, 6), lambda s: planar.budaghyan_helleseth(s, 2), "bh:k=2,b=4"),
+    ((3, 2), lambda s: planar.custom(s, [(3, 1), (2, 4)]), "custom:3:1,2:4"),
+]
+
+
+@pytest.mark.parametrize("field, build, text", SPEC_STRINGS,
+                         ids=[t for _, _, t in SPEC_STRINGS])
+def test_spec_strings_frozen(field, build, text):
+    split = gf.split_new(gf.field_new(*field), field[1] // 2)
+    spec = build(split)
+    assert spec.spec_string() == text
+    assert planar.parse_spec(split, text) == spec
+    assert planar.parse_spec(split, text).spec_string() == text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("albert", "spec string 'albert' needs k=<int>"),
+    ("zhoupott:i=1", "spec string 'zhoupott:i=1' needs k=<int>"),
+    ("bh:b=4", "spec string 'bh:b=4' needs k=<int>"),
+    ("foo:k=1", "unknown spec string 'foo:k=1'"),
+    ("albert:k=two", "malformed spec string 'albert:k=two'"),
+    ("custom:3", "malformed spec string 'custom:3'"),
+])
+def test_parse_spec_messages(s729, text, message):
+    with pytest.raises(UsageError) as err:
+        planar.parse_spec(s729, text)
+    assert str(err.value) == message
+
+
+# is_dembowski_ostrom as the catalog names decided it before the flag was
+# read off the table: x^14 on F_81 and x^122 on F_729 are the only non-DO
+DO_CATALOG = [
+    ((3, 2), "square", True), ((5, 2), "square", True), ((7, 2), "square", True),
+    ((3, 4), "square", True), ((3, 4), "cm:k=1", True), ((3, 4), "cm:k=3", False),
+    ((3, 6), "cm:k=1", True), ((3, 6), "cm:k=5", False), ((3, 6), "albert:k=2", True),
+    ((3, 6), "ganley", True), ((3, 6), "bh:k=2", True), ((5, 4), "dickson:i=1", True),
+    ((5, 6), "zhoupott:i=1,k=1", True), ((3, 10), "pw", True),
+]
+
+
+@pytest.mark.parametrize("field, text, expected", DO_CATALOG,
+                         ids=[f"{t}@{p}^{m}" for (p, m), t, _ in DO_CATALOG])
+def test_do_flag_read_off_the_table_matches_catalog(field, text, expected):
+    split = gf.split_new(gf.field_new(*field), field[1] // 2)
+    assert planar.parse_spec(split, text).is_dembowski_ostrom is expected
 
 
 def test_certify_bundle(s9):

@@ -134,6 +134,24 @@ def test_sigma_needs_do(plane_cm81):
         Sigma(plane_cm81, 0, 0, 1)
 
 
+def test_sigma_follows_biadditivity_on_custom_maps(s9):
+    from unitalforge.analysis import verify_sigma_composition
+
+    # x^2 + 1: planar, but the shears are no collineations of its plane
+    plus_one = ShiftPlane(planar.custom(s9, [(2, 1), (0, 1)]))
+    with pytest.raises(FamilyMismatch):
+        Sigma(plus_one, 1, 2, 1)
+    with pytest.raises(FamilyMismatch):
+        verify_sigma_composition(plus_one)
+    # x^2 + x: its polarization 2xy is biadditive, and every shear is one
+    plus_x = ShiftPlane(planar.custom(s9, [(2, 1), (1, 1)]))
+    for u in range(9):
+        for v in (0, 4):
+            for w in range(9):
+                assert verify_collineation(plus_x, Sigma(plus_x, u, v, w))
+    assert verify_sigma_composition(plus_x)["biadditivity"] == "exhaustive"
+
+
 def test_sigma_is_collineation(plane_q3):
     g = Sigma(plane_q3, 2, 3, 4)
     assert verify_collineation(plane_q3, g)

@@ -68,6 +68,18 @@ def test_bh_hypothesis_theta_xi(s729):
     assert ok
 
 
+def test_hypothesis_failure_names_every_wrong_fiber(s9):
+    # x^2 + x at q=3 swaps the counts: 0 is hit 4 times and 2 once
+    plane = ShiftPlane(planar.custom(s9, [(2, 1), (1, 1)]))
+    ok, hist = un.check_parabolic_hypothesis(plane, s9.choose_theta())
+    assert ok is False and hist == {0: 4, 1: 4, 2: 1}
+    with pytest.raises(HypothesisFailed) as err:
+        un.build_parabolic_unital(plane, s9.choose_theta())
+    assert str(err.value) == "fiber histogram violates {1, q+1}: {0: 4, 2: 1}"
+    ok, _ = un.check_parabolic_hypothesis(ShiftPlane(planar.square(s9)), s9.choose_theta())
+    assert ok is True
+
+
 # -- general (data-driven) construction ----------------------------------------
 
 def test_general_reduces_to_parabolic(plane_q3, unital_q3):
