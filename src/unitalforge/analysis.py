@@ -70,8 +70,8 @@ def derive_delta(split, theta: int) -> int:
 
     Solves the 2x2 system Tr(delta) = theta_1, Tr(delta*xi) = -theta_0 over
     F_q by Cramer's rule (the trace form on the basis (1, xi) is
-    nondegenerate) and verifies the identity on all of F_{q^2} for q <= 27,
-    on a seeded 10^4 sample otherwise.
+    nondegenerate) and verifies the identity on every element of F_{q^2}:
+    O(q^2) work, 59 049 elements at q = 243.
     """
     ctx = split.ctx
     theta = ctx.index_of(theta)
@@ -91,10 +91,7 @@ def derive_delta(split, theta: int) -> int:
     d1 = ctx.mul(inv_det, ctx.sub(ctx.mul(t1, rhs1), ctx.mul(rhs0, tx)))
     delta = int(split.recompose(int(d0), int(d1)))
     # verify Tr(delta*z) = theta_1 z_0 - theta_0 z_1
-    if split.sub_size <= 27:
-        zs = np.arange(ctx.size, dtype=np.int64)
-    else:
-        zs = np.random.default_rng(0).integers(0, ctx.size, 10000)
+    zs = np.arange(ctx.size, dtype=np.int64)
     lhs = np.asarray(split.trace(ctx.mul(delta, zs)))
     z0, z1 = split.decompose(zs)
     rhs = np.asarray(ctx.sub(ctx.mul(th1, z0), ctx.mul(th0, z1)))

@@ -19,7 +19,7 @@ documented, seeded set of shifts.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from math import gcd
 from typing import NamedTuple
@@ -126,6 +126,14 @@ class PlanarFunctionSpec:
                 raise SpecConstraintViolated("custom coefficient index out of range")
         else:
             raise SpecConstraintViolated(f"unknown family {fam!r}")
+        # an unread parameter keeps its default, so equal specs print equal
+        read = (("split", "family") + _FAMILIES[fam].params
+                + (("terms",) if fam == "custom" else ()))
+        for param in fields(self):
+            value = getattr(self, param.name)
+            if param.name not in read and value != param.default:
+                raise SpecConstraintViolated(
+                    f"{fam} reads no parameter {param.name}; got {param.name}={value!r}")
 
     def _need_alpha(self):
         if self.split.alpha is None:
@@ -343,6 +351,9 @@ def parse_spec(split, text: str) -> PlanarFunctionSpec:
     if name not in _FAMILIES:
         raise UsageError(f"unknown spec string {text!r}")
     fam = _FAMILIES[name]
+    for key in kv:
+        if key not in fam.params:
+            raise UsageError(f"spec string {text!r} has no parameter {key}")
     for key in fam.params:
         if key not in kv and key not in fam.defaulted:
             raise UsageError(f"spec string {text!r} needs {key}=<int>")

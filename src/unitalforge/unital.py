@@ -50,7 +50,8 @@ from .errors import (
     require_mode,
     require_trials,
 )
-from .plane import BATCH, Gamma, Shift, ShiftPlane, Sigma, _check_flags, id_batches
+from .plane import (BATCH, Gamma, Shift, ShiftPlane, Sigma, _check_flags, _TableMap,
+                    id_batches)
 
 __all__ = [
     "Unital",
@@ -783,19 +784,14 @@ def _polarity_precheck(plane: ShiftPlane, kappa: InvolutionSpec) -> np.ndarray:
     return bar
 
 
-def _correlation(plane: ShiftPlane, bar: np.ndarray, ids) -> np.ndarray:
-    """rho of an involution table `bar` on point or line IDs.  Points and
-    lines share the ID scheme, so one map sends points to lines and lines
-    to points; infinity and L_inf keep their ID."""
-    N = plane.N
-    NN = N * N
-    ids = np.asarray(ids, dtype=np.int64)
-    out = ids.copy()
-    low = ids < NN
-    out[low] = bar[ids[low] // N] * N + bar[ids[low] % N]
-    mid = (ids >= NN) & (ids < NN + N)
-    out[mid] = NN + bar[ids[mid] - NN]
-    return out
+class _Polarity(_TableMap):
+    """rho of an involution table bar, as a map of IDs: points and lines
+    share the ID scheme, so apply_point sends point IDs to the IDs of
+    their image lines and apply_line line IDs to points, by one map;
+    infinity and L_inf keep their ID."""
+
+    def __init__(self, plane: ShiftPlane, bar: np.ndarray):
+        self.plane, self._tables = plane, (bar, bar)
 
 
 def verify_polarity(plane: ShiftPlane, kappa: InvolutionSpec,
@@ -813,18 +809,15 @@ def verify_polarity(plane: ShiftPlane, kappa: InvolutionSpec,
     """
     require_mode(mode, ("auto", "exhaustive", "sampled"))
     q = plane.split.sub_size
-    bar = _polarity_precheck(plane, kappa)
-
-    def rho(ids):
-        return _correlation(plane, bar, ids)
-
+    rho = _Polarity(plane, _polarity_precheck(plane, kappa))
     if mode == "auto":
         mode = "exhaustive" if q <= 9 else "sampled"
 
     def reversed_incident(pids, lids):
-        return plane.incident_many(rho(lids), rho(pids))
+        return plane.incident_many(rho.apply_line(lids), rho.apply_point(pids))
 
-    flag, checked = _check_flags(plane, rho, rho, reversed_incident, mode, seed, trials)
+    flag, checked = _check_flags(plane, rho.apply_point, rho.apply_line,
+                                 reversed_incident, mode, seed, trials)
     if flag is not None:
         raise NotPolarity(f"incidence not reversed at ({flag[0]}, {flag[1]})")
     absolute = absolute_point_ids(plane, kappa)

@@ -14,6 +14,7 @@ from unitalforge.errors import (
     FamilyMismatch,
     HypothesisUnmet,
     ProvenanceMismatch,
+    SingularSystem,
     UsageError,
     WitnessCheckFailed,
     ZeroBeta,
@@ -61,6 +62,26 @@ def test_derive_delta_for_theta_xi(s9):
     delta = an.derive_delta(s9, s9.xi)
     assert int(s9.trace(delta)) == 1
     assert int(s9.trace(s9.ctx.mul(delta, s9.xi))) == 0
+
+
+def test_derive_delta_checks_every_element_q125(monkeypatch):
+    split = gf.split_new(gf.field_new(5, 6), 3)
+    ctx, theta = split.ctx, split.choose_theta()
+    delta = an.derive_delta(split, theta)
+    z = np.arange(ctx.size, dtype=np.int64)
+    z0, z1 = split.decompose(z)
+    th0, th1 = (int(v) for v in split.decompose(theta))
+    assert np.array_equal(split.trace(ctx.mul(delta, z)),
+                          ctx.sub(ctx.mul(th1, z0), ctx.mul(th0, z1)))
+    # a trace wrong at one product delta*z, for the last z outside the
+    # seeded 10^4-element sample a sampled check would draw, is caught
+    sample = np.random.default_rng(0).integers(0, ctx.size, 10000)
+    bad = int(ctx.mul(delta, int(np.setdiff1d(z, sample)[-1])))
+    real = split.trace
+    monkeypatch.setattr(split, "trace", lambda x: np.where(
+        np.asarray(x) == bad, ctx.add(real(x), 1), real(x)))
+    with pytest.raises(SingularSystem, match="fails the trace identity"):
+        an.derive_delta(split, theta)
 
 
 def test_circle_size_and_membership(unital_q3):

@@ -329,7 +329,7 @@ def test_unital_verify_rejects_repeated_point(capsys, tmp_path, unital_q5):
     assert code == 1 and "CHECK FAILED (InvalidPointSet)" in err and "listed twice" in err
 
 
-@pytest.mark.parametrize("spec", ["albert", "custom:2"])
+@pytest.mark.parametrize("spec", ["albert", "custom:2", "square:z=7", "albert:k=2,j=1"])
 def test_malformed_spec_is_usage_error(capsys, spec):
     code, _, err = run(capsys, "plane", "verify", "--p", "3", "--m", "2", "--spec", spec)
     assert code == 2 and "usage error" in err and repr(spec) in err

@@ -195,6 +195,7 @@ def test_do_flags(s9, s81, s729):
     lambda s9, s729: planar.budaghyan_helleseth(s729, 1),  # odd k: non-planar
     lambda s9, s729: planar.budaghyan_helleseth(s729, 2, b=1),  # square b
     lambda s9, s729: planar.custom(s9, []),
+    lambda s9, s729: planar.PlanarFunctionSpec(s9, "square", k=5),  # k unread
 ])
 def test_eager_validation_rejects(build, s9, s729):
     with pytest.raises(SpecConstraintViolated):
@@ -251,6 +252,8 @@ def test_spec_strings_frozen(field, build, text):
     ("foo:k=1", "unknown spec string 'foo:k=1'"),
     ("albert:k=two", "malformed spec string 'albert:k=two'"),
     ("custom:3", "malformed spec string 'custom:3'"),
+    ("square:z=7", "spec string 'square:z=7' has no parameter z"),
+    ("albert:k=2,j=1", "spec string 'albert:k=2,j=1' has no parameter j"),
 ])
 def test_parse_spec_messages(s729, text, message):
     with pytest.raises(UsageError) as err:

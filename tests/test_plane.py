@@ -449,6 +449,54 @@ def test_incident_many_sample_q9(plane_cm81):
     assert np.array_equal(P.incident_many(pids, lids[:, None]), expect)
 
 
+def _reference_incident(P, pids, lids):
+    """The per-kind incidence equations incident_many replaced by reading
+    points_at at one column, kept as its oracle (1-d ID arrays)."""
+    N, NN = P.N, P.N * P.N
+    hit = np.zeros(pids.shape, dtype=bool)
+    at_inf = lids == P.at_infinity_id
+    hit[at_inf] = pids[at_inf] >= NN                 # slopes and infinity
+    # vertical x = a: pid // N equals a only for affine points
+    vert = (lids >= NN) & ~at_inf
+    pv = pids[vert]
+    hit[vert] = (pv == P.infinity_id) | (pv // N == lids[vert] - NN)
+    # graph L(a, b): the slope point (a), never infinity (its offset is N)
+    slope = (lids < NN) & (pids >= NN)
+    hit[slope] = pids[slope] - NN == lids[slope] // N
+    aff = (lids < NN) & (pids < NN)
+    x, y = pids[aff] // N, pids[aff] % N
+    a, b = lids[aff] // N, lids[aff] % N
+    hit[aff] = P.ctx.sub(P.f[P.ctx.add(x, a)], b) == y
+    return hit
+
+
+def test_incident_many_matches_reference_all_pairs_q3(plane_q3):
+    P = plane_q3
+    pids, lids = np.meshgrid(P.point_ids(), P.line_ids(), indexing="ij")
+    got = P.incident_many(pids, lids)
+    assert np.array_equal(got.ravel(), _reference_incident(P, pids.ravel(), lids.ravel()))
+    assert got.sum() == 91 * 10
+
+
+@pytest.mark.parametrize("which", ["cm-q9", "albert-q27"])
+def test_incident_many_matches_reference(which, plane_cm81, s729):
+    P = plane_cm81 if which == "cm-q9" else ShiftPlane(planar.albert(s729, 2))
+    NN, rng = P.N * P.N, np.random.default_rng(5)
+    # every pairing of point kind with line kind (as IDs: affine or graph,
+    # slope or vertical, infinity or L_inf), the incident pairs of seeded
+    # lines, and seeded pairs
+    kinds = np.concatenate([rng.integers(0, NN, 40), rng.integers(NN, P.infinity_id, 40),
+                            [P.infinity_id]])
+    pairs = np.stack(np.meshgrid(kinds, kinds, indexing="ij"), axis=-1).reshape(-1, 2)
+    flags = np.stack(P.sample_flags(rng, 5000), axis=-1)
+    seeded = np.stack([rng.integers(0, P.n_points, 40000),
+                       rng.integers(0, P.n_lines, 40000)], axis=-1)
+    pids, lids = np.concatenate([pairs, flags, seeded]).T
+    got = P.incident_many(pids, lids)
+    assert np.array_equal(got, _reference_incident(P, pids, lids))
+    assert got[len(pairs):len(pairs) + 5000].all()
+
+
 def test_small_batches_change_nothing(plane_q3, monkeypatch):
     P = plane_q3
     full = P.points_on_lines(P.line_ids())

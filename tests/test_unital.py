@@ -319,10 +319,17 @@ def test_correlation_squared_is_identity(kind, which, plane_q3, plane_q5, plane_
     planes = {"square-q3": plane_q3, "square-q5": plane_q5, "cm-q9": plane_cm81}
     plane = planes[which] if which in planes else ShiftPlane(planar.albert(s729, 2))
     bar = un.InvolutionSpec(kind).table(plane)
+    rho = un._Polarity(plane, bar)
     ids = np.arange(plane.n_points, dtype=np.int64)       # every point and line ID
-    image = un._correlation(plane, bar, ids)
+    image = rho.apply_point(ids)
+    # (x, y) <-> L(bar x, bar y), (a) <-> V(bar a), inf <-> L_inf
+    N, NN = plane.N, plane.N ** 2
+    x, y = np.divmod(ids[:NN], N)
+    assert np.array_equal(image, np.concatenate([bar[x] * N + bar[y], NN + bar,
+                                                 [plane.infinity_id]]))
     assert not np.array_equal(image, ids)
-    assert np.array_equal(un._correlation(plane, bar, image), ids)
+    assert np.array_equal(rho.apply_line(image), ids)
+    assert np.array_equal(rho.apply_line(ids), image)     # one map on both kinds
 
 
 def test_conjxi_involution_table(s9):
@@ -434,10 +441,10 @@ def test_exhaustive_polarity_matches_sweep(kind, which, plane_q3, plane_q5, plan
     planes = {"square-q3": plane_q3, "square-q5": plane_q5, "cm-q9": plane_cm81}
     P = planes[which] if which in planes else ShiftPlane(planar.dickson(s81, 1))
     kappa = un.InvolutionSpec(kind)
-    bar = kappa.table(P)
+    rho = un._Polarity(P, kappa.table(P))
 
     def reversed_incident(pids, lids):
-        return P.incident_many(un._correlation(P, bar, lids), un._correlation(P, bar, pids))
+        return P.incident_many(rho.apply_line(lids), rho.apply_point(pids))
 
     flag, checked = plane_mod._first_failing_flag(P, reversed_incident, "exhaustive", 0, 1)
     assert flag is None
