@@ -29,7 +29,7 @@ from .errors import (
     WitnessCheckFailed,
     ZeroBeta,
 )
-from .plane import ShiftPlane, id_batches
+from .plane import ShiftPlane, Sigma, id_batches
 from .planar import polarization
 from .unital import Unital, _fixing, beta_of, parabolic_y_values, phi_table
 
@@ -847,9 +847,10 @@ def sigma_stabilizer_report(unital: Unital) -> SubgroupReport:
 def verify_sigma_composition(plane: ShiftPlane) -> dict:
     """Exhaustively verify the composition law over all parameter pairs.
 
-    For each pair the composite parameters are compared against sequential
-    application on the probe points (0,0) and slope(0), which recover
-    (u, v, w) of any shear-translation.  Together with the exhaustively
+    For each pair (g1, g2) the maps themselves are applied: g1 after g2 must
+    send the probe points (0,0) and slope(0) where the Sigma of the
+    composite parameters given by the law sends them.  The probes recover
+    (u, v, w) of any shear-translation, so together with the exhaustively
     verified symmetry and biadditivity of the star table, probe agreement
     forces functional equality on every point of the plane.  Raises
     FamilyMismatch off Dembowski-Ostrom planes, CompositionLawFailed when a
@@ -870,25 +871,22 @@ def verify_sigma_composition(plane: ShiftPlane) -> dict:
             raise CompositionLawFailed(f"star biadditivity fails at w={w}")
     n3 = N ** 3
     u, v, w = np.unravel_index(np.arange(n3, dtype=np.int64), (N, N, N))
+    # the probe images under every Sigma, in parameter order: those of the
+    # inner maps g2 and of the composites
+    probes = Sigma(plane, u[:, None], v[:, None], w[:, None]).apply_point(
+        np.array([0, N * N]))
+    pids = np.arange(N * N + N)             # the affine and slope points
     pairs_checked = 0
     for rows in id_batches(n3, n3):
         u1, v1, w1 = u[rows, None], v[rows, None], w[rows, None]
-        u2, v2, w2 = u[None, :], v[None, :], w[None, :]
+        outer = Sigma(plane, u1, v1, w1).apply_point(pids)
+        seq = outer[np.arange(len(rows))[:, None, None], probes]
         # composite parameters per the composition law
-        u3 = np.asarray(ctx.add(u2, u1))
-        w3 = np.asarray(ctx.add(w2, w1))
-        v3 = np.asarray(ctx.sub(ctx.add(v2, v1), star[w1, u2]))
-        # affine probe (0,0): inner map sends it to (u2, -v2), the outer one
-        # shears by star[w1, u2]; the composite sends it to (u3, -v3)
-        y_seq = np.asarray(ctx.sub(ctx.add(np.broadcast_to(np.asarray(ctx.neg(v2)),
-                                                           u3.shape), star[w1, u2]), v1))
-        if not np.array_equal(y_seq, np.broadcast_to(np.asarray(ctx.neg(v3)), u3.shape)):
-            raise CompositionLawFailed("composition law fails on the affine probe")
-        # slope probe (0): inner (w2 - u2), outer adds (w1 - u1)
-        s_mid = np.broadcast_to(np.asarray(ctx.sub(w2, u2)), u3.shape)
-        s_seq = np.asarray(ctx.add(ctx.sub(s_mid, u1), w1))
-        if not np.array_equal(s_seq, np.asarray(ctx.sub(w3, u3))):
-            raise CompositionLawFailed("composition law fails on the slope probe")
+        u3 = np.asarray(ctx.add(u, u1))
+        v3 = np.asarray(ctx.sub(ctx.add(v, v1), star[w1, u]))
+        w3 = np.asarray(ctx.add(w, w1))
+        if not np.array_equal(seq, probes[(u3 * N + v3) * N + w3]):
+            raise CompositionLawFailed("composition law fails on the probe points")
         pairs_checked += u3.size
     return {"pairs_checked": pairs_checked, "biadditivity": "exhaustive",
             "symmetry": "exhaustive"}

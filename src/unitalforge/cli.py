@@ -39,7 +39,7 @@ class RunConfig:
     mode: str = "exhaustive"
     seed: int = 0
     trials: int = 10000
-    workers: int = 1
+    workers: int = 1        # always 1; kept so that certificate hashes stay put
     out_format: str = "json"
 
     def digest(self) -> str:
@@ -67,7 +67,6 @@ _FLAGS = {
     "--mode": dict(choices=["exhaustive", "sampled"], default="exhaustive"),
     "--seed": dict(type=int, default=0),
     "--trials": dict(type=int, default=10000),
-    "--threads": dict(type=int, default=1),
     "--out": dict(default=None),
     "--cache-dir": dict(default=None),
     "--point": dict(default="inf", help="'inf', 'all', or a point ID"),
@@ -89,8 +88,7 @@ def _add_command_args(p: argparse.ArgumentParser, flags: str):
 
 
 # the least value of each numeric flag; a smaller one is a usage error
-_FLAG_FLOORS = (("trials", 1), ("seed", 0), ("budget", 0), ("threads", 1),
-                ("limit", 0))
+_FLAG_FLOORS = (("trials", 1), ("seed", 0), ("budget", 0), ("limit", 0))
 
 
 def _check_flag_floors(args):
@@ -220,7 +218,7 @@ def cmd_field_check(args) -> int:
 def cmd_planar_verify(args) -> int:
     ctx, split, spec = _context(args)
     planarity = planar.check_planarity(spec, mode=args.mode, trials=args.trials,
-                                       seed=args.seed, workers=args.threads)
+                                       seed=args.seed)
     normal, witness_n = planar.check_normality(spec)
     cert = planar.PlanarityCertificate(
         spec=spec, is_planar=planarity.passed, is_normal=normal,
@@ -529,7 +527,7 @@ def cmd_suite(args) -> int:
 _COMMANDS = (
     ("field check", "field-level checks", cmd_field_check, "--seed"),
     ("planar verify", "planar-function certification", cmd_planar_verify,
-     "--spec --mode --seed --trials --threads"),
+     "--spec --mode --seed --trials"),
     ("plane verify", "projective-plane checks", cmd_plane_verify,
      "--spec --mode --seed --trials"),
     ("plane dump", None, cmd_plane_dump, "--spec --out"),

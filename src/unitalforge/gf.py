@@ -2,8 +2,15 @@
 
 Elements are canonical integer indices: the element with coefficient vector
 (c_0, ..., c_{m-1}) over F_p (c_i multiplying x^i) has index sum(c_i * p^i).
-All arithmetic is table-driven.  Multiplication goes through discrete-log
-tables over a fixed primitive element.  Addition (digit-wise in base p) is
+The ring F_p[x]/(f) has one form at construction: m x m matrices over F_p,
+with the companion matrix C of the modulus f as multiplication by x, so that
+h(C) is multiplication by h.  Powers of C decide irreducibility (Rabin's
+test, with the same elimination mod p that proves planarity by rank), g(C)
+tests a candidate primitive element g and, by doubling, builds the log
+tables.  All arithmetic is table-driven.  Multiplication goes through
+discrete-log tables over a fixed primitive element g, and as g is no square
+the quadratic characters of the field and of F_q are read off the parity of
+the discrete log, as tables.  Addition (digit-wise in base p) is
 one lookup in an N x N table for fields of at most ADD_TABLE_MAX elements.
 Larger fields write an index as hi * P + lo with P = p^ceil(m/2); the low and
 high digits add independently, so a sum is one lookup in a P x P table plus
@@ -91,98 +98,75 @@ def prime_factors(n: int) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# Polynomial arithmetic over F_p (coefficient lists, constant term first).
-# Construction-time only; everything hot is table-driven.
+# F_p[x]/(f) as m x m matrices over F_p.  The companion matrix C of a monic
+# f of degree m is the matrix of multiplication by x on the basis
+# (1, x, ..., x^(m-1)), so h(C) is multiplication by h, and it is invertible
+# exactly when gcd(h, f) = 1.  Construction-time only, but for the
+# elimination mod p, which planar's rank proof runs as well.
 # ----------------------------------------------------------------------
 
-def _trim(a):
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
+def _companions(F, p: int) -> np.ndarray:
+    """Companion matrices of x^m + sum_i F[:, i] x^i, one per row of F."""
+    s, m = F.shape
+    C = np.zeros((s, m, m), dtype=np.int64)
+    C[:, np.arange(1, m), np.arange(m - 1)] = 1
+    C[:, :, m - 1] = -F % p
+    return C
 
 
-def _polydivmod(a, b, p):
-    a = list(a)
-    b = _trim(list(b))
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - db, 0)
-    a = _trim(a)
-    while a and len(a) - 1 >= db:
-        shift = len(a) - 1 - db
-        c = (a[-1] * inv_lead) % p
-        q[shift] = c
-        for i in range(db + 1):
-            a[shift + i] = (a[shift + i] - c * b[i]) % p
-        a = _trim(a)
-    return _trim(q), a
-
-
-def _polymulmod(a, b, mod, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _polydivmod(out, mod, p)[1]
-
-
-def _polysub(a, b, p):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
-
-
-def _polygcd(a, b, p):
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, _polydivmod(a, b, p)[1]
-    if a:
-        inv_lead = pow(a[-1], p - 2, p)
-        a = [(c * inv_lead) % p for c in a]
-    return a
-
-
-def _polypowmod(base, e, mod, p):
-    result = [1]
-    base = _polydivmod(base, mod, p)[1]
+def _matpow(A, e: int, p: int) -> np.ndarray:
+    """A^e mod p for a stack of square matrices, by repeated squaring."""
+    out = np.broadcast_to(np.eye(A.shape[-1], dtype=np.int64), A.shape).copy()
     while e:
         if e & 1:
-            result = _polymulmod(result, base, mod, p)
-        base = _polymulmod(base, base, mod, p)
+            out = out @ A % p
+        A = A @ A % p
         e >>= 1
-    return result
+    return out
+
+
+def _invertible_mod_p(M, p: int) -> np.ndarray:
+    """Which of the (s, m, m) matrices over F_p are invertible: one Gaussian
+    elimination run on all of them at once (M is overwritten)."""
+    s, m, _ = M.shape
+    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=M.dtype)
+    rows = np.arange(s)
+    ok = np.ones(s, dtype=bool)
+    for col in range(m):
+        piv = col + np.argmax(M[:, col:, col] != 0, axis=1)
+        top = M[rows, piv]
+        ok &= top[:, col] != 0
+        M[rows, piv] = M[:, col]
+        top = top * inv[top[:, col]][:, None] % p
+        M[:, col + 1:] = (M[:, col + 1:] - M[:, col + 1:, col, None] * top[:, None, :]) % p
+    return ok
+
+
+def _irreducible(F, p: int) -> np.ndarray:
+    """Rabin's test on the monic x^m + sum_i F[:, i] x^i, one per row of F.
+
+    f is irreducible iff x^(p^m) = x mod f and gcd(x^(p^(m/r)) - x, f) = 1
+    for every prime r of m; with C the companion matrix of f these read
+    C^(p^m) = C and C^(p^(m/r)) - C invertible.
+    """
+    m = F.shape[1]
+    C = _companions(F, p)
+    X, frob = C, {}
+    for d in range(1, m + 1):
+        X = frob[d] = _matpow(X, p, p)      # C^(p^d)
+    ok = (frob[m] == C).all(axis=(1, 2))
+    for r in prime_factors(m):
+        ok &= _invertible_mod_p((frob[m // r] - C) % p, p)
+    return ok
 
 
 def is_irreducible(coeffs, p) -> bool:
-    """Monic degree-m polynomial irreducible over F_p.
-
-    Tests x^(p^m) == x (mod f) plus gcd(x^(p^d) - x, f) = 1 for every proper
-    divisor d of m; together these characterize irreducibility.
-    """
-    f = _trim(list(coeffs))
-    m = len(f) - 1
-    if m < 1 or f[-1] != 1:
+    """Monic polynomial (coefficients constant term first) irreducible over
+    F_p; the one-row case of `_irreducible`."""
+    f = np.trim_zeros(np.asarray(coeffs, dtype=np.int64) % p, "b")
+    if len(f) < 2 or f[-1] != 1:
         return False
-    if m == 1:
-        return True
-    x = [0, 1]
-    t = list(x)
-    powers = {}
-    for d in range(1, m + 1):
-        t = _polypowmod(t, p, f, p)  # t = x^(p^d) mod f
-        powers[d] = list(t)
-    if _polysub(powers[m], x, p):
-        return False
-    for d in range(1, m):
-        if m % d == 0:
-            g = _polygcd(_polysub(powers[d], x, p), f, p)
-            if len(g) - 1 != 0:
-                return False
-    return True
+    return bool(_irreducible(f[None, :-1], p)[0])
 
 
 def monic_irreducibles(p: int, m: int):
@@ -191,7 +175,8 @@ def monic_irreducibles(p: int, m: int):
 
     A candidate with a root r in F_p (c_0 = 0 among them, r = 0) is divisible
     by x - r and so reducible; it is sieved out, a block of candidates at a
-    time, before `is_irreducible` is asked about the rest.
+    time, and Rabin's test runs on the rest 16 at a time, so a search for
+    the first irreducible stops soon after finding it.
     """
     weights = p ** np.arange(m - 1, -1, -1, dtype=np.int64)  # c_0 most significant
     roots = np.arange(p, dtype=np.int64)
@@ -202,10 +187,11 @@ def monic_irreducibles(p: int, m: int):
         vals = np.ones((len(codes), p), dtype=np.int64)  # Horner from x^m down
         for i in range(m - 1, -1, -1):
             vals = (vals * roots + coeffs[:, i:i + 1]) % p
-        for row in coeffs[(vals != 0).all(axis=1)]:
-            cand = tuple(int(c) for c in row) + (1,)
-            if is_irreducible(cand, p):
-                yield cand
+        left = coeffs[(vals != 0).all(axis=1)]
+        for lo in range(0, len(left), 16):
+            block = left[lo:lo + 16]
+            for row in block[_irreducible(block, p)]:
+                yield tuple(int(c) for c in row) + (1,)
 
 
 @cache
@@ -292,7 +278,7 @@ class FieldCtx:
             modulus = default_modulus(p, m)
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise NotIrreducible(f"modulus must be monic of degree {m}")
+            raise UsageError(f"modulus must be monic of degree {m}")
         if not is_irreducible(modulus, p):
             raise NotIrreducible(f"{list(modulus)} is reducible over F_{p}")
         self.p = p
@@ -323,13 +309,7 @@ class FieldCtx:
 
     def _build_log_tables(self):
         p, m, n1 = self.p, self.m, self.size - 1
-        g = self._find_generator()
-        # multiplication by g is F_p-linear; gmat is its matrix over (1, x, ..)
-        gmat = np.zeros((m, m), dtype=np.int64)
-        for j in range(m):
-            col = _polymulmod(g, [0] * j + [1], list(self.modulus), p)
-            for i, c in enumerate(col):
-                gmat[i, j] = c
+        gmat = self._generator_matrix()
         # row i holds the coefficients of g^i; rows [k, 2k) are rows [0, k)
         # times g^k, one matrix product per doubling
         powers = np.zeros((n1, m), dtype=np.int64)
@@ -344,16 +324,30 @@ class FieldCtx:
         log[exp] = np.arange(n1, dtype=np.int64)
         self.exp = exp
         self.log = log
-        self.generator = int(exp[1]) if n1 > 1 else 1
+        self.generator = int(exp[1])
+        # g is no square, so eta(g^k) = (-1)^k
+        self._eta = (1 - 2 * (log & 1)).astype(np.int8)
+        self._eta[0] = 0
 
-    def _find_generator(self):
-        n1 = self.size - 1
-        checks = [n1 // f for f in prime_factors(n1)]
-        mod = list(self.modulus)
-        for cand_idx in range(2, self.size):
-            cand = _trim([int(c) for c in self.digits[cand_idx]])
-            if all(_polypowmod(cand, e, mod, self.p) != [1] for e in checks):
-                return cand
+    def _generator_matrix(self):
+        """g(C), the matrix of multiplication by the primitive element g of
+        smallest index: the first candidate with g^(n1/r) != 1 for every
+        prime r of n1 = size - 1, candidates tested 16 at a time."""
+        p, m, n1 = self.p, self.m, self.size - 1
+        C = _companions(np.array([self.modulus[:-1]]), p)[0]
+        eye = np.eye(m, dtype=np.int64)
+        for lo in range(2, self.size, 16):
+            cand = np.arange(lo, min(lo + 16, self.size))
+            # column j of g(C) is g x^j, which is C times column j - 1
+            G = np.empty((len(cand), m, m), dtype=np.int64)
+            G[:, :, 0] = self.digits[cand]
+            for j in range(1, m):
+                G[:, :, j] = G[:, :, j - 1] @ C.T % p
+            ok = np.ones(len(cand), dtype=bool)
+            for r in prime_factors(n1):
+                ok &= ~(_matpow(G, n1 // r, p) == eye).all(axis=(1, 2))
+            if ok.any():
+                return G[np.argmax(ok)]
         raise RuntimeError("no primitive element found (unreachable)")
 
     # -- arithmetic on indices --
@@ -437,15 +431,9 @@ class FieldCtx:
         return self.pow(a, pow(self.p, k, self.size - 1))
 
     def quadratic_character(self, a):
-        """eta(a) in {-1, 0, +1}: the sign of a^((size-1)/2)."""
-        e = (self.size - 1) // 2
-        if np.isscalar(a):
-            if a == 0:
-                return 0
-            return 1 if self.pow(a, e) == 1 else -1
-        a = np.asarray(a)
-        v = self.pow(a, e)
-        return np.where(a == 0, 0, np.where(v == 1, 1, -1))
+        """eta(a) in {-1, 0, +1}: +1 on the squares, read off the parity of
+        the discrete log."""
+        return self._eta[a]
 
     def nu(self, b) -> int:
         """nu(0) = size - 1 and nu(b) = -1 for nonzero b."""
@@ -513,7 +501,8 @@ _DESCRIPTOR = re.compile(r"p=(\d+),m=([1-9]\d*),mod=\[(\d+(?:,\d+)*)\]")
 def parse_descriptor(s: str) -> FieldCtx:
     """Inverse of FieldCtx.descriptor(): 'p=3,m=2,mod=[1,0,1]'.
 
-    Text of another shape, or a p that is no odd prime, is a UsageError.
+    Text of another shape, a p that is no odd prime, or a modulus that is
+    not monic of degree m is a UsageError.
     """
     match = _DESCRIPTOR.fullmatch(s)
     if match is None:
@@ -521,7 +510,10 @@ def parse_descriptor(s: str) -> FieldCtx:
     p, m, mod = match.groups()
     if int(p) == 2 or not is_prime(int(p)):
         raise UsageError(f"field descriptor {s!r}: p must be an odd prime")
-    return field_new(int(p), int(m), tuple(int(c) for c in mod.split(",")))
+    try:
+        return field_new(int(p), int(m), tuple(int(c) for c in mod.split(",")))
+    except UsageError as e:
+        raise UsageError(f"field descriptor {s!r}: {e}") from None
 
 
 def quadratic_solution_count(ctx: FieldCtx, a0, a1, a2, b) -> int:
@@ -557,6 +549,11 @@ class ExtensionSplit:
         self.sub_elements = np.flatnonzero(self.in_subfield_mask)
         self.sub_rank = np.full(ctx.size, -1, dtype=np.int64)
         self.sub_rank[self.sub_elements] = np.arange(self.sub_size)
+        # a nonzero c of F_q is g^k with (q + 1) | k, and a square of F_q
+        # exactly when k / (q + 1) is even; rank 0 is the element 0
+        k = ctx.log[self.sub_elements] // (self.sub_size + 1)
+        self._sub_eta = (1 - 2 * (k & 1)).astype(np.int8)
+        self._sub_eta[0] = 0
         if xi is None:
             xi, _ = self.canonical_xi_alpha()
         xi = ctx.index_of(xi)
@@ -609,11 +606,7 @@ class ExtensionSplit:
 
     def sub_eta(self, x):
         """Quadratic character of F_q; evaluate only at subfield elements."""
-        e = (self.sub_size - 1) // 2
-        v = self.ctx.pow(x, e)
-        if np.isscalar(x):
-            return 0 if x == 0 else (1 if v == 1 else -1)
-        return np.where(np.asarray(x) == 0, 0, np.where(v == 1, 1, -1))
+        return self._sub_eta[self.sub_rank[x]]
 
     def __repr__(self):
         return (f"ExtensionSplit(q={self.sub_size}, q^2={self.ctx.size}, "

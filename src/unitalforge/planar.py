@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SpecConstraintViolated, UsageError, require_mode, require_trials
-from .gf import ExtensionSplit
+from .gf import ExtensionSplit, _invertible_mod_p
 
 __all__ = [
     "PlanarFunctionSpec",
@@ -423,30 +423,14 @@ def _digit_quadratic(ctx, t) -> bool:
     return True
 
 
-def _invertible_mod_p(M, p: int) -> np.ndarray:
-    """Which of the (s, m, m) matrices over F_p are invertible: one Gaussian
-    elimination run on all of them at once (M is overwritten)."""
-    s, m, _ = M.shape
-    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=M.dtype)
-    rows = np.arange(s)
-    ok = np.ones(s, dtype=bool)
-    for col in range(m):
-        piv = col + np.argmax(M[:, col:, col] != 0, axis=1)
-        top = M[rows, piv]
-        ok &= top[:, col] != 0
-        M[rows, piv] = M[:, col]
-        top = top * inv[top[:, col]][:, None] % p
-        M[:, col + 1:] = (M[:, col + 1:] - M[:, col + 1:, col, None] * top[:, None, :]) % p
-    return ok
-
-
 def _proved_by_rank(ctx, t, shifts) -> np.ndarray:
     """Boolean mask of the shifts a whose difference map is proved bijective.
 
     When t is quadratic in the digits (_digit_quadratic), D_a(x) = t[x + a] -
     t[x] is t[a] - t[0] plus a map linear in x over F_p, whose matrix M_a has
     as column i the digits of t[e_i + a] - t[e_i] - t[a] + t[0].  D_a is
-    bijective exactly when M_a is invertible.  Any other table proves no
+    bijective exactly when M_a is invertible, which gf's batched elimination
+    mod p decides for a block of shifts at once.  Any other table proves no
     shift.
     """
     proved = np.zeros(len(shifts), dtype=bool)
@@ -477,10 +461,10 @@ def check_planarity(spec: PlanarFunctionSpec, mode: str = "exhaustive",
     rest are swept.  A shift with singular M_a does fail, but its witness
     comes from the sweep, as for every other table.
 
-    The shifts left for the sweep split into contiguous chunks processed by
-    `workers` threads; the reported witness is the one with the smallest
-    shift regardless of worker count, and `shifts_checked` counts it within
-    all the shifts of the mode.
+    The reported witness is the one with the smallest failing shift, and
+    `shifts_checked` counts it within all the shifts of the mode.  The sweep
+    runs in one thread (a pool of two was slower); `workers` is ignored and
+    stays only because perfbench/reference.py still passes it.
     """
     require_mode(mode, ("exhaustive", "sampled"))
     ctx = spec.split.ctx
@@ -504,35 +488,20 @@ def check_planarity(spec: PlanarFunctionSpec, mode: str = "exhaustive",
     neg_t = ctx.neg(t)
     neg_hi, neg_lo = neg_t // P, neg_t % P
 
-    def scan(chunk):
-        seen = np.zeros(N, dtype=bool)
-        for a in chunk:
-            vals = (ctx.add_hi[ctx.translate(hi, a) + neg_hi]
-                    + ctx.add_lo[ctx.translate(lo, a) + neg_lo])
-            seen[:] = False
-            seen[vals] = True
-            if not seen.all():
-                order = np.argsort(vals, kind="stable")
-                sv = vals[order]
-                dup = np.flatnonzero(sv[1:] == sv[:-1])[0]
-                x1, x2 = sorted((int(order[dup]), int(order[dup + 1])))
-                return (int(a), x1, x2)
-        return None
-
-    left = shifts[~_proved_by_rank(ctx, t, shifts)]
-    if workers <= 1:
-        witness = scan(left)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(left, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(scan, chunks))
-        witness = next((w for w in results if w is not None), None)
-    if witness is not None:
-        checked = int(np.searchsorted(shifts, witness[0])) + 1
-        return PlanarityCheck(False, mode, checked, witness=witness,
-                              seed=seed_used)
+    seen = np.zeros(N, dtype=bool)
+    for a in shifts[~_proved_by_rank(ctx, t, shifts)]:
+        vals = (ctx.add_hi[ctx.translate(hi, a) + neg_hi]
+                + ctx.add_lo[ctx.translate(lo, a) + neg_lo])
+        seen[:] = False
+        seen[vals] = True
+        if not seen.all():
+            order = np.argsort(vals, kind="stable")
+            sv = vals[order]
+            dup = np.flatnonzero(sv[1:] == sv[:-1])[0]
+            x1, x2 = sorted((int(order[dup]), int(order[dup + 1])))
+            checked = int(np.searchsorted(shifts, a)) + 1
+            return PlanarityCheck(False, mode, checked, witness=(int(a), x1, x2),
+                                  seed=seed_used)
     return PlanarityCheck(True, mode, len(shifts), seed=seed_used)
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from unitalforge import analysis as an, gf, planar, unital as un
 from unitalforge.errors import (
+    CompositionLawFailed,
     ElementDoesNotFix,
     FamilyMismatch,
     HypothesisUnmet,
@@ -961,6 +962,19 @@ def test_sigma_composition_law_exhaustive(plane_q3):
     res = an.verify_sigma_composition(plane_q3)
     assert res["pairs_checked"] == 729 ** 2
     assert res["biadditivity"] == "exhaustive"
+
+
+def test_sigma_composition_applies_the_maps(plane_q3, monkeypatch):
+    # with the shear's sign flipped the maps no longer compose by the law;
+    # a check that only rearranges the law's own formulas cannot see it
+    def wrong_sign(self, x, y):
+        ctx = self.plane.ctx
+        shear = planar.polarization(self.plane.spec, self.w, x)
+        return ctx.add(x, self.u), ctx.sub(ctx.sub(y, shear), self.v)
+
+    monkeypatch.setattr(Sigma, "_affine_map", wrong_sign)
+    with pytest.raises(CompositionLawFailed, match="probe points"):
+        an.verify_sigma_composition(plane_q3)
 
 
 def test_stabilizer_needs_theta_or_kappa(plane_q3, unital_q3):

@@ -1,5 +1,7 @@
 import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,7 +370,8 @@ def test_corrupt_cache_file_is_a_miss(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("line", ["p=3,m=x,mod=[1,0,1]", "p=3,m=x", "p=3,m=2",
-                                  "p=4,m=2,mod=[1,0,1]", "p=3,m=3,mod=[1,2,0,1]"])
+                                  "p=4,m=2,mod=[1,0,1]", "p=3,m=3,mod=[1,2,0,1]",
+                                  "p=3,m=2,mod=[1,0,2]"])
 def test_malformed_field_descriptor_is_usage_error(capsys, tmp_path, unital_q3, line):
     path = _edited_unital_file(tmp_path, unital_q3, lambda l: l[:1] + [line] + l[2:])
     code, _, err = run(capsys, "unital", "verify", "--p", "3", "--m", "2", "--in", path)
@@ -394,11 +397,14 @@ def test_malformed_field_descriptor_is_usage_error(capsys, tmp_path, unital_q3, 
      "--seed must be at least 0, got -1"),
     (("onan", "find", "--p", "3", "--m", "2", "--exhaustive", "--budget", "-1"),
      "--budget must be at least 0, got -1"),
-    (("planar", "verify", "--p", "3", "--m", "2", "--threads", "0"),
-     "--threads must be at least 1, got 0"),
+    # a modulus not monic, or of the wrong degree, once reduced mod p
+    (("field", "check", "--p", "3", "--m", "2", "--modulus", "1,0,2"),
+     "modulus must be monic of degree 2"),
     # [:-1] would print 323 of the 324 configurations and exit 0
     (("onan", "find", "--p", "3", "--m", "2", "--exhaustive", "--limit", "-1"),
      "--limit must be at least 0, got -1"),
+    (("field", "check", "--p", "3", "--m", "2", "--modulus", "1,1"),
+     "modulus must be monic of degree 2"),
 ])
 def test_flag_out_of_range_is_usage_error(capsys, argv, message):
     code, _, err = run(capsys, *argv)
@@ -557,7 +563,7 @@ def test_zero_theta_is_check_failure(capsys):
 # the flags each subcommand takes beyond --p --m --modulus
 _SUBCOMMAND_FLAGS = {
     "field check": "--seed",
-    "planar verify": "--spec --mode --seed --trials --threads",
+    "planar verify": "--spec --mode --seed --trials",
     "plane verify": "--spec --mode --seed --trials",
     "plane dump": "--spec --out",
     "unital build": "--spec --theta --mode --seed --trials --out --cache-dir",
@@ -594,11 +600,24 @@ def _leaf_flags(parser, path=""):
 
 def test_each_subcommand_takes_only_the_flags_it_reads():
     leaves = _leaf_flags(build_parser())
-    assert sum(map(len, leaves.values())) == 110
+    assert sum(map(len, leaves.values())) == 109
     assert leaves.pop("compare") == {"--left", "--right", "--out"}
     assert leaves.pop("suite") == {"--quick", "--full"}
     assert leaves == {name: _FIELD_FLAGS | set(flags.split())
                       for name, flags in _SUBCOMMAND_FLAGS.items()}
+
+
+def test_readme_flag_table_matches_parser():
+    # README's "| Subcommand | Flags |" table leaves out the field flags and --spec
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("| Subcommand | Flags |"):].split("\n\n")[0]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        names, flags = row.strip("|").split("|")
+        for name in re.findall(r"`([^`]+)`", names):
+            documented[name] = set(re.findall(r"--[\w-]+", flags))
+    assert documented == {name: flags - _FIELD_FLAGS - {"--spec"}
+                          for name, flags in _leaf_flags(build_parser()).items()}
 
 
 def _dropped_flags():
@@ -613,7 +632,7 @@ def test_dropped_flags_are_usage_errors(capsys, tmp_path, monkeypatch):
     # each of these was accepted and changed nothing the command computed
     monkeypatch.chdir(tmp_path)
     dropped = list(_dropped_flags())
-    assert len(dropped) == 197 - 110
+    assert len(dropped) == 197 - 109
     for name, flag, argv in dropped:
         code, out, err = run(capsys, *name.split(), "--p", "3", "--m", "2", *argv)
         assert code == 2 and out == "" and f"unrecognized arguments: {flag}" in err, name

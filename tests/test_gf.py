@@ -31,6 +31,22 @@ def poly_mul_mod(a, b, modulus, p):
     return [c % p for c in out] + [0] * (m - len(out))
 
 
+def poly_rem(a, b, p):
+    """Remainder of a by the monic b over F_p; coefficient lists."""
+    a, d = list(a), len(b) - 1
+    while len(a) > d:
+        lead = a.pop()
+        for i in range(d):
+            a[-d + i] = (a[-d + i] - lead * b[i]) % p
+    return a
+
+
+def monic_polys(p, d):
+    """Every monic polynomial of degree d over F_p, constant term first."""
+    for code in range(p ** d):
+        yield [(code // p ** i) % p for i in range(d)] + [1]
+
+
 def idx_of(coeffs, p):
     return sum(c * p ** i for i, c in enumerate(coeffs))
 
@@ -371,6 +387,50 @@ def test_log_tables_frozen(p, m):
     n1 = ctx.size - 1
     assert ctx.log[0] == -1 and np.array_equal(ctx.log[ctx.exp], np.arange(n1))
     assert ctx.generator == ctx.exp[1]
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3),
+                                 (7, 2), (7, 3)])
+def test_is_irreducible_matches_trial_division(p, m):
+    # f of degree m is reducible iff a monic factor of degree <= m/2 divides it
+    factors = [g for d in range(1, m // 2 + 1) for g in monic_polys(p, d)]
+    for f in monic_polys(p, m):
+        divisible = any(not any(poly_rem(f, g, p)) for g in factors)
+        assert gf.is_irreducible(f, p) == (not divisible), f
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (7, 2), (3, 4), (5, 4)])
+def test_generator_is_smallest_primitive_index(p, m):
+    ctx = gf.field_new(p, m)
+
+    def order(a):
+        k, x = 1, a
+        while x != 1:
+            x, k = ctx.mul(x, a), k + 1
+        return k
+
+    orders = [order(a) for a in range(1, ctx.generator + 1)]
+    assert orders[-1] == ctx.size - 1 and max(orders[:-1]) < ctx.size - 1
+
+
+@pytest.mark.parametrize("p,m", sorted(FROZEN_MODULI))
+def test_characters_match_euler_criterion(p, m):
+    # eta(a) = a^((N-1)/2) and, on F_q, sub_eta(c) = c^((q-1)/2), as +-1 or 0
+    ctx = gf.field_new(p, m)
+    split = gf.split_new(ctx, m // 2)
+    minus_one = ctx.minus_one_index
+
+    def as_sign(v):
+        return np.where(v == 1, 1, np.where(v == minus_one, -1, v))
+
+    idx = np.arange(ctx.size)
+    assert np.array_equal(ctx.quadratic_character(idx),
+                          as_sign(pow_by_squaring(ctx, idx, (ctx.size - 1) // 2)))
+    sub = split.sub_elements
+    assert np.array_equal(split.sub_eta(sub),
+                          as_sign(pow_by_squaring(ctx, sub, (split.sub_size - 1) // 2)))
+    assert isinstance(ctx.quadratic_character(2), np.integer)
+    assert isinstance(split.sub_eta(1), np.integer)
 
 
 @pytest.mark.parametrize("p,m", SPLIT_FIELDS)

@@ -101,6 +101,7 @@ def test_unknown_planarity_mode_is_a_usage_error(s9):
 
 
 def test_workers_agree_on_witness(s9):
+    # perfbench/reference.py still passes workers; the keyword changes nothing
     cube = planar.custom(s9, [(3, 1)])
     w1 = planar.check_planarity(cube, workers=1).witness
     w4 = planar.check_planarity(cube, workers=4).witness
@@ -310,10 +311,8 @@ def test_non_planar_witness_frozen_large(s15625):
     f = planar.parse_spec(s15625, "custom:2:1,26:7")
     assert planar.check_planarity(f) == planar.PlanarityCheck(
         False, "exhaustive", 40, (40, 55, 1183), None)
-    for workers in (1, 2):
-        assert planar.check_planarity(f, mode="sampled", trials=1000, seed=0,
-                                      workers=workers) == planar.PlanarityCheck(
-            False, "sampled", 15, (228, 326, 1040), 0)
+    assert planar.check_planarity(f, mode="sampled", trials=1000, seed=0) == \
+        planar.PlanarityCheck(False, "sampled", 15, (228, 326, 1040), 0)
 
 
 def test_bh_k1_as_stated_is_not_planar(s729):
@@ -337,7 +336,7 @@ def test_bh_k1_as_stated_is_not_planar(s729):
 
 # -- split-digit translation sweep against the former field additions ----------
 
-def _reference_planarity(spec, mode="exhaustive", trials=1000, seed=0, workers=1):
+def _reference_planarity(spec, mode="exhaustive", trials=1000, seed=0):
     """The former sweep: two full-field ctx.add calls per shift."""
     ctx = spec.split.ctx
     N = ctx.size
@@ -352,25 +351,18 @@ def _reference_planarity(spec, mode="exhaustive", trials=1000, seed=0, workers=1
         seed_used = seed
     neg_t = ctx.neg(t)
 
-    def scan(chunk):
-        seen = np.zeros(N, dtype=bool)
-        for a in chunk:
-            vals = ctx.add(t[ctx.add(x, int(a))], neg_t)
-            seen[:] = False
-            seen[vals] = True
-            if not seen.all():
-                order = np.argsort(vals, kind="stable")
-                sv = vals[order]
-                dup = np.flatnonzero(sv[1:] == sv[:-1])[0]
-                x1, x2 = sorted((int(order[dup]), int(order[dup + 1])))
-                return (int(a), x1, x2)
-        return None
-
-    results = [scan(chunk) for chunk in np.array_split(shifts, max(workers, 1))]
-    witness = next((w for w in results if w is not None), None)
-    if witness is not None:
-        checked = int(np.searchsorted(shifts, witness[0])) + 1
-        return planar.PlanarityCheck(False, mode, checked, witness=witness, seed=seed_used)
+    seen = np.zeros(N, dtype=bool)
+    for checked, a in enumerate(shifts, 1):
+        vals = ctx.add(t[ctx.add(x, int(a))], neg_t)
+        seen[:] = False
+        seen[vals] = True
+        if not seen.all():
+            order = np.argsort(vals, kind="stable")
+            sv = vals[order]
+            dup = np.flatnonzero(sv[1:] == sv[:-1])[0]
+            x1, x2 = sorted((int(order[dup]), int(order[dup + 1])))
+            return planar.PlanarityCheck(False, mode, checked, witness=(int(a), x1, x2),
+                                         seed=seed_used)
     return planar.PlanarityCheck(True, mode, len(shifts), seed=seed_used)
 
 
@@ -416,12 +408,11 @@ def test_planarity_matches_reference_sweep(p, m):
         if seed % 5 in (1, 2) or (small and seed in (0, 3)):
             runs.append(("exhaustive", None))
         for mode, trials in runs:
-            for workers in (1, 2):
-                kwargs = dict(mode=mode, seed=seed, workers=workers)
-                if trials:
-                    kwargs["trials"] = trials
-                assert (planar.check_planarity(spec, **kwargs)
-                        == _reference_planarity(spec, **kwargs)), (seed, mode, workers)
+            kwargs = dict(mode=mode, seed=seed)
+            if trials:
+                kwargs["trials"] = trials
+            assert (planar.check_planarity(spec, **kwargs)
+                    == _reference_planarity(spec, **kwargs)), (seed, mode)
 
 
 # -- planarity by rank on digit-quadratic tables -------------------------------
@@ -455,10 +446,9 @@ def test_planarity_on_quadratic_tables_matches_reference(field, seed, square_par
     ctx = gf.field_new(*field)
     spec = _as_spec(ctx, _quadratic_table(ctx, np.random.default_rng(seed), square_part))
     for mode in ("exhaustive", "sampled"):
-        for workers in (1, 2):
-            kwargs = dict(mode=mode, trials=40, seed=seed % 100, workers=workers)
-            assert (planar.check_planarity(spec, **kwargs)
-                    == _reference_planarity(spec, **kwargs)), kwargs
+        kwargs = dict(mode=mode, trials=40, seed=seed % 100)
+        assert (planar.check_planarity(spec, **kwargs)
+                == _reference_planarity(spec, **kwargs)), kwargs
 
 
 def test_rank_proves_every_sampled_shift_of_do_families(s729, s15625, s59049):
