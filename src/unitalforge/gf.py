@@ -115,11 +115,12 @@ def _companions(F, p: int) -> np.ndarray:
 
 
 def _matpow(A, e: int, p: int) -> np.ndarray:
-    """A^e mod p for a stack of square matrices, by repeated squaring."""
-    out = np.broadcast_to(np.eye(A.shape[-1], dtype=np.int64), A.shape).copy()
+    """A^e mod p for a stack of square matrices and e >= 1, by repeated
+    squaring."""
+    out = None
     while e:
         if e & 1:
-            out = out @ A % p
+            out = A if out is None else out @ A % p
         A = A @ A % p
         e >>= 1
     return out
@@ -147,14 +148,15 @@ def _irreducible(F, p: int) -> np.ndarray:
 
     f is irreducible iff x^(p^m) = x mod f and gcd(x^(p^(m/r)) - x, f) = 1
     for every prime r of m; with C the companion matrix of f these read
-    C^(p^m) = C and C^(p^(m/r)) - C invertible.
+    C^(p^m) = C and C^(p^(m/r)) - C invertible.  Column 0 of h(C) holds
+    h mod f, so the first condition compares column 0 only.
     """
     m = F.shape[1]
     C = _companions(F, p)
     X, frob = C, {}
     for d in range(1, m + 1):
         X = frob[d] = _matpow(X, p, p)      # C^(p^d)
-    ok = (frob[m] == C).all(axis=(1, 2))
+    ok = (frob[m][:, :, 0] == C[:, :, 0]).all(axis=1)
     for r in prime_factors(m):
         ok &= _invertible_mod_p((frob[m // r] - C) % p, p)
     return ok
@@ -163,10 +165,12 @@ def _irreducible(F, p: int) -> np.ndarray:
 def is_irreducible(coeffs, p) -> bool:
     """Monic polynomial (coefficients constant term first) irreducible over
     F_p; the one-row case of `_irreducible`."""
-    f = np.trim_zeros(np.asarray(coeffs, dtype=np.int64) % p, "b")
+    f = [int(c) % p for c in coeffs]
+    while f and not f[-1]:
+        f.pop()
     if len(f) < 2 or f[-1] != 1:
         return False
-    return bool(_irreducible(f[None, :-1], p)[0])
+    return bool(_irreducible(np.array([f[:-1]]), p)[0])
 
 
 def monic_irreducibles(p: int, m: int):
@@ -325,17 +329,18 @@ class FieldCtx:
         self.exp = exp
         self.log = log
         self.generator = int(exp[1])
-        # g is no square, so eta(g^k) = (-1)^k
-        self._eta = (1 - 2 * (log & 1)).astype(np.int8)
+        # g is no square, so its odd powers are the nonsquares
+        self._eta = np.ones(self.size, dtype=np.int8)
+        self._eta[exp[1::2]] = -1
         self._eta[0] = 0
 
     def _generator_matrix(self):
         """g(C), the matrix of multiplication by the primitive element g of
         smallest index: the first candidate with g^(n1/r) != 1 for every
-        prime r of n1 = size - 1, candidates tested 16 at a time."""
+        prime r of n1 = size - 1, candidates tested 16 at a time.  Column 0
+        of g^e(C) holds the digits of g^e."""
         p, m, n1 = self.p, self.m, self.size - 1
         C = _companions(np.array([self.modulus[:-1]]), p)[0]
-        eye = np.eye(m, dtype=np.int64)
         for lo in range(2, self.size, 16):
             cand = np.arange(lo, min(lo + 16, self.size))
             # column j of g(C) is g x^j, which is C times column j - 1
@@ -345,7 +350,7 @@ class FieldCtx:
                 G[:, :, j] = G[:, :, j - 1] @ C.T % p
             ok = np.ones(len(cand), dtype=bool)
             for r in prime_factors(n1):
-                ok &= ~(_matpow(G, n1 // r, p) == eye).all(axis=(1, 2))
+                ok &= _matpow(G, n1 // r, p)[:, :, 0] @ self.pow_p != 1
             if ok.any():
                 return G[np.argmax(ok)]
         raise RuntimeError("no primitive element found (unreachable)")
@@ -353,9 +358,12 @@ class FieldCtx:
     # -- arithmetic on indices --
 
     def _digit_add(self, a, b):
-        """Digit-wise sum in base p; builds the addition tables."""
-        d = (self.digits[a] + self.digits[b]) % self.p
-        return d.astype(np.int64) @ self.pow_p
+        """Digit-wise sum in base p; builds the addition tables one digit at
+        a time, so no (..., m) int64 array of all the digit sums is held."""
+        out = 0
+        for i in range(self.m):
+            out = out + (self.digits[a, i] + self.digits[b, i]) % self.p * self.pow_p[i]
+        return out
 
     def add(self, a, b):
         if self.add_table is not None:
