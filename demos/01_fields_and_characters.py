@@ -13,8 +13,8 @@ from unitalforge import gf
 f9 = gf.field_new(3, 2)
 print("field:", f9.descriptor())
 
-x = f9.element(3)                       # the polynomial generator "x"
-print(f"x * x = {x * x}  (modulus x^2 + 1 makes x a square root of -1)")
+x = 3                                   # the index of the polynomial generator "x"
+print(f"x * x = {f9.mul(x, x)}  (modulus x^2 + 1 makes x a square root of -1)")
 
 # the split of F_9 over F_3: basis (1, xi) with xi^2 = alpha a nonsquare
 s9 = gf.split_new(f9, 1)

@@ -10,8 +10,10 @@ configurations, stabilizer subgroups (`analysis`).  `suite` bundles the
 acceptance matrix and `cli` exposes everything as subcommands.
 """
 
+__version__ = "0.1.0"
+
 from . import analysis, errors, gf, planar, plane, suite, unital
-from .gf import ExtensionSplit, FieldCtx, FieldElem, field_new, split_new
+from .gf import ExtensionSplit, FieldCtx, field_new, split_new
 from .plane import Gamma, Shift, ShiftPlane, Sigma
 from .planar import PlanarFunctionSpec, certify, parse_spec
 from .unital import (
@@ -22,11 +24,9 @@ from .unital import (
     build_polarity_unital,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "analysis", "errors", "gf", "planar", "plane", "suite", "unital",
-    "ExtensionSplit", "FieldCtx", "FieldElem", "field_new", "split_new",
+    "ExtensionSplit", "FieldCtx", "field_new", "split_new",
     "Gamma", "Shift", "ShiftPlane", "Sigma",
     "PlanarFunctionSpec", "certify", "parse_spec",
     "InvolutionSpec", "Unital", "build_classical_baseline",

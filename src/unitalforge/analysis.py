@@ -74,7 +74,7 @@ def derive_delta(split, theta: int) -> int:
     O(q^2) work, 59 049 elements at q = 243.
     """
     ctx = split.ctx
-    theta = ctx.index_of(theta)
+    theta = int(theta)
     if theta == 0:
         raise ZeroBeta("theta must be nonzero")
     th0, th1 = (int(v) for v in split.decompose(theta))
@@ -121,7 +121,7 @@ def _checked_phi(unital: Unital) -> np.ndarray:
 def circle(unital: Unital, a: int, beta: int) -> Circle:
     plane = unital.plane
     split, ctx = plane.split, plane.ctx
-    a, beta = ctx.index_of(a), ctx.index_of(beta)
+    a, beta = int(a), int(beta)
     if beta == 0 or not split.in_subfield(beta):
         raise ZeroBeta(f"beta must be a nonzero subfield element, got {beta}")
     phi = _checked_phi(unital)

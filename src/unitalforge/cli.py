@@ -5,7 +5,8 @@ from --p --m --modulus (and --spec where it builds a plane) and takes only
 the command flags its handler reads.  The certifying ones serialize their
 RunConfig into the emitted JSON certificates (the hash is stable across
 reruns; a timestamp is attached after hashing).  Exit codes: 0 on
-all-pass, 1 on any check failure, 2 on usage errors.
+all-pass, 1 on any check failure, 2 on usage errors, an output path that
+cannot be written among them.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import __version__ as VERSION
 from . import analysis as an
 from . import gf
 from . import planar
 from . import unital as un
 from .errors import UnitalForgeError, UsageError
 from .plane import ShiftPlane
-
-VERSION = "0.1.0"
 
 
 @dataclass
@@ -217,13 +217,7 @@ def cmd_field_check(args) -> int:
 
 def cmd_planar_verify(args) -> int:
     ctx, split, spec = _context(args)
-    planarity = planar.check_planarity(spec, mode=args.mode, trials=args.trials,
-                                       seed=args.seed)
-    normal, witness_n = planar.check_normality(spec)
-    cert = planar.PlanarityCertificate(
-        spec=spec, is_planar=planarity.passed, is_normal=normal,
-        satisfies_value_distribution=planar.check_value_distribution(spec),
-        planarity=planarity, witness=planarity.witness or witness_n)
+    cert = planar.certify(spec, mode=args.mode, trials=args.trials, seed=args.seed)
     print(f"spec={spec.spec_string()} field={ctx.descriptor()}")
     print(f"planar={cert.is_planar} ({cert.planarity.mode}, "
           f"{cert.planarity.shifts_checked} shifts)")
@@ -599,6 +593,9 @@ def main(argv=None) -> int:
     except UnitalForgeError as e:
         print(f"CHECK FAILED ({type(e).__name__}): {e}", file=sys.stderr)
         return 1
+    except OSError as e:                # an --out or --cache-dir path it cannot write
+        print(f"usage error: cannot write {e.filename}: {e.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,8 +16,9 @@ Larger fields write an index as hi * P + lo with P = p^ceil(m/2); the low and
 high digits add independently, so a sum is one lookup in a P x P table plus
 one in a Q x Q table, Q = N/P (243 x 243 each at F_3^10).  Every field keeps
 this split form: a small field takes P = N and Q = 1, so its P x P table is
-the N x N one.  Every operation accepts either plain ints or numpy arrays of
-indices, so the same code serves scalar API calls and bulk sweeps.
+the N x N one.  Every operation takes ints or numpy arrays of indices and
+runs the same array code on both: a scalar in gives a numpy integer scalar
+out, never a 0-d array, so scalar API calls and bulk sweeps share one path.
 
 Translation x -> x + a acts on the two parts apart: the high parts move by
 one row of the Q x Q table and the low parts by one row of the P x P table.
@@ -35,7 +36,6 @@ throughout the geometry modules.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -52,7 +52,6 @@ from .errors import (
 
 __all__ = [
     "FieldCtx",
-    "FieldElem",
     "ExtensionSplit",
     "field_new",
     "split_new",
@@ -212,63 +211,12 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
     raise NotIrreducible(f"no irreducible of degree {m} over F_{p}")  # unreachable
 
 
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class FieldElem:
-    """One element of a fixed field, identified by its canonical index."""
-
-    ctx: "FieldCtx"
-    index: int
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in self.ctx.digits[self.index])
-
-    def _idx(self, other) -> int:
-        if isinstance(other, FieldElem):
-            if other.ctx is not self.ctx:
-                raise ValueError("elements from different field contexts")
-            return other.index
-        return int(other)
-
-    def __add__(self, other):
-        return FieldElem(self.ctx, int(self.ctx.add(self.index, self._idx(other))))
-
-    def __sub__(self, other):
-        return FieldElem(self.ctx, int(self.ctx.sub(self.index, self._idx(other))))
-
-    def __neg__(self):
-        return FieldElem(self.ctx, int(self.ctx.neg(self.index)))
-
-    def __mul__(self, other):
-        return FieldElem(self.ctx, int(self.ctx.mul(self.index, self._idx(other))))
-
-    def __truediv__(self, other):
-        return FieldElem(self.ctx, int(self.ctx.div(self.index, self._idx(other))))
-
-    def __pow__(self, e: int):
-        return FieldElem(self.ctx, int(self.ctx.pow(self.index, e)))
-
-    def __str__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else str(c)
-                terms.append(f"{head}x" if i == 1 else f"{head}x^{i}")
-        return " + ".join(terms) if terms else "0"
-
-
 class FieldCtx:
     """Immutable arithmetic context for F_{p^m} with odd p.
 
-    Hot operations (add, mul, pow, frobenius, ...) accept indices as plain
-    ints or numpy int arrays and return the same kind.
+    Elements are indices only.  Every operation takes ints or numpy int
+    arrays of indices and runs one array path: an array in gives an array
+    out, a scalar in gives a numpy integer scalar out.
     """
 
     def __init__(self, p: int, m: int, modulus=None):
@@ -396,20 +344,11 @@ class FieldCtx:
         return self.add(a, self.neg_table[b])
 
     def mul(self, a, b):
-        if np.isscalar(a) and np.isscalar(b):
-            if a == 0 or b == 0:
-                return 0
-            return int(self.exp[(self.log[a] + self.log[b]) % (self.size - 1)])
-        a = np.asarray(a)
-        b = np.asarray(b)
+        a, b = np.asarray(a), np.asarray(b)
         out = self.exp[(self.log[a] + self.log[b]) % (self.size - 1)]
-        return np.where((a == 0) | (b == 0), 0, out)
+        return np.where((a == 0) | (b == 0), 0, out)[()]
 
     def inv(self, a):
-        if np.isscalar(a):
-            if a == 0:
-                raise DivisionByZero("inverse of zero")
-            return int(self.exp[(-self.log[a]) % (self.size - 1)])
         a = np.asarray(a)
         if np.any(a == 0):
             raise DivisionByZero("inverse of zero")
@@ -423,14 +362,9 @@ class FieldCtx:
         if e < 0:
             raise ValueError("negative exponent; use inv")
         n1 = self.size - 1
-        er = e % n1
-        if np.isscalar(a):
-            if a == 0:
-                return 1 if e == 0 else 0
-            return int(self.exp[(self.log[a] * er) % n1])
         a = np.asarray(a)
-        out = self.exp[(self.log[a] * er) % n1]
-        return np.where(a == 0, 1 if e == 0 else 0, out)
+        out = self.exp[(self.log[a] * (e % n1)) % n1]
+        return np.where(a == 0, 1 if e == 0 else 0, out)[()]
 
     def frobenius(self, a, k: int = 1):
         """a^(p^k), the k-fold Frobenius power (k >= 0)."""
@@ -445,38 +379,11 @@ class FieldCtx:
 
     def nu(self, b) -> int:
         """nu(0) = size - 1 and nu(b) = -1 for nonzero b."""
-        return self.size - 1 if self.index_of(b) == 0 else -1
-
-    # -- element API --
-
-    def element(self, index) -> FieldElem:
-        index = int(index)
-        if not 0 <= index < self.size:
-            raise ValueError(f"index {index} out of range for field of size {self.size}")
-        return FieldElem(self, index)
-
-    def index_of(self, x) -> int:
-        if isinstance(x, FieldElem):
-            if x.ctx is not self:
-                raise ValueError("element from a different field context")
-            return x.index
-        return int(x)
-
-    @property
-    def zero(self) -> FieldElem:
-        return FieldElem(self, 0)
-
-    @property
-    def one(self) -> FieldElem:
-        return FieldElem(self, 1)
+        return self.size - 1 if b == 0 else -1
 
     @property
     def minus_one_index(self) -> int:
         return int(self.neg_table[1])
-
-    def elements(self):
-        for i in range(self.size):
-            yield FieldElem(self, i)
 
     def descriptor(self) -> str:
         mod = ",".join(str(c) for c in self.modulus)
@@ -530,7 +437,6 @@ def quadratic_solution_count(ctx: FieldCtx, a0, a1, a2, b) -> int:
     Closed form q + nu(b) * eta(-Delta) with Delta = a0*a2 - a1^2/4, valid
     whenever Delta != 0 (division by 4 is multiplication by inv(4); p odd).
     """
-    a0, a1, a2, b = (ctx.index_of(v) for v in (a0, a1, a2, b))
     quarter = ctx.inv(4 % ctx.p)
     delta = ctx.sub(ctx.mul(a0, a2), ctx.mul(ctx.mul(a1, a1), quarter))
     if delta == 0:
@@ -564,7 +470,7 @@ class ExtensionSplit:
         self._sub_eta[0] = 0
         if xi is None:
             xi, _ = self.canonical_xi_alpha()
-        xi = ctx.index_of(xi)
+        xi = int(xi)
         if self.in_subfield_mask[xi]:
             raise XiInSubfield(f"xi index {xi} lies in the subfield")
         self.xi = xi

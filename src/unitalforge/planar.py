@@ -232,9 +232,7 @@ class PlanarFunctionSpec:
         return out
 
     def eval(self, x):
-        """f(x) for an index, FieldElem index, or index array."""
-        if np.isscalar(x):
-            return int(self.table[x])
+        """f(x) for an index or an index array."""
         return self.table[np.asarray(x)]
 
     def components(self, x):
@@ -300,12 +298,12 @@ def penttila_williams(split) -> PlanarFunctionSpec:
 def budaghyan_helleseth(split, k: int, b: int | None = None) -> PlanarFunctionSpec:
     if b is None:
         b = smallest_nonsquare(split.ctx)
-    return PlanarFunctionSpec(split, "bh", k=k, b=split.ctx.index_of(b))
+    return PlanarFunctionSpec(split, "bh", k=k, b=int(b))
 
 
 def custom(split, terms) -> PlanarFunctionSpec:
     return PlanarFunctionSpec(split, "custom",
-                              terms=tuple((int(e), split.ctx.index_of(c)) for e, c in terms))
+                              terms=tuple((int(e), int(c)) for e, c in terms))
 
 
 # the catalog: spec_string writes and parse_spec reads a family's

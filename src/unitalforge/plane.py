@@ -88,16 +88,16 @@ class ShiftPlane:
     # -- ID helpers --
 
     def affine_id(self, x, y):
-        return self.ctx.index_of(x) * self.N + self.ctx.index_of(y)
+        return x * self.N + y
 
     def slope_id(self, a):
-        return self.N * self.N + self.ctx.index_of(a)
+        return self.N * self.N + a
 
     def shifted_id(self, a, b):
-        return self.ctx.index_of(a) * self.N + self.ctx.index_of(b)
+        return a * self.N + b
 
     def vertical_id(self, a):
-        return self.N * self.N + self.ctx.index_of(a)
+        return self.N * self.N + a
 
     def decode_line(self, lid: int) -> Line:
         if lid == self.at_infinity_id:
@@ -223,48 +223,57 @@ class ShiftPlane:
 
     def line_through_many(self, pids1, pids2) -> np.ndarray:
         """The line through each pair of distinct points, elementwise after
-        broadcasting.
-
-        Infinity, slope points and equal x have closed forms.  Two affine
-        points with x1 != x2 lie on L(a, b) iff u = x2 + a solves
-        f(u + c) = d + f(u) with c = x1 - x2, d = y1 - y2; planarity makes
-        that u unique.  The first pair in input order with 0 or >= 2
-        solutions raises AxiomViolation, witness the sorted pair.
-
-        The line through (x, y) of slope a, L(a, f(x+a) - y), is the
-        points_at entry of line ID x*N + y at position a, as the ID scheme
-        is self-dual (see lines_through_point).
+        broadcasting: the lines of _joins.  The first pair in input order
+        that _joins counts 0 or >= 2 lines through raises AxiomViolation,
+        witness the sorted pair.
         """
-        N, NN = self.N, self.N * self.N
         p1, p2 = np.broadcast_arrays(np.asarray(pids1, dtype=np.int64),
                                      np.asarray(pids2, dtype=np.int64))
         shape, p1, p2 = p1.shape, p1.ravel(), p2.ravel()
         same = p1 == p2
         if same.any():
             raise EqualPoints(f"point {p1[np.argmax(same)]} given twice")
-        lo, hi = np.minimum(p1, p2), np.maximum(p1, p2)
-        out = np.full(lo.shape, self.at_infinity_id, dtype=np.int64)  # no affine point
-        vert = (lo < NN) & ((hi == self.infinity_id) | ((hi < NN) & (lo // N == hi // N)))
-        out[vert] = NN + lo[vert] // N
-        slope = (lo < NN) & (hi >= NN) & (hi != self.infinity_id)
-        out[slope] = self.points_at(lo[slope], hi[slope] - NN)
-        solve = np.flatnonzero((hi < NN) & ~vert)
-        x1, y1 = lo[solve] // N, lo[solve] % N
-        x2 = hi[solve] // N
-        c, d = self.ctx.sub(x1, x2), self.ctx.sub(y1, hi[solve] % N)
-        counts, u = self._difference_solutions(c, d)
+        counts, lines = self._joins(p1, p2)
         if np.any(counts != 1):
-            j = int(np.argmax(counts != 1))
-            i = solve[j]
-            raise AxiomViolation(
-                f"{counts[j]} candidate lines through {p1[i]}, {p2[i]}",
-                witness=(int(lo[i]), int(hi[i])))
-        out[solve] = self.points_at(lo[solve], self.ctx.sub(u, x2))
-        return out.reshape(shape)
+            i = int(np.argmax(counts != 1))
+            raise AxiomViolation(f"{counts[i]} candidate lines through {p1[i]}, {p2[i]}",
+                                 witness=tuple(sorted((int(p1[i]), int(p2[i])))))
+        return lines.reshape(shape)
 
     def line_through(self, pid1: int, pid2: int) -> int:
         """The unique line through two distinct points."""
         return int(self.line_through_many(pid1, pid2))
+
+    def _joins(self, p1, p2):
+        """(counts, lines) for the pairs of distinct point IDs p1[i], p2[i]:
+        the number of lines through both, and that line where the number is
+        1 (elsewhere L_inf).
+
+        Infinity, slope points and equal x have closed forms, one line
+        each.  Two affine points with x1 != x2 lie on L(a, b) iff u = x2 + a
+        solves f(u + c) = d + f(u) with c = x1 - x2, d = y1 - y2, which
+        _difference_solutions counts; planarity makes that u unique.  The
+        line through (x, y) of slope a, L(a, f(x+a) - y), is the points_at
+        entry of line ID x*N + y at position a, as the ID scheme is
+        self-dual (see lines_through_point).  By the same duality the count
+        for two line IDs is the number of points the two lines share.
+        """
+        N, NN = self.N, self.N * self.N
+        lo, hi = np.minimum(p1, p2), np.maximum(p1, p2)
+        counts = np.ones(lo.shape, dtype=np.int64)
+        lines = np.full(lo.shape, self.at_infinity_id, dtype=np.int64)  # no affine point
+        vert = (lo < NN) & ((hi == self.infinity_id) | ((hi < NN) & (lo // N == hi // N)))
+        lines[vert] = NN + lo[vert] // N
+        slope = (lo < NN) & (hi >= NN) & (hi != self.infinity_id)
+        lines[slope] = self.points_at(lo[slope], hi[slope] - NN)
+        solve = np.flatnonzero((hi < NN) & ~vert)
+        x2 = hi[solve] // N
+        c = self.ctx.sub(lo[solve] // N, x2)
+        d = self.ctx.sub(lo[solve] % N, hi[solve] % N)
+        counts[solve], u = self._difference_solutions(c, d)
+        one = counts[solve] == 1
+        lines[solve[one]] = self.points_at(lo[solve[one]], self.ctx.sub(u[one], x2[one]))
+        return counts, lines
 
     def _difference_solutions(self, c, d):
         """For each i, the number of u in F with f(u + c[i]) = d[i] + f(u),
@@ -294,29 +303,6 @@ class ShiftPlane:
             counts[pick], sols[pick] = table[keys], where[keys]
         return counts, sols
 
-    def meet_counts(self, lids1, lids2) -> np.ndarray:
-        """Number of points common to lines lids1[i] and lids2[i].
-
-        Graph lines L(a1, b1), L(a2, b2) share (x, y) iff u = x + a2 solves
-        f(u + c) = d + f(u) with c = a1 - a2, d = b1 - b2, and share their
-        slope point iff c = 0.  Pairs with a vertical or L_inf count the
-        points of the first line's row that lie on the second.
-        """
-        N, NN = self.N, self.N * self.N
-        l1 = np.asarray(lids1, dtype=np.int64).reshape(-1)
-        l2 = np.asarray(lids2, dtype=np.int64).reshape(-1)
-        out = np.empty(l1.shape, dtype=np.int64)
-        graph = np.flatnonzero((l1 < NN) & (l2 < NN))
-        c = self.ctx.sub(l1[graph] // N, l2[graph] // N)
-        d = self.ctx.sub(l1[graph] % N, l2[graph] % N)
-        out[graph] = self._difference_solutions(c, d)[0] + (c == 0)
-        rest = np.flatnonzero((l1 >= NN) | (l2 >= NN))
-        for idx in id_batches(len(rest), N + 1):
-            k = rest[idx]
-            out[k] = self.incident_many(self.points_on_lines(l1[k]),
-                                        l2[k, None]).sum(axis=1)
-        return out
-
     # -- axiom verification --
 
     def verify_projective_plane(self, mode: str = "exhaustive",
@@ -342,9 +328,11 @@ class ShiftPlane:
 
         Sampled mode draws `trials` seeded point pairs, then `trials` line
         pairs (equal draws skipped); the first failing draw is the witness.
-        Its affine pairs are solved per distinct difference c, not per
-        pair (see _difference_solutions), so a sample costs at most N
-        difference rows however many trials it has.
+        Both kinds of pair go through _joins: two lines share as many points
+        as there are lines through the two points with their IDs, as the ID
+        scheme is self-dual.  Affine pairs are solved per distinct
+        difference c, not per pair (see _difference_solutions), so a sample
+        costs at most N difference rows however many trials it has.
         """
         require_mode(mode, ("exhaustive", "sampled"))
         if mode == "exhaustive":
@@ -360,7 +348,7 @@ class ShiftPlane:
                                witness=tuple(int(v) for v in pairs[np.argmin(ok)]))
         lines = rng.integers(0, self.n_lines, (trials, 2))
         lines = lines[lines[:, 0] != lines[:, 1]]
-        bad = self.meet_counts(lines[:, 0], lines[:, 1]) != 1
+        bad = self._joins(lines[:, 0], lines[:, 1])[0] != 1
         if bad.any():
             return PlaneReport(False, "sampled", self.n_points, self.n_lines, trials,
                                witness=tuple(int(v) for v in lines[np.argmax(bad)]))

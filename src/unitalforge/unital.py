@@ -456,7 +456,7 @@ def check_parabolic_hypothesis(plane: ShiftPlane, theta: int):
 
     Returns (ok, histogram keyed by the F_q element index).
     """
-    theta = plane.ctx.index_of(theta)
+    theta = int(theta)
     if theta == 0:
         raise ZeroTheta("theta must be nonzero")
     split = plane.split
@@ -476,7 +476,7 @@ def parabolic_y_values(plane: ShiftPlane, theta: int) -> np.ndarray:
 
 def build_parabolic_unital(plane: ShiftPlane, theta: int) -> Unital:
     """Point set {(x, t*theta) : x in F_{q^2}, t in F_q} with infinity."""
-    theta = plane.ctx.index_of(theta)
+    theta = int(theta)
     ok, hist = check_parabolic_hypothesis(plane, theta)
     if not ok:
         q = plane.split.sub_size
@@ -916,7 +916,7 @@ def ovals_decomposition(unital: Unital) -> list[np.ndarray]:
 def gamma_orbit_partition(plane: ShiftPlane, thetas) -> list[list[int]]:
     """Group theta values whose parabolic unitals map onto each other under
     the scaling collineations; returns sorted equivalence classes."""
-    thetas = [plane.ctx.index_of(t) for t in thetas]
+    thetas = [int(t) for t in thetas]
     point_sets = {t: frozenset(int(p) for p in build_parabolic_unital(plane, t).points)
                   for t in thetas}
     by_set = {s: t for t, s in point_sets.items()}

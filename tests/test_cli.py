@@ -343,6 +343,23 @@ def test_missing_input_file_is_usage_error(capsys, tmp_path):
     assert code == 2 and "usage error: cannot read" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "plane dump --p 3 --m 2 --out {dir}",
+    "unital build --p 3 --m 2 --out {dir}",
+    "unital build --p 3 --m 2 --out {dir}/missing/x",
+    "unital build --p 3 --m 2 --cache-dir {file}",
+    "polarity build --p 3 --m 2 --out {dir}",
+    "compare --left {file} --right {file} --out {dir}",
+])
+def test_unwritable_output_path_is_usage_error(capsys, tmp_path, unital_q3, argv):
+    from unitalforge import unital as un
+
+    path = tmp_path / "u.unital"
+    un.write_unital_file(unital_q3, path)
+    code, _, err = run(capsys, *(t.format(dir=tmp_path, file=path) for t in argv.split()))
+    assert code == 2 and "usage error: cannot write" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda l: ["UNITAL v2"] + l[1:], "not a unital file"),
     (lambda l: l[:6] + ["seven"] + l[7:], "malformed point ID line"),

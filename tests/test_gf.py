@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitalforge import gf
+from unitalforge import gf, planar
 from unitalforge.errors import (
     DegenerateForm,
     DivisionByZero,
@@ -315,14 +315,43 @@ def test_choose_xi_alpha_f9(s9):
     assert s9.recompose(0, 1) == s9.xi
 
 
-def test_field_elem_operators(s9):
-    f9 = s9.ctx
-    x = f9.element(3)
-    assert (x * x).index == 2
-    assert (x + (-x)).index == 0
-    assert (x / x).index == 1
-    assert (x ** 8).index == 1
-    assert str(f9.element(5)) == "2 + x"
+# -- one arithmetic path: scalars in, numpy scalars out ----------------------
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 10)])
+def test_scalar_calls_match_array_path(p, m):
+    ctx = gf.field_new(p, m)
+    if ctx.size <= 25:                              # every pair
+        a, b = np.divmod(np.arange(ctx.size ** 2), ctx.size)
+    else:
+        a, b = np.random.default_rng(11).integers(0, ctx.size, (2, 5000))
+    safe = np.where(b == 0, 1, b)                   # inv and div only where b != 0
+    exps = (0, 1, 2, ctx.size - 2, ctx.size - 1, ctx.size)
+    expect = {"mul": ctx.mul(a, b), "div": ctx.div(a, safe), "inv": ctx.inv(safe),
+              "frobenius": ctx.frobenius(a), **{e: ctx.pow(a, e) for e in exps}}
+    for i, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+        got = {"mul": ctx.mul(x, y), "frobenius": ctx.frobenius(x),
+               **{e: ctx.pow(x, e) for e in exps}}
+        if y != 0:
+            got.update(div=ctx.div(x, y), inv=ctx.inv(y))
+        for name, value in got.items():
+            assert isinstance(value, np.integer), (name, type(value))
+            hash(value)
+            assert value == expect[name][i], (name, x, y)
+
+
+def test_zero_conventions():
+    f9 = gf.field_new(3, 2)
+    assert f9.pow(0, 0) == 1 and f9.pow(0, 3) == 0
+    assert all(f9.mul(0, x) == 0 == f9.mul(x, 0) for x in range(9))
+    assert f9.pow(np.array([0, 0]), 0).tolist() == [1, 1]
+
+
+def test_spec_eval_reads_the_table(s9, s81):
+    for spec in (planar.square(s9), planar.coulter_matthews(s81, 3)):
+        for i in range(spec.split.ctx.size):
+            value = spec.eval(i)
+            assert isinstance(value, np.integer) and value == spec.table[i]
+        assert np.array_equal(spec.eval(np.arange(spec.split.ctx.size)), spec.table)
 
 
 # -- large-field tables ------------------------------------------------------
