@@ -16,9 +16,10 @@ Larger fields write an index as hi * P + lo with P = p^ceil(m/2); the low and
 high digits add independently, so a sum is one lookup in a P x P table plus
 one in a Q x Q table, Q = N/P (243 x 243 each at F_3^10).  Every field keeps
 this split form: a small field takes P = N and Q = 1, so its P x P table is
-the N x N one.  Every operation takes ints or numpy arrays of indices and
-runs the same array code on both: a scalar in gives a numpy integer scalar
-out, never a 0-d array, so scalar API calls and bulk sweeps share one path.
+the N x N one.  Every arithmetic operation takes ints or numpy arrays of
+indices and runs the same array code on both: a scalar in gives a numpy
+integer scalar out, never a 0-d array, so scalar API calls and bulk sweeps
+share one path.
 
 Translation x -> x + a acts on the two parts apart: the high parts move by
 one row of the Q x Q table and the low parts by one row of the P x P table.
@@ -214,9 +215,10 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
 class FieldCtx:
     """Immutable arithmetic context for F_{p^m} with odd p.
 
-    Elements are indices only.  Every operation takes ints or numpy int
-    arrays of indices and runs one array path: an array in gives an array
-    out, a scalar in gives a numpy integer scalar out.
+    Elements are indices only.  The arithmetic (add, sub, neg, mul, inv,
+    div, pow, frobenius and the characters) takes ints or numpy int arrays
+    of indices and runs one array path: an array in gives an array out, a
+    scalar in gives a numpy integer scalar out.
     """
 
     def __init__(self, p: int, m: int, modulus=None):
