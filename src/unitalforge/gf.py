@@ -379,9 +379,10 @@ class FieldCtx:
         the discrete log."""
         return self._eta[a]
 
-    def nu(self, b) -> int:
-        """nu(0) = size - 1 and nu(b) = -1 for nonzero b."""
-        return self.size - 1 if b == 0 else -1
+    def nu(self, b):
+        """nu(0) = size - 1 and nu(b) = -1 for nonzero b, elementwise; a
+        scalar b gives a scalar."""
+        return np.where(np.asarray(b) == 0, self.size - 1, -1)[()]
 
     @property
     def minus_one_index(self) -> int:
@@ -433,8 +434,9 @@ def parse_descriptor(s: str) -> FieldCtx:
         raise UsageError(f"field descriptor {s!r}: {e}") from None
 
 
-def quadratic_solution_count(ctx: FieldCtx, a0, a1, a2, b) -> int:
-    """Number of (x0, x1) in F^2 with a0*x0^2 + a1*x0*x1 + a2*x1^2 = b.
+def quadratic_solution_count(ctx: FieldCtx, a0, a1, a2, b):
+    """Number of (x0, x1) in F^2 with a0*x0^2 + a1*x0*x1 + a2*x1^2 = b, for
+    each element of b (a scalar b gives a scalar).
 
     Closed form q + nu(b) * eta(-Delta) with Delta = a0*a2 - a1^2/4, valid
     whenever Delta != 0 (division by 4 is multiplication by inv(4); p odd).

@@ -78,6 +78,7 @@ _MASK_LIMIT = 1 << 24     # beyond this many plane points, fall back to sorted l
 _WRITE_BLOCK = 1 << 16    # point IDs formatted into one write by write_unital_file
 _READ_CHUNK = 1 << 16     # bytes of ID lines parsed at once by read_unital_file
 _MAX_ID_DIGITS = 18       # the longest ID line read; 19 digits could overflow int64
+_UINT32_DIGITS = 9        # digits that always fit a uint32: 10^9 - 1 < 2^32
 _QUOTE_BYTES = 24         # of a malformed ID line quoted in its error, longer than any ID
 _PRUNE_POINTS = 64        # most points moved out of U that a rejected translation prunes by
 
@@ -171,10 +172,13 @@ class Unital:
         plane, N = self.plane, self.plane.N
         ys = parabolic_y_values(plane, self.theta)
         rows = self.points[:-1].reshape(N, len(ys))
-        # row x must read x*N + ys; blocks of rows bound the temporaries
+        # row x must read x*N + ys: a slice of rows from s on, less s*N, must
+        # equal the first rows of one fixed block, so no IDs are built per slice
+        step = min(N, max(1, BATCH // len(ys)))
+        block = (np.arange(step, dtype=np.int64) * N)[:, None] + ys
         if not (self.points[-1] == plane.infinity_id and all(
-                np.array_equal(rows[X], X[:, None] * N + ys)
-                for X in id_batches(N, len(ys)))):
+                np.array_equal(rows[s:s + step] - s * N, block[:min(step, N - s)])
+                for s in range(0, N, step))):
             raise ProvenanceMismatch(
                 f"points differ from the parabolic set of theta={self.theta}")
         return ys
@@ -184,16 +188,25 @@ class Unital:
         """|L(a, b) ∩ U| for a parabolic set, which depends only on b.
 
         Substituting z = x + a turns the member count #{x : f(x+a) - b in
-        the y-set} into #{z : f(z) in b + y-set}, so one f-value histogram
-        shifted over the q admissible y values counts every graph line.
+        Y} into #{z : f(z) in b + Y}, Y the y-set, so the f-value histogram
+        summed over b + Y counts every graph line.  Y = theta*F_q is an
+        F_p-space, so that sum is n sums of p translates, one along each
+        basis element (docs/ORBITS.md, "Graph-line counts of a parabolic set
+        by coset sums").
         """
         if self.theta_y_values is None:
             return None
         plane = self.plane
-        fhist = np.bincount(plane.f, minlength=plane.N)
-        counts = np.zeros(plane.N, dtype=np.int64)
-        for y in self.theta_y_values:
-            counts += plane.ctx.translate(fhist, y)
+        ctx = plane.ctx
+        # zeta = g^(q+1) generates F_q^*, so 1, zeta, ..., zeta^(n-1) span F_q
+        basis = ctx.mul(self.theta, ctx.exp[(self.q + 1) * np.arange(plane.split.sub_degree)])
+        counts = np.bincount(plane.f, minlength=plane.N)
+        for e in basis.tolist():
+            total, shifted = counts.copy(), counts
+            for _ in range(ctx.p - 1):
+                shifted = ctx.translate(shifted, e)
+                total += shifted
+            counts = total
         return counts
 
     # -- line sections --
@@ -954,8 +967,9 @@ def _format_ids(ids: np.ndarray):
     of at most _WRITE_BLOCK IDs.
 
     IDs with the same number of digits are contiguous in an ascending array,
-    so each block is one (n, width + 1) table of digit bytes, filled column
-    by column from the right.
+    so each block is one (width + 1, n) table of digit bytes, filled one
+    contiguous row at a time from the right and written out transposed.  A
+    block below 2^32 divides in uint32, about twice as fast as int64.
     """
     stops = np.searchsorted(ids, 10 ** np.arange(1, 19, dtype=np.int64)).tolist()
     stops.append(len(ids))
@@ -963,15 +977,17 @@ def _format_ids(ids: np.ndarray):
     for width, stop in enumerate(stops, 1):
         for lo in range(start, stop, _WRITE_BLOCK):
             rest = ids[lo:min(lo + _WRITE_BLOCK, stop)]
-            buf = np.empty((len(rest), width + 1), dtype=np.uint8)
-            buf[:, width] = ord("\n")
-            for col in range(width - 1, 0, -1):
+            if rest[-1] <= np.iinfo(np.uint32).max:
+                rest = rest.astype(np.uint32)
+            buf = np.empty((width + 1, len(rest)), dtype=np.uint8)
+            buf[width] = ord("\n")
+            for row in range(width - 1, 0, -1):
                 quot = rest // 10            # faster than np.divmod
-                buf[:, col] = rest - 10 * quot
+                buf[row] = rest - 10 * quot
                 rest = quot
-            buf[:, 0] = rest
-            buf[:, :width] += ord("0")
-            yield buf.tobytes()
+            buf[0] = rest
+            buf[:width] += ord("0")
+            yield buf.T.tobytes()
         start = stop
 
 
@@ -979,38 +995,67 @@ def _parse_id_lines(data) -> np.ndarray:
     """The IDs of `data`, whole lines each ending in a newline and holding
     1 to _MAX_ID_DIGITS decimal digits; blank lines are skipped.
 
-    One flat pass checks every byte; each run of lines of equal length is
-    then a zero-copy (n, width + 1) view read by Horner's rule.
+    One flat pass checks every byte.  The lines fall into runs of equal
+    width: one run when the k newlines fall every len(data) / k bytes, the
+    usual case in an ascending file, otherwise the runs between the
+    newlines that _line_bounds finds.  Each run is an (n, width + 1) view,
+    copied transposed into contiguous (width, n) digit rows and read by
+    Horner's rule: in uint32 for the first _UINT32_DIGITS rows, which cannot
+    overflow it, in int64 after them.
     """
     raw = np.frombuffer(data, dtype=np.uint8)
     digits = raw - ord("0")                  # any other byte wraps to 10 or more
-    ends = np.flatnonzero(raw == ord("\n"))
-    if not len(ends):
+    n_lines = int(np.count_nonzero(raw == ord("\n")))
+    if not n_lines:
         return np.zeros(0, dtype=np.int64)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    widths = ends - starts
-    if (np.count_nonzero(digits < 10) != len(raw) - len(ends)
-            or widths.max() > _MAX_ID_DIGITS):
-        bad = widths > _MAX_ID_DIGITS
-        stray = np.flatnonzero((digits >= 10) & (raw != ord("\n")))
-        bad[np.searchsorted(ends, stray)] = True
-        line = np.argmax(bad)
-        raise _malformed_line(data[starts[line]:ends[line]])
-    ids = np.empty(np.count_nonzero(widths), dtype=np.int64)
-    bounds = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), len(widths)]
+    step = len(raw) // n_lines
+    if (step * n_lines == len(raw) and 1 < step <= _MAX_ID_DIGITS + 1
+            and (raw[step - 1::step] == ord("\n")).all()):
+        runs, longest = [(0, n_lines, step - 1)], step - 1
+    else:
+        starts, ends = _line_bounds(raw)
+        widths = ends - starts
+        bounds = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), n_lines]
+        runs = [(int(starts[lo]), hi - lo, int(widths[lo]))
+                for lo, hi in zip(bounds, bounds[1:]) if widths[lo]]
+        longest = widths.max()
+    if (np.count_nonzero(digits < 10) != len(raw) - n_lines
+            or longest > _MAX_ID_DIGITS):
+        raise _first_malformed_line(data, raw, digits)
+    ids = np.empty(sum(lines for _, lines, _ in runs), dtype=np.int64)
     n = 0
-    for lo, hi in zip(bounds, bounds[1:]):
-        width = int(widths[lo])
-        if width == 0:
-            continue
-        rows = digits[starts[lo]:ends[hi - 1] + 1].reshape(hi - lo, width + 1)
-        value = ids[n:n + hi - lo]
-        value[:] = rows[:, 0]
-        for col in range(1, width):
+    for first, lines, width in runs:
+        view = digits[first:first + lines * (width + 1)].reshape(lines, width + 1)
+        rows = np.ascontiguousarray(view[:, :width].T)
+        head = min(width, _UINT32_DIGITS)
+        acc = rows[0].astype(np.uint32)
+        for row in rows[1:head]:
+            acc *= 10
+            acc += row
+        value = ids[n:n + lines]
+        value[:] = acc
+        for row in rows[head:]:
             value *= 10
-            value += rows[:, col]
-        n += hi - lo
+            value += row
+        n += lines
     return ids
+
+
+def _line_bounds(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(start, newline position) of each line of raw."""
+    ends = np.flatnonzero(raw == ord("\n"))
+    return np.concatenate(([0], ends[:-1] + 1)), ends
+
+
+def _first_malformed_line(data, raw, digits) -> UsageError:
+    """The error quoting the first line of data that is too long or holds a
+    byte other than a digit."""
+    starts, ends = _line_bounds(raw)
+    bad = ends - starts > _MAX_ID_DIGITS
+    stray = np.flatnonzero((digits >= 10) & (raw != ord("\n")))
+    bad[np.searchsorted(ends, stray)] = True
+    line = np.argmax(bad)
+    return _malformed_line(data[starts[line]:ends[line]])
 
 
 def _malformed_line(line) -> UsageError:

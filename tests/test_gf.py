@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -271,6 +273,21 @@ def test_nu_values():
     assert f3.nu(0) == 2
     assert f3.nu(1) == -1
     assert f5.nu(2) == -1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_nu_and_quadratic_count_take_arrays(p):
+    # one call over every b agrees with the scalar calls, element by element
+    ctx = gf.field_new(p, 1)
+    bs = np.arange(p)
+    assert ctx.nu(bs).tolist() == [ctx.nu(b) for b in range(p)]
+    assert ctx.nu(bs).tolist() == [p - 1] + [-1] * (p - 1)
+    for a0, a1, a2 in itertools.product(range(p), repeat=3):
+        if (4 * a0 * a2 - a1 * a1) % p == 0:         # 4 * Delta: degenerate
+            continue
+        counts = gf.quadratic_solution_count(ctx, a0, a1, a2, bs)
+        assert counts.tolist() == [gf.quadratic_solution_count(ctx, a0, a1, a2, b)
+                                   for b in range(p)]
 
 
 def test_quadratic_count_examples():

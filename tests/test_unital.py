@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unitalforge import analysis as an, gf, planar, plane as plane_mod, unital as un
 from unitalforge.errors import (
@@ -1024,6 +1024,57 @@ def test_shifted_counts_by_b_match_former_formula(unital_q3, unital_q5, unital_c
         assert np.array_equal(u.shifted_counts_by_b, former)
 
 
+def _catalog_parabolic(which, plane_q3, plane_q5, plane_cm81, s729):
+    """The parabolic unital of a catalog instance with a valid theta: the
+    chosen theta up to q = 27, theta = xi at q = 125 and 243."""
+    planes = {"square-q3": plane_q3, "square-q5": plane_q5, "cm-q9": plane_cm81}
+    if which in planes:
+        return un.build_parabolic_unital(planes[which], planes[which].split.choose_theta())
+    if which == "albert-q27":
+        return un.build_parabolic_unital(ShiftPlane(planar.albert(s729, 2)),
+                                         s729.choose_theta())
+    p, n, make = {"zhoupott-q125": (5, 3, lambda s: planar.zhou_pott(s, 1, 1)),
+                  "pw-q243": (3, 5, planar.penttila_williams)}[which]
+    split = gf.split_new(gf.field_new(p, 2 * n), n)
+    return un.build_parabolic_unital(ShiftPlane(make(split)), split.xi)
+
+
+@pytest.mark.parametrize("which", ["square-q3", "square-q5", "cm-q9", "albert-q27",
+                                   "zhoupott-q125", "pw-q243"])
+def test_shifted_counts_by_b_equal_per_y_translate_sum(which, plane_q3, plane_q5,
+                                                       plane_cm81, s729):
+    # the coset sums take n(p - 1) translates along a basis of Y = theta F_q,
+    # the per-y oracle one per y in Y
+    u = _catalog_parabolic(which, plane_q3, plane_q5, plane_cm81, s729)
+    ctx, N = u.plane.ctx, u.plane.N
+    u.theta_y_values
+    with mock.patch.object(ctx, "translate", wraps=ctx.translate) as spy:
+        counts = u.shifted_counts_by_b
+    assert spy.call_count == u.plane.split.sub_degree * (ctx.p - 1)
+    fhist = np.bincount(u.plane.f, minlength=N)
+    per_y = np.zeros(N, dtype=np.int64)
+    for y in u.theta_y_values.tolist():
+        per_y += ctx.translate(fhist, y)
+    assert np.array_equal(counts, per_y)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_provenance_checked_in_first_middle_and_last_slice(unital_zp125, where):
+    # one point moved off the y-set in the first, a middle or the last slice
+    # of rows (the last is shorter than the others at q = 125)
+    u = unital_zp125
+    plane, N, q = u.plane, u.plane.N, u.q
+    step = plane_mod.BATCH // q
+    assert N % step
+    row = {"first": 0, "middle": N // step // 2 * step + step // 2, "last": N - 1}[where]
+    off = int(np.setdiff1d(np.arange(N), u.theta_y_values)[0])
+    pts = u.points.copy()
+    pts[row * q + q // 2] = row * N + off
+    bad = un.Unital(plane, pts, u.provenance, theta=u.theta)
+    with pytest.raises(ProvenanceMismatch):
+        bad.theta_y_values
+
+
 def test_parabolic_points_built_in_place(plane_q5):
     u = un.build_parabolic_unital(plane_q5, plane_q5.split.choose_theta())
     N, ys = plane_q5.N, un.parabolic_y_values(plane_q5, u.theta)
@@ -1096,11 +1147,15 @@ def test_stream_destinations_receive_the_file(unital_cm81, tmp_path):
     assert not text.closed and not raw.closed
 
 
+# the ends of each width, and both sides of the uint32 limits of the reader
+# (9 digits: 10^9 - 1 and 10^9, among the ends) and the writer (2^32)
 _BOUNDARY_IDS = [0, 10 ** 18 - 1, *(10 ** k - 1 for k in range(1, 18)),
-                 *(10 ** k for k in range(1, 18))]
+                 *(10 ** k for k in range(1, 18)), 2 ** 32 - 1, 2 ** 32]
 
 
 @settings(max_examples=150, deadline=None)
+@example(ids=sorted(_BOUNDARY_IDS), block=1, chunk=7)
+@example(ids=sorted(_BOUNDARY_IDS), block=1 << 16, chunk=1 << 20)
 @given(ids=st.sets(st.sampled_from(_BOUNDARY_IDS) | st.integers(0, 10 ** 18 - 1),
                    max_size=120).map(sorted),
        block=st.sampled_from([1, 3, 1 << 16]),
@@ -1125,6 +1180,31 @@ def test_chunk_boundaries(chunk, unital_q5, unital_cm81, tmp_path, monkeypatch):
         un.write_unital_file(u, path)
         back = un.read_unital_file(path)
         assert np.array_equal(back.points, u.points) and back.theta == u.theta
+
+
+@pytest.mark.parametrize("width", [7, 9])
+def test_malformed_line_after_a_chunk_boundary_is_quoted(width):
+    # a body of over 256 KB, read in default-size chunks; with 8-byte lines
+    # the bad line starts at the first read boundary, with 10-byte lines it
+    # straddles it, so it opens the second parsed piece either way
+    first_bad = un._READ_CHUNK // (width + 1)
+    lines = [f"{10 ** (width - 1) + i}" for i in range(2 * first_bad + (1 << 18) // width)]
+    lines[first_bad] = "12x" + "4" * (width - 3)
+    lines[-5] = "later"
+    data = "".join(f"{line}\n" for line in lines).encode()
+    assert len(data) > max(1 << 18, 2 * un._READ_CHUNK)
+    with pytest.raises(UsageError) as err:
+        un._read_ids(io.BytesIO(data), len(lines))
+    assert str(err.value) == f"malformed point ID line: {lines[first_bad]!r}"
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 20])
+def test_reader_skips_chunks_of_blank_lines(chunk, monkeypatch):
+    # some chunks, or the whole body, hold blank lines only
+    monkeypatch.setattr(un, "_READ_CHUNK", chunk)
+    assert un._read_ids(io.BytesIO(b"\n" * 40), 0).tolist() == []
+    body = b"5\n" + b"\n" * 40 + b"17\n" + b"\r\n" * 20 + b"203"
+    assert un._read_ids(io.BytesIO(body), 0).tolist() == [5, 17, 203]
 
 
 def _body_edit(u, tmp_path, edit, sep="\n"):
