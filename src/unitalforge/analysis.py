@@ -721,7 +721,12 @@ def find_onan_exhaustive(unital: Unital, budget: int | None = None,
     idx = index or DesignIndex(unital)
     cp, meets, avoid = idx.common_point, idx.meets_bits, idx.avoid_bits
     later = meets & idx.after_bits           # the blocks after b that meet b
-    quads, sixes = [], []                    # int32 block indices, point ranks
+    quads, sixes = [], []                    # block indices, point ranks
+    # held in the narrowest unsigned types (uint8 / uint16 up to q = 9), so
+    # the parts kept until the int64 tables are built take 1/4 to 1/8 of
+    # their int64 size
+    block = np.min_scalar_type(len(idx.block_lines) - 1)
+    rank = np.min_scalar_type(len(unital.points) - 1)
     examined = 0
     complete = True
     pairs_1, pairs_2 = _set_bits(later)      # meeting pairs b1 < b2, in order
@@ -755,9 +760,11 @@ def find_onan_exhaustive(unital: Unital, budget: int | None = None,
             complete = False
         examined += n_seen
         b1, b2, b3 = b1[t], b2[t], b3[t]
-        quads.append(np.stack([b1, b2, b3, b4], axis=1, dtype=np.int32))
-        sixes.append(np.sort(np.stack([p12[t], p13[t], p23[t], cp[b1, b4],
-                                       cp[b2, b4], cp[b3, b4]], axis=1), axis=1))
+        quads.append(np.stack([b1, b2, b3, b4], axis=1, dtype=block, casting="unsafe"))
+        six = np.stack([p12[t], p13[t], p23[t], cp[b1, b4], cp[b2, b4], cp[b3, b4]],
+                       axis=1, dtype=rank, casting="unsafe")
+        six.sort(axis=1)
+        sixes.append(six)
         if not complete:
             break
     # both tables are int64: line IDs from flatnonzero, points as Unital keeps them

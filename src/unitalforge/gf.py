@@ -10,16 +10,21 @@ tests a candidate primitive element g and, by doubling, builds the log
 tables.  All arithmetic is table-driven.  Multiplication goes through
 discrete-log tables over a fixed primitive element g, and as g is no square
 the quadratic characters of the field and of F_q are read off the parity of
-the discrete log, as tables.  Addition (digit-wise in base p) is
-one lookup in an N x N table for fields of at most ADD_TABLE_MAX elements.
-Larger fields write an index as hi * P + lo with P = p^ceil(m/2); the low and
-high digits add independently, so a sum is one lookup in a P x P table plus
-one in a Q x Q table, Q = N/P (243 x 243 each at F_3^10).  Every field keeps
-this split form: a small field takes P = N and Q = 1, so its P x P table is
-the N x N one.  Every arithmetic operation takes ints or numpy arrays of
-indices and runs the same array code on both: a scalar in gives a numpy
-integer scalar out, never a 0-d array, so scalar API calls and bulk sweeps
-share one path.
+the discrete log, as tables.  Addition is digit-wise in base p, and its
+tables are composed rather than summed digit by digit: an index
+a = p * a' + a_0 adds its higher digits a' and its lowest digit a_0 apart, so
+the table on k digits is p times the table on k - 1 digits broadcast against
+the p x p table of one digit, one pass per digit (`_digitwise`; negation
+likewise).  A field of at most ADD_TABLE_MAX elements keeps the N x N table
+flattened as add_lo, and a sum is one flat take, add_lo[a * N + b], with the
+index computed in int64 and the sums written over it.  Larger fields write an index as hi * P + lo with
+P = p^ceil(m/2); the low and high digits add independently, so a sum is one
+take in a P x P table plus one in a Q x Q table, Q = N/P (243 x 243 each at
+F_3^10).  Every field keeps this split form: a small field takes P = N and
+Q = 1, so its P x P table is the N x N one.  Every arithmetic operation
+takes ints or numpy arrays of indices and runs the same array code on both:
+a scalar in gives a numpy integer scalar out, never a 0-d array, so scalar
+API calls and bulk sweeps share one path.
 
 Translation x -> x + a acts on the two parts apart: the high parts move by
 one row of the Q x Q table and the low parts by one row of the P x P table.
@@ -212,6 +217,26 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
     raise NotIrreducible(f"no irreducible of degree {m} over F_{p}")  # unreachable
 
 
+def _digitwise(one, k: int) -> np.ndarray:
+    """The table of a digit-wise map on the base-p indices below p^k, from
+    `one`, its table on single digits (p = len(one), any dimension d).
+
+    An index a = p * a' + a_0 splits into its higher digits a' and its
+    lowest digit a_0, which the map treats apart, so the k-digit table is
+    p times the (k - 1)-digit one broadcast against `one` on interleaved
+    axes: one pass per digit over the growing table, from the 0-digit
+    table 0.  A (p, p) table of digit sums gives the addition tables, a
+    (p,) table of digit negatives the negation table.
+    """
+    p, d = len(one), one.ndim
+    out = np.zeros((1,) * d, dtype=np.int64)
+    for _ in range(k):
+        out = (p * np.expand_dims(out, tuple(range(1, 2 * d, 2)))
+               + np.expand_dims(one, tuple(range(0, 2 * d, 2))))
+        out = out.reshape([n * p for n in out.shape[::2]])
+    return out
+
+
 class FieldCtx:
     """Immutable arithmetic context for F_{p^m} with odd p.
 
@@ -240,24 +265,24 @@ class FieldCtx:
         self.modulus = modulus
         self.size = p ** m
         self.pow_p = p ** np.arange(m, dtype=np.int64)
+        self.digits = np.empty((self.size, m), dtype=np.int16)
         idx = np.arange(self.size, dtype=np.int64)
-        self.digits = ((idx[:, None] // self.pow_p[None, :]) % p).astype(np.int16)
-        self.neg_table = (((-self.digits) % p).astype(np.int64) @ self.pow_p)
+        for i in range(m):
+            self.digits[:, i] = idx // self.pow_p[i] % p
+        r = np.arange(p, dtype=np.int32)
+        self.neg_table = _digitwise(-r % p, m)
         self._build_log_tables()
         # index = hi * P + lo: the low and high digits add apart, each
-        # through a flattened table of its own (add_hi holds hi * P)
-        if self.size <= ADD_TABLE_MAX:
-            self.add_table = self._digit_add(idx[:, None], idx[None, :])
-            self.split_base = self.size
-            self.add_lo = self.add_table.reshape(-1)
-            self.add_hi = np.zeros(1, dtype=np.int64)
-        else:
-            self.add_table = None
-            self.split_base = P = p ** ((m + 1) // 2)
-            lo = np.arange(P, dtype=np.int64)
-            hi = np.arange(self.size // P, dtype=np.int64) * P
-            self.add_lo = self._digit_add(lo[:, None], lo[None, :]).ravel()
-            self.add_hi = self._digit_add(hi[:, None], hi[None, :]).ravel()
+        # through a flattened table of its own (add_hi holds hi * P); a
+        # field of at most ADD_TABLE_MAX elements takes P = N, so that
+        # add_lo is its whole addition table and add_hi is [0]
+        k = m if self.size <= ADD_TABLE_MAX else (m + 1) // 2
+        self.split_base = P = p ** k
+        one = r[:, None] + r                 # digit sums, reduced mod p
+        one[one >= p] -= p
+        self.add_lo = _digitwise(one, k).reshape(-1)
+        self.add_hi = (P * _digitwise(one, m - k)).reshape(-1)
+        self.add_table = self.add_lo.reshape(P, P) if k == m else None
 
     # -- construction helpers --
 
@@ -307,18 +332,26 @@ class FieldCtx:
 
     # -- arithmetic on indices --
 
-    def _digit_add(self, a, b):
-        """Digit-wise sum in base p; builds the addition tables one digit at
-        a time, so no (..., m) int64 array of all the digit sums is held."""
-        out = 0
-        for i in range(self.m):
-            out = out + (self.digits[a, i] + self.digits[b, i]) % self.p * self.pow_p[i]
-        return out
-
     def add(self, a, b):
+        """a + b: one flat take of add_lo on a one-table field, one take
+        of each half on a split one.  The indices are computed in int64,
+        so narrow integer inputs cannot overflow.  On a one-table field
+        the index array is built once, in place, and the sums are taken
+        into it, so a sum holds one array of the broadcast shape, not two
+        or three.
+
+        a and b must be element indices, 0 <= a, b < N.  They are not
+        range-checked: on a one-table field an out-of-range index reads
+        another entry of add_lo (add(0, N) is add(1, 0)), not an IndexError."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        P = self.split_base
         if self.add_table is not None:
-            return self.add_table[a, b]
-        a, b, P = np.asarray(a), np.asarray(b), self.split_base
+            shape = np.broadcast_shapes(a.shape, b.shape)
+            if not shape:
+                return self.add_lo[a * P + b]
+            idx = np.multiply(a, P, out=np.empty(shape, dtype=np.int64))
+            idx += b
+            return self.add_lo.take(idx, out=idx, mode="wrap")
         Q = self.size // P
         return self.add_lo[a % P * P + b % P] + self.add_hi[a // P * Q + b // P]
 

@@ -122,9 +122,7 @@ class ShiftPlane:
         one position it could hold: x on a graph line, y on a vertical, the
         slope on L_inf, else N.  The line equation lives in points_at;
         points_on_line (one line a call, 3-6x faster) and the votes of
-        unital._line_counts (one line per slope, not N) keep it for speed,
-        as gf keeps its N x N addition table beside the digit path (1.7-5x
-        faster at N <= 729).
+        unital._line_counts (one line per slope, not N) keep it for speed.
         """
         N, NN = self.N, self.N * self.N
         pids, lids = np.broadcast_arrays(np.asarray(pids, dtype=np.int64),
@@ -361,8 +359,8 @@ class ShiftPlane:
                              f"points, got {npts}; use sampled mode")
         # (iii) one row per line orbit: L(0, 0), V(0), L_inf
         reps = [0, NN, self.at_infinity_id]
-        for lid, row in zip(reps, self.points_on_lines(reps)):
-            if len(np.unique(row)) != N + 1:
+        for lid, row in zip(reps, np.sort(self.points_on_lines(reps), axis=1)):
+            if (row[1:] == row[:-1]).any():
                 raise AxiomViolation(f"line {lid} repeats a point", witness=(lid,))
         # (i) one pencil per point orbit: (0, 0), (0), infinity
         for pid in (0, NN, self.infinity_id):
@@ -399,31 +397,33 @@ class _Collineation:
 
     The parameters of Shift and Sigma may be ints or integer arrays; they
     broadcast against the IDs, so parameters of shape (E, 1) and P IDs give
-    the (E, P) table of E elements' images.  Every coordinate map runs on
-    all IDs, whose quotient by N is clipped into the field (slope IDs give
-    N, infinity N + 1), and one np.where picks each ID's kind.
+    the (E, P) table of E elements' images.  The affine (or graph-line) map
+    runs on all IDs, whose quotient by N is clipped into the field; only a
+    batch that holds slope (or vertical) IDs or infinity (or L_inf) then
+    runs the slope (vertical) map, and np.copyto writes those entries over
+    the affine result in place.
     """
 
     def apply_point(self, pid):
         """Images of point IDs, elementwise after broadcasting; a scalar ID
         under scalar parameters gives a Python int."""
-        N, NN, inf = self.plane.N, self.plane.N ** 2, self.plane.infinity_id
-        pid = np.asarray(pid, dtype=np.int64)
-        x, y = np.divmod(pid, N)         # y is also the slope a of (a) = N^2 + a
-        x, y2 = self._affine_map(np.minimum(x, N - 1), y)
-        out = np.where(pid < NN, np.asarray(x) * N + y2,
-                       np.where(pid < inf, NN + np.asarray(self._slope_map(y)), pid))
-        return int(out) if out.ndim == 0 else out
+        return self._apply(pid, self._affine_map, self._slope_map)
 
     def apply_line(self, lid):
         """Images of line IDs, elementwise after broadcasting; a scalar ID
         under scalar parameters gives a Python int."""
-        N, NN, at_inf = self.plane.N, self.plane.N ** 2, self.plane.at_infinity_id
-        lid = np.asarray(lid, dtype=np.int64)
-        a, b = np.divmod(lid, N)         # b is also the a of V(a) = N^2 + a
-        a, b2 = self._shifted_map(np.minimum(a, N - 1), b)
-        out = np.where(lid < NN, np.asarray(a) * N + b2,
-                       np.where(lid < at_inf, NN + np.asarray(self._vertical_map(b)), lid))
+        return self._apply(lid, self._shifted_map, self._vertical_map)
+
+    def _apply(self, ids, pair_map, far_map):
+        N, last = self.plane.N, self.plane.n_points - 1
+        ids = np.asarray(ids, dtype=np.int64)
+        hi, lo = np.divmod(ids, N)
+        hi, lo = pair_map(np.minimum(hi, N - 1), lo)
+        out = np.asarray(hi * N + lo)
+        far = ids >= N * N
+        if far.any():         # N^2 + a -> N^2 + far_map(a); the last ID is fixed
+            np.copyto(out, N * N + np.asarray(far_map(ids % N)), where=far & (ids < last))
+            np.copyto(out, last, where=ids == last)
         return int(out) if out.ndim == 0 else out
 
     def fixes_point_set(self, pids: np.ndarray) -> bool:
@@ -438,7 +438,10 @@ class Shift(_Collineation):
 
     u and v are field indices, ints or integer arrays that broadcast with
     each other and with the IDs: Shift(plane, c[:, None], d[:, None])
-    maps P IDs to the (E, P) images of the E translations tau(c, d)."""
+    maps P IDs to the (E, P) images of the E translations tau(c, d).
+    Parameters must lie in 0..N-1 and IDs in 0..N^2+N: FieldCtx.add does
+    not range-check, so an index outside them gives a wrong image, not an
+    error."""
 
     plane: ShiftPlane
     u: int | np.ndarray
@@ -512,7 +515,7 @@ class Sigma(_Collineation):
     Needs a Dembowski-Ostrom plane.
 
     u, v and w are ints or integer arrays that broadcast with each other
-    and with the IDs, as for Shift."""
+    and with the IDs, and lie in the same ranges, as for Shift."""
 
     plane: ShiftPlane
     u: int | np.ndarray

@@ -738,6 +738,28 @@ def test_exhaustive_peak_memory_q5(unital_q5):
     assert peak < 18 * 2 ** 20
 
 
+def test_exhaustive_keeps_narrow_parts_q5(unital_q3, unital_q5):
+    # the search keeps its per-chunk block indices and point ranks as
+    # uint16 / uint8 until the int64 tables are built: the same tables
+    # (hashes of the int32 / int64 parts version) at a peak at most 2.6 MiB
+    # above the 10.9 MiB result, where the wide parts needed 5 MiB
+    frozen = {3: "9209f2db82fcee9c30bc2396d60be295cf85e82650d856d354f28147bd5dcd65",
+              5: "42039169efbf47bbeebc4fa6a2c251f840bb8e4e078361e252c27aece56a9523"}
+    for u in (unital_q3, unital_q5):
+        idx = an.DesignIndex(u)
+        idx.common_point, idx.meets
+        tracemalloc.start()
+        try:
+            res = an.find_onan_exhaustive(u, index=idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.block_ids.dtype == res.point_ids.dtype == np.int64
+        tables = res.block_ids.tobytes() + res.point_ids.tobytes()
+        assert hashlib.sha256(tables).hexdigest() == frozen[u.q]
+    assert peak < res.block_ids.nbytes + res.point_ids.nbytes + 2.6 * 2 ** 20
+
+
 def test_design_index_keeps_no_bool_meets_table(unital_q3, unital_q5):
     # meets is rebuilt per read; the searches read only its bitsets, which
     # are the bytes the cached bool table used to pack

@@ -219,6 +219,17 @@ def test_field_check_flags_corrupt_addition_table(capsys, monkeypatch):
     assert code == 1 and "axioms: FAIL" in out
 
 
+def test_field_check_flags_corrupt_one_table_field(capsys, monkeypatch):
+    # F_729 adds by one flat take of add_lo
+    from unitalforge import gf
+
+    ctx = gf.field_new(3, 6)
+    assert ctx.add_table is not None
+    monkeypatch.setattr(ctx, "add_lo", np.roll(ctx.add_lo, 1))
+    code, out, _ = run(capsys, "field", "check", "--p", "3", "--m", "6")
+    assert code == 1 and "axioms: FAIL" in out
+
+
 def test_onan_construct_q5_and_q3(capsys):
     code, out, _ = run(capsys, "onan", "construct", "--p", "5", "--m", "2",
                        "--spec", "square")

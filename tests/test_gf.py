@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -585,3 +587,133 @@ def test_table_and_digit_paths_agree_property(field):
     pair = np.array([a, b])
     assert np.array_equal(ctx.add(pair, pair[::-1]), [ctx.add(a, b)] * 2)
     assert np.array_equal(ctx.mul(pair, pair[::-1]), [ctx.mul(a, b)] * 2)
+
+
+# -- addition tables against the digit-by-digit formula -------------------------
+
+# the fields of the catalog planes and of the benchmark: F_9, F_25, F_81,
+# F_729, F_5^6 (q = 125) and F_3^10 (q = 243)
+CATALOG_FIELDS = [(3, 2), (5, 2), (3, 4), (3, 6), (5, 6), (3, 10)]
+# sha256 of digits, neg_table, add_lo and add_hi (dtype, shape, bytes), as
+# built one digit at a time before the tables were composed
+FROZEN_TABLE_SHA256 = {
+    (3, 2): "0965812d94cebc50f65a1fea71b6e39824c114451c4412aa82aee420cb985c7b",
+    (5, 2): "eaf0f8b9883fe6b4f512a3711bbc3080b5cc2fb8d31c0803048bbff135f9625a",
+    (3, 4): "a684bfaf2710658e256065963871bbd8a973e24c352d291f3ad29f4968c7a772",
+    (3, 6): "2d11e300f12b1a46133d73792a06e0919153bef368556f69f5c7f76fd97c9cbc",
+    (5, 6): "065573916c8fd8961dbe9676abe0f2c1165781eeb25be2fd29aefa3a2c97abc4",
+    (3, 10): "0dddf1e2dd5d4dcae7f3a28dcd492f6592b90005fa974ae28c65ee9a8dac35f5",
+    "F_81 split": "3999a6c489adee41b8cd58b605b82865e984b45078d3a43d7c52efb7c1d39bc6",
+}
+
+
+def _tables(ctx):
+    return ctx.digits, ctx.neg_table, ctx.add_lo, ctx.add_hi
+
+
+def _table_sha256(ctx):
+    h = hashlib.sha256()
+    for t in _tables(ctx):
+        h.update(f"{t.dtype}{t.shape}".encode())
+        h.update(t.tobytes())
+    return h.hexdigest()
+
+
+def _reference_tables(ctx):
+    """digits, neg_table, add_lo and add_hi by the digit-by-digit formulas:
+    a sum is (digits[a] + digits[b]) % p @ pow_p, over the indices below P
+    for add_lo and over the multiples of P below N for add_hi."""
+    p, m, P = ctx.p, ctx.m, ctx.split_base
+    idx = np.arange(ctx.size, dtype=np.int64)
+    digits = ((idx[:, None] // ctx.pow_p[None, :]) % p).astype(np.int16)
+
+    def digit_sums(a):
+        return (((digits[a[:, None]] + digits[a[None, :]]) % p).astype(np.int64)
+                @ ctx.pow_p).ravel()
+
+    neg = ((-digits) % p).astype(np.int64) @ ctx.pow_p
+    return digits, neg, digit_sums(idx[:P]), digit_sums(idx[::P])
+
+
+def _assert_same_bytes(ctx):
+    for got, want in zip(_tables(ctx), _reference_tables(ctx)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p,m", sorted(set(SMALL_FIELDS + CATALOG_FIELDS)))
+def test_composed_tables_equal_digit_formula(p, m):
+    ctx = gf.field_new(p, m)
+    _assert_same_bytes(ctx)
+    if (p, m) in FROZEN_TABLE_SHA256:
+        assert _table_sha256(ctx) == FROZEN_TABLE_SHA256[p, m]
+
+
+def test_composed_split_tables_equal_digit_formula(monkeypatch):
+    # F_81 forced onto the split path: halves of 9 x 9
+    monkeypatch.setattr(gf, "ADD_TABLE_MAX", 27)
+    ctx = gf.FieldCtx(3, 4)
+    assert ctx.split_base == 9 and ctx.add_table is None
+    _assert_same_bytes(ctx)
+    assert _table_sha256(ctx) == FROZEN_TABLE_SHA256["F_81 split"]
+
+
+@pytest.mark.parametrize("p,m", [(3, 6), (3, 10)])
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint16, np.int32])
+def test_add_and_sub_take_narrow_integer_inputs(p, m, dtype):
+    # the flat index a * N + b (a % P * P + b % P on a split field) is
+    # computed in int64, whatever the input type
+    ctx = gf.field_new(p, m)
+    top = min(ctx.size, int(np.iinfo(dtype).max) + 1)
+    rng = np.random.default_rng([11, ctx.size, np.dtype(dtype).itemsize])
+    a = np.append(rng.integers(0, top, 40), top - 1)[:, None]      # (E, 1)
+    b = np.append(rng.integers(0, top, 300), [0, top - 1])          # (P,)
+    for op in (ctx.add, ctx.sub):
+        want = op(a.astype(np.int64), b.astype(np.int64))
+        got = op(a.astype(dtype), b.astype(dtype))
+        assert got.dtype == np.int64 and got.shape == (len(a), len(b))
+        assert np.array_equal(got, want)
+        one = op(int(a[-1, 0]), int(b[-1]))
+        assert type(one) is np.int64 and one == want[-1, -1]
+        one = op(a[-1, 0].astype(dtype), b[-1].astype(dtype))
+        assert type(one) is np.int64 and one == want[-1, -1]
+
+
+def _digit_sum(ctx, a, b):
+    d = ctx.digits[a].astype(np.int64) + ctx.digits[b].astype(np.int64)
+    return (d % ctx.p) @ ctx.pow_p
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 6), (3, 10)])
+def test_add_leaves_its_inputs_alone(p, m):
+    # a one-table add writes its sums over its own index array, never over
+    # the caller's: int64, transposed and (E, 1) x (P,) inputs are unchanged
+    # and the sums equal the 2-D reading of the digit formula
+    ctx = gf.field_new(p, m)
+    rng = np.random.default_rng([17, ctx.size])
+    a = rng.integers(0, ctx.size, (7, 5))
+    b = rng.integers(0, ctx.size, (5, 7)).T
+    want = _digit_sum(ctx, a, b)
+    for x, y, sums in ((a, b, want), (a.T, b.T, want.T),
+                       (a[:, :1], b[0], _digit_sum(ctx, a[:, :1], b[0]))):
+        keep = x.copy(), y.copy()
+        assert np.array_equal(ctx.add(x, y), sums)
+        assert np.array_equal(x, keep[0]) and np.array_equal(y, keep[1])
+
+
+@pytest.mark.parametrize("shapes", [((89, 729), (729,)), ((300, 1), (729,)), ((65536,), (65536,))])
+def test_one_table_add_holds_one_full_size_array(shapes):
+    # the index is built in place and the sums are taken into it: the peak
+    # of a sum is its output plus at most a 64 KiB ufunc buffer, where
+    # a * N + b would hold two or three arrays of the output's size
+    ctx = gf.field_new(3, 6)
+    rng = np.random.default_rng(19)
+    a, b = (rng.integers(0, ctx.size, shape) for shape in shapes)
+    tracemalloc.start()
+    try:
+        out = ctx.add(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, _digit_sum(ctx, a, b))
+    assert peak < out.nbytes + 2 ** 17

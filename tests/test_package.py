@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,3 +22,26 @@ def test_one_version_and_exports_that_resolve():
         missing = [name for name in getattr(module, "__all__", ())
                    if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+def test_certification_does_not_import_numpy_ma():
+    # a plain np.unique(x) imports numpy.ma for np.ma.is_masked, 9-16 ms
+    # inside the first operation of a fresh process
+    script = """
+import sys
+from unitalforge import gf, planar, unital as un
+from unitalforge.plane import ShiftPlane
+plane = ShiftPlane(planar.square(gf.split_new(gf.field_new(3, 2), 1)))
+assert plane.verify_projective_plane("exhaustive").passed
+u = un.build_parabolic_unital(plane, plane.split.choose_theta())
+assert un.verify_unital_embedded(u, mode="sampled", trials=500).passed
+print("numpy.ma" in sys.modules)
+"""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"

@@ -953,6 +953,97 @@ def test_array_parameters_match_scalar_elements(field, kind, params, ids, s9, s2
             assert row.tolist() == getattr(kind(P, *e), apply)(xs).tolist()
 
 
+def _where_glue(g, ids, pair_map, far_map):
+    """The images of ids by two nested np.where over full-size arrays, the
+    far (slope or vertical) map evaluated on every ID: the former glue."""
+    N, NN, last = g.plane.N, g.plane.N ** 2, g.plane.n_points - 1
+    ids = np.asarray(ids, dtype=np.int64)
+    hi, lo = np.divmod(ids, N)
+    hi2, lo2 = pair_map(np.minimum(hi, N - 1), lo)
+    out = np.where(ids < NN, np.asarray(hi2) * N + lo2,
+                   np.where(ids < last, NN + np.asarray(far_map(lo)), ids))
+    return int(out) if out.ndim == 0 else out
+
+
+def _where_point(g, ids):
+    return _where_glue(g, ids, g._affine_map, g._slope_map)
+
+
+def _where_line(g, ids):
+    return _where_glue(g, ids, g._shifted_map, g._vertical_map)
+
+
+class _RandomTables(plane_mod._TableMap):
+    def __init__(self, plane, rng):
+        self.plane = plane
+        self._tables = (rng.permutation(plane.N), rng.permutation(plane.N))
+
+
+def _glue_cases(P, rng):
+    """Maps of every family with scalar and with (E, 1) and (E, 1, 1)
+    parameters, and ID batches with and without far IDs."""
+    N, NN, last = P.N, P.N ** 2, P.n_points - 1
+    u, v, w = (int(x) for x in rng.integers(0, N, 3))
+    c = rng.integers(0, N, (5, 1))
+    maps = [Shift(P, u, v), Sigma(P, u, v, w), Gamma(P, 1 + u % (N - 1), 1),
+            _RandomTables(P, rng), Shift(P, c, v), Sigma(P, u, c, c[::-1]),
+            Shift(P, c[:, :, None], c[:, :, None])]
+    every = np.arange(P.n_points, dtype=np.int64)
+    batches = [every, every[:NN], every[NN:], every[NN:last], np.array([last]),
+               rng.permutation(every)[:40], rng.integers(0, P.n_points, (6, 9)),
+               rng.integers(0, P.n_points, (9, 6)).T, every[NN - 3:].reshape(-1, 1),
+               0, NN + 2, last, np.int64(NN)]
+    return maps, batches
+
+
+@pytest.mark.parametrize("which", ["square-q3", "square-q5"])
+def test_apply_matches_where_glue(which, plane_q3, plane_q5):
+    P = {"square-q3": plane_q3, "square-q5": plane_q5}[which]
+    rng = np.random.default_rng([13, P.N])
+    maps, batches = _glue_cases(P, rng)
+    for g in maps:
+        for ids in batches:
+            try:
+                np.broadcast_shapes(*(np.shape(getattr(g, k, 0)) for k in "uvw"),
+                                    np.shape(ids))
+            except ValueError:
+                continue
+            for new, old in ((g.apply_point, _where_point), (g.apply_line, _where_line)):
+                got, want = new(ids), old(g, ids)
+                assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want), (g, ids)
+        # parameters that vary along the axes of 2-D IDs: (E, 1) against (E, P)
+        if np.ndim(getattr(g, "u", 0)) == 2 and np.shape(g.u)[-1] == 1:
+            ids = rng.integers(0, P.n_points, (len(g.u), 30))
+            ids[:, :3] = [P.N ** 2, P.N ** 2 + 1, P.n_points - 1]
+            for new, old in ((g.apply_point, _where_point), (g.apply_line, _where_line)):
+                assert np.array_equal(new(ids), old(g, ids))
+
+
+def test_apply_allocates_no_more_than_where_glue(plane_q3):
+    # the shape of verify_sigma_composition's batches: (rows, N^2 + N)
+    # images of the affine and slope points under Sigma of (rows, 1) parameters
+    P = plane_q3
+    n3 = P.N ** 3
+    rows = next(plane_mod.id_batches(n3, n3))
+    u, v, w = np.unravel_index(rows, (P.N,) * 3)
+    g = Sigma(P, u[:, None], v[:, None], w[:, None])
+    pids = np.arange(P.N ** 2 + P.N)
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert np.array_equal(g.apply_point(pids), _where_point(g, pids))
+    new = min(peak(lambda: g.apply_point(pids)) for _ in range(3))
+    old = min(peak(lambda: _where_point(g, pids)) for _ in range(3))
+    assert new <= old, (new, old)
+
+
 # -- properties of the batch routines ---------------------------------------------
 
 def _property_planes(s9, s25, s81):
