@@ -6,7 +6,8 @@ the command flags its handler reads.  The certifying ones serialize their
 RunConfig into the emitted JSON certificates (the hash is stable across
 reruns; a timestamp is attached after hashing).  Exit codes: 0 on
 all-pass, 1 on any check failure, 2 on usage errors, an output path that
-cannot be written among them.
+cannot be written among them.  A check that raises is reported in one
+place, main: `CHECK FAILED (<error type>): <message>` on stderr.
 """
 
 from __future__ import annotations
@@ -343,11 +344,7 @@ def cmd_unital_verify(args) -> int:
 
 def cmd_unital_dual(args) -> int:
     ctx, plane, u = _load_or_build(args)
-    try:
-        _, wit = un.dual_unital(u)
-    except UnitalForgeError as e:
-        print(f"self-duality FAILED: {e}")
-        return 1
+    _, wit = un.dual_unital(u)
     print(f"self-dual: switch image equals the point set "
           f"({wit['tangent_lines']} tangent lines)")
     return 0
@@ -355,11 +352,7 @@ def cmd_unital_dual(args) -> int:
 
 def cmd_unital_ovals(args) -> int:
     ctx, plane, u = _load_or_build(args)
-    try:
-        ovals = un.ovals_decomposition(u)
-    except UnitalForgeError as e:
-        print(f"oval decomposition FAILED: {e}")
-        return 1
+    ovals = un.ovals_decomposition(u)
     print(f"ovals: {len(ovals)} of sizes {sorted(set(len(o) for o in ovals))}, "
           f"union = unital")
     return 0
@@ -367,9 +360,6 @@ def cmd_unital_ovals(args) -> int:
 
 def cmd_circles(args) -> int:
     ctx, plane, u = _load_or_build(args)
-    if u.theta is None:
-        print("circles are defined for parabolic unitals only", file=sys.stderr)
-        return 1
     rep = an.verify_circle_design(u)
     print(f"circles: count={rep.circle_count} size={rep.circle_size} "
           f"lambda={rep.lambda_value} partition={rep.partition_ok} "
@@ -411,11 +401,7 @@ def cmd_onan_find(args) -> int:
 
 def cmd_onan_construct(args) -> int:
     ctx, plane, u = _load_or_build(args)
-    try:
-        cfg = an.construct_onan_explicit(u)
-    except UnitalForgeError as e:
-        print(f"construction FAILED: {e}")
-        return 1
+    cfg = an.construct_onan_explicit(u)
     print(f"ONAN blocks={list(cfg.blocks)} points={list(cfg.points)}")
     return 0
 
@@ -424,18 +410,12 @@ def cmd_polarity(args) -> int:
     ctx, split, spec = _context(args)
     plane = ShiftPlane(spec)
     kappa = un.InvolutionSpec(args.kappa)
-    try:
-        if args.action == "verify":
-            rep = un.verify_polarity(plane, kappa, seed=args.seed,
-                                     trials=args.trials)
-            print(f"polarity kappa={args.kappa}: absolutes={rep.absolute_points} "
-                  f"mode={rep.mode} incidences={rep.incidences_checked}")
-            return 0
-        u = un.build_polarity_unital(plane, kappa, seed=args.seed,
-                                     trials=args.trials)
-    except UnitalForgeError as e:
-        print(f"polarity FAILED: {e}")
-        return 1
+    if args.action == "verify":
+        rep = un.verify_polarity(plane, kappa, seed=args.seed, trials=args.trials)
+        print(f"polarity kappa={args.kappa}: absolutes={rep.absolute_points} "
+              f"mode={rep.mode} incidences={rep.incidences_checked}")
+        return 0
+    u = un.build_polarity_unital(plane, kappa, seed=args.seed, trials=args.trials)
     check = u.checks[-1]                  # its one verify_polarity run
     print(f"polarity kappa={args.kappa}: "
           f"absolutes={check.witness['absolute_points']} mode={check.mode}")

@@ -144,10 +144,6 @@ class NotPolarity(UnitalForgeError):
     pass
 
 
-class AbsoluteCountMismatch(UnitalForgeError):
-    pass
-
-
 # --- analysis ---
 
 class ZeroBeta(UnitalForgeError):

@@ -569,30 +569,28 @@ def verify_collineation(plane: ShiftPlane, g, mode: str = "exhaustive",
     is that of the sweep.
     """
     require_mode(mode, ("exhaustive", "sampled"))
-
-    def images_incident(pids, lids):
-        return plane.incident_many(g.apply_point(pids), g.apply_line(lids))
-
-    return _check_flags(plane, g.apply_point, g.apply_line, images_incident,
-                        mode, seed, trials)[0] is None
+    return _check_flags(plane, g, mode, seed, trials)[0] is None
 
 
-def _check_flags(plane: ShiftPlane, on_points, on_lines, holds, mode: str,
-                 seed: int, trials: int):
-    """(the first flag at which holds(pids, lids) is False, or None; the
-    number of flags checked) for a map given by its action on point IDs
-    and on line IDs.  holds tests the images of a flag for incidence:
-    incident_many(on_points(P), on_lines(l)) for a collineation, and with
-    the arguments the other way round for a correlation, which sends
-    points to line IDs and lines to point IDs.  Incidence is symmetric in
-    IDs (see ShiftPlane.lines_through_point), so both read the same.
+def _check_flags(plane: ShiftPlane, g, mode: str, seed: int, trials: int):
+    """(the first flag whose images are not incident, or None; the number of
+    flags checked) for a map g given by its apply_point and apply_line on
+    IDs.  g keeps flag (P, l) when incident_many(g.apply_point(P),
+    g.apply_line(l)) holds.  The one test serves a collineation and a
+    correlation: a correlation such as a polarity sends (P, l) to the flag
+    (g l, g P), and incidence is symmetric in IDs (see
+    ShiftPlane.lines_through_point), so that reversed test reads the same.
 
     Exhaustive mode first tries _proved_by_translations.  If that proof
     holds, every flag holds and the count is that of the sweep; otherwise
     _first_failing_flag sweeps as before, so a failing map gets the sweep's
     witness.  Sampled mode always runs the seeded sample.
     """
-    if mode == "exhaustive" and _proved_by_translations(plane, on_points, on_lines, holds):
+    def holds(pids, lids):
+        return plane.incident_many(g.apply_point(pids), g.apply_line(lids))
+
+    if mode == "exhaustive" and _proved_by_translations(plane, g.apply_point,
+                                                        g.apply_line, holds):
         return None, plane.n_lines * (plane.N + 1)
     return _first_failing_flag(plane, holds, mode, seed, trials)
 

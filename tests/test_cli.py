@@ -167,9 +167,10 @@ def _non_unital_file(tmp_path, unital_q3):
 
 
 def test_ovals_rejects_non_unital(capsys, tmp_path, unital_q3):
-    code, out, _ = run(capsys, "unital", "ovals", "--p", "3", "--m", "2",
-                       "--in", _non_unital_file(tmp_path, unital_q3))
-    assert code == 1 and "oval decomposition FAILED: points differ" in out
+    code, out, err = run(capsys, "unital", "ovals", "--p", "3", "--m", "2",
+                         "--in", _non_unital_file(tmp_path, unital_q3))
+    assert code == 1 and "CHECK FAILED (ProvenanceMismatch): points differ" in err
+    assert out == ""
 
 
 def test_wilbrink_rejects_non_unital(capsys, tmp_path, unital_q3):
@@ -182,6 +183,69 @@ def test_onan_find_rejects_non_unital(capsys, tmp_path, unital_q3):
     code, _, err = run(capsys, "onan", "find", "--p", "3", "--m", "2",
                        "--exhaustive", "--in", _non_unital_file(tmp_path, unital_q3))
     assert code == 1 and "CHECK FAILED (PairCoverageViolation)" in err
+
+
+def test_design_refuses_the_wrong_block_count(tmp_path, unital_q3):
+    from unitalforge import unital as un
+    from unitalforge.errors import PairCoverageViolation
+
+    u = un.read_unital_file(_non_unital_file(tmp_path, unital_q3))
+    with pytest.raises(PairCoverageViolation) as err:
+        un.verify_design(u)
+    assert (err.value.pair, err.value.count) == (("block-count",), 50)
+
+
+def _polarity_file(tmp_path, polarity_q3):
+    from unitalforge import unital as un
+
+    path = tmp_path / "h3.unital"
+    un.write_unital_file(polarity_q3, path)
+    return str(path)
+
+
+@pytest.mark.parametrize("cmd", [("circles",), ("unital", "dual"), ("unital", "ovals")])
+def test_parabolic_commands_reject_polarity_unital(cmd, capsys, tmp_path, polarity_q3):
+    code, out, err = run(capsys, *cmd, "--p", "3", "--m", "2",
+                         "--in", _polarity_file(tmp_path, polarity_q3))
+    assert code == 1 and "CHECK FAILED (HypothesisUnmet)" in err and out == ""
+
+
+def test_circles_refuses_the_table_size_before_theta(capsys, tmp_path, polarity_q3,
+                                                      monkeypatch):
+    # the library's order: a polarity file at q >= 59 exits 2 on the size
+    from unitalforge import analysis as an
+
+    monkeypatch.setattr(an, "CIRCLE_TABLE_MAX_BYTES", 8 * 3 ** 4 - 1)
+    code, _, err = run(capsys, "circles", "--p", "3", "--m", "2",
+                       "--in", _polarity_file(tmp_path, polarity_q3))
+    assert code == 2 and "usage error: circle tables need" in err
+
+
+@pytest.mark.parametrize("action", ["verify", "build"])
+def test_polarity_failure_is_typed(action, capsys):
+    # f = c x^2 with c (index 4) outside F_3, so x -> x^3 does not commute with f
+    code, out, err = run(capsys, "polarity", action, "--p", "3", "--m", "2",
+                         "--spec", "custom:2:4")
+    assert code == 1 and "CHECK FAILED (ConditionBFailed)" in err and out == ""
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_verify_unital_with_slope_points(mode, capsys, tmp_path, hermitian_slopes_q3):
+    from unitalforge import unital as un
+
+    path = tmp_path / "slopes.unital"
+    un.write_unital_file(hermitian_slopes_q3, path)
+    code, out, _ = run(capsys, "unital", "verify", "--p", "3", "--m", "2",
+                       "--mode", mode, "--in", str(path))
+    assert code == 0 and "embedded: passed=True secants=63 tangents=28" in out
+    assert "design: passed=True" in out
+
+
+def test_subgroups_on_a_plane_that_is_not_dembowski_ostrom(capsys):
+    code, out, _ = run(capsys, "subgroups", "--p", "3", "--m", "4", "--spec", "cm:k=3")
+    assert code == 0
+    assert "translation stabilizer (parabolic): order=729" in out
+    assert "translation stabilizer (polarity): order=81" in out
 
 
 def test_circles_rejects_non_unital(capsys, tmp_path, unital_q3):
@@ -197,11 +261,8 @@ def test_onan_find_through_infinity_rejects_non_unital(capsys, tmp_path, unital_
 
 
 def test_onan_find_through_infinity_rejects_polarity_unital(capsys, tmp_path, polarity_q3):
-    from unitalforge import unital as un
-
-    path = tmp_path / "h3.unital"
-    un.write_unital_file(polarity_q3, path)
-    code, _, err = run(capsys, "onan", "find", "--p", "3", "--m", "2", "--in", str(path))
+    code, _, err = run(capsys, "onan", "find", "--p", "3", "--m", "2",
+                       "--in", _polarity_file(tmp_path, polarity_q3))
     assert code == 1 and "CHECK FAILED (HypothesisUnmet)" in err
 
 
@@ -234,9 +295,9 @@ def test_onan_construct_q5_and_q3(capsys):
     code, out, _ = run(capsys, "onan", "construct", "--p", "5", "--m", "2",
                        "--spec", "square")
     assert code == 0 and out.startswith("ONAN blocks=")
-    code, out, _ = run(capsys, "onan", "construct", "--p", "3", "--m", "2",
-                       "--spec", "square")
-    assert code == 1 and "FAILED" in out
+    code, out, err = run(capsys, "onan", "construct", "--p", "3", "--m", "2",
+                         "--spec", "square")
+    assert code == 1 and "CHECK FAILED (WitnessCheckFailed)" in err and out == ""
 
 
 def test_polarity_verify(capsys):

@@ -126,6 +126,16 @@ def test_shifted_map_not_normal(s9):
     assert not ok and witness == ("f0", 1)
 
 
+def test_fiber_collision_witness(s9):
+    # x^4 is even, and its fibers over F_9 have size 4: the witness is two
+    # points of one fiber that are not +-each other
+    spec = planar.parse_spec(s9, "custom:4:1")
+    ok, (a, b) = planar.check_normality(spec)
+    assert not ok and spec.table[a] == spec.table[b]
+    assert b not in (a, int(s9.ctx.neg(a)))
+    assert (a, b) == (1, 3)
+
+
 def test_value_distribution(s9, s81, s729):
     assert planar.check_value_distribution(planar.square(s9))
     assert planar.check_value_distribution(planar.albert(s729, 2))

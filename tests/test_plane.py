@@ -269,9 +269,7 @@ def _sweep(P, g):
 
 
 def _checked(P, g):
-    def holds(pids, lids):
-        return P.incident_many(g.apply_point(pids), g.apply_line(lids))
-    return plane_mod._check_flags(P, g.apply_point, g.apply_line, holds, "exhaustive", 0, 1)
+    return plane_mod._check_flags(P, g, "exhaustive", 0, 1)
 
 
 def _conjugation_planes(s9, s25, s81):
@@ -347,6 +345,19 @@ def test_representative_flags_are_needed(which, s9, s25, s81):
         P, g.apply_point, g.apply_line, lambda p, l: np.ones(np.broadcast(p, l).shape, bool))
     reference = _sweep(P, g)
     assert reference[0] is not None and _checked(P, g) == reference
+
+
+def test_proof_stops_when_the_origin_image_is_not_affine(plane_q3):
+    # the identity with the images of (0, 0) and (0) swapped: g(0, 0) is no
+    # affine ID, so the proof fails even under a flag test that always holds
+    P = plane_q3
+    g = _Transposed(Shift(P, 0, 0), 0, P.slope_id(0))
+    assert not plane_mod._proved_by_translations(
+        P, g.apply_point, g.apply_line, lambda p, l: np.ones(np.broadcast(p, l).shape, bool))
+    reference = _sweep(P, g)
+    assert reference[0] == (P.slope_id(0), 1) == (81, 1)
+    assert _checked(P, g) == reference
+    assert not verify_collineation(P, g)
 
 
 def test_sweep_runs_only_after_a_failed_proof(plane_q3, plane_cm81, monkeypatch):

@@ -409,24 +409,26 @@ def test_polarity_witness_is_first_unreversed_flag(mode, plane_q3, monkeypatch):
         # keep the incidence equation, and the proof by them rests on that
         real = un._check_flags
 
-        def faulty(plane, on_points, on_lines, holds, *rest):
-            def wrong_lines(ids):
-                return np.where(np.isin(ids, lines), P.infinity_id, on_lines(ids))
+        class Faulty:
+            def __init__(self, g):
+                self.apply_point, self._real_line = g.apply_point, g.apply_line
 
-            def wrong_holds(pids, lids):
-                return holds(pids, lids) & plane.incident_many(wrong_lines(lids),
-                                                               on_points(pids))
-            return real(plane, on_points, wrong_lines, wrong_holds, *rest)
+            def apply_line(self, ids):
+                return np.where(np.isin(ids, lines), P.infinity_id, self._real_line(ids))
+
+        def faulty(plane, g, *rest):
+            return real(plane, Faulty(g), *rest)
 
         monkeypatch.setattr(un, "_check_flags", faulty)
         flag = (int(P.points_on_line(lines[0])[0]), lines[0])
     else:
-        # incidences with the images of the two lines read False
+        # incidences with the images of the two lines read False; the
+        # images of the lines are the second argument of incident_many
         bar = kappa.table(P)
         images = [P.affine_id(int(bar[2]), int(bar[5])), P.slope_id(int(bar[4]))]
         real = ShiftPlane.incident_many
         monkeypatch.setattr(ShiftPlane, "incident_many",
-                            lambda self, p, l: real(self, p, l) & ~np.isin(p, images))
+                            lambda self, p, l: real(self, p, l) & ~np.isin(l, images))
         pids, lids = P.sample_flags(np.random.default_rng(4), 300)
         k = int(np.argmax(np.isin(lids, lines)))
         flag = (int(pids[k]), int(lids[k]))
@@ -1009,8 +1011,34 @@ def test_pencil_tangent_counts_match_sections(unital_q3, polarity_q3):
             pencil = plane.lines_through_point(int(pid))
             direct = sum(len(u.line_section(int(lid))) == 1 for lid in pencil)
             assert un._pencil_tangent_count(u, int(pid)) == direct == 1
-        with pytest.raises(ValueError, match="slope points"):
-            un._pencil_tangent_count(u, plane.slope_id(0))
+        # (0) lies off both unitals, so each of its q + 1 lines is tangent
+        assert un._pencil_tangent_count(u, plane.slope_id(0)) == u.q + 1
+
+
+def test_unital_with_slope_points_certifies(hermitian_slopes_q3):
+    # the sampled check draws every point's pencil at q = 3, the four slope
+    # points' among them: the graph lines of their slope plus L_inf
+    u = hermitian_slopes_q3
+    NN = u.plane.N ** 2
+    assert np.count_nonzero((u.points >= NN) & (u.points < NN + u.plane.N)) == 4
+    for pid in u.points.tolist():
+        assert un._pencil_tangent_count(u, pid) == 1
+    for mode in ("exhaustive", "sampled"):
+        rep = un.verify_unital_embedded(u, mode=mode)
+        assert rep.passed and (rep.secant_count, rep.tangent_count) == (63, 28)
+    assert un.verify_design(u).passed
+
+
+@pytest.mark.parametrize("which", ["unital_q3", "unital_cm81"])
+def test_sorted_lookup_matches_the_mask(which, request, monkeypatch):
+    # planes above _MASK_LIMIT points (q >= 67) look IDs up in the sorted points
+    u = request.getfixturevalue(which)
+    mask, n = u.point_mask, u.plane.n_points
+    ids = np.concatenate([np.random.default_rng(0).integers(0, n, 2000),
+                          u.points[[0, -1]], [0, n - 1]])
+    monkeypatch.setattr(un, "_MASK_LIMIT", 0)
+    assert np.array_equal(u.contains(ids), mask[ids])
+    assert mask[ids].any() and not mask[ids].all()
 
 
 def test_shifted_counts_by_b_match_former_formula(unital_q3, unital_q5, unital_cm81):
