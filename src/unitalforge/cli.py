@@ -28,7 +28,7 @@ from . import analysis as an
 from . import gf
 from . import planar
 from . import unital as un
-from .errors import UnitalForgeError, UsageError
+from .errors import NotPlanar, UnitalForgeError, UsageError
 from .plane import ShiftPlane
 
 
@@ -175,11 +175,28 @@ def _cached_build(path):
     return payload
 
 
-def _read_unital(path):
+def _certify_planar(spec, args):
+    """Refuse a spec that check_planarity does not certify planar, in the
+    command's --mode (exhaustive without one): it generates no projective
+    plane, so no unital or polarity in it is certified."""
+    chk = (planar.check_planarity(spec, "sampled", args.trials, args.seed)
+           if getattr(args, "mode", None) == "sampled" else planar.check_planarity(spec))
+    if not chk.passed:
+        raise NotPlanar(f"{spec.spec_string()} is not planar: witness {chk.witness}")
+
+
+def _plane(spec, args) -> ShiftPlane:
+    _certify_planar(spec, args)
+    return ShiftPlane(spec)
+
+
+def _read_unital(path, args):
     try:
-        return un.read_unital_file(path)
+        u = un.read_unital_file(path)
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e.strerror}") from None
+    _certify_planar(u.plane.spec, args)
+    return u
 
 
 def _emit(cert: dict, out: str | None):
@@ -257,13 +274,14 @@ def cmd_plane_dump(args) -> int:
 
 def _build_unital(args):
     ctx, split, spec = _context(args)
-    plane = ShiftPlane(spec)
+    plane = _plane(spec, args)
     theta = _theta_index(split, spec, args.theta)
     return ctx, plane, un.build_parabolic_unital(plane, theta)
 
 
 def cmd_unital_build(args) -> int:
     ctx, split, spec = _context(args)
+    plane = _plane(spec, args)
     rc = _runconfig(args, ctx, args.mode, args.theta)
     cache = _cache_dir(args)
     cache_file = os.path.join(cache, rc.digest() + ".json") if cache else None
@@ -277,7 +295,6 @@ def cmd_unital_build(args) -> int:
         else:
             _emit(payload["cert"], None)
         return 0
-    plane = ShiftPlane(spec)
     theta = _theta_index(split, spec, args.theta)
     u = un.build_parabolic_unital(plane, theta)
     emb = un.verify_unital_embedded(u, mode=args.mode, seed=args.seed,
@@ -320,7 +337,7 @@ def _check_field_flags(args, plane):
 
 def _load_or_build(args):
     if args.infile:
-        u = _read_unital(args.infile)
+        u = _read_unital(args.infile, args)
         _check_field_flags(args, u.plane)
         return u.plane.ctx, u.plane, u
     return _build_unital(args)
@@ -408,7 +425,7 @@ def cmd_onan_construct(args) -> int:
 
 def cmd_polarity(args) -> int:
     ctx, split, spec = _context(args)
-    plane = ShiftPlane(spec)
+    plane = _plane(spec, args)
     kappa = un.InvolutionSpec(args.kappa)
     if args.action == "verify":
         rep = un.verify_polarity(plane, kappa, seed=args.seed, trials=args.trials)
@@ -454,8 +471,8 @@ def cmd_subgroups(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    left = _read_unital(args.left)
-    right = _read_unital(args.right)
+    left = _read_unital(args.left, args)
+    right = _read_unital(args.right, args)
     profiles = [an.invariant_profile(u, with_onan=u.q <= 5) for u in (left, right)]
     verdict, reasons = an.compare_profiles(*profiles)
     lhs, rhs = profiles[0].onan_total, profiles[1].onan_total

@@ -60,6 +60,10 @@ class SpecConstraintViolated(UnitalForgeError):
     """A planar-function family was instantiated outside its parameter range."""
 
 
+class NotPlanar(UnitalForgeError):
+    """A spec has a shift whose difference map is no bijection."""
+
+
 # --- plane geometry ---
 
 class EqualPoints(UnitalForgeError):
@@ -167,5 +171,4 @@ class ElementDoesNotFix(UnitalForgeError):
 
 
 class CompositionLawFailed(UnitalForgeError):
-    """The shear-translation composition law, or the symmetry or
-    biadditivity of the polarization table it rests on, failed."""
+    """The shear-translation composition law failed on the probe points."""

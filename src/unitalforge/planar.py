@@ -193,17 +193,14 @@ class PlanarFunctionSpec:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """f as a full lookup table over element indices."""
+        """f as a full lookup table over element indices; a power map
+        (square, albert, cm, a custom x^d with coefficient 1) is x^power_exponent."""
         split, ctx = self.split, self.split.ctx
         p, n = ctx.p, split.sub_degree
         x = np.arange(ctx.size, dtype=np.int64)
+        if self.is_power_map:
+            return np.asarray(ctx.pow(x, self.power_exponent))
         fam = self.family
-        if fam == "square":
-            return np.asarray(ctx.mul(x, x))
-        if fam == "albert":
-            return np.asarray(ctx.pow(x, p ** self.k + 1))
-        if fam == "cm":
-            return np.asarray(ctx.pow(x, (3 ** self.k + 1) // 2))
         if fam in ("dickson", "zhoupott", "ganley", "pw"):
             x0, x1 = split.decompose(x)
             two = 2 % p

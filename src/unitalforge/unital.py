@@ -714,12 +714,11 @@ def verify_design(unital: Unital, mode: str = "exhaustive") -> DesignReport:
     B = q^4 - q^3 + q^2 blocks of q + 1 points hold B q(q+1)/2 = n(n-1)/2
     distinct pair codes for the n = q^3 + 1 points of a Unital.
 
-    The check is exhaustive; `mode` names it and takes no other value.  Over
-    DESIGN_MAX_PAIR_CODES pair codes n^2 it is a UsageError, raised before
-    the blocks are built.
+    The check is exhaustive; `mode` names it, and any other value is a
+    UsageError from require_mode.  Over DESIGN_MAX_PAIR_CODES pair codes n^2
+    it is a UsageError, raised before the blocks are built.
     """
-    if mode != "exhaustive":
-        raise ValueError(f"verify_design is exhaustive only, got mode={mode!r}")
+    require_mode(mode, ("exhaustive",))
     q = unital.q
     n = len(unital.points)
     if n * n > DESIGN_MAX_PAIR_CODES:
@@ -919,33 +918,25 @@ def ovals_decomposition(unital: Unital) -> list[np.ndarray]:
 
 def gamma_orbit_partition(plane: ShiftPlane, thetas) -> list[list[int]]:
     """Group theta values whose parabolic unitals map onto each other under
-    the scaling collineations; returns sorted equivalence classes."""
+    the scaling collineations; returns sorted equivalence classes, each
+    theta as often as it is listed.
+
+    The maps Gamma(c, e) form a group: with phi the Frobenius map,
+    Gamma(c1, e1) after Gamma(c2, e2) is Gamma(phi^(-e2)(c1) c2, e1 + e2) on
+    points and lines alike, and Gamma(1, 0) is the identity.  So the images
+    of U_theta under all of them are its whole orbit, and the thetas whose
+    point sets lie among those images make up theta's class.
+    """
     thetas = [int(t) for t in thetas]
-    point_sets = {t: frozenset(int(p) for p in build_parabolic_unital(plane, t).points)
-                  for t in thetas}
-    by_set = {s: t for t, s in point_sets.items()}
-    parent = {t: t for t in thetas}
-
-    def find(t):
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
-
+    points = {t: build_parabolic_unital(plane, t).points for t in thetas}
     ctx = plane.ctx
-    for c in range(1, ctx.size):
-        for e in range(ctx.m):
-            g = Gamma(plane, c, e)
-            for t in thetas:
-                arr = np.fromiter(point_sets[t], dtype=np.int64, count=len(point_sets[t]))
-                image = frozenset(int(p) for p in np.asarray(g.apply_point(arr)))
-                t2 = by_set.get(image)
-                if t2 is not None and find(t) != find(t2):
-                    parent[find(t2)] = find(t)
-    classes: dict[int, list[int]] = {}
-    for t in thetas:
-        classes.setdefault(find(t), []).append(t)
-    return sorted(sorted(v) for v in classes.values())
+    classes = []
+    while thetas:
+        orbit = {np.sort(Gamma(plane, c, e).apply_point(points[thetas[0]])).tobytes()
+                 for c in range(1, ctx.size) for e in range(ctx.m)}
+        classes.append(sorted(t for t in thetas if points[t].tobytes() in orbit))
+        thetas = [t for t in thetas if points[t].tobytes() not in orbit]
+    return sorted(classes)
 
 
 # ----------------------------------------------------------------------

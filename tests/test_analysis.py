@@ -1014,6 +1014,22 @@ def test_sigma_composition_needs_dembowski_ostrom(plane_cm81, unital_cm81):
         an.sigma_stabilizer_report(unital_cm81)
 
 
+def test_sigma_composition_refuses_before_allocating():
+    # cm:k=3 over F_3^8 is not Dembowski-Ostrom either; past the refusal the
+    # law would allocate N^3 = 6561^3 parameters, and at this N no Sigma
+    # constructor would refuse first
+    split = gf.split_new(gf.field_new(3, 8), 4)
+    plane = ShiftPlane(planar.coulter_matthews(split, 3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FamilyMismatch):
+            an.verify_sigma_composition(plane)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 # per-element references: one Sigma or Shift object per element, one
 # fixes_point_set call each, and every pair compared by two sigma_compose calls
 

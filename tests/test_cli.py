@@ -792,3 +792,44 @@ def test_parabolic_only_commands_refuse_polarity_file(capsys, tmp_path, command)
     assert code == 0
     code, _, err = run(capsys, "unital", command, "--p", "3", "--m", "2", "--in", path)
     assert code == 1 and "Traceback" not in err
+
+
+# x^4 over F_9 is not planar: f(x + 1) - f(x) takes one value at x = 1 and x = 4
+_NOT_PLANAR = "CHECK FAILED (NotPlanar): custom:4:1 is not planar: witness (1, 1, 4)\n"
+
+
+@pytest.mark.parametrize("command", ["unital build", "unital verify", "polarity build",
+                                     "polarity verify", "circles", "subgroups"])
+def test_non_planar_spec_is_refused(capsys, command):
+    argv = (*command.split(), "--p", "3", "--m", "2", "--spec", "custom:4:1")
+    assert run(capsys, *argv) == (1, "", _NOT_PLANAR)
+
+
+def test_unital_file_on_a_non_planar_spec_is_refused(capsys, tmp_path, s9):
+    from unitalforge import planar
+    from unitalforge import unital as un
+    from unitalforge.plane import ShiftPlane
+
+    plane = ShiftPlane(planar.custom(s9, [(4, 1)]))
+    path = str(tmp_path / "x4.unital")
+    un.write_unital_file(un.build_parabolic_unital(plane, s9.choose_theta()), path)
+    for argv in (("unital", "verify", "--p", "3", "--m", "2", "--in", path),
+                 ("compare", "--left", path, "--right", path)):
+        assert run(capsys, *argv) == (1, "", _NOT_PLANAR)
+
+
+def test_planarity_is_certified_in_the_command_mode(capsys, monkeypatch):
+    from unitalforge import planar
+
+    calls, check = [], planar.check_planarity
+
+    def recorded(spec, *args):
+        calls.append(args)
+        return check(spec, *args)
+
+    monkeypatch.setattr(planar, "check_planarity", recorded)
+    flags = ("--p", "3", "--m", "2", "--seed", "7", "--trials", "5")
+    assert run(capsys, "unital", "build", *flags, "--mode", "sampled")[0] == 0
+    assert run(capsys, "unital", "build", *flags)[0] == 0
+    assert run(capsys, "polarity", "verify", *flags)[0] == 0
+    assert calls == [("sampled", 5, 7), (), ()]

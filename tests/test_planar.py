@@ -22,6 +22,36 @@ def test_cm_exponent(s81):
     assert np.all(cm.eval(x) == s81.ctx.pow(x, 14))
 
 
+def _family_formula_table(spec):
+    """The table as each family wrote its own formula: x*x for square,
+    x^(p^k + 1) for albert, x^((3^k + 1)/2) for cm, the term sum for custom."""
+    ctx = spec.split.ctx
+    x = np.arange(ctx.size, dtype=np.int64)
+    if spec.family == "square":
+        return np.asarray(ctx.mul(x, x))
+    if spec.family == "albert":
+        return np.asarray(ctx.pow(x, ctx.p ** spec.k + 1))
+    if spec.family == "cm":
+        return np.asarray(ctx.pow(x, (3 ** spec.k + 1) // 2))
+    out = np.zeros(ctx.size, dtype=np.int64)
+    for e, c in spec.terms:
+        out = np.asarray(ctx.add(out, ctx.mul(c, ctx.pow(x, e))))
+    return out
+
+
+@pytest.mark.parametrize("p, m, text", [
+    *((p, m, "square") for p, m in ((3, 2), (5, 2), (7, 2), (3, 4), (5, 4), (3, 6))),
+    (3, 6, "albert:k=2"), (5, 6, "albert:k=2"),
+    (3, 4, "cm:k=1"), (3, 4, "cm:k=3"), (3, 6, "cm:k=1"), (3, 6, "cm:k=5"),
+    *((3, 2, f"custom:{e}:1") for e in (0, 2, 4, 6, 10)),
+])
+def test_power_tables_match_the_family_formulas(p, m, text):
+    spec = planar.parse_spec(gf.split_new(gf.field_new(p, m), m // 2), text)
+    table, formula = spec.table, _family_formula_table(spec)
+    assert spec.is_power_map
+    assert table.dtype == formula.dtype and table.tobytes() == formula.tobytes()
+
+
 def test_components_recompose_round_trip(s9, s81):
     for spec in (planar.square(s9), planar.coulter_matthews(s81, 3)):
         split = spec.split

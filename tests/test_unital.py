@@ -262,7 +262,7 @@ def test_design_rejects_tampered_tables(q, plane_q3, plane_q5):
             un.verify_design(u)
         assert err.value.count == 2
         assert [c.name for c in u.checks] == ["parabolic-hypothesis"]
-    with pytest.raises(ValueError, match="exhaustive only"):
+    with pytest.raises(UsageError, match="mode must be one of exhaustive, got 'sampled'"):
         un.verify_design(u, mode="sampled")
 
 
@@ -522,6 +522,48 @@ def test_gamma_orbit_single_class(plane_q3):
     assert len(thetas) == 4
     classes = un.gamma_orbit_partition(plane_q3, thetas)
     assert classes == [sorted(thetas)]
+
+
+def _gamma_classes_by_union_find(plane, thetas):
+    """Reference: merge theta and theta2 whenever some Gamma(c, e) maps the
+    point set of U_theta onto that of U_theta2, and close under union."""
+    thetas = [int(t) for t in thetas]
+    point_sets = {t: frozenset(int(p) for p in un.build_parabolic_unital(plane, t).points)
+                  for t in thetas}
+    by_set = {s: t for t, s in point_sets.items()}
+    parent = {t: t for t in thetas}
+
+    def find(t):
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    for c in range(1, plane.ctx.size):
+        for e in range(plane.ctx.m):
+            g = Gamma(plane, c, e)
+            for t in thetas:
+                arr = np.fromiter(point_sets[t], dtype=np.int64, count=len(point_sets[t]))
+                t2 = by_set.get(frozenset(int(p) for p in np.asarray(g.apply_point(arr))))
+                if t2 is not None and find(t) != find(t2):
+                    parent[find(t2)] = find(t)
+    classes: dict[int, list[int]] = {}
+    for t in thetas:
+        classes.setdefault(find(t), []).append(t)
+    return sorted(sorted(v) for v in classes.values())
+
+
+@pytest.mark.parametrize("p, n, family", [(3, 1, "square"), (5, 1, "square"),
+                                          (7, 1, "square"), (3, 2, "cm:k=3")])
+def test_gamma_orbits_match_union_find(p, n, family):
+    split = gf.split_new(gf.field_new(p, 2 * n), n)
+    plane = ShiftPlane(planar.parse_spec(split, family))
+    admissible = [t for t in range(1, plane.N)
+                  if un.check_parabolic_hypothesis(plane, t)[0]]
+    thetas = admissible + admissible[:2]          # two listed twice
+    classes = un.gamma_orbit_partition(plane, thetas)
+    assert classes == _gamma_classes_by_union_find(plane, thetas)
+    assert sorted(t for cls in classes for t in cls) == sorted(thetas)
 
 
 def test_gamma_identity_fixes(unital_q3):
