@@ -375,7 +375,7 @@ def wilbrink_vertex_check(unital: Unital, point_id: int, strong: bool = True,
     _WILBRINK_BYTES of gathered avoid rows, so a vertex that fails early
     costs one small batch.
     """
-    v = int(np.searchsorted(unital.points, point_id))
+    v = int(unital.ranks(point_id))
     if v == len(unital.points) or unital.points[v] != point_id:
         raise UsageError(f"point {point_id} not in the unital")
     idx = index or DesignIndex(unital)
@@ -767,10 +767,10 @@ def find_onan_exhaustive(unital: Unital, budget: int | None = None,
         sixes.append(six)
         if not complete:
             break
-    # both tables are int64: line IDs from flatnonzero, points as Unital keeps them
+    # both tables are int64: line IDs from flatnonzero, points cast once
     block_ids = _take_rows(idx.block_lines, quads, 4)
     del quads                    # freed before point_ids is allocated
-    point_ids = _take_rows(unital.points, sixes, 6)
+    point_ids = _take_rows(unital.points.astype(np.int64), sixes, 6)
     return OnanSearchResult(block_ids, point_ids, complete, examined)
 
 
@@ -941,7 +941,7 @@ def invariant_profile(unital: Unital, with_onan: bool = True,
     profile = InvariantProfile(idx.n, idx.q + 1, idx.B, line_spectrum=spectrum)
     if with_onan:
         result = find_onan_exhaustive(unital, index=idx)
-        ranks = np.searchsorted(unital.points, result.point_ids)
+        ranks = unital.ranks(result.point_ids)
         per_point = np.bincount(ranks.ravel(), minlength=len(unital.points))
         histo_vals, histo_mult = np.unique(per_point, return_counts=True)
         profile.onan_total = result.count

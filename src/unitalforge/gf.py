@@ -346,7 +346,7 @@ class FieldCtx:
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         P = self.split_base
         if self.add_table is not None:
-            shape = np.broadcast_shapes(a.shape, b.shape)
+            shape = np.broadcast(a, b).shape
             if not shape:
                 return self.add_lo[a * P + b]
             idx = np.multiply(a, P, out=np.empty(shape, dtype=np.int64))

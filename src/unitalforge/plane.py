@@ -35,6 +35,7 @@ __all__ = [
     "sigma_compose",
     "verify_collineation",
     "id_batches",
+    "point_id_dtype",
     "BATCH",
 ]
 
@@ -44,6 +45,14 @@ BATCH = 1 << 16
 
 # exhaustive axioms hold one count byte per point: 43 MB at q = 81, 3.5 GB at q = 243
 EXHAUSTIVE_MAX_POINTS = 1 << 28
+
+
+def point_id_dtype(n_points: int) -> np.dtype:
+    """The dtype that stores the IDs 0..n_points-1 of a point table: uint32
+    while they fit, as on every plane up to q = 255, int64 beyond.  Tables
+    are stored narrow and computed with wide: a routine casts a bounded
+    batch of IDs to int64 before any arithmetic on it."""
+    return np.dtype(np.uint32 if n_points <= 1 << 32 else np.int64)
 
 
 def id_batches(n: int, width: int = 1):
@@ -84,6 +93,7 @@ class ShiftPlane:
         self.at_infinity_id = self.N * self.N + self.N
         self.n_points = self.N * self.N + self.N + 1
         self.n_lines = self.n_points
+        self.id_dtype = point_id_dtype(self.n_points)
 
     # -- ID helpers --
 

@@ -50,7 +50,7 @@ from .errors import (
     require_trials,
 )
 from .plane import (BATCH, Gamma, Shift, ShiftPlane, Sigma, _check_flags, _TableMap,
-                    id_batches)
+                    id_batches, point_id_dtype)
 
 __all__ = [
     "Unital",
@@ -109,31 +109,37 @@ class Check:
 class Unital:
     """A certified point set of size q^3 + 1 with the table of its blocks.
 
-    `points` is the ascending array of canonical point IDs; an int64 array
-    that is already strictly ascending is kept as it is, without a sorted
-    copy.  `blocks` lists each block as point ranks, by secant line ID.
+    `points` is the ascending array of canonical point IDs in the plane's
+    `id_dtype` (uint32 up to q = 255).  An array of that dtype that already
+    ascends strictly is kept as it is, with no copy.  Any other array is
+    sorted and checked in its own dtype, then narrowed, so an ID outside
+    the plane is reported and never wraps into range.  Routines compute on
+    the IDs in int64, a bounded batch at a time.  `blocks` lists each block
+    as point ranks, by secant line ID.
     """
 
     def __init__(self, plane: ShiftPlane, points: np.ndarray, provenance: str,
                  theta: int | None = None, kappa: "InvolutionSpec | None" = None):
         self.plane = plane
-        points = np.asarray(points, dtype=np.int64)
+        self.q = plane.split.sub_size
+        points = np.asarray(points)
+        if points.dtype.kind not in "iu":
+            points = points.astype(np.int64)
         # strictly ascending IDs cannot repeat; sorted IDs repeat iff two
         # neighbours agree
         repeat = _first_non_increase(points)
         if repeat >= 0:
             points = np.sort(points)
             repeat = _first_non_increase(points)
-        self.points = points
+        self._check_points(points, repeat)
+        self.points = points.astype(plane.id_dtype, copy=False)
         self.provenance = provenance
         self.theta = theta
         self.kappa = kappa
-        self.q = plane.split.sub_size
         self.checks: list[Check] = []
-        self._check_points(repeat)
 
-    def _check_points(self, repeat: int):
-        pts, n = self.points, self.plane.n_points
+    def _check_points(self, pts: np.ndarray, repeat: int):
+        n = self.plane.n_points
         if len(pts) != self.q ** 3 + 1:
             raise InvalidPointSet(f"expected {self.q ** 3 + 1} points, got {len(pts)}")
         if pts[0] < 0 or pts[-1] >= n:
@@ -152,11 +158,18 @@ class Unital:
         mask[self.points] = True
         return mask
 
+    def ranks(self, pids) -> np.ndarray:
+        """np.searchsorted(points, pids): the rank of each member ID.  The
+        IDs are cast to the table's dtype first, as a search with needles
+        of another dtype copies the whole table to their common dtype."""
+        needles = np.asarray(pids).astype(self.points.dtype, copy=False)
+        return np.searchsorted(self.points, needles)
+
     def contains(self, pids):
         if self.plane.n_points <= _MASK_LIMIT:
             return self.point_mask[pids]
-        pos = np.clip(np.searchsorted(self.points, pids), 0, len(self.points) - 1)
-        return self.points[pos] == pids
+        # compared with pids as given, so an ID that the cast wrapped is no member
+        return self.points[np.minimum(self.ranks(pids), len(self.points) - 1)] == pids
 
     @cached_property
     def theta_y_values(self) -> np.ndarray | None:
@@ -171,12 +184,13 @@ class Unital:
         plane, N = self.plane, self.plane.N
         ys = parabolic_y_values(plane, self.theta)
         rows = self.points[:-1].reshape(N, len(ys))
-        # row x must read x*N + ys: a slice of rows from s on, less s*N, must
-        # equal the first rows of one fixed block, so no IDs are built per slice
+        # row x must read x*N + ys: a slice of rows from s on must equal the
+        # first rows of one fixed int64 block plus s*N, which is added to the
+        # block, not subtracted from the rows, where it could wrap
         step = min(N, max(1, BATCH // len(ys)))
         block = (np.arange(step, dtype=np.int64) * N)[:, None] + ys
         if not (self.points[-1] == plane.infinity_id and all(
-                np.array_equal(rows[s:s + step] - s * N, block[:min(step, N - s)])
+                np.array_equal(rows[s:s + step], block[:min(step, N - s)] + s * N)
                 for s in range(0, N, step))):
             raise ProvenanceMismatch(
                 f"points differ from the parabolic set of theta={self.theta}")
@@ -491,16 +505,22 @@ def build_parabolic_unital(plane: ShiftPlane, theta: int) -> Unital:
         q = plane.split.sub_size
         bad = {c: n for c, n in hist.items() if n != (1 if c == 0 else q + 1)}
         raise HypothesisFailed(f"fiber histogram violates {{1, q+1}}: {bad}")
-    N = plane.N
-    ys = parabolic_y_values(plane, theta)
-    # written once, ascending, so Unital keeps the array as it is
-    points = np.empty(N * len(ys) + 1, dtype=np.int64)
-    np.add((np.arange(N, dtype=np.int64) * N)[:, None], ys,
-           out=points[:-1].reshape(N, len(ys)))
-    points[-1] = plane.infinity_id
+    points = _graph_point_ids(plane, parabolic_y_values(plane, theta))
     u = Unital(plane, points, f"utheta:theta={theta}", theta=theta)
     u.record(Check("parabolic-hypothesis", "exhaustive", "pass"))
     return u
+
+
+def _graph_point_ids(plane: ShiftPlane, ys: np.ndarray) -> np.ndarray:
+    """The IDs x*N + ys[x, t] of the affine points, row x of ys, or ys
+    itself for every x, then infinity: written once, in the plane's
+    id_dtype, so Unital keeps the array as it is when the rows ascend."""
+    N, dtype = plane.N, plane.id_dtype
+    points = np.empty(N * ys.shape[-1] + 1, dtype=dtype)
+    np.add((np.arange(N, dtype=dtype) * N)[:, None], ys.astype(dtype),
+           out=points[:-1].reshape(N, -1))
+    points[-1] = plane.infinity_id
+    return points
 
 
 def build_general_unital(plane: ShiftPlane, g_table: np.ndarray) -> Unital:
@@ -518,9 +538,7 @@ def build_general_unital(plane: ShiftPlane, g_table: np.ndarray) -> Unital:
     repeats = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
     if repeats.any():
         raise NotInjective(f"g_{int(np.argmax(repeats))} is not injective")
-    ids = (np.arange(N, dtype=np.int64)[:, None] * N + g_table).ravel()
-    points = np.concatenate([ids, [plane.infinity_id]])
-    u = Unital(plane, points, "general", theta=None)
+    u = Unital(plane, _graph_point_ids(plane, g_table), "general", theta=None)
     # the solutions (x, t) for (a, b) are the points of U on L(a, b), whose
     # ID a*N + b orders the pairs row-major
     counts = line_intersection_counts(u)[:N * N]
@@ -571,12 +589,13 @@ def _line_counts(unital: Unital):
     row holds one affine point of U or none, and a bincount of the voters'
     indices, weighted, names it; tau carries that point with its line.
     unital.points is strictly ascending (Unital.__init__ sees to it), so
-    infinity, if present, is last.
+    infinity, if present, is last; the pass is exhaustive, so it casts the
+    points to int64 once.
     """
     plane = unital.plane
     ctx, N = plane.ctx, plane.N
     NN = N * N
-    pts = unital.points
+    pts = unital.points.astype(np.int64)
     aff = pts[pts < NN]
     xs, ys = aff // N, aff % N
     slopes = pts[(pts >= NN) & (pts < NN + N)] - NN
@@ -839,7 +858,10 @@ def absolute_point_ids(plane: ShiftPlane, kappa: InvolutionSpec) -> np.ndarray:
     tr = np.asarray(ctx.add(idx, bar))             # indexed by y
     rhs = plane.f[tr]                              # indexed by x
     xs, ys = np.nonzero(rhs[:, None] == tr[None, :])
-    return np.concatenate([xs * N + ys, [plane.infinity_id]])
+    points = np.empty(len(xs) + 1, dtype=plane.id_dtype)
+    points[:-1] = xs * N + ys
+    points[-1] = plane.infinity_id
+    return points
 
 
 def build_polarity_unital(plane: ShiftPlane, kappa: InvolutionSpec, seed: int = 0,
@@ -925,14 +947,16 @@ def gamma_orbit_partition(plane: ShiftPlane, thetas) -> list[list[int]]:
     Gamma(c1, e1) after Gamma(c2, e2) is Gamma(phi^(-e2)(c1) c2, e1 + e2) on
     points and lines alike, and Gamma(1, 0) is the identity.  So the images
     of U_theta under all of them are its whole orbit, and the thetas whose
-    point sets lie among those images make up theta's class.
+    point sets lie among those images make up theta's class.  The images,
+    computed in int64, are compared as bytes in the tables' id_dtype.
     """
     thetas = [int(t) for t in thetas]
     points = {t: build_parabolic_unital(plane, t).points for t in thetas}
     ctx = plane.ctx
     classes = []
     while thetas:
-        orbit = {np.sort(Gamma(plane, c, e).apply_point(points[thetas[0]])).tobytes()
+        orbit = {np.sort(Gamma(plane, c, e).apply_point(points[thetas[0]]))
+                 .astype(plane.id_dtype).tobytes()
                  for c in range(1, ctx.size) for e in range(ctx.m)}
         classes.append(sorted(t for t in thetas if points[t].tobytes() in orbit))
         thetas = [t for t in thetas if points[t].tobytes() not in orbit]
@@ -951,16 +975,20 @@ def _format_ids(ids: np.ndarray):
     IDs with the same number of digits are contiguous in an ascending array,
     so each block is one (width + 1, n) table of digit bytes, filled one
     contiguous row at a time from the right and written out transposed.  A
-    block below 2^32 divides in uint32, about twice as fast as int64.
+    block below 2^32 divides in uint32, about twice as fast as int64.  The
+    width stops are searched in the dtype of ids, so the search copies
+    nothing; a power of ten past that dtype's range is past every ID.
     """
-    stops = np.searchsorted(ids, 10 ** np.arange(1, 19, dtype=np.int64)).tolist()
-    stops.append(len(ids))
+    powers = 10 ** np.arange(1, 19, dtype=np.int64)
+    powers = powers[powers <= np.iinfo(ids.dtype).max].astype(ids.dtype)
+    stops = np.searchsorted(ids, powers).tolist()
+    stops += [len(ids)] * (19 - len(stops))
     start = 0
     for width, stop in enumerate(stops, 1):
         for lo in range(start, stop, _WRITE_BLOCK):
             rest = ids[lo:min(lo + _WRITE_BLOCK, stop)]
             if rest[-1] <= np.iinfo(np.uint32).max:
-                rest = rest.astype(np.uint32)
+                rest = rest.astype(np.uint32, copy=False)
             buf = np.empty((width + 1, len(rest)), dtype=np.uint8)
             buf[width] = ord("\n")
             for row in range(width - 1, 0, -1):
@@ -1047,15 +1075,19 @@ def _malformed_line(line) -> UsageError:
     return UsageError(f"malformed point ID line: {text!r}")
 
 
-def _read_ids(fh, capacity: int) -> np.ndarray:
-    """The point IDs of the rest of the binary stream `fh`, one per line.
+def _read_ids(fh, capacity: int, n_points: int) -> np.ndarray:
+    """The point IDs of the rest of the binary stream `fh`, one per line,
+    in point_id_dtype(n_points).
 
     The body is read in _READ_CHUNK pieces cut after their last newline, so
     every temporary is bounded by the chunk; the IDs go into one array sized
-    for `capacity` IDs, which grows only for a file with more lines.  CRLF
-    line ends and a missing final newline are accepted.
+    for `capacity` IDs, which grows only for a file with more lines.  Each
+    piece is range-checked before it is narrowed: from the first ID at or
+    past n_points on, the array is int64, so that ID reaches Unital's check
+    as it was written and never wraps into range.  CRLF line ends and a
+    missing final newline are accepted.
     """
-    ids, n, tail = np.empty(capacity, dtype=np.int64), 0, b""
+    ids, n, tail = np.empty(capacity, dtype=point_id_dtype(n_points)), 0, b""
     while True:
         chunk = fh.read(_READ_CHUNK)
         data = tail + chunk
@@ -1066,8 +1098,10 @@ def _read_ids(fh, capacity: int) -> np.ndarray:
         if data.find(b"\r", 0, cut) >= 0:
             lines = data[:cut].replace(b"\r\n", b"\n")
         part = _parse_id_lines(lines)
+        if len(part) and part.max() >= n_points:
+            ids = ids.astype(np.int64, copy=False)
         if n + len(part) > len(ids):
-            ids = np.concatenate((ids[:n], np.empty(n + len(part), dtype=np.int64)))
+            ids = np.concatenate((ids[:n], np.empty(n + len(part), dtype=ids.dtype)))
         ids[n:n + len(part)] = part
         n += len(part)
         if len(tail) > _QUOTE_BYTES:            # no valid line is this long
@@ -1111,7 +1145,7 @@ def read_unital_file(path) -> Unital:
             raise UsageError(f"field {header[1]!r} has odd degree; the plane needs F_(q^2)")
         split = gf.split_new(ctx, ctx.m // 2)
         plane = ShiftPlane(parse_spec(split, header[2]))
-        points = _read_ids(fh, split.sub_size ** 3 + 1)
+        points = _read_ids(fh, split.sub_size ** 3 + 1, plane.n_points)
     provenance = header[3]
     theta = None
     kappa = None

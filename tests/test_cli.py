@@ -833,3 +833,15 @@ def test_planarity_is_certified_in_the_command_mode(capsys, monkeypatch):
     assert run(capsys, "unital", "build", *flags)[0] == 0
     assert run(capsys, "polarity", "verify", *flags)[0] == 0
     assert calls == [("sampled", 5, 7), (), ()]
+
+
+@pytest.mark.parametrize("far", ["n_points", "2^32 + last"])
+def test_unital_file_id_past_the_plane_fails_the_check(capsys, tmp_path, unital_q5, far):
+    # 2^32 + the last affine ID would narrow to that ID, the line it replaces;
+    # it fails as the first ID past the plane does
+    last = int(unital_q5.points[-2])
+    line = str(unital_q5.plane.n_points if far == "n_points" else 2 ** 32 + last)
+    path = _edited_unital_file(tmp_path, unital_q5, lambda l: l[:-2] + [line] + l[-1:])
+    code, _, err = run(capsys, "unital", "verify", "--p", "5", "--m", "2", "--in", path)
+    assert code == 1 and "CHECK FAILED (InvalidPointSet)" in err
+    assert f"point ID {line} outside [0, 651)" in err

@@ -993,6 +993,8 @@ def test_unital_rejects_invalid_point_ids(unital_q5):
                             (unsorted_repeat, f"point ID {pts[40]} listed twice"),
                             (np.append(pts[:-1], plane.n_points), "outside"),
                             (np.append(pts[1:], -1), "outside"),
+                            # narrowed before the check, it would be pts[0] again
+                            (np.append(pts[1:], 2 ** 32 + int(pts[0])), "outside"),
                             (pts[:-1], "expected 126 points, got 125")):
         with pytest.raises(InvalidPointSet, match=message):
             un.Unital(plane, points, "test")
@@ -1151,7 +1153,8 @@ def test_parabolic_points_built_in_place(plane_q5):
     former = np.concatenate([(np.arange(N)[:, None] * N + ys).ravel(),
                              [plane_q5.infinity_id]])
     assert np.array_equal(u.points, former)
-    # an ascending int64 array is kept as it is; any other is sorted first
+    # an ascending array of the plane's id_dtype is kept as it is; any other
+    # is sorted first
     assert un.Unital(plane_q5, u.points, "again").points is u.points
     shuffled = np.random.default_rng(0).permutation(u.points)
     again = un.Unital(plane_q5, shuffled, "shuffled")
@@ -1232,14 +1235,16 @@ _BOUNDARY_IDS = [0, 10 ** 18 - 1, *(10 ** k - 1 for k in range(1, 18)),
        chunk=st.sampled_from([7, 19, 64, 1 << 20]))
 def test_id_lines_round_trip(ids, block, chunk):
     # the formatter against one f-string per ID, and the parser back again,
-    # across write blocks and read chunks of every size that matters
+    # across write blocks and read chunks of every size that matters; with
+    # n_points = 10^18 every ID is in range and read as int64
     points = np.array(ids, dtype=np.int64)
     with mock.patch.object(un, "_WRITE_BLOCK", block):
         data = b"".join(un._format_ids(points))
     assert data == "".join(f"{i}\n" for i in ids).encode()
     with mock.patch.object(un, "_READ_CHUNK", chunk):
         for capacity in (len(ids), 0):           # the buffer also grows
-            assert np.array_equal(un._read_ids(io.BytesIO(data), capacity), points)
+            back = un._read_ids(io.BytesIO(data), capacity, 10 ** 18)
+            assert np.array_equal(back, points)
 
 
 @pytest.mark.parametrize("chunk", [7, 64])
@@ -1264,7 +1269,7 @@ def test_malformed_line_after_a_chunk_boundary_is_quoted(width):
     data = "".join(f"{line}\n" for line in lines).encode()
     assert len(data) > max(1 << 18, 2 * un._READ_CHUNK)
     with pytest.raises(UsageError) as err:
-        un._read_ids(io.BytesIO(data), len(lines))
+        un._read_ids(io.BytesIO(data), len(lines), 10 ** 18)
     assert str(err.value) == f"malformed point ID line: {lines[first_bad]!r}"
 
 
@@ -1272,9 +1277,9 @@ def test_malformed_line_after_a_chunk_boundary_is_quoted(width):
 def test_reader_skips_chunks_of_blank_lines(chunk, monkeypatch):
     # some chunks, or the whole body, hold blank lines only
     monkeypatch.setattr(un, "_READ_CHUNK", chunk)
-    assert un._read_ids(io.BytesIO(b"\n" * 40), 0).tolist() == []
+    assert un._read_ids(io.BytesIO(b"\n" * 40), 0, 10 ** 18).tolist() == []
     body = b"5\n" + b"\n" * 40 + b"17\n" + b"\r\n" * 20 + b"203"
-    assert un._read_ids(io.BytesIO(body), 0).tolist() == [5, 17, 203]
+    assert un._read_ids(io.BytesIO(body), 0, 10 ** 18).tolist() == [5, 17, 203]
 
 
 def _body_edit(u, tmp_path, edit, sep="\n"):
@@ -1341,3 +1346,101 @@ def test_extra_and_missing_id_lines_are_counted(unital_q3, tmp_path):
     short = _body_edit(unital_q3, tmp_path, lambda l: l[:4] + [""])
     with pytest.raises(InvalidPointSet, match="expected 28 points, got 0"):
         un.read_unital_file(short)
+
+
+# -- point IDs stored narrow -----------------------------------------------------
+
+def test_builders_and_reader_store_the_plane_id_dtype(plane_q3, unital_q3, polarity_q3,
+                                                      tmp_path):
+    # n_points = q^4 + q^2 + 1 fits 2^32 up to q = 255, not at q = 257
+    assert plane_mod.point_id_dtype(255 ** 4 + 255 ** 2 + 1) == np.uint32
+    assert plane_mod.point_id_dtype(257 ** 4 + 257 ** 2 + 1) == np.int64
+    assert plane_q3.id_dtype == np.uint32
+    general = un.build_general_unital(
+        plane_q3, np.tile(un.parabolic_y_values(plane_q3, unital_q3.theta), (9, 1)))
+    path = tmp_path / "u.unital"
+    un.write_unital_file(unital_q3, path)
+    listed = un.Unital(plane_q3, unital_q3.points.tolist(), "list")
+    for u in (unital_q3, polarity_q3, general, un.dual_unital(unital_q3)[0],
+              un.read_unital_file(path), listed):
+        assert u.points.dtype == np.uint32
+
+
+@pytest.mark.parametrize("chunk", [3, 1 << 20])
+def test_reader_widens_from_the_first_id_past_the_plane(chunk, monkeypatch):
+    # IDs below n_points are stored as uint32; the first one past it turns the
+    # array to int64, the IDs before it kept, so it is never wrapped
+    monkeypatch.setattr(un, "_READ_CHUNK", chunk)
+    narrow = un._read_ids(io.BytesIO(b"5\n7\n90\n"), 0, 91)         # the buffer grows
+    assert narrow.dtype == np.uint32 and narrow.tolist() == [5, 7, 90]
+    far = [5, 7, 2 ** 32 + 5, 91, 8]
+    wide = un._read_ids(io.BytesIO("".join(f"{i}\n" for i in far).encode()), 2, 91)
+    assert wide.dtype == np.int64 and wide.tolist() == far
+
+
+def test_provenance_sees_a_point_below_its_row_base(unital_zp125):
+    # the first row of the second slice of rows opens with a point of the row
+    # before it: row - s*N would wrap in uint32, row == block + s*N does not
+    u = unital_zp125
+    plane, N, q = u.plane, u.plane.N, u.q
+    s = plane_mod.BATCH // q
+    off = int(np.setdiff1d(np.arange(N), u.theta_y_values)[0])
+    pts = u.points.copy()
+    pts[s * q] = (s - 1) * N + off
+    bad = un.Unital(plane, pts, u.provenance, theta=u.theta)
+    assert bad.points.dtype == np.uint32 and bad.points[s * q] < s * N
+    with pytest.raises(ProvenanceMismatch):
+        bad.theta_y_values
+
+
+def test_narrow_table_is_never_copied_wide(unital_zp125):
+    # an int64 copy of the q = 125 table is 15.6 MB; membership probes, the
+    # y-set check, one formatting pass and the read back of its bytes each
+    # allocate under 2 MB beyond their own output
+    u = unital_zp125
+    plane, n = u.plane, len(u.points)
+    assert u.points.dtype == np.uint32 and plane.n_points > un._MASK_LIMIT
+    fresh = un.Unital(plane, u.points, u.provenance, theta=u.theta)
+    assert fresh.points is u.points
+    off = int(np.setdiff1d(np.arange(plane.N), u.theta_y_values)[0])   # (0, off) is not in U
+    probes = np.array([u.points[7], off, plane.slope_id(0), plane.infinity_id],
+                      dtype=np.int64)
+    stream = io.BytesIO(b"".join(un._format_ids(u.points)))
+
+    def extra(run):
+        tracemalloc.start()
+        try:
+            out = run()
+            return out, tracemalloc.get_traced_memory()[1] - getattr(out, "nbytes", 0)
+        finally:
+            tracemalloc.stop()
+
+    member, peak = extra(lambda: u.contains(probes))
+    assert member.tolist() == [True, False, False, True] and peak < 2e6
+    ys, peak = extra(lambda: fresh.theta_y_values)
+    assert len(ys) == u.q and peak < 2e6
+
+    def format_pass():                 # its output is one block at a time
+        sizes = [len(block) for block in un._format_ids(u.points)]
+        return SimpleNamespace(total=sum(sizes), nbytes=max(sizes))
+
+    written, peak = extra(format_pass)
+    assert written.total == len(stream.getvalue()) and peak < 2e6
+    back, peak = extra(lambda: un._read_ids(stream, n, plane.n_points))
+    assert back.dtype == np.uint32 and np.array_equal(back, u.points) and peak < 2e6
+
+
+# the sampled certificate of the q = 125 Zhou-Pott unital that the
+# certify-sampled benchmark workload builds, and the SHA-256 of its file, as
+# the int64 tables gave them
+ZP125_SAMPLED_HASH = "56e62669a0874f805195532753f8cc73924de44c3ddb4e90f92bc05421995c9f"
+ZP125_FILE_SHA256 = "62b9de083b8f0f9c0f27b026c5bc2d017112083a49d0a98113ecfe27e79b1e1a"
+
+
+def test_sampled_q125_certificate_and_file_unchanged(unital_zp125):
+    u = un.build_parabolic_unital(unital_zp125.plane, unital_zp125.theta)
+    un.verify_unital_embedded(u, mode="sampled", seed=0, trials=10000)
+    raw = io.BytesIO()
+    un.write_unital_file(u, raw)
+    assert u.certificate()["hash"] == ZP125_SAMPLED_HASH
+    assert hashlib.sha256(raw.getvalue()).hexdigest() == ZP125_FILE_SHA256
