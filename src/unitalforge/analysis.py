@@ -31,7 +31,7 @@ from .errors import (
 )
 from .plane import ShiftPlane, Sigma, id_batches
 from .planar import polarization
-from .unital import Unital, _fixing, beta_of, parabolic_y_values, phi_table
+from .unital import Unital, _fixing, beta_of, parabolic_y_values, phi_table, trace_fibres
 
 __all__ = [
     "derive_delta",
@@ -833,8 +833,8 @@ def sigma_stabilizer_report(unital: Unital) -> SubgroupReport:
         desc = "shear stabilizer of the parabolic unital (w = 0, v in theta*F_q)"
     elif unital.kappa is not None:
         tr = np.asarray(ctx.add(X, unital.kappa.table(plane)))     # x + conj(x)
-        rhs = np.asarray(ctx.neg(plane.f[tr]))                      # indexed by u
-        u, v = np.nonzero(rhs[:, None] == tr[None, :])
+        v, counts = trace_fibres(tr, np.asarray(ctx.neg(plane.f[tr])))
+        u = np.repeat(X, counts)
         w = tr[u]
         desc = "shear stabilizer of the polarity unital (w = u+conj(u))"
     else:

@@ -24,6 +24,7 @@ import hashlib
 import io
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -116,10 +117,15 @@ class Unital:
     the plane is reported and never wraps into range.  Routines compute on
     the IDs in int64, a bounded batch at a time.  `blocks` lists each block
     as point ranks, by secant line ID.
+
+    `theta` (parabolic) and `kappa` (polarity) are read from `provenance`
+    alone, by parse_provenance; each is None unless the tag names it, and a
+    malformed tag is a UsageError.  The theta shortcuts check the points
+    against the tag before they answer (theta_y_values).
     """
 
-    def __init__(self, plane: ShiftPlane, points: np.ndarray, provenance: str,
-                 theta: int | None = None, kappa: "InvolutionSpec | None" = None):
+    def __init__(self, plane: ShiftPlane, points: np.ndarray, provenance: str):
+        self.theta, self.kappa = parse_provenance(provenance, plane.N)
         self.plane = plane
         self.q = plane.split.sub_size
         points = np.asarray(points)
@@ -134,8 +140,6 @@ class Unital:
         self._check_points(points, repeat)
         self.points = points.astype(plane.id_dtype, copy=False)
         self.provenance = provenance
-        self.theta = theta
-        self.kappa = kappa
         self.checks: list[Check] = []
 
     def _check_points(self, pts: np.ndarray, repeat: int):
@@ -297,18 +301,32 @@ class Unital:
         self.checks.append(check)
 
     def certificate(self, extra: dict | None = None) -> dict:
+        """The fields, checks and `extra` of the unital with the SHA-256 of
+        their JSON (keys sorted) with the point list: `hash`.
+
+        The list is hashed as it streams, never held as text: the body is
+        dumped with a placeholder for it and hashed up to and after it, and
+        the IDs go in as _format_ids blocks, each newline made the list's
+        ", " but for the last.
+        """
         body = {
             "field": self.plane.ctx.descriptor(),
             "spec": self.plane.spec.spec_string(),
             "provenance": self.provenance,
-            "points": self.points.tolist(),
+            "points": "\0",
             "checks": [c.as_dict() for c in self.checks],
         }
         if extra:
             body.update(extra)
-        digest = hashlib.sha256(
-            json.dumps(body, sort_keys=True, default=str).encode()).hexdigest()
-        body["hash"] = digest
+        head, tail = json.dumps(body, sort_keys=True, default=str).split(
+            '"points": "\\u0000"')
+        digest = hashlib.sha256(f'{head}"points": ['.encode())
+        sep = b""
+        for block in _format_ids(self.points):
+            digest.update(sep + block[:-1].replace(b"\n", b", "))
+            sep = b", "
+        digest.update(f"]{tail}".encode())
+        body["hash"] = digest.hexdigest()
         body.pop("points")
         return body
 
@@ -326,6 +344,26 @@ def _first_non_increase(ids: np.ndarray) -> int:
         if down.any():
             return start + int(np.argmax(down))
     return -1
+
+
+def parse_provenance(tag: str, N: int) -> tuple[int | None, "InvolutionSpec | None"]:
+    """(theta, kappa) of a provenance tag, the one place either is read.
+
+    `utheta:theta=<decimal index>`, 0 < theta < N, gives theta;
+    `polarity:kappa=<kind>` gives kappa; `dual:of=<tag>` gives what <tag>
+    gives; any other tag gives neither.  A malformed or out-of-range theta
+    or an unknown kind is a UsageError.
+    """
+    match = re.fullmatch(r"(?:dual:of=)*(utheta:theta|polarity:kappa)=(.*)", tag, re.S)
+    if match is None:
+        return None, None
+    key, value = match.groups()
+    if key == "polarity:kappa":
+        return None, InvolutionSpec(value)
+    # at most 18 digits, so int() is cheap and the bound check decides
+    if re.fullmatch(r"[1-9][0-9]{0,17}", value) is None or int(value) >= N:
+        raise UsageError(f"provenance theta {value!r} is not an index in [1, {N})")
+    return int(value), None
 
 
 # ----------------------------------------------------------------------
@@ -506,7 +544,7 @@ def build_parabolic_unital(plane: ShiftPlane, theta: int) -> Unital:
         bad = {c: n for c, n in hist.items() if n != (1 if c == 0 else q + 1)}
         raise HypothesisFailed(f"fiber histogram violates {{1, q+1}}: {bad}")
     points = _graph_point_ids(plane, parabolic_y_values(plane, theta))
-    u = Unital(plane, points, f"utheta:theta={theta}", theta=theta)
+    u = Unital(plane, points, f"utheta:theta={theta}")
     u.record(Check("parabolic-hypothesis", "exhaustive", "pass"))
     return u
 
@@ -538,7 +576,7 @@ def build_general_unital(plane: ShiftPlane, g_table: np.ndarray) -> Unital:
     repeats = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
     if repeats.any():
         raise NotInjective(f"g_{int(np.argmax(repeats))} is not injective")
-    u = Unital(plane, _graph_point_ids(plane, g_table), "general", theta=None)
+    u = Unital(plane, _graph_point_ids(plane, g_table), "general")
     # the solutions (x, t) for (a, b) are the points of U on L(a, b), whose
     # ID a*N + b orders the pairs row-major
     counts = line_intersection_counts(u)[:N * N]
@@ -770,19 +808,21 @@ def verify_design(unital: Unital, mode: str = "exhaustive") -> DesignReport:
 @dataclass(frozen=True)
 class InvolutionSpec:
     """Additive involution used for the polarity: x -> x^q ("frobq"), or the
-    xi-sign conjugation x0 + x1*xi -> x0 - x1*xi ("conjxi")."""
+    xi-sign conjugation x0 + x1*xi -> x0 - x1*xi ("conjxi").  Any other
+    kind is a UsageError."""
 
     kind: str
 
+    def __post_init__(self):
+        if self.kind not in ("frobq", "conjxi"):
+            raise UsageError(f"unknown involution kind {self.kind!r}")
+
     def table(self, plane: ShiftPlane) -> np.ndarray:
         split, ctx = plane.split, plane.ctx
-        idx = np.arange(ctx.size, dtype=np.int64)
         if self.kind == "frobq":
             return np.asarray(split.frobq)
-        if self.kind == "conjxi":
-            x0, x1 = split.decompose(idx)
-            return np.asarray(split.recompose(x0, ctx.neg(x1)))
-        raise ValueError(f"unknown involution kind {self.kind!r}")
+        x0, x1 = split.decompose(np.arange(ctx.size, dtype=np.int64))
+        return np.asarray(split.recompose(x0, ctx.neg(x1)))
 
 
 @dataclass
@@ -793,11 +833,35 @@ class PolarityReport:
     incidences_checked: int
 
 
+def trace_fibres(tr: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ys, counts): counts[x] = #{y : tr[y] == values[x]}, and ys those y
+    for x = 0, 1, ... in turn, each fibre ascending.  So ys and
+    np.repeat(arange, counts) are np.nonzero(values[:, None] == tr) in its
+    row-major order, without that len(values) x len(tr) table.
+
+    A stable argsort of tr lists each fibre contiguously with its y
+    ascending, and two searchsorted calls find its bounds for each value.
+    """
+    order = np.argsort(tr, kind="stable")
+    ranked = tr[order]
+    lo = np.searchsorted(ranked, values, side="left")
+    counts = np.searchsorted(ranked, values, side="right") - lo
+    # output k of row x is order[lo[x] + k - (first output of row x)]
+    pos = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    pos += np.arange(len(pos))
+    return order[pos], counts
+
+
 def _polarity_precheck(plane: ShiftPlane, kappa: InvolutionSpec):
     """The three admissibility conditions; returns the involution table and
-    the absolute-point count.  Condition C's fibers[x] counts exactly the
-    affine absolute points (x, y) that absolute_point_ids lists, so their
-    sum plus infinity is that count: q^3 + 1 once condition C holds."""
+    the (N, q) table whose row x lists, ascending, the y of the affine
+    absolute points (x, y), those with y + conj(y) = f(x + conj(x)).
+
+    Condition C is that every such fibre of the trace y + conj(y) holds q
+    points; with infinity that makes q^3 + 1 absolute points.  The fibres
+    come from one trace_fibres pass, O(N log N + N q), with no N x N table;
+    the first x with another count is named in ConditionCFailed.
+    """
     ctx, split = plane.ctx, plane.split
     bar = kappa.table(plane)
     idx = np.arange(ctx.size, dtype=np.int64)
@@ -806,13 +870,11 @@ def _polarity_precheck(plane: ShiftPlane, kappa: InvolutionSpec):
     if not np.array_equal(bar[plane.f], plane.f[bar]):
         raise ConditionBFailed(f"{kappa.kind} does not commute with the plane function")
     tr = np.asarray(ctx.add(idx, bar))             # y + conj(y)
-    hist = np.bincount(tr, minlength=ctx.size)
-    rhs = plane.f[tr]                              # f(x + conj(x))
-    fibers = hist[rhs]
+    ys, fibers = trace_fibres(tr, plane.f[tr])     # f(x + conj(x)) per x
     if not np.all(fibers == split.sub_size):
         x = int(np.flatnonzero(fibers != split.sub_size)[0])
         raise ConditionCFailed(f"fiber count at x={x} is {int(fibers[x])}")
-    return bar, int(fibers.sum()) + 1
+    return bar, ys.reshape(ctx.size, split.sub_size)
 
 
 class _Polarity(_TableMap):
@@ -832,36 +894,30 @@ def verify_polarity(plane: ShiftPlane, kappa: InvolutionSpec,
 
     Checks the three admissibility conditions (the first, conj an
     involution, makes rho^2 = id on every ID; the third gives the q^3 + 1
-    absolute points, see _polarity_precheck) and incidence reversal: rho l
-    on rho P for each flag (P, l), which is plane._check_flags's test rho P
-    on rho l, since incidence is symmetric in IDs.  Exhaustive mode proves
-    it by translation conjugation, with the sweep's first unreversed flag
-    as the fallback; sampled mode checks `trials` seeded flags.  Mode
-    "auto" is exhaustive for q <= 9 and sampled otherwise.
+    absolute points, counted from _polarity_precheck's fibre table) and
+    incidence reversal: rho l on rho P for each flag (P, l), which is
+    plane._check_flags's test rho P on rho l, since incidence is symmetric
+    in IDs.  Exhaustive mode proves it by translation conjugation, with
+    the sweep's first unreversed flag as the fallback; sampled mode checks
+    `trials` seeded flags.  Mode "auto" is exhaustive for q <= 9 and
+    sampled otherwise.
     """
     require_mode(mode, ("auto", "exhaustive", "sampled"))
-    bar, absolute = _polarity_precheck(plane, kappa)
+    bar, ys = _polarity_precheck(plane, kappa)
     if mode == "auto":
         mode = "exhaustive" if plane.split.sub_size <= 9 else "sampled"
     flag, checked = _check_flags(plane, _Polarity(plane, bar), mode, seed, trials)
     if flag is not None:
         raise NotPolarity(f"incidence not reversed at ({flag[0]}, {flag[1]})")
-    return PolarityReport(True, mode, absolute, checked)
+    return PolarityReport(True, mode, ys.size + 1, checked)
 
 
 def absolute_point_ids(plane: ShiftPlane, kappa: InvolutionSpec) -> np.ndarray:
-    """Affine absolute points satisfy y + conj(y) = f(x + conj(x)); infinity
-    is always absolute, slope points never are."""
-    ctx, N = plane.ctx, plane.N
-    bar = kappa.table(plane)
-    idx = np.arange(N, dtype=np.int64)
-    tr = np.asarray(ctx.add(idx, bar))             # indexed by y
-    rhs = plane.f[tr]                              # indexed by x
-    xs, ys = np.nonzero(rhs[:, None] == tr[None, :])
-    points = np.empty(len(xs) + 1, dtype=plane.id_dtype)
-    points[:-1] = xs * N + ys
-    points[-1] = plane.infinity_id
-    return points
+    """The absolute points of rho, ascending, in the plane's id_dtype: the
+    affine (x, y) with y + conj(y) = f(x + conj(x)), row x of
+    _polarity_precheck's fibre table, then infinity, which is always
+    absolute; slope points never are.  Raises as the precheck does."""
+    return _graph_point_ids(plane, _polarity_precheck(plane, kappa)[1])
 
 
 def build_polarity_unital(plane: ShiftPlane, kappa: InvolutionSpec, seed: int = 0,
@@ -870,7 +926,7 @@ def build_polarity_unital(plane: ShiftPlane, kappa: InvolutionSpec, seed: int = 
     with `seed` and `trials`, which the `polarity` check records."""
     report = verify_polarity(plane, kappa, seed=seed, trials=trials)
     points = absolute_point_ids(plane, kappa)
-    u = Unital(plane, points, f"polarity:kappa={kappa.kind}", kappa=kappa)
+    u = Unital(plane, points, f"polarity:kappa={kappa.kind}")
     u.record(Check("polarity", report.mode, "pass",
                    witness={"absolute_points": report.absolute_points}))
     return u
@@ -908,8 +964,7 @@ def dual_unital(unital: Unital):
     duals = tangent_line_ids(unital)               # ascending line IDs = dual point IDs
     if not np.array_equal(duals, unital.points):
         raise SwitchMismatch("switch image differs from the original point set")
-    u = Unital(unital.plane, duals, f"dual:of={unital.provenance}",
-               theta=unital.theta)
+    u = Unital(unital.plane, duals, f"dual:of={unital.provenance}")
     u.record(Check("self-duality-switch", "exhaustive", "pass"))
     return u, {"tangent_lines": int(len(duals)), "switch": "identity-on-ids"}
 
@@ -1130,8 +1185,9 @@ def write_unital_file(unital: Unital, dest):
 def read_unital_file(path) -> Unital:
     """The unital of a file in write_unital_file's format.
 
-    The header is checked before the body is read; a malformed header or ID
-    line is a UsageError, and the points get Unital's own checks.
+    The header, its provenance tag by parse_provenance included, is checked
+    before the body is read; a malformed header or ID line is a UsageError,
+    and the points get Unital's own checks.
     """
     from . import gf
     from .planar import parse_spec
@@ -1145,12 +1201,6 @@ def read_unital_file(path) -> Unital:
             raise UsageError(f"field {header[1]!r} has odd degree; the plane needs F_(q^2)")
         split = gf.split_new(ctx, ctx.m // 2)
         plane = ShiftPlane(parse_spec(split, header[2]))
+        parse_provenance(header[3], plane.N)
         points = _read_ids(fh, split.sub_size ** 3 + 1, plane.n_points)
-    provenance = header[3]
-    theta = None
-    kappa = None
-    if provenance.startswith("utheta:theta="):
-        theta = int(provenance.split("=", 1)[1])
-    elif provenance.startswith("polarity:kappa="):
-        kappa = InvolutionSpec(provenance.split("=", 1)[1])
-    return Unital(plane, points, provenance, theta=theta, kappa=kappa)
+    return Unital(plane, points, header[3])

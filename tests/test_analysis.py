@@ -128,7 +128,7 @@ def test_circle_readers_reject_non_parabolic_points(unital_q3):
     plane = unital_q3.plane
     pts = unital_q3.points.copy()
     pts[-2] = plane.slope_id(0)
-    bad = un.Unital(plane, pts, unital_q3.provenance, theta=unital_q3.theta)
+    bad = un.Unital(plane, pts, unital_q3.provenance)
     for read in (an.verify_circle_design, an.all_circles,
                  an.find_onan_through_infinity, lambda u: an.circle(u, 0, 1)):
         with pytest.raises(ProvenanceMismatch):
@@ -1094,7 +1094,7 @@ def test_reports_on_tampered_point_set(name, swap, request):
     plane, pts = u.plane, u.points.copy()
     off = np.flatnonzero(~u.contains(np.arange(plane.N ** 2)))[0]
     pts[1] = off if swap == "affine" else plane.slope_id(1)
-    tampered = un.Unital(plane, pts, u.provenance, theta=u.theta, kappa=u.kappa)
+    tampered = un.Unital(plane, pts, u.provenance)
     with pytest.raises(ElementDoesNotFix) as ref:
         _sigma_reference(tampered)
     with pytest.raises(ElementDoesNotFix) as new:
@@ -1212,7 +1212,7 @@ def test_profile_invariant_under_collineation(unital_q3):
 
     plane = unital_q3.plane
     img = np.sort(np.asarray(Shift(plane, 2, 0).apply_point(unital_q3.points)))
-    moved = un.Unital(plane, img, unital_q3.provenance, theta=unital_q3.theta)
+    moved = un.Unital(plane, img, unital_q3.provenance)
     p1 = an.invariant_profile(unital_q3)
     p2 = an.invariant_profile(moved)
     assert p1.design_fields() == p2.design_fields()

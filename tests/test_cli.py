@@ -444,6 +444,42 @@ def test_malformed_unital_file_is_usage_error(capsys, tmp_path, unital_q3, edit,
         assert code == 2 and f"usage error: {message}" in err
 
 
+@pytest.mark.parametrize("tag", ["utheta:theta=x", "utheta:theta=0", "utheta:theta=9",
+                                 "utheta:theta=-1", "utheta:theta=999999",
+                                 "polarity:kappa=bogus"])
+def test_malformed_provenance_is_usage_error(capsys, tmp_path, unital_q3, tag):
+    # theta=-1 used to pass circles by reading element 8, theta=x and
+    # theta=999999 ended in tracebacks, and kappa=bogus was accepted
+    from unitalforge import unital as un
+
+    path = _edited_unital_file(tmp_path, unital_q3, lambda l: l[:3] + [tag] + l[4:])
+    good = tmp_path / "good.unital"
+    un.write_unital_file(unital_q3, good)
+    for argv in (("unital", "verify", "--p", "3", "--m", "2", "--in", path),
+                 ("circles", "--p", "3", "--m", "2", "--in", path),
+                 ("compare", "--left", path, "--right", str(good))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("usage error: ") and repr(tag.rpartition("=")[2]) in err
+
+
+def test_provenance_is_checked_before_the_body(capsys, tmp_path, unital_q3):
+    path = _edited_unital_file(tmp_path, unital_q3,
+                               lambda l: l[:3] + ["utheta:theta=x"] + l[4:6] + ["seven"] + l[7:])
+    code, _, err = run(capsys, "unital", "verify", "--p", "3", "--m", "2", "--in", path)
+    assert code == 2 and "usage error: provenance theta 'x'" in err
+    assert "malformed point ID line" not in err
+
+
+def test_dual_unital_file_keeps_its_theta(capsys, tmp_path, unital_q3):
+    from unitalforge import unital as un
+
+    path = tmp_path / "dual.unital"
+    un.write_unital_file(un.dual_unital(unital_q3)[0], path)
+    code, out, _ = run(capsys, "unital", "dual", "--p", "3", "--m", "2", "--in", str(path))
+    assert code == 0 and "self-dual" in out
+
+
 def test_corrupt_cache_file_is_a_miss(capsys, tmp_path):
     cache = tmp_path / "cache"
     args = ("unital", "build", "--p", "3", "--m", "2", "--spec", "square",

@@ -9,13 +9,15 @@ import pytest
 
 import unitalforge
 
-tomllib = pytest.importorskip("tomllib")       # Python >= 3.11
 
-
-def test_one_version_and_exports_that_resolve():
+def test_one_version():
+    tomllib = pytest.importorskip("tomllib")   # Python >= 3.11
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == unitalforge.__version__
+
+
+def test_exports_that_resolve():
     modules = [unitalforge] + [importlib.import_module(f"unitalforge.{m.name}")
                                for m in pkgutil.iter_modules(unitalforge.__path__)]
     for module in modules:

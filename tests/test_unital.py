@@ -14,6 +14,7 @@ from unitalforge import analysis as an, gf, planar, plane as plane_mod, unital a
 from unitalforge.errors import (
     ConditionAFailed,
     ConditionBFailed,
+    ConditionCFailed,
     CountViolation,
     HypothesisFailed,
     IntersectionViolation,
@@ -456,6 +457,53 @@ def test_exhaustive_polarity_matches_sweep(kind, which, plane_q3, plane_q5, plan
     assert un.verify_polarity(P, kappa, mode="exhaustive") == reference
 
 
+@given(st.lists(st.integers(0, 4), max_size=12), st.lists(st.integers(0, 5), max_size=12))
+@example([], [])
+@example([], [2, 0])
+@example([1, 3, 1], [])
+@example([3, 3, 3], [3, 0, 3])           # one full fibre, hit twice, and an empty one
+@settings(max_examples=200, deadline=None)
+def test_trace_fibres_equal_the_equality_table(tr, values):
+    tr, values = np.array(tr, dtype=np.int64), np.array(values, dtype=np.int64)
+    xs, ys = np.nonzero(values[:, None] == tr)
+    got, counts = un.trace_fibres(tr, values)
+    assert got.tolist() == ys.tolist()
+    assert counts.tolist() == np.bincount(xs, minlength=len(values)).tolist()
+
+
+@pytest.mark.parametrize("kind, which", [
+    ("frobq", "square-q3"), ("frobq", "square-q5"), ("frobq", "cm-q9"),
+    ("frobq", "albert-q27"), ("conjxi", "dickson-F_5^4")])
+def test_polarity_points_equal_the_equality_table(kind, which, plane_q3, plane_q5,
+                                                  plane_cm81, s729):
+    planes = {"square-q3": plane_q3, "square-q5": plane_q5, "cm-q9": plane_cm81}
+    P = planes.get(which) or ShiftPlane(
+        planar.albert(s729, 2) if which == "albert-q27"
+        else planar.dickson(gf.split_new(gf.field_new(5, 4), 2), 1))
+    kappa, N = un.InvolutionSpec(kind), P.N
+    tr = np.asarray(P.ctx.add(np.arange(N), kappa.table(P)))     # y + conj(y)
+    xs, ys = np.nonzero(P.f[tr][:, None] == tr)                  # the N x N route
+    points = un.absolute_point_ids(P, kappa)
+    assert points.dtype == P.id_dtype
+    assert points.tolist() == (xs * N + ys).tolist() + [P.infinity_id]
+
+
+@pytest.mark.parametrize("d, where", [(1, "x=0 is 1"), (5, "x=0 is 5"), (7, "x=1 is 1")])
+def test_condition_c_names_the_first_uneven_fibre(d, where, plane_q3, monkeypatch):
+    # x -> x^d on F_9 is an involution commuting with the square map for d
+    # = 1, 3, 5, 7; only d = 3, frobq, gives every trace fibre q points
+    table = np.array([0] + [int(plane_q3.ctx.pow(x, d)) for x in range(1, 9)])
+    monkeypatch.setattr(un.InvolutionSpec, "table", lambda self, plane: table)
+    for call in (un.verify_polarity, un.absolute_point_ids):
+        with pytest.raises(ConditionCFailed, match=f"^fiber count at {where}$"):
+            call(plane_q3, un.InvolutionSpec("frobq"))
+
+
+def test_unknown_involution_kind_is_a_usage_error():
+    with pytest.raises(UsageError, match="unknown involution kind 'bogus'"):
+        un.InvolutionSpec("bogus")
+
+
 @pytest.mark.parametrize("trials", [0, -2])
 def test_sampled_polarity_needs_a_trial(trials, plane_q3):
     with pytest.raises(UsageError, match="at least 1 trial"):
@@ -651,6 +699,45 @@ def test_polarity_file_round_trip(polarity_q3, tmp_path):
     again = un.read_unital_file(path)
     assert again.kappa is not None and again.kappa.kind == "frobq"
     assert np.array_equal(again.points, polarity_q3.points)
+
+
+def test_dual_file_round_trip_keeps_theta(unital_q3, tmp_path):
+    dual, _ = un.dual_unital(unital_q3)
+    path = tmp_path / "dual.unital"
+    un.write_unital_file(dual, path)
+    again = un.read_unital_file(path)
+    assert again.provenance == dual.provenance == f"dual:of={unital_q3.provenance}"
+    assert again.theta == dual.theta == unital_q3.theta and again.kappa is None
+    assert np.array_equal(again.points, dual.points)
+
+
+def test_provenance_tag_alone_gives_theta_and_kappa(plane_q3, unital_q3):
+    N, theta = plane_q3.N, unital_q3.theta
+    assert un.parse_provenance(f"utheta:theta={theta}", N) == (theta, None)
+    assert un.parse_provenance(f"dual:of=dual:of=utheta:theta={theta}", N) == (theta, None)
+    assert un.parse_provenance("dual:of=polarity:kappa=conjxi", N) == (
+        None, un.InvolutionSpec("conjxi"))
+    for tag in ("general", "again", "", "utheta:theta", "utheta:theta2=4", "dual:of=general",
+                "dual:utheta:theta=4"):
+        assert un.parse_provenance(tag, N) == (None, None)
+    nested = un.Unital(plane_q3, unital_q3.points, f"dual:of=dual:of={unital_q3.provenance}")
+    assert nested.theta == theta and nested.kappa is None
+    assert nested.theta_y_values.tolist() == unital_q3.theta_y_values.tolist()
+    plain = un.Unital(plane_q3, unital_q3.points, "again")
+    assert plain.theta is None and plain.kappa is None
+
+
+@pytest.mark.parametrize("tag", [
+    "utheta:theta=x", "utheta:theta=0", "utheta:theta=9", "utheta:theta=-1",
+    "utheta:theta=999999", "utheta:theta=04", "utheta:theta= 4", "utheta:theta=",
+    "utheta:theta=4\n", "utheta:theta=" + "9" * 5000, "dual:of=utheta:theta=-1",
+    "polarity:kappa=bogus", "polarity:kappa=", "dual:of=polarity:kappa=FROBQ"])
+def test_malformed_provenance_is_a_usage_error(tag, plane_q3, unital_q3):
+    value = tag.rpartition("=")[2]
+    with pytest.raises(UsageError, match=r"theta .* is not an index in \[1, 9\)|"
+                       "unknown involution kind") as err:
+        un.Unital(plane_q3, unital_q3.points, tag)
+    assert repr(value)[:40] in str(err.value)
 
 
 def test_certificate_schema_and_hash(unital_q3):
@@ -1142,7 +1229,7 @@ def test_provenance_checked_in_first_middle_and_last_slice(unital_zp125, where):
     off = int(np.setdiff1d(np.arange(N), u.theta_y_values)[0])
     pts = u.points.copy()
     pts[row * q + q // 2] = row * N + off
-    bad = un.Unital(plane, pts, u.provenance, theta=u.theta)
+    bad = un.Unital(plane, pts, u.provenance)
     with pytest.raises(ProvenanceMismatch):
         bad.theta_y_values
 
@@ -1168,7 +1255,7 @@ def test_provenance_checked_in_every_row_block():
     plane = ShiftPlane(planar.zhou_pott(split, 1, 1))
     pts = un.build_parabolic_unital(plane, split.xi).points.copy()
     pts[-2] = plane.slope_id(0)
-    u = un.Unital(plane, pts, f"utheta:theta={split.xi}", theta=split.xi)
+    u = un.Unital(plane, pts, f"utheta:theta={split.xi}")
     with pytest.raises(ProvenanceMismatch):
         u.theta_y_values
 
@@ -1387,7 +1474,7 @@ def test_provenance_sees_a_point_below_its_row_base(unital_zp125):
     off = int(np.setdiff1d(np.arange(N), u.theta_y_values)[0])
     pts = u.points.copy()
     pts[s * q] = (s - 1) * N + off
-    bad = un.Unital(plane, pts, u.provenance, theta=u.theta)
+    bad = un.Unital(plane, pts, u.provenance)
     assert bad.points.dtype == np.uint32 and bad.points[s * q] < s * N
     with pytest.raises(ProvenanceMismatch):
         bad.theta_y_values
@@ -1400,7 +1487,7 @@ def test_narrow_table_is_never_copied_wide(unital_zp125):
     u = unital_zp125
     plane, n = u.plane, len(u.points)
     assert u.points.dtype == np.uint32 and plane.n_points > un._MASK_LIMIT
-    fresh = un.Unital(plane, u.points, u.provenance, theta=u.theta)
+    fresh = un.Unital(plane, u.points, u.provenance)
     assert fresh.points is u.points
     off = int(np.setdiff1d(np.arange(plane.N), u.theta_y_values)[0])   # (0, off) is not in U
     probes = np.array([u.points[7], off, plane.slope_id(0), plane.infinity_id],
@@ -1435,6 +1522,31 @@ def test_narrow_table_is_never_copied_wide(unital_zp125):
 # the int64 tables gave them
 ZP125_SAMPLED_HASH = "56e62669a0874f805195532753f8cc73924de44c3ddb4e90f92bc05421995c9f"
 ZP125_FILE_SHA256 = "62b9de083b8f0f9c0f27b026c5bc2d017112083a49d0a98113ecfe27e79b1e1a"
+
+
+def test_certificate_streams_the_point_list(unital_zp125):
+    # json.dumps of points.tolist() held 106 MiB at q = 125
+    u = unital_zp125
+    tracemalloc.start()
+    try:
+        cert = u.certificate({"points_count": len(u.points)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cert["hash"]) == 64 and peak < 8 * 2 ** 20
+
+
+def test_absolute_points_at_q125_hold_no_square_table(unital_zp125):
+    # the N x N equality table was 244 MB at N = 15625; the fibre pass holds
+    # a few arrays of N q IDs
+    plane, kappa = unital_zp125.plane, un.InvolutionSpec("frobq")
+    tracemalloc.start()
+    try:
+        points = un.absolute_point_ids(plane, kappa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(points) == unital_zp125.q ** 3 + 1 and peak < 40 * 2 ** 20
 
 
 def test_sampled_q125_certificate_and_file_unchanged(unital_zp125):
