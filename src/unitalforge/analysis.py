@@ -226,12 +226,13 @@ def verify_circle_design(unital: Unital) -> CircleDesignReport:
 # ----------------------------------------------------------------------
 
 
-# DesignIndex holds two int32 pair tables, common_point over B^2 block pairs
-# and block_through_pair over n^2 point pairs, with B = q^4 - q^3 + q^2 and
-# n = q^3 + 1: 142 MB at q = 9, 722 MB at q = 11, 1 TB at q = 27.  So q <= 9
-# passes and q >= 11 is refused.
+# DesignIndex holds two pair tables, common_point (point ranks) over B^2 block
+# pairs and block_through_pair (block indices) over n^2 point pairs, with
+# B = q^4 - q^3 + q^2 and n = q^3 + 1, each in the narrowest signed type that
+# holds -1 and its values (int8 / int16 up to q = 9): 71 MB at q = 9, 364 MB
+# at q = 11, 0.5 TB at q = 27.  So q <= 9 passes and q >= 11 is refused.
 DESIGN_INDEX_MAX_BYTES = 1 << 28
-_ONAN_PAIRS = 1024        # meeting block pairs per step of find_onan_exhaustive
+_ONAN_PAIRS = 512         # meeting block pairs per step of find_onan_exhaustive
 _WILBRINK_BYTES = 1 << 21  # gathered avoid rows per batch of wilbrink_vertex_check
 
 
@@ -274,11 +275,11 @@ class DesignIndex:
 
     def __init__(self, unital: Unital):
         q = unital.q
-        n_blocks, n_points = q ** 4 - q ** 3 + q ** 2, q ** 3 + 1
-        if 4 * (n_blocks ** 2 + n_points ** 2) > DESIGN_INDEX_MAX_BYTES:
+        B, n = q ** 4 - q ** 3 + q ** 2, q ** 3 + 1       # blocks and points, closed form
+        if (np.min_scalar_type(-n).itemsize * B * B
+                + np.min_scalar_type(-B).itemsize * n * n > DESIGN_INDEX_MAX_BYTES):
             raise UsageError(f"DesignIndex needs <= {DESIGN_INDEX_MAX_BYTES} bytes of "
                              f"pair tables (q <= 9), got q = {q}")
-        self.unital = unital
         self.q = q
         self.n = len(unital.points)
         self.block_lines = unital.secant_line_ids
@@ -300,7 +301,7 @@ class DesignIndex:
     @cached_property
     def block_through_pair(self) -> np.ndarray:
         """(n, n) block index through each point-rank pair (-1 on diagonal)."""
-        tbl = np.full((self.n, self.n), -1, dtype=np.int32)
+        tbl = np.full((self.n, self.n), -1, dtype=np.min_scalar_type(-self.B))
         ii, jj = np.nonzero(~np.eye(self.q + 1, dtype=bool))   # off-diagonal
         tbl[self.block_points[:, ii], self.block_points[:, jj]] = \
             np.arange(self.B)[:, None]
@@ -309,7 +310,7 @@ class DesignIndex:
     @cached_property
     def common_point(self) -> np.ndarray:
         """(B, B) the shared point rank of two meeting blocks, else -1."""
-        cp = np.full((self.B, self.B), -1, dtype=np.int32)
+        cp = np.full((self.B, self.B), -1, dtype=np.min_scalar_type(-self.n))
         ii, jj = np.nonzero(~np.eye(self.q ** 2, dtype=bool))
         cp[self.blocks_by_point[:, ii], self.blocks_by_point[:, jj]] = \
             np.arange(self.n)[:, None]
@@ -614,39 +615,42 @@ def _assemble_template(unital: Unital, omega: int, av: int, aw: int,
 
 
 class OnanConfigs(Sequence):
-    """Read-only sequence of OnanConfig over the (count, 4) block and
-    (count, 6) point ID arrays of a search; each item is made when read
-    and holds Python ints.  Slices are views too, and a view equals another
-    view or a list with the same configurations in the same order."""
+    """Read-only sequence of OnanConfig over the block indices and point
+    ranks of a search, mapped to IDs a row or a chunk at a time; each item
+    is made when read and holds Python ints.  Slices are views too, and a
+    view equals another view or a list with the same configurations."""
 
     _CHUNK = 4096                    # rows converted per step of iteration
 
-    def __init__(self, block_ids: np.ndarray, point_ids: np.ndarray):
-        self._blocks, self._points = block_ids, point_ids
+    def __init__(self, blocks: np.ndarray, ranks: np.ndarray,
+                 block_lines: np.ndarray, points: np.ndarray):
+        self._blocks, self._ranks = blocks, ranks
+        self._lines, self._points = block_lines, points
+
+    def _ids(self, rows):                # carrier-line IDs, point IDs
+        return self._lines[self._blocks[rows]], self._points[self._ranks[rows]]
 
     def __len__(self) -> int:
         return len(self._blocks)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return OnanConfigs(self._blocks[i], self._points[i])
+            return OnanConfigs(self._blocks[i], self._ranks[i], self._lines, self._points)
         i = operator.index(i)
         if not -len(self) <= i < len(self):
             raise IndexError(f"configuration {i} of {len(self)}")
-        return OnanConfig(tuple(self._blocks[i].tolist()),
-                          tuple(self._points[i].tolist()))
+        bl, pt = self._ids(i)
+        return OnanConfig(tuple(bl.tolist()), tuple(pt.tolist()))
 
     def __iter__(self):
         for start in range(0, len(self), self._CHUNK):
-            stop = start + self._CHUNK
-            for bl, pt in zip(self._blocks[start:stop].tolist(),
-                              self._points[start:stop].tolist()):
-                yield OnanConfig(tuple(bl), tuple(pt))
+            bl, pt = self._ids(slice(start, start + self._CHUNK))
+            for row in zip(bl.tolist(), pt.tolist()):
+                yield OnanConfig(*map(tuple, row))
 
     def __eq__(self, other):
         if isinstance(other, OnanConfigs):
-            return (np.array_equal(self._blocks, other._blocks)
-                    and np.array_equal(self._points, other._points))
+            return all(map(np.array_equal, self._ids(slice(None)), other._ids(slice(None))))
         if isinstance(other, list):
             return len(other) == len(self) and all(map(operator.eq, self, other))
         return NotImplemented
@@ -662,34 +666,34 @@ class OnanSearchResult:
     """Configurations found by find_onan_exhaustive, one row each, in
     lexicographic order of block index (hence of carrier-line ID).
 
-    block_ids (count, 4) holds the ascending carrier-line IDs of the four
-    blocks and point_ids (count, 6) the ascending IDs of the six points,
-    both int64; `configs` reads the rows as OnanConfig objects.
+    blocks (count, 4) indexes block_lines and ranks (count, 6) points, each
+    row ascending, in the narrowest unsigned types (uint8 / uint16 to q = 9);
+    block_ids and point_ids read them as int64 IDs, built per read, and
+    `configs` as OnanConfig objects.
     """
 
-    block_ids: np.ndarray
-    point_ids: np.ndarray
+    blocks: np.ndarray
+    ranks: np.ndarray
+    block_lines: np.ndarray
+    points: np.ndarray
     complete: bool
     examined: int
 
     @property
     def count(self) -> int:
-        return len(self.block_ids)
+        return len(self.blocks)
+
+    @property
+    def block_ids(self) -> np.ndarray:
+        return self.block_lines[self.blocks]
+
+    @property
+    def point_ids(self) -> np.ndarray:
+        return self.points.astype(np.int64)[self.ranks]
 
     @property
     def configs(self) -> OnanConfigs:
-        return OnanConfigs(self.block_ids, self.point_ids)
-
-
-def _take_rows(table: np.ndarray, parts: list, width: int) -> np.ndarray:
-    """table[np.concatenate(parts)], (rows, width), filled part by part with
-    no concatenated copy of the parts."""
-    out = np.empty((sum(len(part) for part in parts), width), dtype=table.dtype)
-    row = 0
-    for part in parts:
-        np.take(table, part, out=out[row:row + len(part)])
-        row += len(part)
-    return out
+        return OnanConfigs(self.blocks, self.ranks, self.block_lines, self.points)
 
 
 def find_onan_exhaustive(unital: Unital, budget: int | None = None,
@@ -714,17 +718,14 @@ def find_onan_exhaustive(unital: Unital, budget: int | None = None,
     meets[b1] & meets[b2] & after[b2] & avoid[P12]; for a triangle,
     M = meets[b1] & meets[b2] & meets[b3] & after[b3] holds the fourth
     blocks examined, and M & avoid[P12] & avoid[P13] & avoid[P23] the
-    configurations.  The configurations come back as two int64 arrays in
-    the order they are examined (see OnanSearchResult); no Python object is
-    built per configuration.
+    configurations.  The configurations come back as the block indices and
+    point ranks the pass builds, in the order they are examined (see
+    OnanSearchResult); no Python object is built per configuration.
     """
     idx = index or DesignIndex(unital)
     cp, meets, avoid = idx.common_point, idx.meets_bits, idx.avoid_bits
     later = meets & idx.after_bits           # the blocks after b that meet b
     quads, sixes = [], []                    # block indices, point ranks
-    # held in the narrowest unsigned types (uint8 / uint16 up to q = 9), so
-    # the parts kept until the int64 tables are built take 1/4 to 1/8 of
-    # their int64 size
     block = np.min_scalar_type(len(idx.block_lines) - 1)
     rank = np.min_scalar_type(len(unital.points) - 1)
     examined = 0
@@ -767,11 +768,8 @@ def find_onan_exhaustive(unital: Unital, budget: int | None = None,
         sixes.append(six)
         if not complete:
             break
-    # both tables are int64: line IDs from flatnonzero, points cast once
-    block_ids = _take_rows(idx.block_lines, quads, 4)
-    del quads                    # freed before point_ids is allocated
-    point_ids = _take_rows(unital.points.astype(np.int64), sixes, 6)
-    return OnanSearchResult(block_ids, point_ids, complete, examined)
+    return OnanSearchResult(np.concatenate(quads), np.concatenate(sixes), idx.block_lines,
+                            unital.points, complete, examined)
 
 
 # ----------------------------------------------------------------------
@@ -941,8 +939,7 @@ def invariant_profile(unital: Unital, with_onan: bool = True,
     profile = InvariantProfile(idx.n, idx.q + 1, idx.B, line_spectrum=spectrum)
     if with_onan:
         result = find_onan_exhaustive(unital, index=idx)
-        ranks = unital.ranks(result.point_ids)
-        per_point = np.bincount(ranks.ravel(), minlength=len(unital.points))
+        per_point = np.bincount(result.ranks.ravel(), minlength=len(unital.points))
         histo_vals, histo_mult = np.unique(per_point, return_counts=True)
         profile.onan_total = result.count
         profile.onan_point_histogram = tuple(

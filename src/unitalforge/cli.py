@@ -64,7 +64,7 @@ _FLAGS = {
                  help="read a UNITAL v1 file instead of building"),
     "--theta": dict(default="auto",
                     help="'auto' (smallest admissible) or an element index"),
-    "--kappa": dict(choices=["frobq", "conjxi"], default="frobq"),
+    "--kappa": dict(choices=un.InvolutionSpec.KINDS, default="frobq"),
     "--mode": dict(choices=["exhaustive", "sampled"], default="exhaustive"),
     "--seed": dict(type=int, default=0),
     "--trials": dict(type=int, default=10000),

@@ -812,9 +812,10 @@ class InvolutionSpec:
     kind is a UsageError."""
 
     kind: str
+    KINDS = ("frobq", "conjxi")       # class constant, not a field
 
     def __post_init__(self):
-        if self.kind not in ("frobq", "conjxi"):
+        if self.kind not in self.KINDS:
             raise UsageError(f"unknown involution kind {self.kind!r}")
 
     def table(self, plane: ShiftPlane) -> np.ndarray:
@@ -854,13 +855,13 @@ def trace_fibres(tr: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _polarity_precheck(plane: ShiftPlane, kappa: InvolutionSpec):
     """The three admissibility conditions; returns the involution table and
-    the (N, q) table whose row x lists, ascending, the y of the affine
-    absolute points (x, y), those with y + conj(y) = f(x + conj(x)).
+    the traces y + conj(y), whose fibre over f(x + conj(x)) holds the y of
+    the affine absolute points (x, y).
 
-    Condition C is that every such fibre of the trace y + conj(y) holds q
-    points; with infinity that makes q^3 + 1 absolute points.  The fibres
-    come from one trace_fibres pass, O(N log N + N q), with no N x N table;
-    the first x with another count is named in ConditionCFailed.
+    Condition C is that every such fibre holds q points; with infinity that
+    makes q^3 + 1 absolute points.  Two searchsorted calls on the sorted
+    traces count the fibres, O(N log N), without listing them; the first x
+    with another count is named in ConditionCFailed.
     """
     ctx, split = plane.ctx, plane.split
     bar = kappa.table(plane)
@@ -870,11 +871,12 @@ def _polarity_precheck(plane: ShiftPlane, kappa: InvolutionSpec):
     if not np.array_equal(bar[plane.f], plane.f[bar]):
         raise ConditionBFailed(f"{kappa.kind} does not commute with the plane function")
     tr = np.asarray(ctx.add(idx, bar))             # y + conj(y)
-    ys, fibers = trace_fibres(tr, plane.f[tr])     # f(x + conj(x)) per x
+    ranked, values = np.sort(tr), plane.f[tr]      # f(x + conj(x)) per x
+    fibers = np.searchsorted(ranked, values, "right") - np.searchsorted(ranked, values)
     if not np.all(fibers == split.sub_size):
         x = int(np.flatnonzero(fibers != split.sub_size)[0])
         raise ConditionCFailed(f"fiber count at x={x} is {int(fibers[x])}")
-    return bar, ys.reshape(ctx.size, split.sub_size)
+    return bar, tr
 
 
 class _Polarity(_TableMap):
@@ -894,7 +896,7 @@ def verify_polarity(plane: ShiftPlane, kappa: InvolutionSpec,
 
     Checks the three admissibility conditions (the first, conj an
     involution, makes rho^2 = id on every ID; the third gives the q^3 + 1
-    absolute points, counted from _polarity_precheck's fibre table) and
+    absolute points, counted by _polarity_precheck) and
     incidence reversal: rho l on rho P for each flag (P, l), which is
     plane._check_flags's test rho P on rho l, since incidence is symmetric
     in IDs.  Exhaustive mode proves it by translation conjugation, with
@@ -903,21 +905,22 @@ def verify_polarity(plane: ShiftPlane, kappa: InvolutionSpec,
     sampled otherwise.
     """
     require_mode(mode, ("auto", "exhaustive", "sampled"))
-    bar, ys = _polarity_precheck(plane, kappa)
+    bar, _ = _polarity_precheck(plane, kappa)
     if mode == "auto":
         mode = "exhaustive" if plane.split.sub_size <= 9 else "sampled"
     flag, checked = _check_flags(plane, _Polarity(plane, bar), mode, seed, trials)
     if flag is not None:
         raise NotPolarity(f"incidence not reversed at ({flag[0]}, {flag[1]})")
-    return PolarityReport(True, mode, ys.size + 1, checked)
+    return PolarityReport(True, mode, plane.N * plane.split.sub_size + 1, checked)
 
 
 def absolute_point_ids(plane: ShiftPlane, kappa: InvolutionSpec) -> np.ndarray:
     """The absolute points of rho, ascending, in the plane's id_dtype: the
-    affine (x, y) with y + conj(y) = f(x + conj(x)), row x of
-    _polarity_precheck's fibre table, then infinity, which is always
-    absolute; slope points never are.  Raises as the precheck does."""
-    return _graph_point_ids(plane, _polarity_precheck(plane, kappa)[1])
+    affine (x, y) with y + conj(y) = f(x + conj(x)), listed by one
+    trace_fibres pass after _polarity_precheck, then infinity, which is
+    always absolute; slope points never are.  Raises as the precheck does."""
+    tr = _polarity_precheck(plane, kappa)[1]
+    return _graph_point_ids(plane, trace_fibres(tr, plane.f[tr])[0].reshape(plane.N, -1))
 
 
 def build_polarity_unital(plane: ShiftPlane, kappa: InvolutionSpec, seed: int = 0,

@@ -739,10 +739,11 @@ def test_exhaustive_peak_memory_q5(unital_q5):
 
 
 def test_exhaustive_keeps_narrow_parts_q5(unital_q3, unital_q5):
-    # the search keeps its per-chunk block indices and point ranks as
-    # uint16 / uint8 until the int64 tables are built: the same tables
-    # (hashes of the int32 / int64 parts version) at a peak at most 2.6 MiB
-    # above the 10.9 MiB result, where the wide parts needed 5 MiB
+    # the search keeps its block indices and point ranks as uint16 / uint8
+    # and returns them so: the same int64 tables (hashes of the int32 /
+    # int64 parts version) read from a result of 1.9 MiB, at a search peak
+    # of 4.6 MiB where widening them into the 10.9 MiB int64 tables peaked
+    # at 13.4 MiB
     frozen = {3: "9209f2db82fcee9c30bc2396d60be295cf85e82650d856d354f28147bd5dcd65",
               5: "42039169efbf47bbeebc4fa6a2c251f840bb8e4e078361e252c27aece56a9523"}
     for u in (unital_q3, unital_q5):
@@ -757,7 +758,41 @@ def test_exhaustive_keeps_narrow_parts_q5(unital_q3, unital_q5):
         assert res.block_ids.dtype == res.point_ids.dtype == np.int64
         tables = res.block_ids.tobytes() + res.point_ids.tobytes()
         assert hashlib.sha256(tables).hexdigest() == frozen[u.q]
-    assert peak < res.block_ids.nbytes + res.point_ids.nbytes + 2.6 * 2 ** 20
+    assert peak < 6 * 2 ** 20
+
+
+def test_exhaustive_result_keeps_the_narrow_parts_q5(unital_q5, full_search_q5):
+    res = full_search_q5[0]
+    assert res.blocks.dtype == np.uint16 and res.ranks.dtype == np.uint8
+    assert res.blocks.shape == (res.count, 4) and res.ranks.shape == (res.count, 6)
+    assert res.blocks.nbytes + res.ranks.nbytes <= 2 * 2 ** 20
+    assert res.points is unital_q5.points
+    assert np.array_equal(res.point_ids, unital_q5.points[res.ranks])
+    assert np.array_equal(unital_q5.ranks(res.point_ids), res.ranks)
+
+
+def test_design_index_pair_tables_are_narrow(unital_q3, unital_q5):
+    # the same values as the former int32 tables, whose bytes these hashes are
+    frozen = {3: ("5b1904914720b9b0105bd45667c0791a92b1d21ad228c6e90cdcd6a201f34373",
+                  "99498e6ac93187635eb7808646b5bd7195ee87066b5ccb19e62876c53983d996"),
+              5: ("f2633ab2f836ee9ff3d679297ada3bfd6beb9202da1c67d9a9902ee7600a3ea9",
+                  "8aeccb6bdd1b32ae32ee064373df61a232c48ec25f81fdc2e8fa58086068233c")}
+    dtypes = {3: (np.int8, np.int8), 5: (np.int8, np.int16)}
+    for u in (unital_q3, unital_q5):
+        idx = an.DesignIndex(u)
+        tables = (idx.common_point, idx.block_through_pair)
+        assert tuple(t.dtype for t in tables) == dtypes[u.q]
+        assert tuple(hashlib.sha256(t.astype(np.int32).tobytes()).hexdigest()
+                     for t in tables) == frozen[u.q]
+
+
+def test_design_index_refusal_reads_the_narrow_itemsize():
+    def narrow_bytes(q):                       # both tables int16 at q = 9 and 11
+        return 2 * ((q ** 4 - q ** 3 + q ** 2) ** 2 + (q ** 3 + 1) ** 2)
+
+    assert narrow_bytes(9) <= an.DESIGN_INDEX_MAX_BYTES < narrow_bytes(11)
+    with pytest.raises(UsageError, match=r"\(q <= 9\), got q = 11$"):
+        an.DesignIndex(SimpleNamespace(q=11))
 
 
 def test_design_index_keeps_no_bool_meets_table(unital_q3, unital_q5):

@@ -463,6 +463,31 @@ def test_malformed_provenance_is_usage_error(capsys, tmp_path, unital_q3, tag):
         assert err.startswith("usage error: ") and repr(tag.rpartition("=")[2]) in err
 
 
+def test_kappa_choices_are_the_involution_kinds(capsys):
+    from unitalforge import unital as un
+
+    kappas = [a for actions in _leaf_actions(build_parser()).values()
+              for a in actions if "--kappa" in a.option_strings]
+    assert len(kappas) == 3
+    assert all(tuple(a.choices) == un.InvolutionSpec.KINDS for a in kappas)
+    for kind in un.InvolutionSpec.KINDS:
+        assert un.InvolutionSpec(kind).kind == kind
+    code, out, err = run(capsys, "polarity", "verify", "--p", "3", "--m", "2",
+                         "--kappa", "bogus")
+    assert code == 2 and out == "" and "invalid choice: 'bogus'" in err
+
+
+def _leaf_actions(parser, path=""):
+    """{subcommand: its argparse actions} under parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {path: parser._actions}
+    found = {}
+    for name, child in subs[0].choices.items():
+        found.update(_leaf_actions(child, f"{path} {name}".strip()))
+    return found
+
+
 def test_provenance_is_checked_before_the_body(capsys, tmp_path, unital_q3):
     path = _edited_unital_file(tmp_path, unital_q3,
                                lambda l: l[:3] + ["utheta:theta=x"] + l[4:6] + ["seven"] + l[7:])

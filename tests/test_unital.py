@@ -488,6 +488,21 @@ def test_polarity_points_equal_the_equality_table(kind, which, plane_q3, plane_q
     assert points.tolist() == (xs * N + ys).tolist() + [P.infinity_id]
 
 
+def test_verify_polarity_counts_fibres_without_listing_them():
+    # listing the (N, q) fibre table only to count it peaked at 30.6 MiB
+    split = gf.split_new(gf.field_new(5, 6), 3)
+    P, kappa = ShiftPlane(planar.zhou_pott(split, 1, 1)), un.InvolutionSpec("frobq")
+    kappa.table(P)                                  # builds the cached frobq table
+    tracemalloc.start()
+    try:
+        rep = un.verify_polarity(P, kappa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.mode, rep.absolute_points) == ("sampled", 125 ** 3 + 1)
+    assert peak < 4 * 2 ** 20
+
+
 @pytest.mark.parametrize("d, where", [(1, "x=0 is 1"), (5, "x=0 is 5"), (7, "x=1 is 1")])
 def test_condition_c_names_the_first_uneven_fibre(d, where, plane_q3, monkeypatch):
     # x -> x^d on F_9 is an involution commuting with the square map for d
