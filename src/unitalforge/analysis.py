@@ -29,7 +29,7 @@ from .errors import (
     WitnessCheckFailed,
     ZeroBeta,
 )
-from .plane import ShiftPlane, Sigma, id_batches
+from .plane import BATCH, ShiftPlane, Sigma, id_batches
 from .planar import polarization
 from .unital import Unital, _fixing, beta_of, parabolic_y_values, phi_table, trace_fibres
 
@@ -50,6 +50,7 @@ __all__ = [
     "OnanConfigs",
     "OnanSearchResult",
     "find_onan_exhaustive",
+    "ONAN_MAX_CONFIGS",
     "SubgroupReport",
     "sigma_stabilizer_report",
     "verify_sigma_composition",
@@ -232,7 +233,10 @@ def verify_circle_design(unital: Unital) -> CircleDesignReport:
 # holds -1 and its values (int8 / int16 up to q = 9): 71 MB at q = 9, 364 MB
 # at q = 11, 0.5 TB at q = 27.  So q <= 9 passes and q >= 11 is refused.
 DESIGN_INDEX_MAX_BYTES = 1 << 28
-_ONAN_PAIRS = 512         # meeting block pairs per step of find_onan_exhaustive
+# find_onan_exhaustive expands at most this many rows, up to 28 bytes each
+# with their keys: q = 7 (5 383 728) passes, cm q = 9 (99 552 240) does not.
+ONAN_MAX_CONFIGS = 1 << 23
+_ONAN_ROWS = 1 << 12      # rows expanded or decoded per step of that search
 _WILBRINK_BYTES = 1 << 21  # gathered avoid rows per batch of wilbrink_vertex_check
 
 
@@ -245,24 +249,16 @@ def _pack_rows(mask: np.ndarray) -> np.ndarray:
     return out.view("<u8")
 
 
-def _set_bits(bits: np.ndarray):
-    """(rows, columns) of the set bits of (k, W) bitsets, in row-major
-    order, as np.nonzero of the unpacked mask.  Each round takes the lowest
-    bit left in every nonzero word into that word's next output slot."""
-    words = np.flatnonzero(bits)
-    w = bits.ravel()[words]
-    counts = np.bitwise_count(w)
-    slot = np.cumsum(counts, dtype=np.int64)
-    pos = np.empty(slot[-1] if len(slot) else 0, dtype=np.int64)
-    slot -= counts
-    base = words * 64
-    while len(w):
-        low = w & (~w + 1)
-        pos[slot] = base + np.bitwise_count(low - 1)
-        w ^= low
-        left = np.flatnonzero(w)
-        w, slot, base = w[left], slot[left] + 1, base[left]
-    return np.divmod(pos, bits.shape[1] * 64)
+def _pair_table(rows: np.ndarray, size: int) -> np.ndarray:
+    """(size, size): entry (a, b), a != b, is the row holding a and b, else
+    -1, in the narrowest signed type; scattered an id_batch at a time."""
+    tbl = np.full((size, size), -1, dtype=np.min_scalar_type(-len(rows)))
+    flat = tbl.reshape(-1)
+    for r in id_batches(len(rows), rows.shape[1] ** 2):
+        sub = rows[r]
+        flat[sub[:, :, None] * size + sub[:, None, :]] = r[:, None, None]
+    np.fill_diagonal(tbl, -1)
+    return tbl
 
 
 class DesignIndex:
@@ -301,20 +297,12 @@ class DesignIndex:
     @cached_property
     def block_through_pair(self) -> np.ndarray:
         """(n, n) block index through each point-rank pair (-1 on diagonal)."""
-        tbl = np.full((self.n, self.n), -1, dtype=np.min_scalar_type(-self.B))
-        ii, jj = np.nonzero(~np.eye(self.q + 1, dtype=bool))   # off-diagonal
-        tbl[self.block_points[:, ii], self.block_points[:, jj]] = \
-            np.arange(self.B)[:, None]
-        return tbl
+        return _pair_table(self.block_points, self.n)
 
     @cached_property
     def common_point(self) -> np.ndarray:
         """(B, B) the shared point rank of two meeting blocks, else -1."""
-        cp = np.full((self.B, self.B), -1, dtype=np.min_scalar_type(-self.n))
-        ii, jj = np.nonzero(~np.eye(self.q ** 2, dtype=bool))
-        cp[self.blocks_by_point[:, ii], self.blocks_by_point[:, jj]] = \
-            np.arange(self.n)[:, None]
-        return cp
+        return _pair_table(self.blocks_by_point, self.B)
 
     @property
     def meets(self) -> np.ndarray:
@@ -325,12 +313,6 @@ class DesignIndex:
     def meets_bits(self) -> np.ndarray:
         """(B, W) bitsets of `meets` (see _pack_rows)."""
         return _pack_rows(self.common_point >= 0)
-
-    @cached_property
-    def after_bits(self) -> np.ndarray:
-        """(B, W) bitsets: row b holds the blocks after b."""
-        b = np.arange(self.B)
-        return _pack_rows(b > b[:, None])
 
     @cached_property
     def avoid_bits(self) -> np.ndarray:
@@ -422,7 +404,8 @@ class OnanConfig:
     Blocks are the ascending IDs of their carrier lines, points ascending;
     each block contains exactly 3 of the 6 points, each point lies on
     exactly 2 of the 4 blocks.  The class checks nothing: onan_from_blocks
-    verifies this on the line sections, find_onan_exhaustive by its lemma.
+    verifies this on the line sections, find_onan_exhaustive by the
+    argument of docs/ORBITS.md section 10.
     """
 
     blocks: tuple
@@ -696,80 +679,167 @@ class OnanSearchResult:
         return OnanConfigs(self.blocks, self.ranks, self.block_lines, self.points)
 
 
+# sorting networks of 4 and 6 columns
+_SORT4 = ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))
+_SORT6 = ((1, 2), (4, 5), (0, 2), (3, 5), (0, 1), (3, 4), (2, 5), (0, 3), (1, 4), (2, 4),
+          (1, 3), (2, 3))
+
+
+def _sorted_columns(cols: list, network) -> list:
+    """The arrays of cols sorted elementwise, by min and max."""
+    for i, j in network:
+        cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+    return cols
+
+
+def _block_keys(blocks: np.ndarray, bits: int) -> np.ndarray:
+    """One int64 per row of four block indices, sorted first: keys order
+    as the sorted rows do."""
+    b = _sorted_columns([blocks[..., k] for k in range(4)], _SORT4)
+    return ((b[0].astype(np.int64) << bits | b[1]) << bits | b[2]) << bits | b[3]
+
+
+def _configs_through(idx: DesignIndex, R: int):
+    """Each configuration through point rank R once, from the cross blocks
+    of the block pairs through R: (blocks, ranks) in batches."""
+    q, bt, cp = idx.q, idx.block_through_pair, idx.common_point
+    lines = idx.blocks_by_point[R]
+    on = idx.block_points[lines]
+    off = on[on != R].reshape(q * q, q)          # the points of each block but R
+    row, col = np.divmod(np.arange(q * q), q)
+    c1, c2 = np.nonzero((row[:, None] < row) & (col[:, None] != col))
+    i1, i2 = np.triu_indices(q * q, 1)
+    for k in id_batches(len(i1), len(c1)):
+        a, b = off[i1[k]], off[i2[k]]
+        cross = bt[a[:, :, None], b[:, None, :]].reshape(len(k), q * q)
+        t, m = np.nonzero(cp[cross[:, c1], cross[:, c2]] >= 0)
+        b3, b4 = cross[t, c1[m]], cross[t, c2[m]]
+        yield (np.stack([lines[i1[k[t]]], lines[i2[k[t]]], b3, b4], axis=1),
+               np.stack([np.full(len(t), R), a[t, row[c1[m]]], b[t, col[c1[m]]],
+                         a[t, row[c2[m]]], b[t, col[c2[m]]], cp[b3, b4]], axis=1))
+
+
+def _onan_orbits(unital: Unital, idx: DesignIndex):
+    """(c, bmap, kept) from one listing through each orbit representative of
+    the translation group G: the configurations through each point rank,
+    the (|G|, B) block map, and the blocks of one configuration per orbit
+    of G: the least key through the least-labelled orbit."""
+    label, image = unital.translation_group.point_orbits(unital.points)
+    bp, bits = idx.block_points, int(idx.B - 1).bit_length()
+    bmap = idx.block_through_pair[image[:, bp[:, 0]], image[:, bp[:, 1]]]
+    g, pts = np.nonzero(image == label)
+    to_rep = np.zeros(len(label), dtype=np.int64)
+    to_rep[pts] = g                               # the element taking P to its label
+    affine = unital.points < unital.plane.N ** 2
+    counts = np.zeros(len(label), dtype=np.int64)
+    kept = [np.empty((0, 4), dtype=np.int64)]
+    for R in np.flatnonzero(label == np.arange(len(label))).tolist():
+        for blocks, ranks in _configs_through(idx, R):
+            counts[R] += len(blocks)
+            if not affine[R]:                     # every configuration has an affine point
+                continue
+            lab = label[ranks]
+            least = lab.min(axis=1) == R
+            blocks, ranks, lab = blocks[least], ranks[least], lab[least]
+            keys = _block_keys(bmap[to_rep[ranks][:, :, None], blocks[:, None, :]], bits)
+            keys[lab != R] = np.iinfo(np.int64).max
+            kept.append(blocks[_block_keys(blocks, bits) == keys.min(axis=1)])
+    return counts[label], bmap, np.concatenate(kept)
+
+
+def _type_b(idx: DesignIndex, by_first: bool = False):
+    """The examined quadruples of type (b), three blocks through P and a
+    block b avoiding P but not last: their number, or per least block.
+    Of the q + 1 blocks through P meeting b, sorted as T, k precede b."""
+    q, B, bp = idx.q, idx.B, idx.block_points
+    b = np.arange(B)[:, None]
+    i = np.arange(q + 1)
+    out = np.zeros(B) if by_first else idx.n * (B - q * q) * _choose(q + 1, 3)
+    for P in id_batches(idx.n, B * (q + 1)):
+        T = idx.block_through_pair[P][:, bp]
+        k = np.count_nonzero(T < b, axis=2)
+        if not by_first:
+            out -= int(_choose(k, 3).sum())          # C(1, 3) = 0 for b through P
+            continue
+        T.sort(axis=2)
+        live = T[..., :1] >= 0                       # b avoids P
+        out += np.where(live[..., 0], _choose(q + 1 - k, 3), 0).sum(axis=0)
+        w = (_choose(q - i, 2) - _choose(k[..., None] - 1 - i, 2)) * ((i < k[..., None]) & live)
+        out += np.bincount(np.maximum(T, 0).ravel(), weights=w.ravel(), minlength=B)
+    return out.astype(np.int64) if by_first else out
+
+
+def _choose(n, k):
+    """C(n, k) elementwise for k = 2, 3: 0 for n < k."""
+    n = np.maximum(n, 0)
+    return n * (n - 1) // 2 if k == 2 else n * (n - 1) * (n - 2) // 6
+
+
+def _examined_from(idx: DesignIndex, f: int):
+    """The examined quadruples (f, b2, b3, b4) in order: pairwise meeting,
+    ascending, f, b2 and b3 not concurrent."""
+    cp = idx.common_point
+    nb = np.flatnonzero(cp[f, f + 1:] >= 0) + f + 1
+    p1 = cp[f, nb]
+    m = cp[np.ix_(nb, nb)] >= 0
+    i2, i3 = np.nonzero(np.triu(m & (p1[:, None] != p1), 1))
+    t, i4 = np.nonzero(m[i2] & m[i3] & (np.arange(len(nb)) > i3[:, None]))
+    return nb[i2[t]], nb[i3[t]], nb[i4]
+
+
 def find_onan_exhaustive(unital: Unital, budget: int | None = None,
                          index: DesignIndex | None = None) -> OnanSearchResult:
-    """All configurations, from the design index tables alone (q <= 5).
+    """All configurations, from the design index tables and the unital's
+    translation group, in lexicographic block order (docs/ORBITS.md
+    section 10).  Over ONAN_MAX_CONFIGS rows to expand is a UsageError
+    naming the count, raised before any is expanded.
 
-    Examined are the pairwise meeting blocks b1 < b2 < b3 < b4 whose first
-    three meet in three distinct points, the vertices P12, P13, P23 of a
-    triangle, once each, in lexicographic order.  Lemma: such a quadruple
-    is a configuration iff b4 passes through no vertex.  Two blocks share
-    at most one point.  A b4 that meets all three blocks and passes through
-    no vertex meets them in three distinct points: any coincidence of two
-    of those points would lie on two of b1, b2, b3, so it would be a
-    vertex.  A b4 through a vertex meets both blocks of that vertex there,
-    so it repeats a meet.  The six points of a configuration are distinct,
-    and each block holds exactly its three.  With more than `budget`
-    quadruples, the result holds the configurations among the first
-    `budget`, examined == budget and complete=False.
-
-    The pass runs on the packed bitsets of the index, a chunk of meeting
-    pairs b1 < b2 at a time.  The third blocks of a pair are
-    meets[b1] & meets[b2] & after[b2] & avoid[P12]; for a triangle,
-    M = meets[b1] & meets[b2] & meets[b3] & after[b3] holds the fourth
-    blocks examined, and M & avoid[P12] & avoid[P13] & avoid[P23] the
-    configurations.  The configurations come back as the block indices and
-    point ranks the pass builds, in the order they are examined (see
-    OnanSearchResult); no Python object is built per configuration.
+    examined counts the pairwise meeting blocks b1 < b2 < b3 < b4 whose
+    first three are not concurrent: the configurations and, in closed
+    form, those of type (b).  With more than `budget` of them the result
+    holds the configurations among the first `budget`, examined == budget
+    and complete=False.
     """
     idx = index or DesignIndex(unital)
-    cp, meets, avoid = idx.common_point, idx.meets_bits, idx.avoid_bits
-    later = meets & idx.after_bits           # the blocks after b that meet b
-    quads, sixes = [], []                    # block indices, point ranks
-    block = np.min_scalar_type(len(idx.block_lines) - 1)
-    rank = np.min_scalar_type(len(unital.points) - 1)
-    examined = 0
-    complete = True
-    pairs_1, pairs_2 = _set_bits(later)      # meeting pairs b1 < b2, in order
-    for start in range(0, len(pairs_1), _ONAN_PAIRS):
-        b1 = pairs_1[start:start + _ONAN_PAIRS]
-        b2 = pairs_2[start:start + _ONAN_PAIRS]
-        both = np.take(meets, b1, axis=0)    # after b2, meeting b1 and b2
-        both &= np.take(later, b2, axis=0)
-        third = np.take(avoid, cp[b1, b2], axis=0)
-        third &= both
-        r, b3 = _set_bits(third)             # triangles (b1[r], b2[r], b3)
-        b1, b2 = b1[r], b2[r]
-        p12, p13, p23 = cp[b1, b2], cp[b1, b3], cp[b2, b3]
-        fourth = np.take(both, r, axis=0)    # M of each triangle
-        fourth &= np.take(later, b3, axis=0)
-        seen = np.bitwise_count(fourth)
-        n_seen = int(seen.sum())
-        cfg = np.take(avoid, p13, axis=0)
-        cfg &= np.take(avoid, p23, axis=0)
-        cfg &= np.take(third, r, axis=0)
-        cfg &= fourth
-        t, b4 = _set_bits(cfg)
-        if budget is not None and examined + n_seen > budget:
-            n_seen = max(int(budget) - examined, 0)
-            cum = np.cumsum(seen.sum(axis=1))
-            cut = int(np.searchsorted(cum, n_seen, side="right"))  # triangles wholly in
-            keep = n_seen - (int(cum[cut - 1]) if cut else 0)      # b4 kept in triangle `cut`
-            last = _set_bits(fourth[cut:cut + 1])[1][keep - 1] if keep else -1
-            kept = (t < cut) | ((t == cut) & (b4 <= last))
-            t, b4 = t[kept], b4[kept]
-            complete = False
-        examined += n_seen
-        b1, b2, b3 = b1[t], b2[t], b3[t]
-        quads.append(np.stack([b1, b2, b3, b4], axis=1, dtype=block, casting="unsafe"))
-        six = np.stack([p12[t], p13[t], p23[t], cp[b1, b4], cp[b2, b4], cp[b3, b4]],
-                       axis=1, dtype=rank, casting="unsafe")
-        six.sort(axis=1)
-        sixes.append(six)
-        if not complete:
-            break
-    return OnanSearchResult(np.concatenate(quads), np.concatenate(sixes), idx.block_lines,
-                            unital.points, complete, examined)
+    counts, bmap, kept = _onan_orbits(unital, idx)
+    if len(kept) * len(bmap) > ONAN_MAX_CONFIGS:
+        raise UsageError(f"the exhaustive O'Nan list holds {counts.sum() // 6} "
+                         f"configurations, over the cap of {ONAN_MAX_CONFIGS}")
+    bits = int(idx.B - 1).bit_length()
+    keys = np.empty(len(kept) * len(bmap), dtype=np.int64)
+    step = max(1, _ONAN_ROWS // len(bmap))
+    for s in range(0, len(kept), step):
+        keys[s * len(bmap):(s + step) * len(bmap)] = \
+            _block_keys(bmap[:, kept[s:s + step]], bits).ravel()
+    keys.sort()
+    fresh = np.ones(len(keys), dtype=bool)      # a translation may fix one (p = 3)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    keys = keys[fresh]
+    examined = len(keys) + int(_type_b(idx))
+    complete = budget is None or budget >= examined
+    if not complete:
+        examined = max(int(budget), 0)
+        cut = 0
+        if examined:
+            cum = np.cumsum(np.bincount(keys >> 3 * bits, minlength=idx.B)
+                            + _type_b(idx, by_first=True))
+            f = int(np.searchsorted(cum, examined))          # the bucket of the last
+            r = examined - (int(cum[f - 1]) if f else 0) - 1
+            last = _block_keys(np.array([f, *(b[r] for b in _examined_from(idx, f))]), bits)
+            cut = int(np.searchsorted(keys, last, side="right"))
+        keys = keys[:cut]
+    blocks = np.empty((len(keys), 4), dtype=np.min_scalar_type(idx.B - 1))
+    shifts, mask = bits * np.arange(3, -1, -1), (1 << bits) - 1
+    for s in range(0, len(keys), _ONAN_ROWS):
+        blocks[s:s + _ONAN_ROWS] = keys[s:s + _ONAN_ROWS, None] >> shifts & mask
+    del keys                                     # the ranks are read from the blocks
+    ranks = np.empty((len(blocks), 6), dtype=np.min_scalar_type(len(unital.points) - 1))
+    cp = idx.common_point.reshape(-1)
+    for s in range(0, len(blocks), _ONAN_ROWS):
+        b = blocks[s:s + _ONAN_ROWS].T.astype(np.int64)
+        six = [cp[b[x] * idx.B + b[y]] for x, y in zip(*np.triu_indices(4, 1))]
+        ranks[s:s + _ONAN_ROWS] = np.stack(_sorted_columns(six, _SORT6), axis=1)
+    return OnanSearchResult(blocks, ranks, idx.block_lines, unital.points, complete, examined)
 
 
 # ----------------------------------------------------------------------
@@ -927,9 +997,12 @@ def invariant_profile(unital: Unital, with_onan: bool = True,
                       with_wilbrink: bool = True) -> InvariantProfile:
     """Design parameters, O'Nan statistics, strong-vertex count, and the
     line intersection spectrum.  O'Nan and Wilbrink sweeps run only when
-    requested; the O'Nan search is meant for q <= 5, the strong-vertex
-    sweep runs to q = 9.  The DesignIndex comes first, so that its size
-    limit refuses a large unital before anything is built."""
+    requested; the strong-vertex sweep runs to q = 9.  The O'Nan counts
+    per point come from one listing through each translation-orbit
+    representative (_onan_orbits), with no list of all configurations:
+    the total is their sum over the points / 6.  The DesignIndex comes
+    first, so that its size limit refuses a large unital before anything
+    is built."""
     from .unital import line_intersection_counts
 
     idx = DesignIndex(unital)
@@ -938,10 +1011,9 @@ def invariant_profile(unital: Unital, with_onan: bool = True,
     spectrum = tuple((int(a), int(b)) for a, b in zip(vals, mult))
     profile = InvariantProfile(idx.n, idx.q + 1, idx.B, line_spectrum=spectrum)
     if with_onan:
-        result = find_onan_exhaustive(unital, index=idx)
-        per_point = np.bincount(result.ranks.ravel(), minlength=len(unital.points))
+        per_point = _onan_orbits(unital, idx)[0]
         histo_vals, histo_mult = np.unique(per_point, return_counts=True)
-        profile.onan_total = result.count
+        profile.onan_total = int(per_point.sum()) // 6
         profile.onan_point_histogram = tuple(
             (int(a), int(b)) for a, b in zip(histo_vals, histo_mult))
     if with_wilbrink:

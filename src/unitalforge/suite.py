@@ -299,8 +299,11 @@ def criterion_07c(full: bool):
 
 
 def _found_blocks(res: an.OnanSearchResult, blocks: tuple) -> bool:
-    """Whether the search found the configuration on these block lines."""
-    return bool((res.block_ids == blocks).all(axis=1).any())
+    """Whether the search found the configuration on these block lines,
+    compared as block indices, so the result is never widened to IDs."""
+    want = np.searchsorted(res.block_lines, blocks)
+    return bool(np.array_equal(res.block_lines.take(want, mode="clip"), blocks)
+                and (res.blocks == want).all(axis=1).any())
 
 
 def criterion_07d(full: bool):

@@ -419,6 +419,24 @@ class TranslationGroup:
     def order(self) -> int:
         return self.plane.ctx.p ** len(self.basis)
 
+    def _combinations(self, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(c, d) of the p^s combinations of the s rows of basis, identity
+        first: element k is the sum of k_j times row j, where k = sum of
+        k_j p^j in base p."""
+        ctx = self.plane.ctx
+        c = d = np.zeros(1, dtype=np.int64)
+        for gc, gd in basis.tolist():
+            cs, ds = [c], [d]
+            for _ in range(ctx.p - 1):
+                cs.append(np.asarray(ctx.add(cs[-1], gc)))
+                ds.append(np.asarray(ctx.add(ds[-1], gd)))
+            c, d = np.concatenate(cs), np.concatenate(ds)
+        return c, d
+
+    def elements(self) -> tuple[np.ndarray, np.ndarray]:
+        """(c, d) of every element tau(c, d), identity first."""
+        return self._combinations(self.basis)
+
     def slope_lifts(self) -> tuple[np.ndarray, np.ndarray]:
         """(c, d): one element tau(c, d) for each c in the projection C of
         the group onto its first coordinate, c distinct, identity first.
@@ -427,15 +445,19 @@ class TranslationGroup:
         parts are independent and, as the others have c = 0, span C; their
         p^s combinations give each c of C once.
         """
-        ctx = self.plane.ctx
-        c = d = np.zeros(1, dtype=np.int64)
-        for gc, gd in self.basis[self.basis[:, 0] != 0].tolist():
-            cs, ds = [c], [d]
-            for _ in range(ctx.p - 1):
-                cs.append(np.asarray(ctx.add(cs[-1], gc)))
-                ds.append(np.asarray(ctx.add(ds[-1], gd)))
-            c, d = np.concatenate(cs), np.concatenate(ds)
-        return c, d
+        return self._combinations(self.basis[self.basis[:, 0] != 0])
+
+    def point_orbits(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(label, image) over the ranks of a point set that the group fixes.
+
+        image[g, r] is the rank of element g of elements() applied to
+        points[r]; label[r] is the least rank in the orbit of r, so the
+        representatives are flatnonzero(label == arange(n)).
+        """
+        c, d = self.elements()
+        ids = Shift(self.plane, c[:, None], d[:, None]).apply_point(points)
+        image = np.searchsorted(points, ids.astype(points.dtype, copy=False))
+        return image.min(axis=0), image
 
 
 def _translation_group(unital: Unital) -> TranslationGroup:

@@ -641,6 +641,106 @@ def test_exhaustive_arrays_match_reference(q, unital_q3, unital_q5):
     assert res.configs == ref
 
 
+def _moved(u):
+    """The points of u moved by the first tau(0, d) that moves them, under
+    a tag that names no theta or kappa."""
+    for d in range(1, u.plane.N):
+        img = np.sort(np.asarray(Shift(u.plane, 0, d).apply_point(u.points)))
+        if not np.array_equal(img, u.points):
+            return un.Unital(u.plane, img, "moved")
+
+
+@pytest.fixture(scope="module")
+def orbit_cases(unital_q3, classical_q3, s25, hermitian_slopes_q3):
+    """(unital, its number of affine translation orbits) for the orbit route."""
+    return {"classical q=3": (classical_q3, 3),
+            "classical q=5": (un.build_classical_baseline(s25), 5),
+            "moved parabolic q=3": (_moved(unital_q3), 1),
+            "moved classical q=3": (_moved(classical_q3), 3),
+            "hermitian with slopes q=3": (hermitian_slopes_q3, 24)}
+
+
+@pytest.mark.parametrize("case", ["classical q=3", "classical q=5", "moved parabolic q=3",
+                                  "moved classical q=3", "hermitian with slopes q=3"])
+def test_orbit_route_matches_reference(case, orbit_cases):
+    u, affine_orbits = orbit_cases[case]
+    label, _ = u.translation_group.point_orbits(u.points)
+    reps = np.flatnonzero(label == np.arange(len(u.points)))
+    assert np.count_nonzero(u.points[reps] < u.plane.N ** 2) == affine_orbits
+    idx = an.DesignIndex(u)
+    res = an.find_onan_exhaustive(u, index=idx)
+    ref, examined = _reference_onan_configs(u, idx)
+    assert res.complete and res.examined == examined and res.configs == ref
+    # c_R, read on every point of R's orbit, counts the listed configurations there
+    per_point = an._onan_orbits(u, idx)[0]
+    assert np.array_equal(per_point, np.bincount(res.ranks.ravel(), minlength=len(u.points)))
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_orbit_route_under_every_subgroup(q, unital_q3, unital_q5):
+    # any subgroup of the translation group serves: fewer elements mean
+    # more orbits, each configuration listed through its least one, and the
+    # images through R then range over the smaller group
+    u = {3: unital_q3, 5: unital_q5}[q]
+    full = an.find_onan_exhaustive(u)
+    basis = u.translation_group.basis
+    for r in range(len(basis)):
+        sub = un.Unital(u.plane, u.points, u.provenance)
+        sub.__dict__["translation_group"] = un.TranslationGroup(u.plane, basis[:r])
+        label, image = sub.translation_group.point_orbits(sub.points)
+        assert len(image) == q ** r
+        assert np.count_nonzero(label == np.arange(len(label))) == q ** (3 - r) + 1
+        res = an.find_onan_exhaustive(sub)
+        assert (res.examined, res.complete) == (full.examined, True)
+        assert np.array_equal(res.blocks, full.blocks) and np.array_equal(res.ranks, full.ranks)
+        assert np.array_equal(an._onan_orbits(sub, an.DesignIndex(sub))[0],
+                              np.bincount(full.ranks.ravel(), minlength=len(u.points)))
+
+
+def test_translation_group_elements_and_orbits(unital_q3, classical_q3, hermitian_slopes_q3):
+    for u in (unital_q3, classical_q3, hermitian_slopes_q3):
+        group = u.translation_group
+        c, d = group.elements()
+        assert len(c) == group.order and (c[0], d[0]) == (0, 0)
+        assert len(np.unique(c * u.plane.N + d)) == group.order
+        assert un._fixing(u, c, d).all()
+        label, image = group.point_orbits(u.points)
+        assert np.array_equal(image[0], np.arange(len(u.points)))
+        # the orbit of r is the column image[:, r], and its label its least entry
+        for r in range(len(u.points)):
+            assert label[r] == image[:, r].min() == label[image[:, r]].max()
+        lift_c, lift_d = group.slope_lifts()
+        assert len(np.unique(lift_c)) == len(lift_c)
+        assert set(zip(lift_c.tolist(), lift_d.tolist())) <= set(zip(c.tolist(), d.tolist()))
+
+
+@pytest.mark.parametrize("kind, count, examined, digest", [
+    ("parabolic", 5_383_728, 35_146_524,
+     "fe7bc0b26f52777af3ff89b7a543fd8df6d53eef89a8ffd0514fd05aff54cd84"),
+    ("classical", 0, 29_762_796, hashlib.sha256(b"").hexdigest())],
+    ids=["parabolic", "classical"])
+def test_exhaustive_frozen_q7(kind, count, examined, digest):
+    # recorded from the triangle pass that the orbit route replaced (3.9 s
+    # and 2.5 s there): the SHA-256 of the uint16 blocks and ranks
+    s = gf.split_new(gf.field_new(7, 2), 1)
+    plane = ShiftPlane(planar.square(s))
+    u = (un.build_parabolic_unital(plane, s.choose_theta()) if kind == "parabolic"
+         else un.build_classical_baseline(s))
+    res = an.find_onan_exhaustive(u)
+    assert (res.count, res.examined, res.complete) == (count, examined, True)
+    assert res.blocks.dtype == res.ranks.dtype == np.uint16
+    assert hashlib.sha256(res.blocks.tobytes() + res.ranks.tobytes()).hexdigest() == digest
+
+
+def test_exhaustive_cap_names_the_count(unital_q5, monkeypatch):
+    idx = an.DesignIndex(unital_q5)
+    monkeypatch.setattr(an, "ONAN_MAX_CONFIGS", 142_499)
+    with pytest.raises(UsageError, match=r"holds 142500 configurations, over the cap of 142499"):
+        an.find_onan_exhaustive(unital_q5, budget=10, index=idx)
+    monkeypatch.setattr(an, "ONAN_MAX_CONFIGS", 142_500)
+    assert an.find_onan_exhaustive(unital_q5, index=idx).count == 142_500
+
+
 def test_exhaustive_configs_view(full_search_q3):
     res = full_search_q3
     view, as_list = res.configs, list(res.configs)
@@ -677,9 +777,10 @@ def test_exhaustive_budget_prefix_arrays(unital_q3, full_search_q3, scale, offse
 
 def _reference_quadruples(idx):
     """Every quadruple the search examines, in order: the number of its
-    triangle (b1, b2, b3) and whether b4 meets the three in distinct points."""
+    triangle (b1, b2, b3), whether b4 meets the three in distinct points,
+    and b1."""
     meets, cp = idx.meets, idx.common_point
-    triangle, hit, triangles = [], [], 0
+    triangle, hit, first, triangles = [], [], [], 0
     for b1 in range(idx.B):
         nb = np.flatnonzero(meets[b1, b1 + 1:]) + b1 + 1
         p1 = cp[b1, nb]
@@ -690,8 +791,9 @@ def _reference_quadruples(idx):
         q1, q2, q3 = p1[i4], cp[b2, b4], cp[b3, b4]
         triangle.append(triangles + t)
         hit.append((q1 != q2) & (q1 != q3) & (q2 != q3))
+        first.append(np.full(len(t), b1))
         triangles += len(i2)
-    return np.concatenate(triangle), np.concatenate(hit)
+    return np.concatenate(triangle), np.concatenate(hit), np.concatenate(first)
 
 
 @pytest.fixture(scope="module")
@@ -701,9 +803,10 @@ def full_search_q5(unital_q5):
 
 
 @pytest.mark.parametrize("where", ["inside-early", "inside-late", "boundary-early",
-                                   "boundary-late", "total-1", "total", "total+1"])
+                                   "boundary-late", "new-block-early", "new-block-late",
+                                   "block-end", "total-1", "total", "total+1"])
 def test_exhaustive_budget_prefix_q5(unital_q5, full_search_q5, where):
-    full, (triangle, hit) = full_search_q5
+    full, (triangle, hit, first) = full_search_q5
     total = full.examined
     assert total == len(triangle) and full.count == hit.sum()
     # cuts between two configurations: both in one triangle, or the first
@@ -711,10 +814,15 @@ def test_exhaustive_budget_prefix_q5(unital_q5, full_search_q5, where):
     same = triangle[1:] == triangle[:-1]
     both = hit[1:] & hit[:-1]
     inside, boundary = np.flatnonzero(same & both) + 1, np.flatnonzero(~same & both) + 1
+    # cuts on the first quadruple of a new first block, or on the last
+    # quadruple before one
+    starts = np.flatnonzero(first[1:] != first[:-1]) + 1
     budget = {"inside-early": inside[len(inside) // 5],
               "inside-late": inside[-len(inside) // 5],
               "boundary-early": boundary[len(boundary) // 5],
               "boundary-late": boundary[-len(boundary) // 5],
+              "new-block-early": starts[3] + 1, "new-block-late": starts[-7] + 1,
+              "block-end": starts[len(starts) // 2],
               "total-1": total - 1, "total": total, "total+1": total + 1}[where]
     res = an.find_onan_exhaustive(unital_q5, budget=int(budget))
     assert res.examined == min(budget, total)
@@ -722,6 +830,17 @@ def test_exhaustive_budget_prefix_q5(unital_q5, full_search_q5, where):
     assert res.count == hit[:budget].sum()
     assert np.array_equal(res.block_ids, full.block_ids[:res.count])
     assert np.array_equal(res.point_ids, full.point_ids[:res.count])
+
+
+def test_examined_by_first_block_q5(unital_q5, full_search_q5):
+    # the closed forms of docs/ORBITS.md section 10 against the quadruples
+    # the former pass examined, bucket by bucket
+    full, (_, _, first) = full_search_q5
+    idx = an.DesignIndex(unital_q5)
+    type_b = an._type_b(idx, by_first=True)
+    assert np.array_equal(np.bincount(full.blocks[:, 0], minlength=idx.B) + type_b,
+                          np.bincount(first, minlength=idx.B))
+    assert an._type_b(idx) == type_b.sum() == full.examined - full.count
 
 
 def test_exhaustive_peak_memory_q5(unital_q5):
@@ -786,6 +905,22 @@ def test_design_index_pair_tables_are_narrow(unital_q3, unital_q5):
                      for t in tables) == frozen[u.q]
 
 
+def test_design_index_pair_tables_peak_near_their_size(unital_cm81):
+    # each table is scattered a batch of rows at a time: building the 67 MiB
+    # cm q = 9 common-point table peaked at 139 MiB through two int64 index
+    # arrays of 36 MiB each
+    idx = an.DesignIndex(unital_cm81)
+    idx.blocks_by_point
+    for name in ("common_point", "block_through_pair"):
+        tracemalloc.start()
+        try:
+            table = getattr(idx, name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes + 2 ** 20
+
+
 def test_design_index_refusal_reads_the_narrow_itemsize():
     def narrow_bytes(q):                       # both tables int16 at q = 9 and 11
         return 2 * ((q ** 4 - q ** 3 + q ** 2) ** 2 + (q ** 3 + 1) ** 2)
@@ -820,7 +955,6 @@ def test_design_index_bitsets_q3(unital_q3):
         return cols[:, :B].astype(bool)
 
     assert np.array_equal(unpack(idx.meets_bits), idx.meets)
-    assert np.array_equal(unpack(idx.after_bits), np.triu(np.ones((B, B), dtype=bool), 1))
     through = np.zeros((idx.n, B), dtype=bool)
     for b, row in enumerate(idx.block_points):
         through[row, b] = True

@@ -154,6 +154,16 @@ def test_onan_find_exhaustive(capsys):
     assert "count=324" in out and out.count("ONAN blocks=") == 2
 
 
+def test_onan_find_exhaustive_over_the_cap_is_usage_error(capsys, monkeypatch):
+    from unitalforge import analysis as an
+
+    monkeypatch.setattr(an, "ONAN_MAX_CONFIGS", 1000)
+    code, out, err = run(capsys, "onan", "find", "--p", "5", "--m", "2",
+                         "--spec", "square", "--exhaustive")
+    assert code == 2 and out == ""
+    assert "usage error: the exhaustive O'Nan list holds 142500 configurations" in err
+
+
 def _non_unital_file(tmp_path, unital_q3):
     # the q=3 parabolic unital with its last affine point swapped for (0)
     from unitalforge import unital as un

@@ -9,9 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from unitalforge import suite
+from unitalforge import analysis as an, suite
 
 ROOT = Path(__file__).resolve().parents[1]
 EXPECTED = Path(__file__).resolve().parent / "suite_outputs"
@@ -39,3 +42,21 @@ def test_runner_stamps_names_and_times():
         assert r.name == names[r.cid] and r.runtime > 0
     with pytest.raises(KeyError):
         suite.run_criterion("13")
+
+
+def test_found_blocks_reads_the_narrow_result(unital_q5):
+    # criterion 7d's witness lookup compares block indices: reading
+    # res.block_ids widened the q = 5 result into a 4.6 MB int64 table
+    res = an.find_onan_exhaustive(unital_q5)
+    cfg = an.construct_onan_explicit(unital_q5)
+    tracemalloc.start()
+    try:
+        found = suite._found_blocks(res, cfg.blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found and peak < 2 ** 20
+    row = res.block_ids[7].tolist()
+    assert suite._found_blocks(res, tuple(row))
+    assert not suite._found_blocks(res, (row[0], row[1], row[2], row[3] + 1))
+    assert not suite._found_blocks(res, tuple(res.block_lines[[0, 1, 2, 3]].tolist()))
