@@ -54,6 +54,7 @@ __all__ = [
     "SubgroupReport",
     "sigma_stabilizer_report",
     "verify_sigma_composition",
+    "SIGMA_TABLE_MAX_ENTRIES",
     "shift_stabilizer_report",
     "InvariantProfile",
     "invariant_profile",
@@ -238,6 +239,9 @@ DESIGN_INDEX_MAX_BYTES = 1 << 28
 ONAN_MAX_CONFIGS = 1 << 23
 _ONAN_ROWS = 1 << 12      # rows expanded or decoded per step of that search
 _WILBRINK_BYTES = 1 << 21  # gathered avoid rows per batch of wilbrink_vertex_check
+# verify_sigma_composition holds one image table of N^3 (N^2 + N) entries:
+# 1.0 * 10^7 at q = 5 passes, 2.9 * 10^8 at q = 7 and 3.5 * 10^9 at q = 9 do not.
+SIGMA_TABLE_MAX_ENTRIES = 1 << 24
 
 
 def _pack_rows(mask: np.ndarray) -> np.ndarray:
@@ -311,8 +315,13 @@ class DesignIndex:
 
     @cached_property
     def meets_bits(self) -> np.ndarray:
-        """(B, W) bitsets of `meets` (see _pack_rows)."""
-        return _pack_rows(self.common_point >= 0)
+        """(B, W) bitsets of `meets` (see _pack_rows), packed an id_batch
+        of rows at a time."""
+        cp = self.common_point
+        bits = np.empty((self.B, -(-self.B // 64)), dtype="<u8")
+        for r in id_batches(self.B, self.B):
+            bits[r] = _pack_rows(cp[r] >= 0)
+        return bits
 
     @cached_property
     def avoid_bits(self) -> np.ndarray:
@@ -918,44 +927,54 @@ def sigma_stabilizer_report(unital: Unital) -> SubgroupReport:
 
 
 def verify_sigma_composition(plane: ShiftPlane) -> dict:
-    """Exhaustively verify the composition law over all parameter pairs.
+    """Exhaustively verify the composition law over all N^6 parameter pairs
+    from its 3m generators (docs/ORBITS.md, section 11).
 
-    For each pair (g1, g2) the maps themselves are applied: g1 after g2 must
-    send the probe points (0,0) and slope(0) where the Sigma of the
-    composite parameters given by the law sends them.  The probes recover
-    (u, v, w) of any shear-translation, so together with the symmetry and
-    biadditivity of the star table, probe agreement forces functional
-    equality on every point of the plane.  Both follow from the
-    Dembowski-Ostrom test, checked first: it proves every base-p digit of f
-    quadratic in the digits of x at every element, so the star table is the
-    polarization of an F_p-bilinear form, and the refusal comes before the
-    N^3 parameter arrays are allocated.  Raises FamilyMismatch off
-    Dembowski-Ostrom planes, CompositionLawFailed when a check fails.
+    One table holds T[b] = Sigma(b).apply_point of the affine and slope
+    points for every parameter triple b.  For each generator s = (e_i, 0, 0),
+    (0, e_i, 0), (0, 0, e_i), e_i = p^i, and every b, Sigma(s) after
+    Sigma(b), T[s][T[b]], must equal T[s*b] on every point, with s*b the
+    law's composite.  The Dembowski-Ostrom test, checked first, proves the
+    star table symmetric and biadditive, so the law is associative: the
+    triples a with Sigma(a) Sigma(b) = Sigma(a*b) for all b are closed
+    under it and, holding the generators, are all the triples.  Raises
+    FamilyMismatch off Dembowski-Ostrom planes and UsageError past
+    SIGMA_TABLE_MAX_ENTRIES, both before the table is allocated, and
+    CompositionLawFailed naming the generator, the inner triple and the
+    first point where the maps differ.
     """
     if not plane.spec.is_dembowski_ostrom:
         raise FamilyMismatch("sigma collineations need a Dembowski-Ostrom plane")
     ctx, N = plane.ctx, plane.N
+    n3, P = N ** 3, N * N + N
+    if n3 * P > SIGMA_TABLE_MAX_ENTRIES:
+        raise UsageError(f"the composition law needs <= {SIGMA_TABLE_MAX_ENTRIES} "
+                         f"image table entries (q <= 5), got N^3 (N^2 + N) = {n3 * P}")
     star = plane.spec.polarization_table    # star[w, x] = 2 w*x
-    n3 = N ** 3
-    u, v, w = np.unravel_index(np.arange(n3, dtype=np.int64), (N, N, N))
-    # the probe images under every Sigma, in parameter order: those of the
-    # inner maps g2 and of the composites
-    probes = Sigma(plane, u[:, None], v[:, None], w[:, None]).apply_point(
-        np.array([0, N * N]))
-    pids = np.arange(N * N + N)             # the affine and slope points
-    pairs_checked = 0
-    for rows in id_batches(n3, n3):
-        u1, v1, w1 = u[rows, None], v[rows, None], w[rows, None]
-        outer = Sigma(plane, u1, v1, w1).apply_point(pids)
-        seq = outer[np.arange(len(rows))[:, None, None], probes]
-        # composite parameters per the composition law
-        u3 = np.asarray(ctx.add(u, u1))
-        v3 = np.asarray(ctx.sub(ctx.add(v, v1), star[w1, u]))
-        w3 = np.asarray(ctx.add(w, w1))
-        if not np.array_equal(seq, probes[(u3 * N + v3) * N + w3]):
-            raise CompositionLawFailed("composition law fails on the probe points")
-        pairs_checked += u3.size
-    return {"pairs_checked": pairs_checked, "biadditivity": "exhaustive",
+    pids = np.arange(P)                     # the affine and slope points
+    table = np.empty((n3, P), dtype=np.min_scalar_type(P - 1))
+    for rows in id_batches(n3, P):
+        u, v, w = np.unravel_index(rows, (N, N, N))
+        table[rows] = Sigma(plane, u[:, None], v[:, None], w[:, None]).apply_point(pids)
+    gens = [g for e in ctx.pow_p.tolist() for g in ((e, 0, 0), (0, e, 0), (0, 0, e))]
+    u, v, w = np.unravel_index(np.arange(n3), (N, N, N))
+    for u1, v1, w1 in gens:
+        outer = table[(u1 * N + v1) * N + w1]
+        # s*b per the composition law, with s = (u1, v1, w1) outer
+        comp = ((ctx.add(u, u1) * N + ctx.sub(ctx.add(v, v1), star[w1, u])) * N
+                + ctx.add(w, w1))
+        for rows in id_batches(n3, P):
+            seq, want = outer[table[rows]], table[comp[rows]]
+            if not np.array_equal(seq, want):
+                r, k = np.unravel_index(np.argmax(seq != want), seq.shape)
+                b = tuple(int(a[rows[r]]) for a in (u, v, w))
+                c = np.unravel_index(comp[rows[r]], (N, N, N))
+                raise CompositionLawFailed(
+                    f"composition law fails for generator sigma{(u1, v1, w1)} after "
+                    f"sigma{b}: the composite sigma{tuple(map(int, c))} differs at "
+                    f"point {k}")
+    return {"pairs_checked": n3 * n3, "generators": len(gens),
+            "images_compared": len(gens) * n3 * P, "biadditivity": "exhaustive",
             "symmetry": "exhaustive"}
 
 

@@ -457,7 +457,8 @@ def cmd_subgroups(args) -> int:
         rep2 = an.sigma_stabilizer_report(upol)
         print(f"shear stabilizer (polarity): order={rep2.order} "
               f"abelian={rep2.is_abelian} witness={rep2.commutator_witness}")
-        if plane.N ** 6 <= 2 ** 28:        # the law covers N^6 pairs: q <= 5
+        N = plane.N
+        if N ** 3 * (N * N + N) <= an.SIGMA_TABLE_MAX_ENTRIES:   # its image table: q <= 5
             comp = an.verify_sigma_composition(plane)
             print(f"composition law: pairs={comp['pairs_checked']} "
                   f"biadditivity={comp['biadditivity']}")

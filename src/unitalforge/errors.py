@@ -171,4 +171,5 @@ class ElementDoesNotFix(UnitalForgeError):
 
 
 class CompositionLawFailed(UnitalForgeError):
-    """The shear-translation composition law failed on the probe points."""
+    """The shear-translation composition law failed: a generator's map after
+    another shear's map differs from their composite's map at a point."""

@@ -944,6 +944,24 @@ def test_design_index_keeps_no_bool_meets_table(unital_q3, unital_q5):
         assert np.array_equal(idx.meets, idx.common_point >= 0)
 
 
+def test_meets_bits_packed_by_row_batches(unital_cm81):
+    # the (B, B) bool table that packing it whole needs is 33 MiB at cm q = 9
+    # (41.7 MiB traced); by id_batches of rows the peak stays near the 4.2 MiB
+    # bitset, with the same bytes
+    idx = an.DesignIndex(unital_cm81)
+    idx.common_point
+    tracemalloc.start()
+    try:
+        bits = idx.meets_bits
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bits.nbytes == 5913 * 93 * 8
+    assert peak < 2 * bits.nbytes
+    assert hashlib.sha256(bits.tobytes()).hexdigest() == (
+        "fc5dd20025c707184455e8bd1761a760bec5f9f963baef36261dae24914f23d2")
+
+
 def test_design_index_bitsets_q3(unital_q3):
     idx = an.DesignIndex(unital_q3)
     B = idx.B
@@ -1153,6 +1171,8 @@ def test_sigma_composition_law_exhaustive(plane_q3):
     res = an.verify_sigma_composition(plane_q3)
     assert res["pairs_checked"] == 729 ** 2
     assert res["biadditivity"] == "exhaustive"
+    # 3m = 6 generators, each after all 729 shears, on all 90 points
+    assert res["generators"] == 6 and res["images_compared"] == 6 * 729 * 90
 
 
 def test_sigma_composition_applies_the_maps(plane_q3, monkeypatch):
@@ -1164,8 +1184,56 @@ def test_sigma_composition_applies_the_maps(plane_q3, monkeypatch):
         return ctx.add(x, self.u), ctx.sub(ctx.sub(y, shear), self.v)
 
     monkeypatch.setattr(Sigma, "_affine_map", wrong_sign)
-    with pytest.raises(CompositionLawFailed, match="probe points"):
+    with pytest.raises(CompositionLawFailed, match="composition law fails for generator"):
         an.verify_sigma_composition(plane_q3)
+
+
+def test_sigma_composition_sees_one_wrong_image(plane_q3, monkeypatch):
+    # one shear that is no generator, sigma(2, 5, 7), sends the affine point
+    # (1, 2) astray and nothing else: a check of the generators on the probe
+    # points (0, 0) and slope(0) alone would miss it
+    N, bad = plane_q3.N, plane_q3.affine_id(1, 2)
+    true_apply = Sigma.apply_point
+
+    def one_wrong(self, pid):
+        out = true_apply(self, pid)
+        hit = ((np.asarray(self.u) == 2) & (np.asarray(self.v) == 5)
+               & (np.asarray(self.w) == 7) & (np.asarray(pid) == bad))
+        return np.where(hit, (out + 1) % (N * N), out)
+
+    monkeypatch.setattr(Sigma, "apply_point", one_wrong)
+    with pytest.raises(CompositionLawFailed, match=rf"sigma\(2, 5, 7\).* at point {bad}$"):
+        an.verify_sigma_composition(plane_q3)
+
+
+def test_sigma_composition_peak_q3(plane_q3):
+    # a 64 KiB uint8 image table and the id_batch temporaries that fill it,
+    # about 2.6 MiB; one batch of N^2 + N images per outer shear needs 4.5 MiB
+    an.verify_sigma_composition(plane_q3)        # the star table is cached
+    tracemalloc.start()
+    try:
+        an.verify_sigma_composition(plane_q3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.7 * 2 ** 20
+
+
+def test_sigma_composition_refuses_q9_by_table_size(s81):
+    # square q = 9 is Dembowski-Ostrom, but its image table would hold
+    # 81^3 * (81^2 + 81) entries; the refusal comes before any is allocated
+    plane = ShiftPlane(planar.square(s81))
+    assert plane.spec.is_dembowski_ostrom
+    N = plane.N
+    assert 25 ** 3 * (25 ** 2 + 25) <= an.SIGMA_TABLE_MAX_ENTRIES < N ** 3 * (N * N + N)
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match=r"\(q <= 5\), got N\^3 \(N\^2 \+ N\) = 3529831122$"):
+            an.verify_sigma_composition(plane)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_stabilizer_needs_theta_or_kappa(plane_q3, unital_q3):

@@ -325,6 +325,14 @@ def test_subgroups(capsys):
     assert "pairs=531441" in out
 
 
+def test_subgroups_checks_composition_law_at_q5(capsys):
+    # N^6 = 244 140 625 pairs, proved from the 6 generators in about a second
+    code, out, _ = run(capsys, "subgroups", "--p", "5", "--m", "2",
+                       "--spec", "square")
+    assert code == 0 and "order=125 abelian=False" in out
+    assert "pairs=244140625" in out
+
+
 def test_subgroups_skips_composition_law_above_q5(capsys):
     # the law check covers N^6 parameter pairs, 2.8 * 10^11 at q = 9
     code, out, _ = run(capsys, "subgroups", "--p", "3", "--m", "4",

@@ -1032,11 +1032,12 @@ def test_apply_matches_where_glue(which, plane_q3, plane_q5):
 
 
 def test_apply_allocates_no_more_than_where_glue(plane_q3):
-    # the shape of verify_sigma_composition's batches: (rows, N^2 + N)
-    # images of the affine and slope points under Sigma of (rows, 1) parameters
+    # the shape of the batches that fill verify_sigma_composition's image
+    # table: (rows, N^2 + N) images of the affine and slope points under
+    # Sigma of (rows, 1) parameters
     P = plane_q3
     n3 = P.N ** 3
-    rows = next(plane_mod.id_batches(n3, n3))
+    rows = next(plane_mod.id_batches(n3, P.N ** 2 + P.N))
     u, v, w = np.unravel_index(rows, (P.N,) * 3)
     g = Sigma(P, u[:, None], v[:, None], w[:, None])
     pids = np.arange(P.N ** 2 + P.N)
