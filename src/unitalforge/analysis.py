@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
@@ -31,7 +31,8 @@ from .errors import (
 )
 from .plane import BATCH, ShiftPlane, Sigma, id_batches
 from .planar import polarization
-from .unital import Unital, _fixing, beta_of, parabolic_y_values, phi_table, trace_fibres
+from .unital import (Unital, _fixing, beta_of, line_intersection_counts,
+                     parabolic_y_values, phi_table, trace_fibres)
 
 __all__ = [
     "derive_delta",
@@ -325,10 +326,14 @@ class DesignIndex:
 
     @cached_property
     def avoid_bits(self) -> np.ndarray:
-        """(n, W) bitsets: row P holds the blocks not through point rank P."""
-        avoid = np.ones((self.n, self.B), dtype=bool)
-        avoid[np.arange(self.n)[:, None], self.blocks_by_point] = False
-        return _pack_rows(avoid)
+        """(n, W) bitsets: row P holds the blocks not through point rank P,
+        packed an id_batch of points at a time."""
+        bits = np.empty((self.n, -(-self.B // 64)), dtype="<u8")
+        for r in id_batches(self.n, self.B):
+            avoid = np.ones((len(r), self.B), dtype=bool)
+            avoid[np.arange(len(r))[:, None], self.blocks_by_point[r]] = False
+            bits[r] = _pack_rows(avoid)
+        return bits
 
 
 @dataclass
@@ -668,8 +673,8 @@ class OnanSearchResult:
     ranks: np.ndarray
     block_lines: np.ndarray
     points: np.ndarray
-    complete: bool
     examined: int
+    complete = True                  # the search lists every configuration
 
     @property
     def count(self) -> int:
@@ -756,48 +761,20 @@ def _onan_orbits(unital: Unital, idx: DesignIndex):
     return counts[label], bmap, np.concatenate(kept)
 
 
-def _type_b(idx: DesignIndex, by_first: bool = False):
-    """The examined quadruples of type (b), three blocks through P and a
-    block b avoiding P but not last: their number, or per least block.
-    Of the q + 1 blocks through P meeting b, sorted as T, k precede b."""
+def _type_b(idx: DesignIndex) -> int:
+    """The number of examined quadruples of type (b): three blocks through
+    P and a block b avoiding P but not last.  Of the q + 1 blocks through P
+    meeting b, k precede b."""
     q, B, bp = idx.q, idx.B, idx.block_points
     b = np.arange(B)[:, None]
-    i = np.arange(q + 1)
-    out = np.zeros(B) if by_first else idx.n * (B - q * q) * _choose(q + 1, 3)
+    out = idx.n * (B - q * q) * comb(q + 1, 3)
     for P in id_batches(idx.n, B * (q + 1)):
-        T = idx.block_through_pair[P][:, bp]
-        k = np.count_nonzero(T < b, axis=2)
-        if not by_first:
-            out -= int(_choose(k, 3).sum())          # C(1, 3) = 0 for b through P
-            continue
-        T.sort(axis=2)
-        live = T[..., :1] >= 0                       # b avoids P
-        out += np.where(live[..., 0], _choose(q + 1 - k, 3), 0).sum(axis=0)
-        w = (_choose(q - i, 2) - _choose(k[..., None] - 1 - i, 2)) * ((i < k[..., None]) & live)
-        out += np.bincount(np.maximum(T, 0).ravel(), weights=w.ravel(), minlength=B)
-    return out.astype(np.int64) if by_first else out
+        k = np.count_nonzero(idx.block_through_pair[P][:, bp] < b, axis=2)
+        out -= int((k * (k - 1) * (k - 2) // 6).sum())   # C(k, 3); k = 1 for b through P
+    return out
 
 
-def _choose(n, k):
-    """C(n, k) elementwise for k = 2, 3: 0 for n < k."""
-    n = np.maximum(n, 0)
-    return n * (n - 1) // 2 if k == 2 else n * (n - 1) * (n - 2) // 6
-
-
-def _examined_from(idx: DesignIndex, f: int):
-    """The examined quadruples (f, b2, b3, b4) in order: pairwise meeting,
-    ascending, f, b2 and b3 not concurrent."""
-    cp = idx.common_point
-    nb = np.flatnonzero(cp[f, f + 1:] >= 0) + f + 1
-    p1 = cp[f, nb]
-    m = cp[np.ix_(nb, nb)] >= 0
-    i2, i3 = np.nonzero(np.triu(m & (p1[:, None] != p1), 1))
-    t, i4 = np.nonzero(m[i2] & m[i3] & (np.arange(len(nb)) > i3[:, None]))
-    return nb[i2[t]], nb[i3[t]], nb[i4]
-
-
-def find_onan_exhaustive(unital: Unital, budget: int | None = None,
-                         index: DesignIndex | None = None) -> OnanSearchResult:
+def find_onan_exhaustive(unital: Unital, index: DesignIndex | None = None) -> OnanSearchResult:
     """All configurations, from the design index tables and the unital's
     translation group, in lexicographic block order (docs/ORBITS.md
     section 10).  Over ONAN_MAX_CONFIGS rows to expand is a UsageError
@@ -805,9 +782,8 @@ def find_onan_exhaustive(unital: Unital, budget: int | None = None,
 
     examined counts the pairwise meeting blocks b1 < b2 < b3 < b4 whose
     first three are not concurrent: the configurations and, in closed
-    form, those of type (b).  With more than `budget` of them the result
-    holds the configurations among the first `budget`, examined == budget
-    and complete=False.
+    form, those of type (b).  The search has no cut: the result lists
+    every configuration, and its complete is always True.
     """
     idx = index or DesignIndex(unital)
     counts, bmap, kept = _onan_orbits(unital, idx)
@@ -824,19 +800,7 @@ def find_onan_exhaustive(unital: Unital, budget: int | None = None,
     fresh = np.ones(len(keys), dtype=bool)      # a translation may fix one (p = 3)
     np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
     keys = keys[fresh]
-    examined = len(keys) + int(_type_b(idx))
-    complete = budget is None or budget >= examined
-    if not complete:
-        examined = max(int(budget), 0)
-        cut = 0
-        if examined:
-            cum = np.cumsum(np.bincount(keys >> 3 * bits, minlength=idx.B)
-                            + _type_b(idx, by_first=True))
-            f = int(np.searchsorted(cum, examined))          # the bucket of the last
-            r = examined - (int(cum[f - 1]) if f else 0) - 1
-            last = _block_keys(np.array([f, *(b[r] for b in _examined_from(idx, f))]), bits)
-            cut = int(np.searchsorted(keys, last, side="right"))
-        keys = keys[:cut]
+    examined = len(keys) + _type_b(idx)
     blocks = np.empty((len(keys), 4), dtype=np.min_scalar_type(idx.B - 1))
     shifts, mask = bits * np.arange(3, -1, -1), (1 << bits) - 1
     for s in range(0, len(keys), _ONAN_ROWS):
@@ -848,7 +812,7 @@ def find_onan_exhaustive(unital: Unital, budget: int | None = None,
         b = blocks[s:s + _ONAN_ROWS].T.astype(np.int64)
         six = [cp[b[x] * idx.B + b[y]] for x, y in zip(*np.triu_indices(4, 1))]
         ranks[s:s + _ONAN_ROWS] = np.stack(_sorted_columns(six, _SORT6), axis=1)
-    return OnanSearchResult(blocks, ranks, idx.block_lines, unital.points, complete, examined)
+    return OnanSearchResult(blocks, ranks, idx.block_lines, unital.points, examined)
 
 
 # ----------------------------------------------------------------------
@@ -996,60 +960,44 @@ class InvariantProfile:
     point_count: int
     block_size: int
     block_count: int
-    onan_total: int | None = None
-    onan_point_histogram: tuple | None = None
-    strong_vertex_count: int | None = None
-    line_spectrum: tuple = ()        # embedding-level: ((size, lines), ...)
+    onan_total: int
+    onan_point_histogram: tuple      # ((configurations through a point, points), ...)
+    strong_vertex_count: int
+    line_spectrum: tuple             # embedding-level: ((size, lines), ...)
 
     def design_fields(self) -> dict:
-        return {
-            "point_count": self.point_count,
-            "block_size": self.block_size,
-            "block_count": self.block_count,
-            "onan_total": self.onan_total,
-            "onan_point_histogram": self.onan_point_histogram,
-            "strong_vertex_count": self.strong_vertex_count,
-        }
+        """Every field but the embedding-level line spectrum."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "line_spectrum"}
 
 
-def invariant_profile(unital: Unital, with_onan: bool = True,
-                      with_wilbrink: bool = True) -> InvariantProfile:
-    """Design parameters, O'Nan statistics, strong-vertex count, and the
-    line intersection spectrum.  O'Nan and Wilbrink sweeps run only when
-    requested; the strong-vertex sweep runs to q = 9.  The O'Nan counts
+def _histogram(values: np.ndarray) -> tuple:
+    """((value, multiplicity), ...) in ascending value."""
+    vals, mult = np.unique(values, return_counts=True)
+    return tuple((int(a), int(b)) for a, b in zip(vals, mult))
+
+
+def invariant_profile(unital: Unital) -> InvariantProfile:
+    """Design parameters, O'Nan statistics, strong-vertex count and the
+    line intersection spectrum, each computed in full.  The O'Nan counts
     per point come from one listing through each translation-orbit
     representative (_onan_orbits), with no list of all configurations:
-    the total is their sum over the points / 6.  The DesignIndex comes
-    first, so that its size limit refuses a large unital before anything
-    is built."""
-    from .unital import line_intersection_counts
-
+    the total is their sum over the points / 6.  The strong-vertex count
+    checks every point.  The DesignIndex comes first, so that its size
+    limit refuses a unital past q = 9 before anything is built."""
     idx = DesignIndex(unital)
-    counts = line_intersection_counts(unital)
-    vals, mult = np.unique(counts, return_counts=True)
-    spectrum = tuple((int(a), int(b)) for a, b in zip(vals, mult))
-    profile = InvariantProfile(idx.n, idx.q + 1, idx.B, line_spectrum=spectrum)
-    if with_onan:
-        per_point = _onan_orbits(unital, idx)[0]
-        histo_vals, histo_mult = np.unique(per_point, return_counts=True)
-        profile.onan_total = int(per_point.sum()) // 6
-        profile.onan_point_histogram = tuple(
-            (int(a), int(b)) for a, b in zip(histo_vals, histo_mult))
-    if with_wilbrink:
-        strong = 0
-        for pid in unital.points:
-            rep = wilbrink_vertex_check(unital, int(pid), strong=True, index=idx)
-            strong += rep.strong
-        profile.strong_vertex_count = strong
-    return profile
+    per_point = _onan_orbits(unital, idx)[0]
+    strong = sum(wilbrink_vertex_check(unital, int(pid), index=idx).strong
+                 for pid in unital.points)
+    return InvariantProfile(idx.n, idx.q + 1, idx.B, int(per_point.sum()) // 6,
+                            _histogram(per_point), strong,
+                            _histogram(line_intersection_counts(unital)))
 
 
 def compare_profiles(p1: InvariantProfile, p2: InvariantProfile):
     """(verdict, reasons): NON-ISOMORPHIC when a design-intrinsic field
     differs, INCONCLUSIVE otherwise."""
-    reasons = []
-    for key, v1 in p1.design_fields().items():
-        v2 = p2.design_fields()[key]
-        if v1 is not None and v2 is not None and v1 != v2:
-            reasons.append(f"{key}: {v1} vs {v2}")
+    d2 = p2.design_fields()
+    reasons = [f"{key}: {v1} vs {d2[key]}" for key, v1 in p1.design_fields().items()
+               if v1 != d2[key]]
     return ("NON-ISOMORPHIC" if reasons else "INCONCLUSIVE"), reasons

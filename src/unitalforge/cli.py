@@ -74,7 +74,6 @@ _FLAGS = {
     "--ratio": dict(action="store_true",
                     help="report satisfied/total instead of short-circuiting"),
     "--exhaustive": dict(action="store_true"),
-    "--budget": dict(type=int, default=None),
     "--limit": dict(type=int, default=8, help="max configurations to print"),
 }
 
@@ -89,7 +88,7 @@ def _add_command_args(p: argparse.ArgumentParser, flags: str):
 
 
 # the least value of each numeric flag; a smaller one is a usage error
-_FLAG_FLOORS = (("trials", 1), ("seed", 0), ("budget", 0), ("limit", 0))
+_FLAG_FLOORS = (("trials", 1), ("seed", 0), ("limit", 0))
 
 
 def _check_flag_floors(args):
@@ -404,7 +403,7 @@ def cmd_wilbrink(args) -> int:
 def cmd_onan_find(args) -> int:
     ctx, plane, u = _load_or_build(args)
     if args.exhaustive:
-        res = an.find_onan_exhaustive(u, budget=args.budget)
+        res = an.find_onan_exhaustive(u)
         for cfg in res.configs[: args.limit]:
             print(f"ONAN blocks={list(cfg.blocks)} points={list(cfg.points)}")
         print(f"count={res.count} complete={res.complete}")
@@ -472,27 +471,19 @@ def cmd_subgroups(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    left = _read_unital(args.left, args)
-    right = _read_unital(args.right, args)
-    profiles = [an.invariant_profile(u, with_onan=u.q <= 5) for u in (left, right)]
+    sides = {"left": args.left, "right": args.right}
+    unitals = [_read_unital(path, args) for path in sides.values()]
+    profiles = [an.invariant_profile(u) for u in unitals]
     verdict, reasons = an.compare_profiles(*profiles)
-    lhs, rhs = profiles[0].onan_total, profiles[1].onan_total
     if verdict == "NON-ISOMORPHIC":
-        detail = (f"onan count: {lhs} vs {rhs}" if lhs != rhs
-                  else "; ".join(reasons))
-        print(f"NON-ISOMORPHIC ({detail})")
+        print(f"NON-ISOMORPHIC ({'; '.join(reasons)})")
     else:
         print("INCONCLUSIVE (profiles agree on all computed invariants)")
     if args.out:
-        payload = {
-            "left": {"file": args.left, **profiles[0].design_fields(),
-                     "line_spectrum": profiles[0].line_spectrum},
-            "right": {"file": args.right, **profiles[1].design_fields(),
-                      "line_spectrum": profiles[1].line_spectrum},
-            "verdict": verdict,
-            "reasons": reasons,
-        }
-        _emit(payload, args.out)
+        payload = {side: {"file": path, "hash": u.certificate()["hash"], **p.design_fields(),
+                          "line_spectrum": p.line_spectrum}
+                   for (side, path), u, p in zip(sides.items(), unitals, profiles)}
+        _emit({**payload, "verdict": verdict, "reasons": reasons}, args.out)
     return 0
 
 
@@ -532,7 +523,7 @@ _COMMANDS = (
     ("wilbrink", "strong-vertex checks", cmd_wilbrink,
      "--spec --in --theta --point --ratio"),
     ("onan find", "configuration searches", cmd_onan_find,
-     "--spec --in --theta --exhaustive --budget --limit"),
+     "--spec --in --theta --exhaustive --limit"),
     ("onan construct", None, cmd_onan_construct, "--spec --in --theta"),
     ("polarity build", "unitary-polarity checks", cmd_polarity,
      "--spec --kappa --seed --trials --out"),

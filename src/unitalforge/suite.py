@@ -450,7 +450,7 @@ def criterion_12(full: bool):
         with redirect_stdout(buf):
             code = cli_main(["compare", "--left", str(left), "--right", str(right)])
     out = buf.getvalue().strip()
-    ok = code == 0 and out.startswith("NON-ISOMORPHIC") and "onan count" in out
+    ok = code == 0 and out.startswith("NON-ISOMORPHIC") and "onan_total: 324 vs 0" in out
     return ok, {"output": out, "exit": code}
 
 

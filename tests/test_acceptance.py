@@ -159,6 +159,8 @@ def test_criterion_11_polarities():
 
 def test_criterion_12_non_isomorphism():
     r = _run("12")
-    assert r.details["output"] == "NON-ISOMORPHIC (onan count: 324 vs 0)"
+    assert r.details["output"] == (
+        "NON-ISOMORPHIC (onan_total: 324 vs 0; "
+        "onan_point_histogram: ((0, 1), (72, 27)) vs ((0, 28),); strong_vertex_count: 1 vs 28)")
     assert r.details["exit"] == 0
     assert r.passed

@@ -433,10 +433,9 @@ def test_wilbrink_matches_reference(batch_bytes, wilbrink_cases, monkeypatch):
 
 
 def test_wilbrink_strong_vertices_cm81(unital_cm81, plane_cm81):
-    # the only strong vertex of either cm q = 9 unital is infinity
-    upol = un.build_polarity_unital(plane_cm81, un.InvolutionSpec("frobq"))
-    for u in (unital_cm81, upol):
-        assert an.invariant_profile(u, with_onan=False).strong_vertex_count == 1
+    # the only strong vertex of either cm q = 9 unital is infinity: the count
+    # is frozen in tests/test_cli.py::test_compare_reports_strong_vertices_at_q9,
+    # and here the check at infinity meets the reference
     idx = an.DesignIndex(unital_cm81)
     inf = plane_cm81.infinity_id
     assert an.wilbrink_vertex_check(unital_cm81, inf, index=idx) == \
@@ -555,27 +554,9 @@ def test_exhaustive_counts_q3(unital_q3, classical_q3):
     assert res_u.configs == sorted(res_u.configs, key=lambda c: c.blocks)
 
 
-def test_exhaustive_budget_flag(unital_q3):
-    res = an.find_onan_exhaustive(unital_q3, budget=50)
-    assert not res.complete and res.examined == 50
-
-
 @pytest.fixture(scope="module")
 def full_search_q3(unital_q3):
     return an.find_onan_exhaustive(unital_q3)
-
-
-@pytest.mark.parametrize("scale, offset", [(0, 0), (0, 1), (0, 50), (1, -1),
-                                           (1, 0), (1, 1)],
-                         ids=["0", "1", "50", "total-1", "total", "total+1"])
-def test_exhaustive_budget_prefix(unital_q3, full_search_q3, scale, offset):
-    total = full_search_q3.examined
-    budget = scale * total + offset
-    res = an.find_onan_exhaustive(unital_q3, budget=budget)
-    assert res.examined == min(budget, total)
-    assert res.complete == (budget >= total)
-    assert res.count == len(res.configs)
-    assert res.configs == full_search_q3.configs[:res.count]
 
 
 @pytest.mark.parametrize("which", ["parabolic", "classical"])
@@ -736,7 +717,7 @@ def test_exhaustive_cap_names_the_count(unital_q5, monkeypatch):
     idx = an.DesignIndex(unital_q5)
     monkeypatch.setattr(an, "ONAN_MAX_CONFIGS", 142_499)
     with pytest.raises(UsageError, match=r"holds 142500 configurations, over the cap of 142499"):
-        an.find_onan_exhaustive(unital_q5, budget=10, index=idx)
+        an.find_onan_exhaustive(unital_q5, index=idx)
     monkeypatch.setattr(an, "ONAN_MAX_CONFIGS", 142_500)
     assert an.find_onan_exhaustive(unital_q5, index=idx).count == 142_500
 
@@ -763,24 +744,12 @@ def test_exhaustive_configs_view(full_search_q3):
         assert all(type(v) is int for v in cfg.blocks + cfg.points)
 
 
-@pytest.mark.parametrize("scale, offset", [(0, 0), (0, 1), (0, 50), (1, -1),
-                                           (1, 0), (1, 1)],
-                         ids=["0", "1", "50", "total-1", "total", "total+1"])
-def test_exhaustive_budget_prefix_arrays(unital_q3, full_search_q3, scale, offset):
-    budget = scale * full_search_q3.examined + offset
-    res = an.find_onan_exhaustive(unital_q3, budget=budget)
-    assert res.block_ids.shape == (res.count, 4) and res.point_ids.shape == (res.count, 6)
-    assert np.array_equal(res.block_ids, full_search_q3.block_ids[:res.count])
-    assert np.array_equal(res.point_ids, full_search_q3.point_ids[:res.count])
-
-
-
 def _reference_quadruples(idx):
     """Every quadruple the search examines, in order: the number of its
-    triangle (b1, b2, b3), whether b4 meets the three in distinct points,
-    and b1."""
+    triangle (b1, b2, b3) and whether b4 meets the three in distinct
+    points."""
     meets, cp = idx.meets, idx.common_point
-    triangle, hit, first, triangles = [], [], [], 0
+    triangle, hit, triangles = [], [], 0
     for b1 in range(idx.B):
         nb = np.flatnonzero(meets[b1, b1 + 1:]) + b1 + 1
         p1 = cp[b1, nb]
@@ -791,9 +760,8 @@ def _reference_quadruples(idx):
         q1, q2, q3 = p1[i4], cp[b2, b4], cp[b3, b4]
         triangle.append(triangles + t)
         hit.append((q1 != q2) & (q1 != q3) & (q2 != q3))
-        first.append(np.full(len(t), b1))
         triangles += len(i2)
-    return np.concatenate(triangle), np.concatenate(hit), np.concatenate(first)
+    return np.concatenate(triangle), np.concatenate(hit)
 
 
 @pytest.fixture(scope="module")
@@ -802,45 +770,12 @@ def full_search_q5(unital_q5):
     return an.find_onan_exhaustive(unital_q5, index=idx), _reference_quadruples(idx)
 
 
-@pytest.mark.parametrize("where", ["inside-early", "inside-late", "boundary-early",
-                                   "boundary-late", "new-block-early", "new-block-late",
-                                   "block-end", "total-1", "total", "total+1"])
-def test_exhaustive_budget_prefix_q5(unital_q5, full_search_q5, where):
-    full, (triangle, hit, first) = full_search_q5
-    total = full.examined
-    assert total == len(triangle) and full.count == hit.sum()
-    # cuts between two configurations: both in one triangle, or the first
-    # ending a triangle and the second opening the next
-    same = triangle[1:] == triangle[:-1]
-    both = hit[1:] & hit[:-1]
-    inside, boundary = np.flatnonzero(same & both) + 1, np.flatnonzero(~same & both) + 1
-    # cuts on the first quadruple of a new first block, or on the last
-    # quadruple before one
-    starts = np.flatnonzero(first[1:] != first[:-1]) + 1
-    budget = {"inside-early": inside[len(inside) // 5],
-              "inside-late": inside[-len(inside) // 5],
-              "boundary-early": boundary[len(boundary) // 5],
-              "boundary-late": boundary[-len(boundary) // 5],
-              "new-block-early": starts[3] + 1, "new-block-late": starts[-7] + 1,
-              "block-end": starts[len(starts) // 2],
-              "total-1": total - 1, "total": total, "total+1": total + 1}[where]
-    res = an.find_onan_exhaustive(unital_q5, budget=int(budget))
-    assert res.examined == min(budget, total)
-    assert res.complete == (budget >= total)
-    assert res.count == hit[:budget].sum()
-    assert np.array_equal(res.block_ids, full.block_ids[:res.count])
-    assert np.array_equal(res.point_ids, full.point_ids[:res.count])
-
-
 def test_examined_by_first_block_q5(unital_q5, full_search_q5):
-    # the closed forms of docs/ORBITS.md section 10 against the quadruples
-    # the former pass examined, bucket by bucket
-    full, (_, _, first) = full_search_q5
-    idx = an.DesignIndex(unital_q5)
-    type_b = an._type_b(idx, by_first=True)
-    assert np.array_equal(np.bincount(full.blocks[:, 0], minlength=idx.B) + type_b,
-                          np.bincount(first, minlength=idx.B))
-    assert an._type_b(idx) == type_b.sum() == full.examined - full.count
+    # the closed form of docs/ORBITS.md section 10 against the quadruples
+    # the former pass examined
+    full, (triangle, hit) = full_search_q5
+    assert full.examined == len(triangle) and full.count == hit.sum()
+    assert an._type_b(an.DesignIndex(unital_q5)) == full.examined - full.count
 
 
 def test_exhaustive_peak_memory_q5(unital_q5):
@@ -962,6 +897,31 @@ def test_meets_bits_packed_by_row_batches(unital_cm81):
         "fc5dd20025c707184455e8bd1761a760bec5f9f963baef36261dae24914f23d2")
 
 
+def test_avoid_bits_packed_by_point_batches(unital_q3, unital_q5, unital_cm81):
+    # the (n, B) bool table that packing it whole needs peaked at 5.16 MiB
+    # traced at cm q = 9; by id_batches of points the peak stays near the
+    # 0.52 MiB bitset, with the same bytes at q = 3, 5 and cm q = 9
+    def digest(bits):
+        return hashlib.sha256(bits.tobytes()).hexdigest()
+
+    assert digest(an.DesignIndex(unital_q3).avoid_bits) == (
+        "bb1d2579c9803765022065be57b4a3412862f269a3b955c2e847076e05df485a")
+    assert digest(an.DesignIndex(unital_q5).avoid_bits) == (
+        "c04c407c1a3a1a24cfd1c11827a8c0a0ea487fb09f09b58ec0f49dd046639117")
+    idx = an.DesignIndex(unital_cm81)
+    idx.blocks_by_point
+    tracemalloc.start()
+    try:
+        bits = idx.avoid_bits
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bits.nbytes == 730 * 93 * 8
+    assert peak < 2 * bits.nbytes
+    assert digest(bits) == (
+        "2eebebbb08644a0b814fe1cb1e5608f559c9cbe365ffa164ca3fb894f56a1de2")
+
+
 def test_design_index_bitsets_q3(unital_q3):
     idx = an.DesignIndex(unital_q3)
     B = idx.B
@@ -1035,7 +995,7 @@ def test_explicit_construction_q5(unital_q5):
 
 def test_explicit_witness_in_exhaustive_q5(unital_q5):
     cfg = an.construct_onan_explicit(unital_q5)
-    res = an.find_onan_exhaustive(unital_q5, budget=2_000_000)
+    res = an.find_onan_exhaustive(unital_q5)
     assert res.complete
     assert any(c.blocks == cfg.blocks for c in res.configs)
     pick = np.random.default_rng(5).choice(len(res.configs), 200, replace=False)
@@ -1436,11 +1396,11 @@ def test_profiles_distinguish(unital_q3, classical_q3):
                                           (5, ((0, 1), (6840, 125)))])
 def test_profile_onan_point_histogram(q, histogram, unital_q3, unital_q5, s9, s25):
     u = {3: unital_q3, 5: unital_q5}[q]
-    p = an.invariant_profile(u, with_wilbrink=False)
+    p = an.invariant_profile(u)
     assert p.onan_point_histogram == histogram
     assert p.onan_total == sum(c * n for c, n in histogram) // 6   # 6 points each
     classical = un.build_classical_baseline({3: s9, 5: s25}[q])
-    p_cl = an.invariant_profile(classical, with_wilbrink=False)
+    p_cl = an.invariant_profile(classical)
     assert p_cl.onan_point_histogram == ((0, q ** 3 + 1),) and p_cl.onan_total == 0
 
 

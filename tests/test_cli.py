@@ -350,7 +350,25 @@ def test_compare_command(capsys, tmp_path, unital_q3, classical_q3):
     un.write_unital_file(classical_q3, right)
     code, out, _ = run(capsys, "compare", "--left", str(left), "--right", str(right))
     assert code == 0
-    assert out.strip() == "NON-ISOMORPHIC (onan count: 324 vs 0)"
+    assert out.strip() == ("NON-ISOMORPHIC (onan_total: 324 vs 0; "
+                           "onan_point_histogram: ((0, 1), (72, 27)) vs ((0, 28),); "
+                           "strong_vertex_count: 1 vs 28)")
+
+
+def test_compare_out_names_the_hash_of_each_input(capsys, tmp_path, unital_q3, classical_q3):
+    from unitalforge import unital as un
+
+    left, right = tmp_path / "left.unital", tmp_path / "right.unital"
+    un.write_unital_file(unital_q3, left)
+    un.write_unital_file(classical_q3, right)
+    out_file = tmp_path / "c.json"
+    code, _, _ = run(capsys, "compare", "--left", str(left), "--right", str(right),
+                     "--out", str(out_file))
+    payload = json.loads(out_file.read_text())
+    hashes = [payload[side]["hash"] for side in ("left", "right")]
+    assert code == 0 and hashes[0] != hashes[1]
+    assert hashes == [un.read_unital_file(path).certificate()["hash"]
+                      for path in (left, right)]
 
 
 def test_compare_reports_strong_vertices_at_q9(capsys, tmp_path, unital_cm81, plane_cm81):
@@ -364,9 +382,15 @@ def test_compare_reports_strong_vertices_at_q9(capsys, tmp_path, unital_cm81, pl
     code, out, _ = run(capsys, "compare", "--left", str(left), "--right", str(right),
                        "--out", str(out_file))
     payload = json.loads(out_file.read_text())
-    assert code == 0 and out.startswith("INCONCLUSIVE")
-    assert [payload[side]["strong_vertex_count"] for side in ("left", "right")] == [1, 1]
-    assert payload["left"]["onan_total"] is None
+    histograms = (((629856, 1), (818496, 729)),
+                  ((620136, 1), (761240, 81), (762542, 648)))
+    assert code == 0
+    assert out.strip() == (f"NON-ISOMORPHIC (onan_total: 99552240 vs 92734632; "
+                           f"onan_point_histogram: {histograms[0]} vs {histograms[1]})")
+    sides = [payload[side] for side in ("left", "right")]
+    assert [s["strong_vertex_count"] for s in sides] == [1, 1]
+    assert [s["onan_total"] for s in sides] == [99552240, 92734632]
+    assert [tuple(map(tuple, s["onan_point_histogram"])) for s in sides] == list(histograms)
 
 
 def test_polarity_build_verifies_once(capsys, tmp_path, monkeypatch):
@@ -563,8 +587,8 @@ def test_malformed_field_descriptor_is_usage_error(capsys, tmp_path, unital_q3, 
      "--trials must be at least 1, got 0"),
     (("field", "check", "--p", "3", "--m", "2", "--seed", "-1"),
      "--seed must be at least 0, got -1"),
-    (("onan", "find", "--p", "3", "--m", "2", "--exhaustive", "--budget", "-1"),
-     "--budget must be at least 0, got -1"),
+    (("polarity", "verify", "--p", "3", "--m", "2", "--seed", "-3"),
+     "--seed must be at least 0, got -3"),
     # a modulus not monic, or of the wrong degree, once reduced mod p
     (("field", "check", "--p", "3", "--m", "2", "--modulus", "1,0,2"),
      "modulus must be monic of degree 2"),
@@ -740,7 +764,7 @@ _SUBCOMMAND_FLAGS = {
     "unital ovals": "--spec --in --theta",
     "circles": "--spec --in --theta",
     "wilbrink": "--spec --in --theta --point --ratio",
-    "onan find": "--spec --in --theta --exhaustive --budget --limit",
+    "onan find": "--spec --in --theta --exhaustive --limit",
     "onan construct": "--spec --in --theta",
     "polarity build": "--spec --kappa --seed --trials --out",
     "polarity verify": "--spec --kappa --seed --trials",
@@ -768,7 +792,7 @@ def _leaf_flags(parser, path=""):
 
 def test_each_subcommand_takes_only_the_flags_it_reads():
     leaves = _leaf_flags(build_parser())
-    assert sum(map(len, leaves.values())) == 109
+    assert sum(map(len, leaves.values())) == 108
     assert leaves.pop("compare") == {"--left", "--right", "--out"}
     assert leaves.pop("suite") == {"--quick", "--full"}
     assert leaves == {name: _FIELD_FLAGS | set(flags.split())
@@ -805,6 +829,13 @@ def test_dropped_flags_are_usage_errors(capsys, tmp_path, monkeypatch):
         code, out, err = run(capsys, *name.split(), "--p", "3", "--m", "2", *argv)
         assert code == 2 and out == "" and f"unrecognized arguments: {flag}" in err, name
     assert list(tmp_path.iterdir()) == []          # no --out or --cache-dir was written
+
+
+def test_onan_find_takes_no_budget(capsys):
+    # the exhaustive search lists every configuration; it has no cut to set
+    code, out, err = run(capsys, "onan", "find", "--p", "3", "--m", "2", "--exhaustive",
+                         "--budget", "5")
+    assert code == 2 and out == "" and "unrecognized arguments: --budget 5" in err
 
 
 @pytest.mark.parametrize("name", [n for n, f in _SUBCOMMAND_FLAGS.items() if "--in" in f])
