@@ -979,18 +979,25 @@ def _histogram(values: np.ndarray) -> tuple:
 
 def invariant_profile(unital: Unital) -> InvariantProfile:
     """Design parameters, O'Nan statistics, strong-vertex count and the
-    line intersection spectrum, each computed in full.  The O'Nan counts
-    per point come from one listing through each translation-orbit
-    representative (_onan_orbits), with no list of all configurations:
-    the total is their sum over the points / 6.  The strong-vertex count
-    checks every point.  The DesignIndex comes first, so that its size
-    limit refuses a unital past q = 9 before anything is built."""
+    line intersection spectrum, each computed in full.  The per-point
+    invariants are read at the translation-orbit representatives and
+    carried to every point through its orbit label: the translations that
+    fix U are design automorphisms, so the number of configurations
+    through a point (listed by _configs_through, never kept) and whether
+    it is a strong vertex are constant on orbits.  The O'Nan total is the
+    sum of the counts over the points / 6.  The DesignIndex comes first,
+    so that its size limit refuses a unital past q = 9 before anything is
+    built."""
     idx = DesignIndex(unital)
-    per_point = _onan_orbits(unital, idx)[0]
-    strong = sum(wilbrink_vertex_check(unital, int(pid), index=idx).strong
-                 for pid in unital.points)
+    label = unital.translation_group.point_orbits(unital.points)[0]
+    through = np.zeros(len(label), dtype=np.int64)
+    strong = np.zeros(len(label), dtype=bool)
+    for R in np.flatnonzero(label == np.arange(len(label))).tolist():
+        through[R] = sum(len(blocks) for blocks, _ in _configs_through(idx, R))
+        strong[R] = wilbrink_vertex_check(unital, int(unital.points[R]), index=idx).strong
+    per_point = through[label]
     return InvariantProfile(idx.n, idx.q + 1, idx.B, int(per_point.sum()) // 6,
-                            _histogram(per_point), strong,
+                            _histogram(per_point), int(strong[label].sum()),
                             _histogram(line_intersection_counts(unital)))
 
 

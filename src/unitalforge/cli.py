@@ -456,11 +456,12 @@ def cmd_subgroups(args) -> int:
         rep2 = an.sigma_stabilizer_report(upol)
         print(f"shear stabilizer (polarity): order={rep2.order} "
               f"abelian={rep2.is_abelian} witness={rep2.commutator_witness}")
-        N = plane.N
-        if N ** 3 * (N * N + N) <= an.SIGMA_TABLE_MAX_ENTRIES:   # its image table: q <= 5
+        try:
             comp = an.verify_sigma_composition(plane)
-            print(f"composition law: pairs={comp['pairs_checked']} "
-                  f"biadditivity={comp['biadditivity']}")
+        except UsageError:              # its image table is past q = 5: no line
+            return 0
+        print(f"composition law: pairs={comp['pairs_checked']} "
+              f"biadditivity={comp['biadditivity']}")
     else:
         rept = an.shift_stabilizer_report(u)
         print(f"translation stabilizer (parabolic): order={rept.order}")

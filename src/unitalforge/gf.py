@@ -30,8 +30,11 @@ Translation x -> x + a acts on the two parts apart: the high parts move by
 one row of the Q x Q table and the low parts by one row of the P x P table.
 `FieldCtx.translate(table, a)` therefore reads table[x + a] for every x as a
 row take and a column take of table viewed as a (Q, P) array, without one
-field addition per element; the planarity sweeps and the parabolic line
-counts run on it.
+field addition per element.  `FieldCtx.minus_shifted(table, minus, at)`
+builds on it the map a -> table[x + a] - minus, splitting table and -minus
+into their halves once: the planarity sweeps read their difference maps
+f(x + a) - f(x) from it, and the line counts their votes f(x + a) - y, so
+no other module reads the split addition tables.
 
 `ExtensionSplit` views F_{p^{2n}} over its index-2 subfield F_q (q = p^n):
 decomposition along the basis (1, xi), relative trace and norm, the quadratic
@@ -371,6 +374,32 @@ class FieldCtx:
             return np.asarray(table)[cols]
         rows = self.add_hi[a_hi * Q:(a_hi + 1) * Q] // P
         return np.asarray(table).reshape(Q, P)[rows][:, cols].reshape(-1)
+
+    def minus_shifted(self, table, minus, at=None):
+        """The map a -> table[x + a] - minus over x in `at` (every element,
+        in index order, when at is None); minus has the shape of the result.
+        It equals a -> sub(translate(table, a)[at], minus).
+
+        table and -minus are split into their halves once, as row and
+        column offsets into add_hi and add_lo, so a shift costs one
+        translation and one flat take per half.  A one-table field has no
+        high half (it is all zeros there) and skips it.
+        """
+        P = self.split_base
+        Q = self.size // P
+        table, neg = np.asarray(table), self.neg_table[minus]
+        halves = [(self.add_lo, table % P * P, neg % P)]
+        if Q > 1:
+            halves.append((self.add_hi, table // P * Q, neg // P))
+
+        def shifted(a):
+            out = None
+            for add, part, neg_part in halves:
+                moved = self.translate(part, a)
+                half = add[(moved if at is None else moved[at]) + neg_part]
+                out = half if out is None else np.add(out, half, out=out)
+            return out
+        return shifted
 
     def neg(self, a):
         return self.neg_table[a]

@@ -448,7 +448,8 @@ def check_planarity(spec: PlanarFunctionSpec, mode: str = "exhaustive",
 
     Exhaustive mode checks every nonzero shift a; sampled mode checks a
     seeded sample of `trials` distinct shifts.  A shift is proved either by
-    rank or by a full bijection sweep of its difference map.  When every
+    rank or by a full bijection sweep of its difference map, which
+    ctx.minus_shifted reads a shift at a time.  When every
     digit of f(x) over F_p is a polynomial of degree <= 2 in the digits of x
     (checked on the whole table, never read from the catalog), D_a is an
     affine map over F_p, bijective exactly when its m x m matrix M_a is
@@ -463,9 +464,7 @@ def check_planarity(spec: PlanarFunctionSpec, mode: str = "exhaustive",
     """
     require_mode(mode, ("exhaustive", "sampled"))
     ctx = spec.split.ctx
-    N, P = ctx.size, ctx.split_base
-    Q = N // P
-    t = spec.table
+    N, t = ctx.size, spec.table
     if mode == "exhaustive":
         shifts = np.arange(1, N, dtype=np.int64)
         seed_used = None
@@ -476,17 +475,10 @@ def check_planarity(spec: PlanarFunctionSpec, mode: str = "exhaustive",
         shifts = np.sort(rng.choice(N - 1, size=count, replace=False) + 1)
         seed_used = seed
 
-    # f(x+a) - f(x) digit-wise: the high and low parts of f(x+a), as row
-    # offsets into add_hi and add_lo, are two translations of tables built
-    # once; those of -f(x) are the column offsets
-    hi, lo = t // P * Q, t % P * P
-    neg_t = ctx.neg(t)
-    neg_hi, neg_lo = neg_t // P, neg_t % P
-
+    difference = ctx.minus_shifted(t, t)          # a -> f(x + a) - f(x)
     seen = np.zeros(N, dtype=bool)
     for a in shifts[~_proved_by_rank(ctx, t, shifts)]:
-        vals = (ctx.add_hi[ctx.translate(hi, a) + neg_hi]
-                + ctx.add_lo[ctx.translate(lo, a) + neg_lo])
+        vals = difference(a)
         seen[:] = False
         seen[vals] = True
         if not seen.all():

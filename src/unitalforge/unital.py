@@ -639,8 +639,9 @@ def _line_counts(unital: Unital):
     read at b + d.  With C the projection of unital.translation_group onto
     the slopes, one direct row per coset a0 + C gives every row; a unital
     whose group is trivial counts all N rows directly.  A direct row bins
-    the votes f(x + a0) - y of the affine points through flat gathers in
-    the halves of the addition table.
+    the votes f(x + a0) - y of the affine points (x, y), which
+    ctx.minus_shifted reads at the points' x, with f and -y split into
+    the halves of the addition table once for all rows.
 
     The tangents per point come out of the same pass: a point's pencil is
     the graph line it votes for at every shift, plus its vertical (affine
@@ -666,22 +667,14 @@ def _line_counts(unital: Unital):
     graph = counts[:NN].reshape(N, N)
     lift_c, lift_d = unital.translation_group.slope_lifts()
     lifts = Shift(plane, lift_c[:, None], lift_d[:, None])
-    # an index is hi * P + lo; f(x + a0) - y has low part add_lo[f_lo * P +
-    # (-y)_lo] and high part add_hi[f_hi * Q + (-y)_hi]
-    P = ctx.split_base
-    Q = N // P
-    neg_y = ctx.neg(ys)
-    f_lo, y_lo = plane.f % P * P, neg_y % P
-    f_hi, y_hi = plane.f // P * Q, neg_y // P
+    vote = ctx.minus_shifted(plane.f, ys, at=xs)   # a0 -> f(x + a0) - y
     voter = np.arange(len(aff), dtype=np.float64)
     moved = []                      # the affine point of each tangent graph line
     done = np.zeros(N, dtype=bool)
     for a0 in range(N):
         if done[a0]:
             continue
-        votes = ctx.add_lo[ctx.translate(f_lo, a0)[xs] + y_lo]
-        if Q > 1:
-            votes += ctx.add_hi[ctx.translate(f_hi, a0)[xs] + y_hi]
+        votes = vote(a0)
         row = np.bincount(votes, minlength=N)
         owner = np.bincount(votes, weights=voter, minlength=N)
         tangent = aff[owner[(row == 1) & (slope_in[a0] == 0)].astype(np.int64)]

@@ -1404,6 +1404,20 @@ def test_profile_onan_point_histogram(q, histogram, unital_q3, unital_q5, s9, s2
     assert p_cl.onan_point_histogram == ((0, q ** 3 + 1),) and p_cl.onan_total == 0
 
 
+@pytest.mark.parametrize("name", ["unital_q3", "classical_q3", "unital_q5", "classical_q5"])
+def test_profile_equals_the_sweep_of_every_point(name, request):
+    # the profile reads its per-point invariants at orbit representatives;
+    # counting through and checking every point gives the same fields
+    u = request.getfixturevalue(name)
+    idx = an.DesignIndex(u)
+    through = [sum(len(b) for b, _ in an._configs_through(idx, R)) for R in range(idx.n)]
+    strong = sum(an.wilbrink_vertex_check(u, int(pid), index=idx).strong for pid in u.points)
+    p = an.invariant_profile(u)
+    assert u.translation_group.order > 1
+    assert p.onan_point_histogram == an._histogram(np.array(through))
+    assert p.onan_total == sum(through) // 6 and p.strong_vertex_count == strong
+
+
 def test_profile_invariant_under_collineation(unital_q3):
     from unitalforge.plane import Shift
 

@@ -355,6 +355,23 @@ def test_compare_command(capsys, tmp_path, unital_q3, classical_q3):
                            "strong_vertex_count: 1 vs 28)")
 
 
+def test_compare_square_q9_parabolic_and_classical(capsys, tmp_path):
+    # ten and two translation orbits: the profile checks 12 vertices, not 1460
+    from unitalforge import gf, planar, unital as un
+    from unitalforge.plane import ShiftPlane
+
+    split = gf.split_new(gf.field_new(3, 4), 2)
+    plane = ShiftPlane(planar.square(split))
+    left, right = tmp_path / "left.unital", tmp_path / "right.unital"
+    un.write_unital_file(un.build_parabolic_unital(plane, split.choose_theta()), left)
+    un.write_unital_file(un.build_classical_baseline(split), right)
+    code, out, _ = run(capsys, "compare", "--left", str(left), "--right", str(right))
+    assert code == 0
+    assert out.strip() == ("NON-ISOMORPHIC (onan_total: 80236656 vs 0; "
+                           "onan_point_histogram: ((0, 1), (660384, 729)) vs ((0, 730),); "
+                           "strong_vertex_count: 1 vs 730)")
+
+
 def test_compare_out_names_the_hash_of_each_input(capsys, tmp_path, unital_q3, classical_q3):
     from unitalforge import unital as un
 

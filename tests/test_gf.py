@@ -524,6 +524,34 @@ def test_translate_matches_addition(p, m):
     assert ctx.translate(table, np.int64(1)).shape == (ctx.size,)
 
 
+def _assert_minus_shifted_matches(ctx):
+    # every shift, over the whole field and over a seeded index array
+    rng = np.random.default_rng([13, ctx.size])
+    table = rng.integers(0, ctx.size, ctx.size)
+    at = rng.integers(0, ctx.size, 200)
+    minus = rng.integers(0, ctx.size, len(at))
+    whole, picked = ctx.minus_shifted(table, table), ctx.minus_shifted(table, minus, at=at)
+    for a in range(ctx.size):
+        for got, want in ((whole(a), ctx.sub(ctx.translate(table, a), table)),
+                          (picked(a), ctx.sub(ctx.translate(table, a)[at], minus))):
+            assert got.dtype == want.dtype and np.array_equal(got, want), a
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (7, 4)])
+def test_minus_shifted_matches_translate_and_sub(p, m):
+    # F_9 has one table, F_7^4 (2401 > ADD_TABLE_MAX) two
+    ctx = gf.field_new(p, m)
+    assert (ctx.add_table is None) == (ctx.size > gf.ADD_TABLE_MAX)
+    _assert_minus_shifted_matches(ctx)
+
+
+def test_minus_shifted_on_a_forced_split_field(monkeypatch):
+    monkeypatch.setattr(gf, "ADD_TABLE_MAX", 27)
+    ctx = gf.FieldCtx(3, 4)
+    assert ctx.split_base == 9 and ctx.add_table is None
+    _assert_minus_shifted_matches(ctx)
+
+
 def test_small_field_split_form_is_the_addition_table():
     # P = N, Q = 1: the low table is the whole one, the high table trivial
     ctx = gf.field_new(3, 4)

@@ -1,6 +1,7 @@
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +48,13 @@ print("numpy.ma" in sys.modules)
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "False"
+
+
+def test_only_gf_reads_the_split_addition_tables():
+    # every other module adds through FieldCtx's methods, so the layout of
+    # the addition tables can change in gf alone
+    src = Path(unitalforge.__file__).resolve().parent
+    layout = re.compile(r"split_base|add_lo|add_hi")
+    readers = sorted(path.name for path in src.glob("*.py")
+                     if layout.search(path.read_text(encoding="utf-8")))
+    assert readers == ["gf.py"]

@@ -346,6 +346,21 @@ def test_sampled_planarity_frozen_large(s15625, s59049):
         assert chk == planar.PlanarityCheck(True, "sampled", 1000, None, 0)
 
 
+@pytest.mark.parametrize("p, m, text, kwargs, want", [
+    (3, 2, "square", {}, (True, 8, None)),
+    (5, 2, "square", {}, (True, 24, None)),
+    (3, 4, "cm:k=3", {}, (True, 80, None)),
+    (3, 6, "albert:k=2", {}, (True, 728, None)),
+    (3, 8, "cm:k=3", {"mode": "sampled", "trials": 300, "seed": 0}, (True, 300, None)),
+])
+def test_planarity_results_frozen(p, m, text, kwargs, want):
+    # Coulter-Matthews is not quadratic in the digits, so its shifts are
+    # swept: on one table at F_81, through both halves at F_3^8
+    spec = planar.parse_spec(gf.split_new(gf.field_new(p, m), m // 2), text)
+    chk = planar.check_planarity(spec, **kwargs)
+    assert (chk.passed, chk.shifts_checked, chk.witness) == want
+
+
 def test_non_planar_witness_frozen_large(s15625):
     # f = x^2 + 7 x^26 over F_5^6: the first 39 shifts pass, shift 40 fails
     f = planar.parse_spec(s15625, "custom:2:1,26:7")
@@ -518,6 +533,23 @@ def test_linear_cube_keeps_its_witness(s9):
         False, "exhaustive", 1, (1, 0, 1), None)
     assert planar.check_planarity(cube, mode="sampled", trials=5, seed=1) == \
         planar.PlanarityCheck(False, "sampled", 1, (1, 0, 1), 1)
+
+
+def test_even_quartic_keeps_its_witness(s9, monkeypatch):
+    # x^4 is even, so f(x + a) - f(x) repeats a value on every field; over
+    # F_9 the sweep names (1, 1, 4), and over F_81 on the split form
+    # (1, 1, 16)
+    assert planar.check_planarity(planar.parse_spec(s9, "custom:4:1")) == \
+        planar.PlanarityCheck(False, "exhaustive", 1, (1, 1, 4), None)
+    monkeypatch.setattr(gf, "ADD_TABLE_MAX", 27)
+    ctx = gf.FieldCtx(3, 4)
+    assert ctx.add_table is None
+    spec = planar.parse_spec(gf.ExtensionSplit(ctx, 2), "custom:4:1")
+    chk = planar.check_planarity(spec)
+    a, x1, x2 = chk.witness
+    t = spec.table
+    assert chk == planar.PlanarityCheck(False, "exhaustive", 1, (1, 1, 16), None)
+    assert ctx.sub(t[ctx.add(x1, a)], t[x1]) == ctx.sub(t[ctx.add(x2, a)], t[x2])
 
 
 def test_exhaustive_planarity_pw_q243(s59049):

@@ -923,6 +923,27 @@ def _assert_orbit_pass_matches(u, name):
             int((ref_counts == 1).sum()), bool(np.all(ref_tangents == 1)), u.plane.n_lines)
 
 
+# SHA-256 of the counts and tangents bytes of _line_counts; the
+# forced-split F_81 field gives the cm-q9 bytes too
+LINE_COUNTS_SHA256 = {
+    ("square-q3", "parabolic"): "da0c42969417d595f9277d90617303c501b8ec21e8be87d7c4149c1196c00900",
+    ("square-q3", "polarity"): "641dc8347016918e60c6922cfd4679f13e8e4a72d897d0cc1c3d843b8e834c74",
+    ("square-q5", "parabolic"): "335c9c0febc31ac990fe5f34b57db118cf13f3738853848069ebb41799cb2423",
+    ("square-q5", "polarity"): "d0f9a4b0b0eb129237863b6a18a9817201f5a54f83db520e3a600627505c2c3f",
+    ("cm-q9", "parabolic"): "048ca5a662dbfc3e965faf1fdc117d35c535f482727d789dcf6d0908f9f78e44",
+    ("cm-q9", "polarity"): "0cf98464803f4c87a6f4dbc0456fc41108cf78218ef8245e6222daea90ac1478",
+    ("albert-q27", "parabolic"): "6a6d34c7c0f6e3a18cacb4b4b6c6315d5231aef14b13217b046f289015dc4622",
+    ("albert-q27", "polarity"): "9fd8b2e7cdd48685f3871089027f9244de898b7179eaed2a698afa0d4b4cac7a",
+}
+
+
+def _assert_line_counts_frozen(cases, tag):
+    for kind in ("parabolic", "polarity"):
+        counts, tangents = un._line_counts(cases[kind])
+        digest = hashlib.sha256(counts.tobytes() + tangents.tobytes()).hexdigest()
+        assert digest == LINE_COUNTS_SHA256[tag, kind], (tag, kind)
+
+
 @pytest.mark.parametrize("plane_name", ["plane_q3", "plane_q5", "plane_cm81"])
 def test_orbit_line_counts_match_direct_pass(plane_name, request):
     plane = request.getfixturevalue(plane_name)
@@ -934,14 +955,18 @@ def test_orbit_line_counts_match_direct_pass(plane_name, request):
                       "slope-swap": 1, "affine-swap": 1}
     for name, u in cases.items():
         _assert_orbit_pass_matches(u, name)
+    tag = {"plane_q3": "square-q3", "plane_q5": "square-q5", "plane_cm81": "cm-q9"}
+    _assert_line_counts_frozen(cases, tag[plane_name])
 
 
 def test_orbit_line_counts_match_direct_pass_albert27(s729):
     plane = ShiftPlane(planar.parse_spec(s729, "albert:k=2"))
-    for name, u in (("parabolic", un.build_parabolic_unital(plane, s729.choose_theta())),
-                    ("polarity", un.build_polarity_unital(plane, un.InvolutionSpec("frobq")))):
+    cases = {"parabolic": un.build_parabolic_unital(plane, s729.choose_theta()),
+             "polarity": un.build_polarity_unital(plane, un.InvolutionSpec("frobq"))}
+    for name, u in cases.items():
         _assert_orbit_pass_matches(u, name)
         assert u.translation_group.order == {"parabolic": 19683, "polarity": 729}[name]
+    _assert_line_counts_frozen(cases, "albert-q27")
 
 
 def test_orbit_line_counts_on_a_two_table_field(monkeypatch):
@@ -950,8 +975,10 @@ def test_orbit_line_counts_on_a_two_table_field(monkeypatch):
     ctx = gf.FieldCtx(3, 4)
     assert ctx.split_base == 9 and ctx.add_table is None
     plane = ShiftPlane(planar.coulter_matthews(gf.ExtensionSplit(ctx, 2), 3))
-    for name, u in _orbit_cases(plane).items():
+    cases = _orbit_cases(plane)
+    for name, u in cases.items():
         _assert_orbit_pass_matches(u, name)
+    _assert_line_counts_frozen(cases, "cm-q9")
 
 
 @settings(max_examples=30, deadline=None)
