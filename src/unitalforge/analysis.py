@@ -372,6 +372,8 @@ def wilbrink_vertex_check(unital: Unital, point_id: int, strong: bool = True,
     _WILBRINK_BYTES of gathered avoid rows, so a vertex that fails early
     costs one small batch.
     """
+    if not 0 <= point_id < unital.plane.n_points:      # before numpy casts it
+        raise UsageError(f"point {point_id} not in the unital")
     v = int(unital.ranks(point_id))
     if v == len(unital.points) or unital.points[v] != point_id:
         raise UsageError(f"point {point_id} not in the unital")

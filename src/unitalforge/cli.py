@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -69,7 +67,6 @@ _FLAGS = {
     "--seed": dict(type=int, default=0),
     "--trials": dict(type=int, default=10000),
     "--out": dict(default=None),
-    "--cache-dir": dict(default=None),
     "--point": dict(default="inf", help="'inf', 'all', or a point ID"),
     "--ratio": dict(action="store_true",
                     help="report satisfied/total instead of short-circuiting"),
@@ -151,29 +148,6 @@ def _runconfig(args, ctx, mode: str, theta: str = "auto") -> RunConfig:
                      mode=mode, seed=args.seed, trials=args.trials)
 
 
-def _cache_dir(args):
-    path = args.cache_dir or os.environ.get("UNITALFORGE_CACHE")
-    if path:
-        os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _cached_build(path):
-    """The stored build at path; None when there is none or it is corrupt,
-    which counts as a miss and is rebuilt."""
-    if not path or not os.path.exists(path):
-        return None
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if not (isinstance(payload, dict) and isinstance(payload.get("cert"), dict)
-            and isinstance(payload.get("unital_file"), str)):
-        return None
-    return payload
-
-
 def _certify_planar(spec, args):
     """Refuse a spec that check_planarity does not certify planar, in the
     command's --mode (exhaustive without one): it generates no projective
@@ -207,11 +181,17 @@ def _emit(cert: dict, out: str | None):
         print(text)
 
 
-def _finish_certificate(cert: dict, rc: RunConfig) -> dict:
+def _publish(u, extra: dict, rc: RunConfig, out: str | None):
+    """The certificate of u with `extra`, its RunConfig and a timestamp
+    attached after hashing: emitted to <out>.json beside u written to out,
+    or printed without --out."""
+    cert = u.certificate(extra)
     cert["runconfig"] = asdict(rc)
     cert["runconfig_hash"] = rc.digest()
     cert["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    return cert
+    if out:
+        un.write_unital_file(u, out)
+    _emit(cert, out and out + ".json")
 
 
 # ---------------------------------------------------------------------- cmds
@@ -272,47 +252,18 @@ def cmd_plane_dump(args) -> int:
 
 
 def _build_unital(args):
-    ctx, split, spec = _context(args)
-    plane = _plane(spec, args)
-    theta = _theta_index(split, spec, args.theta)
-    return ctx, plane, un.build_parabolic_unital(plane, theta)
+    _, split, spec = _context(args)
+    return un.build_parabolic_unital(_plane(spec, args),
+                                     _theta_index(split, spec, args.theta))
 
 
 def cmd_unital_build(args) -> int:
-    ctx, split, spec = _context(args)
-    plane = _plane(spec, args)
-    rc = _runconfig(args, ctx, args.mode, args.theta)
-    cache = _cache_dir(args)
-    cache_file = os.path.join(cache, rc.digest() + ".json") if cache else None
-    payload = _cached_build(cache_file)
-    if payload is not None:
-        print(f"cache hit: {cache_file}", file=sys.stderr)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload["unital_file"])
-            _emit(payload["cert"], args.out + ".json")
-        else:
-            _emit(payload["cert"], None)
-        return 0
-    theta = _theta_index(split, spec, args.theta)
-    u = un.build_parabolic_unital(plane, theta)
+    u = _build_unital(args)
     emb = un.verify_unital_embedded(u, mode=args.mode, seed=args.seed,
                                     trials=args.trials)
-    cert = _finish_certificate(
-        u.certificate({"points_count": len(u.points),
-                       "theta": theta,
-                       "secants": emb.secant_count,
-                       "tangents": emb.tangent_count}), rc)
-    if args.out:
-        un.write_unital_file(u, args.out)
-        _emit(cert, args.out + ".json")
-    else:
-        _emit(cert, None)
-    if cache_file:
-        text = io.StringIO()
-        un.write_unital_file(u, text)
-        with open(cache_file, "w") as fh:
-            json.dump({"cert": cert, "unital_file": text.getvalue()}, fh)
+    _publish(u, {"points_count": len(u.points), "theta": u.theta,
+                 "secants": emb.secant_count, "tangents": emb.tangent_count},
+             _runconfig(args, u.plane.ctx, args.mode, args.theta), args.out)
     return 0
 
 
@@ -338,12 +289,12 @@ def _load_or_build(args):
     if args.infile:
         u = _read_unital(args.infile, args)
         _check_field_flags(args, u.plane)
-        return u.plane.ctx, u.plane, u
+        return u
     return _build_unital(args)
 
 
 def cmd_unital_verify(args) -> int:
-    ctx, plane, u = _load_or_build(args)
+    u = _load_or_build(args)
     emb = un.verify_unital_embedded(u, mode=args.mode, seed=args.seed,
                                     trials=args.trials)
     print(f"embedded: passed={emb.passed} secants={emb.secant_count} "
@@ -359,7 +310,7 @@ def cmd_unital_verify(args) -> int:
 
 
 def cmd_unital_dual(args) -> int:
-    ctx, plane, u = _load_or_build(args)
+    u = _load_or_build(args)
     _, wit = un.dual_unital(u)
     print(f"self-dual: switch image equals the point set "
           f"({wit['tangent_lines']} tangent lines)")
@@ -367,7 +318,7 @@ def cmd_unital_dual(args) -> int:
 
 
 def cmd_unital_ovals(args) -> int:
-    ctx, plane, u = _load_or_build(args)
+    u = _load_or_build(args)
     ovals = un.ovals_decomposition(u)
     print(f"ovals: {len(ovals)} of sizes {sorted(set(len(o) for o in ovals))}, "
           f"union = unital")
@@ -375,7 +326,7 @@ def cmd_unital_ovals(args) -> int:
 
 
 def cmd_circles(args) -> int:
-    ctx, plane, u = _load_or_build(args)
+    u = _load_or_build(args)
     rep = an.verify_circle_design(u)
     print(f"circles: count={rep.circle_count} size={rep.circle_size} "
           f"lambda={rep.lambda_value} partition={rep.partition_ok} "
@@ -386,9 +337,9 @@ def cmd_circles(args) -> int:
 def cmd_wilbrink(args) -> int:
     if args.point not in ("all", "inf") and not args.point.removeprefix("-").isdecimal():
         raise UsageError(f"--point must be 'inf', 'all' or a point ID, got {args.point!r}")
-    ctx, plane, u = _load_or_build(args)
+    u = _load_or_build(args)
     idx = an.DesignIndex(u)
-    named = {"all": u.points.tolist(), "inf": [plane.infinity_id]}
+    named = {"all": u.points.tolist(), "inf": [u.plane.infinity_id]}
     pids = named.get(args.point) or [int(args.point)]
     code = 0
     for pid in pids:
@@ -400,25 +351,26 @@ def cmd_wilbrink(args) -> int:
     return code
 
 
+def _print_onan(cfgs):
+    for cfg in cfgs:
+        print(f"ONAN blocks={list(cfg.blocks)} points={list(cfg.points)}")
+
+
 def cmd_onan_find(args) -> int:
-    ctx, plane, u = _load_or_build(args)
+    u = _load_or_build(args)
     if args.exhaustive:
         res = an.find_onan_exhaustive(u)
-        for cfg in res.configs[: args.limit]:
-            print(f"ONAN blocks={list(cfg.blocks)} points={list(cfg.points)}")
+        _print_onan(res.configs[: args.limit])
         print(f"count={res.count} complete={res.complete}")
         return 0
     cfgs, hits = an.find_onan_through_infinity(u)
-    for cfg in cfgs[: args.limit]:
-        print(f"ONAN blocks={list(cfg.blocks)} points={list(cfg.points)}")
+    _print_onan(cfgs[: args.limit])
     print(f"count={len(cfgs)} circle_hits={len(hits)}")
     return 0
 
 
 def cmd_onan_construct(args) -> int:
-    ctx, plane, u = _load_or_build(args)
-    cfg = an.construct_onan_explicit(u)
-    print(f"ONAN blocks={list(cfg.blocks)} points={list(cfg.points)}")
+    _print_onan([an.construct_onan_explicit(_load_or_build(args))])
     return 0
 
 
@@ -435,19 +387,14 @@ def cmd_polarity(args) -> int:
     check = u.checks[-1]                  # its one verify_polarity run
     print(f"polarity kappa={args.kappa}: "
           f"absolutes={check.witness['absolute_points']} mode={check.mode}")
-    rc = _runconfig(args, ctx, check.mode)
-    cert = _finish_certificate(
-        u.certificate({"points_count": len(u.points)}), rc)
-    if args.out:
-        un.write_unital_file(u, args.out)
-        _emit(cert, args.out + ".json")
-    else:
-        _emit(cert, None)
+    _publish(u, {"points_count": len(u.points)}, _runconfig(args, ctx, check.mode),
+             args.out)
     return 0
 
 
 def cmd_subgroups(args) -> int:
-    ctx, plane, u = _build_unital(args)
+    u = _build_unital(args)
+    plane = u.plane
     if plane.spec.is_dembowski_ostrom:
         rep1 = an.sigma_stabilizer_report(u)
         print(f"shear stabilizer (parabolic): order={rep1.order} "
@@ -516,7 +463,7 @@ _COMMANDS = (
      "--spec --mode --seed --trials"),
     ("plane dump", None, cmd_plane_dump, "--spec --out"),
     ("unital build", "build and certify unitals", cmd_unital_build,
-     "--spec --theta --mode --seed --trials --out --cache-dir"),
+     "--spec --theta --mode --seed --trials --out"),
     ("unital verify", None, cmd_unital_verify, "--spec --in --theta --mode --seed --trials"),
     ("unital dual", None, cmd_unital_dual, "--spec --in --theta"),
     ("unital ovals", None, cmd_unital_ovals, "--spec --in --theta"),
@@ -583,7 +530,7 @@ def main(argv=None) -> int:
     except UnitalForgeError as e:
         print(f"CHECK FAILED ({type(e).__name__}): {e}", file=sys.stderr)
         return 1
-    except OSError as e:                # an --out or --cache-dir path it cannot write
+    except OSError as e:                # an --out path it cannot write
         print(f"usage error: cannot write {e.filename}: {e.strerror}", file=sys.stderr)
         return 2
 

@@ -255,7 +255,7 @@ class FieldCtx:
         if p == 2:
             raise EvenCharacteristic("characteristic 2 is out of scope")
         if m < 1:
-            raise ValueError("extension degree must be >= 1")
+            raise UsageError("extension degree must be >= 1")
         if modulus is None:
             modulus = default_modulus(p, m)
         modulus = tuple(int(c) % p for c in modulus)
@@ -424,7 +424,7 @@ class FieldCtx:
     def pow(self, a, e: int):
         """a**e for integer e >= 0 (convention 0**0 = 1)."""
         if e < 0:
-            raise ValueError("negative exponent; use inv")
+            raise UsageError("negative exponent; use inv")
         n1 = self.size - 1
         a = np.asarray(a)
         out = self.exp[(self.log[a] * (e % n1)) % n1]
@@ -433,7 +433,7 @@ class FieldCtx:
     def frobenius(self, a, k: int = 1):
         """a^(p^k), the k-fold Frobenius power (k >= 0)."""
         if k < 0:
-            raise ValueError("frobenius exponent must be >= 0")
+            raise UsageError("frobenius exponent must be >= 0")
         return self.pow(a, pow(self.p, k, self.size - 1))
 
     def quadratic_character(self, a):
@@ -519,7 +519,7 @@ class ExtensionSplit:
 
     def __init__(self, ctx: FieldCtx, sub_degree: int, xi=None):
         if ctx.m != 2 * sub_degree:
-            raise ValueError(f"need m = 2*sub_degree, got m={ctx.m}, sub_degree={sub_degree}")
+            raise UsageError(f"need m = 2*sub_degree, got m={ctx.m}, sub_degree={sub_degree}")
         self.ctx = ctx
         self.sub_degree = sub_degree
         self.sub_size = ctx.p ** sub_degree  # q

@@ -242,7 +242,7 @@ class PlanarFunctionSpec:
         """star[x, y] = f(x+y) - f(x) - f(y), materialized for small fields."""
         ctx = self.split.ctx
         if ctx.size > 1024:
-            raise ValueError("polarization table only materialized for small fields")
+            raise UsageError("polarization table only materialized for small fields")
         x = np.arange(ctx.size)
         t = self.table
         return np.asarray(ctx.sub(ctx.sub(t[ctx.add(x[:, None], x[None, :])],

@@ -503,7 +503,7 @@ class Gamma(_TableMap):
         if not self.plane.spec.is_power_map:
             raise FamilyMismatch("gamma collineations need a power-map plane")
         if self.c == 0:
-            raise ValueError("c must be nonzero")
+            raise UsageError("c must be nonzero")
 
     @cached_property
     def _tables(self):

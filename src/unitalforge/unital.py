@@ -157,7 +157,7 @@ class Unital:
     @cached_property
     def point_mask(self) -> np.ndarray:
         if self.plane.n_points > _MASK_LIMIT:
-            raise MemoryError("plane too large for a full point mask")
+            raise UsageError("plane too large for a full point mask")
         mask = np.zeros(self.plane.n_points, dtype=bool)
         mask[self.points] = True
         return mask
@@ -593,7 +593,7 @@ def build_general_unital(plane: ShiftPlane, g_table: np.ndarray) -> Unital:
     N, q = plane.N, plane.split.sub_size
     g_table = np.asarray(g_table, dtype=np.int64)
     if g_table.shape != (N, q) or g_table.min() < 0 or g_table.max() >= N:
-        raise ValueError(f"expected table of shape ({N}, {q}) with entries in [0, {N})")
+        raise UsageError(f"expected table of shape ({N}, {q}) with entries in [0, {N})")
     rows = np.sort(g_table, axis=1)
     repeats = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
     if repeats.any():

@@ -90,26 +90,16 @@ def test_runconfig_hash_reproducible(capsys, tmp_path):
     assert certs[0]["runconfig_hash"] == certs[1]["runconfig_hash"]
 
 
-def test_unital_build_cache(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    args = ("unital", "build", "--p", "3", "--m", "2", "--spec", "square",
-            "--theta", "auto", "--cache-dir", str(cache))
-    code1, out1, err1 = run(capsys, *args)
-    code2, out2, err2 = run(capsys, *args)
-    assert code1 == code2 == 0
-    assert "cache hit" not in err1 and "cache hit" in err2
-    assert json.loads(out1)["hash"] == json.loads(out2)["hash"]
-
-
-def test_unital_build_cache_hit_writes_same_file(capsys, tmp_path):
-    args = ("unital", "build", "--p", "3", "--m", "2", "--spec", "square",
-            "--cache-dir", str(tmp_path / "cache"))
-    fresh, hit = tmp_path / "fresh.unital", tmp_path / "hit.unital"
-    code1, _, err1 = run(capsys, *args, "--out", str(fresh))
-    code2, _, err2 = run(capsys, *args, "--out", str(hit))
-    assert code1 == code2 == 0
-    assert "cache hit" not in err1 and "cache hit" in err2
-    assert hit.read_bytes() == fresh.read_bytes()
+def test_unital_build_reads_and_writes_no_cache(capsys, tmp_path, monkeypatch):
+    # a certificate covers the unital handed in, so each build computes the
+    # one it prints and stores none to replay
+    monkeypatch.setenv("UNITALFORGE_CACHE", str(tmp_path))
+    for _ in range(2):
+        code, out, err = run(capsys, "unital", "build", "--p", "3", "--m", "2")
+        assert code == 0 and err == ""
+        assert json.loads(out)["hash"] == (
+            "80561246fb67a04bd1f2d730d5ddfac56064a5b0666053affbd6e596750d655c")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unital_dual_and_ovals(capsys):
@@ -478,7 +468,6 @@ def test_missing_input_file_is_usage_error(capsys, tmp_path):
     "plane dump --p 3 --m 2 --out {dir}",
     "unital build --p 3 --m 2 --out {dir}",
     "unital build --p 3 --m 2 --out {dir}/missing/x",
-    "unital build --p 3 --m 2 --cache-dir {file}",
     "polarity build --p 3 --m 2 --out {dir}",
     "compare --left {file} --right {file} --out {dir}",
 ])
@@ -562,20 +551,6 @@ def test_dual_unital_file_keeps_its_theta(capsys, tmp_path, unital_q3):
     un.write_unital_file(un.dual_unital(unital_q3)[0], path)
     code, out, _ = run(capsys, "unital", "dual", "--p", "3", "--m", "2", "--in", str(path))
     assert code == 0 and "self-dual" in out
-
-
-def test_corrupt_cache_file_is_a_miss(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    args = ("unital", "build", "--p", "3", "--m", "2", "--spec", "square",
-            "--theta", "auto", "--cache-dir", str(cache))
-    code, out, _ = run(capsys, *args)
-    (entry,) = cache.iterdir()
-    for garbage in ("{not json", "[1, 2]"):
-        entry.write_text(garbage)
-        code2, out2, err2 = run(capsys, *args)
-        assert code == code2 == 0 and "cache hit" not in err2
-        assert json.loads(out2)["hash"] == json.loads(out)["hash"]
-        assert "cache hit" in run(capsys, *args)[2]       # rebuilt and stored again
 
 
 @pytest.mark.parametrize("line", ["p=3,m=x,mod=[1,0,1]", "p=3,m=x", "p=3,m=2",
@@ -750,6 +725,19 @@ def test_wilbrink_bad_point_is_usage_error(capsys, point, message):
     assert code == 2 and out == "" and f"usage error: {message}" in err
 
 
+@pytest.mark.parametrize("point", [2 ** 64, -(2 ** 64) - 1])
+def test_wilbrink_point_outside_int64_is_usage_error(capsys, unital_q3, point):
+    # the ID is range-checked before numpy casts it to the point dtype
+    from unitalforge import analysis as an
+    from unitalforge.errors import UsageError
+
+    code, out, err = run(capsys, "wilbrink", "--p", "3", "--m", "2", "--point", str(point))
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert f"usage error: point {point} not in the unital" in err
+    with pytest.raises(UsageError, match=f"^point {point} not in the unital$"):
+        an.wilbrink_vertex_check(unital_q3, point)
+
+
 def test_wilbrink_point_id(capsys, plane_q3):
     code, out, _ = run(capsys, "wilbrink", "--p", "3", "--m", "2",
                        "--point", str(plane_q3.infinity_id))
@@ -775,7 +763,7 @@ _SUBCOMMAND_FLAGS = {
     "planar verify": "--spec --mode --seed --trials",
     "plane verify": "--spec --mode --seed --trials",
     "plane dump": "--spec --out",
-    "unital build": "--spec --theta --mode --seed --trials --out --cache-dir",
+    "unital build": "--spec --theta --mode --seed --trials --out",
     "unital verify": "--spec --in --theta --mode --seed --trials",
     "unital dual": "--spec --in --theta",
     "unital ovals": "--spec --in --theta",
@@ -809,7 +797,7 @@ def _leaf_flags(parser, path=""):
 
 def test_each_subcommand_takes_only_the_flags_it_reads():
     leaves = _leaf_flags(build_parser())
-    assert sum(map(len, leaves.values())) == 108
+    assert sum(map(len, leaves.values())) == 107
     assert leaves.pop("compare") == {"--left", "--right", "--out"}
     assert leaves.pop("suite") == {"--quick", "--full"}
     assert leaves == {name: _FIELD_FLAGS | set(flags.split())
@@ -841,11 +829,11 @@ def test_dropped_flags_are_usage_errors(capsys, tmp_path, monkeypatch):
     # each of these was accepted and changed nothing the command computed
     monkeypatch.chdir(tmp_path)
     dropped = list(_dropped_flags())
-    assert len(dropped) == 197 - 109
+    assert len(dropped) == 197 - 108
     for name, flag, argv in dropped:
         code, out, err = run(capsys, *name.split(), "--p", "3", "--m", "2", *argv)
         assert code == 2 and out == "" and f"unrecognized arguments: {flag}" in err, name
-    assert list(tmp_path.iterdir()) == []          # no --out or --cache-dir was written
+    assert list(tmp_path.iterdir()) == []          # no dropped flag's path was written
 
 
 def test_onan_find_takes_no_budget(capsys):

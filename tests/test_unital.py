@@ -1317,6 +1317,23 @@ def unital_zp125():
     return un.build_parabolic_unital(ShiftPlane(planar.zhou_pott(split, 1, 1)), split.xi)
 
 
+@pytest.mark.parametrize("call", [
+    lambda get: gf.FieldCtx(3, 0),
+    lambda get: get("s9").ctx.pow(2, -1),
+    lambda get: get("s9").ctx.frobenius(2, -1),
+    lambda get: gf.ExtensionSplit(get("s9").ctx, 2),
+    lambda get: get("unital_zp125").plane.spec.polarization_table,
+    lambda get: Gamma(get("plane_q3"), 0, 0),
+    lambda get: un.build_general_unital(get("plane_q3"), np.zeros((9, 2), dtype=np.int64)),
+    lambda get: get("unital_zp125").point_mask,
+], ids=["field-degree", "negative-power", "negative-frobenius", "split-degree",
+        "polarization-size", "gamma-zero-c", "general-table-shape", "point-mask-size"])
+def test_argument_errors_are_usage_errors(request, call):
+    # UsageError subclasses ValueError, so callers that catch one still do
+    with pytest.raises(UsageError):
+        call(request.getfixturevalue)
+
+
 def test_certificate_hash_matches_int_list_body(unital_zp125):
     # the hash body lists the points by tolist(); the former per-point int()
     # comprehension gives the same JSON, so the same hash
