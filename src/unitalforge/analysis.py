@@ -200,6 +200,10 @@ def verify_circle_design(unital: Unital) -> CircleDesignReport:
 
     A repeated circle ends the check: the report then counts the circles
     before the first repeat in (a, beta) order.
+
+    circle_size and lambda_value are measured: the first circle size, over
+    beta_s, off q + 1 and the first pair count, over d != 0, off q (the
+    design's value when none is off; docs/ORBITS.md section 8).
     """
     rank0, meet = _circle_meets(unital)
     ctx, q, N = unital.plane.ctx, unital.q, unital.plane.N
@@ -211,17 +215,17 @@ def verify_circle_design(unital: Unital) -> CircleDesignReport:
     D, s, t = np.nonzero((meet[:, 1:, 1:] == S[:, None]) & (S[:, None] == S))
     keep = (D != 0) | (t < s)
     D, s = D[keep], s[keep]
+    lam = meet[1:, 1:, 1:].diagonal(axis1=1, axis2=2).sum(axis=1)
+    size, lam_value = int(S[np.argmax(S != q + 1)]), int(lam[np.argmax(lam != q)])
     if len(D):
         # IDs add digitwise in base p, so a - d < a first at a = the leading
         # base-p digit of d times its place value (0 for d = 0)
         lead = ctx.pow_p[np.searchsorted(ctx.pow_p, D, side="right") - 1]
         first_repeat = int(np.min(D // lead * lead * (q - 1) + s))
-        return CircleDesignReport(False, first_repeat, q + 1, q, False, False)
-    size_ok = bool(np.all(S == q + 1))
+        return CircleDesignReport(False, first_repeat, size, lam_value, False, False)
     partition_ok = bool(sizes[0] == 1 and rank0[0] == 0)
-    lam = meet[1:, 1:, 1:].diagonal(axis1=1, axis2=2).sum(axis=1)
-    passed = size_ok and partition_ok and bool(np.all(lam == q))
-    return CircleDesignReport(passed, N * (q - 1), q + 1, q, partition_ok, True)
+    passed = size == q + 1 and lam_value == q and partition_ok
+    return CircleDesignReport(passed, N * (q - 1), size, lam_value, partition_ok, True)
 
 
 # ----------------------------------------------------------------------
@@ -900,8 +904,9 @@ def verify_sigma_composition(plane: ShiftPlane) -> dict:
     points for every parameter triple b.  For each generator s = (e_i, 0, 0),
     (0, e_i, 0), (0, 0, e_i), e_i = p^i, and every b, Sigma(s) after
     Sigma(b), T[s][T[b]], must equal T[s*b] on every point, with s*b the
-    law's composite.  The Dembowski-Ostrom test, checked first, proves the
-    star table symmetric and biadditive, so the law is associative: the
+    law's composite, whose w1*u is read by polarization.  The
+    Dembowski-Ostrom test, checked first, proves the polarization
+    symmetric and biadditive, so the law is associative: the
     triples a with Sigma(a) Sigma(b) = Sigma(a*b) for all b are closed
     under it and, holding the generators, are all the triples.  Raises
     FamilyMismatch off Dembowski-Ostrom planes and UsageError past
@@ -916,7 +921,6 @@ def verify_sigma_composition(plane: ShiftPlane) -> dict:
     if n3 * P > SIGMA_TABLE_MAX_ENTRIES:
         raise UsageError(f"the composition law needs <= {SIGMA_TABLE_MAX_ENTRIES} "
                          f"image table entries (q <= 5), got N^3 (N^2 + N) = {n3 * P}")
-    star = plane.spec.polarization_table    # star[w, x] = 2 w*x
     pids = np.arange(P)                     # the affine and slope points
     table = np.empty((n3, P), dtype=np.min_scalar_type(P - 1))
     for rows in id_batches(n3, P):
@@ -927,7 +931,8 @@ def verify_sigma_composition(plane: ShiftPlane) -> dict:
     for u1, v1, w1 in gens:
         outer = table[(u1 * N + v1) * N + w1]
         # s*b per the composition law, with s = (u1, v1, w1) outer
-        comp = ((ctx.add(u, u1) * N + ctx.sub(ctx.add(v, v1), star[w1, u])) * N
+        star = polarization(plane.spec, w1, u)         # 2 w1*u
+        comp = ((ctx.add(u, u1) * N + ctx.sub(ctx.add(v, v1), star)) * N
                 + ctx.add(w, w1))
         for rows in id_batches(n3, P):
             seq, want = outer[table[rows]], table[comp[rows]]

@@ -26,7 +26,7 @@ from . import analysis as an
 from . import gf
 from . import planar
 from . import unital as un
-from .errors import NotPlanar, UnitalForgeError, UsageError
+from .errors import MAX_TRIALS, NotPlanar, UnitalForgeError, UsageError
 from .plane import ShiftPlane
 
 
@@ -84,20 +84,24 @@ def _add_command_args(p: argparse.ArgumentParser, flags: str):
         (group if name in ("--in", "--theta") else p).add_argument(name, **_FLAGS[name])
 
 
-# the least value of each numeric flag; a smaller one is a usage error
-_FLAG_FLOORS = (("trials", 1), ("seed", 0), ("limit", 0))
+# the least and the greatest value of each numeric flag, whatever the
+# mode; a value outside is a usage error
+_FLAG_RANGES = (("trials", 1, MAX_TRIALS), ("seed", 0, float("inf")),
+                ("limit", 0, float("inf")))
 
 
-def _check_flag_floors(args):
-    for name, floor in _FLAG_FLOORS:
+def _check_flag_ranges(args):
+    for name, least, most in _FLAG_RANGES:
         value = getattr(args, name, None)
-        if value is not None and value < floor:
-            raise UsageError(f"--{name} must be at least {floor}, got {value}")
+        if value is not None and not least <= value <= most:
+            bound = f"at least {least}" if value < least else f"at most {most}"
+            raise UsageError(f"--{name} must be {bound}, got {value}")
 
 
 def _field(args):
     """F_{p^m} of --p, --m and --modulus; flags outside their range are
-    usage errors."""
+    usage errors, a field past gf.FIELD_SIZE_MAX among them."""
+    gf.require_field_size(args.p, args.m)
     if args.p == 2 or not gf.is_prime(args.p):
         raise UsageError(f"--p must be an odd prime, got {args.p}")
     if args.m < 1:
@@ -522,7 +526,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        _check_flag_floors(args)
+        _check_flag_ranges(args)
         return args.fn(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

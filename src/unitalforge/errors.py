@@ -14,11 +14,20 @@ class UsageError(UnitalForgeError, ValueError):
     that is not in the unital format.  The command line exits 2 on it."""
 
 
+# The most trials a sampled check takes.  Its arrays grow with the trials:
+# the largest, `plane verify`, peaks at 195 MB (q = 3) and 250 MB (q = 125)
+# with 10^6 trials, and a count past int64 could not size them at all.
+MAX_TRIALS = 10 ** 6
+
+
 def require_trials(trials: int) -> None:
     """A sampled check of fewer than one trial would pass having checked
-    nothing; it is a UsageError."""
+    nothing, and one of more than MAX_TRIALS would size arrays past memory;
+    either is a UsageError, raised before anything is drawn."""
     if trials < 1:
         raise UsageError(f"sampled mode needs at least 1 trial, got {trials}")
+    if trials > MAX_TRIALS:
+        raise UsageError(f"sampled mode takes at most {MAX_TRIALS} trials, got {trials}")
 
 
 def require_mode(mode: str, allowed) -> None:
@@ -43,10 +52,6 @@ class NotIrreducible(UnitalForgeError):
 
 
 class DivisionByZero(UnitalForgeError):
-    pass
-
-
-class XiInSubfield(UnitalForgeError):
     pass
 
 

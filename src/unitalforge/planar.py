@@ -83,12 +83,10 @@ class PlanarFunctionSpec:
                 raise SpecConstraintViolated(
                     f"coulter-matthews needs p=3 and gcd(k,2n)=1; got p={p}, k={self.k}, n={n}")
         elif fam == "dickson":
-            self._need_alpha()
             if not (0 < self.i < n and p ** n % 4 == 1):
                 raise SpecConstraintViolated(
                     f"dickson needs 0 < i < n and p^n = 1 mod 4; got i={self.i}, p^n={p ** n}")
         elif fam == "zhoupott":
-            self._need_alpha()
             if not (0 < self.i < n and 0 < self.k < n
                     and (n // gcd(self.k, n)) % 2 == 1 and p ** n % 4 == 1):
                 raise SpecConstraintViolated(
@@ -134,11 +132,6 @@ class PlanarFunctionSpec:
             if param.name not in read and value != param.default:
                 raise SpecConstraintViolated(
                     f"{fam} reads no parameter {param.name}; got {param.name}={value!r}")
-
-    def _need_alpha(self):
-        if self.split.alpha is None:
-            raise SpecConstraintViolated(
-                "this family needs a split with xi^2 = alpha in the subfield")
 
     # -- identity / formatting --
 
@@ -236,17 +229,6 @@ class PlanarFunctionSpec:
         """(f0(x), f1(x)) with f = f0 + f1*xi and both components in F_q."""
         v = self.eval(x)
         return self.split.decompose(v)
-
-    @cached_property
-    def polarization_table(self) -> np.ndarray:
-        """star[x, y] = f(x+y) - f(x) - f(y), materialized for small fields."""
-        ctx = self.split.ctx
-        if ctx.size > 1024:
-            raise UsageError("polarization table only materialized for small fields")
-        x = np.arange(ctx.size)
-        t = self.table
-        return np.asarray(ctx.sub(ctx.sub(t[ctx.add(x[:, None], x[None, :])],
-                                          t[x][:, None]), t[x][None, :]))
 
 
 def polarization(spec: PlanarFunctionSpec, x, y):

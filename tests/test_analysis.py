@@ -142,6 +142,18 @@ def test_circle_design_q3(unital_q3):
     assert rep.circle_count == 18 and rep.circle_size == 4 and rep.lambda_value == 3
 
 
+def test_circle_design_reports_the_measured_lambda(unital_q3, monkeypatch):
+    # one more circle pair at d = 1: the report fails and names the
+    # lambda it counted there, not the design's q
+    rank0, meet = an._circle_meets(unital_q3)
+    meet = meet.copy()
+    meet[1, 1, 1] += 1
+    monkeypatch.setattr(an, "_circle_meets", lambda unital: (rank0, meet))
+    rep = an.verify_circle_design(unital_q3)
+    assert not rep.passed and rep.distinct_ok and rep.partition_ok
+    assert (rep.circle_size, rep.lambda_value) == (4, 4)
+
+
 def test_circle_distinctness_witness(unital_q3):
     c0 = an.circle(unital_q3, 0, 1)
     for a in range(1, 9):
@@ -150,8 +162,10 @@ def test_circle_distinctness_witness(unital_q3):
 
 # -- circle design by translation ----------------------------------------------
 
-def _report(passed, count, q, partition_ok, distinct_ok):
-    return an.CircleDesignReport(passed, count, q + 1, q, partition_ok, distinct_ok)
+def _report(passed, count, q, partition_ok, distinct_ok, size=None, lam=None):
+    """A report with the design's size q + 1 and lambda q unless given."""
+    return an.CircleDesignReport(passed, count, q + 1 if size is None else size,
+                                 q if lam is None else lam, partition_ok, distinct_ok)
 
 
 def _circles_digest(circles):
@@ -203,11 +217,15 @@ def test_circle_design_frozen(unital_q3, unital_q5, unital_cm81, s729):
 
 def _reference_circle_design(u, phi):
     """The former per-(a, beta) loop, kept as the oracle of the reading by
-    translation."""
+    translation.  It runs over every circle, past a repeat too, so that the
+    size and lambda it reports are measured: the first circle size at a = 0
+    off q + 1, and the first pair count of {0, d}, d = 1, 2, ..., off q
+    (every pair {x, x + d} has the count of {0, d}, by translation)."""
     q, ctx, split, N = u.q, u.plane.ctx, u.plane.split, u.plane.N
     X = np.arange(N, dtype=np.int64)
-    seen = {}
+    seen, repeat = {}, None
     pair_counts = np.zeros(N * N, dtype=np.int16)
+    sizes = []
     partition_ok = size_ok = True
     for a in range(N):
         shifted = phi[np.asarray(ctx.add(X, a))]
@@ -216,19 +234,25 @@ def _reference_circle_design(u, phi):
             members = np.flatnonzero(shifted == int(beta))
             if len(members) != q + 1:
                 size_ok = False
+            if a == 0:
+                sizes.append(len(members))
             key = tuple(int(m) for m in members)
-            if key in seen:
-                return _report(False, len(seen), q, False, False)
-            seen[key] = (a, int(beta))
+            if key in seen and repeat is None:
+                repeat = len(seen)
+            seen.setdefault(key, (a, int(beta)))
             union.update(key)
             ii, jj = np.triu_indices(len(members), k=1)
             pair_counts[members[ii] * N + members[jj]] += 1
         if union != set(range(N)) - {int(ctx.neg(a))}:
             partition_ok = False
+    size = next((v for v in sizes if v != q + 1), q + 1)
+    lam = next((int(v) for v in pair_counts[1:N] if v != q), q)
+    if repeat is not None:
+        return _report(False, repeat, q, False, False, size, lam)
     ii, jj = np.triu_indices(N, k=1)
     lam_ok = bool(np.all(pair_counts[ii * N + jj] == q))
     passed = len(seen) == q ** 3 - q ** 2 and size_ok and partition_ok and lam_ok
-    return _report(passed, len(seen), q, partition_ok, True)
+    return _report(passed, len(seen), q, partition_ok, True, size, lam)
 
 
 def _reference_circles(u, phi):
@@ -262,19 +286,19 @@ def test_circle_design_matches_reference_on_random_phi(unital_q3, unital_q5, mon
                 _reference_circles(u, phi)
 
 
-# (report fields after (passed, circle_count), all_circles digest) per patch,
-# from the per-(a, beta) loop
+# (report fields, all_circles digest) per patch, from the per-(a, beta) loop;
+# size and lambda are the measured ones (the loop's, on every circle)
 BROKEN_CIRCLES = {
-    3: {"repeat": (False, 3, False, False, "3b0177a7e0ac3e1b"),
-        "size": (False, 18, True, True, "cd08615b94bb7f99"),
-        "zero": (False, 18, False, True, "7ff8365a34f9e5d5"),
-        "outside": (False, 18, False, True, "7ff8365a34f9e5d5"),
-        "swap": (False, 18, True, True, "f271fd395469c104")},
-    5: {"repeat": (False, 2, False, False, "ab16bc1bd60b397c"),
-        "size": (False, 100, True, True, "9d23e9925ce3c1c9"),
-        "zero": (False, 100, False, True, "900c94bcb30362b7"),
-        "outside": (False, 100, False, True, "900c94bcb30362b7"),
-        "swap": (False, 100, True, True, "e26b6147f70a5782")},
+    3: {"repeat": (False, 3, 6, 6, False, False, "3b0177a7e0ac3e1b"),
+        "size": (False, 18, 3, 2, True, True, "cd08615b94bb7f99"),
+        "zero": (False, 18, 3, 2, False, True, "7ff8365a34f9e5d5"),
+        "outside": (False, 18, 3, 2, False, True, "7ff8365a34f9e5d5"),
+        "swap": (False, 18, 4, 2, True, True, "f271fd395469c104")},
+    5: {"repeat": (False, 2, 10, 20, False, False, "ab16bc1bd60b397c"),
+        "size": (False, 100, 5, 4, True, True, "9d23e9925ce3c1c9"),
+        "zero": (False, 100, 5, 4, False, True, "900c94bcb30362b7"),
+        "outside": (False, 100, 5, 4, False, True, "900c94bcb30362b7"),
+        "swap": (False, 100, 6, 6, True, True, "e26b6147f70a5782")},
 }
 
 
@@ -285,9 +309,8 @@ def test_broken_circle_designs_frozen(q, unital_q3, unital_q5, monkeypatch):
     for name, patch in _phi_patches(u.plane.split).items():
         monkeypatch.setattr(an, "phi_table",
                             lambda plane, theta, patch=patch: patch(real(plane, theta)))
-        passed, count, partition_ok, distinct_ok, digest = BROKEN_CIRCLES[q][name]
-        assert an.verify_circle_design(u) == _report(passed, count, q, partition_ok,
-                                                     distinct_ok), name
+        *fields, digest = BROKEN_CIRCLES[q][name]
+        assert an.verify_circle_design(u) == an.CircleDesignReport(*fields), name
         assert _circles_digest(an.all_circles(u)) == digest, name
 
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -593,6 +594,40 @@ def test_malformed_field_descriptor_is_usage_error(capsys, tmp_path, unital_q3, 
 def test_flag_out_of_range_is_usage_error(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 2 and f"usage error: {message}" in err
+
+
+# each of these sized an array by the flag (a numpy ValueError traceback,
+# exit 1) or trial-divided a 19-digit p
+_BIG = str(2 ** 64)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("unital", "build", "--p", "3", "--m", "2", "--mode", "sampled", "--trials", _BIG),
+     f"--trials must be at most 1000000, got {_BIG}"),
+    (("plane", "verify", "--p", "3", "--m", "2", "--mode", "sampled", "--trials", _BIG),
+     f"--trials must be at most 1000000, got {_BIG}"),
+    (("unital", "verify", "--p", "3", "--m", "2", "--mode", "sampled",
+      "--trials", str(2 ** 63 - 1)), f"--trials must be at most 1000000, got {2 ** 63 - 1}"),
+    (("unital", "build", "--p", "3", "--m", "2", "--trials", _BIG),
+     "--trials must be at most 1000000"),
+    (("unital", "build", "--p", "3", "--m", _BIG), f"F_3^{_BIG} is past FIELD_SIZE_MAX"),
+    (("field", "check", "--p", "3", "--m", _BIG), f"F_3^{_BIG} is past FIELD_SIZE_MAX"),
+    (("field", "check", "--p", "3", "--m", "40"), "F_3^40 is past FIELD_SIZE_MAX"),
+    (("field", "check", "--p", "1000000000000000003", "--m", "2"),
+     "F_1000000000000000003^2 is past FIELD_SIZE_MAX"),
+])
+def test_oversized_flag_is_refused_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and f"usage error: {message}" in err
+    assert time.perf_counter() - start < 1
+
+
+def test_oversized_field_in_file_header_is_refused(capsys, tmp_path, unital_q3):
+    line = f"p=3,m={_BIG},mod=[1,0,1]"
+    path = _edited_unital_file(tmp_path, unital_q3, lambda l: l[:1] + [line] + l[2:])
+    code, _, err = run(capsys, "unital", "verify", "--p", "3", "--m", "2", "--in", path)
+    assert code == 2 and f"F_3^{_BIG} is past FIELD_SIZE_MAX" in err
 
 
 def test_odd_m_field_check_still_runs(capsys):

@@ -13,7 +13,7 @@ from unitalforge.errors import (
     EvenCharacteristic,
     NotIrreducible,
     NotPrime,
-    XiInSubfield,
+    UsageError,
 )
 
 
@@ -94,6 +94,25 @@ def test_bad_characteristic():
         gf.FieldCtx(9, 1)
     with pytest.raises(EvenCharacteristic):
         gf.FieldCtx(2, 3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gf.field_new(3, 2 ** 64),
+    lambda: gf.FieldCtx(3, 40),
+    lambda: gf.field_new(10 ** 18 + 3, 2),           # a prime, never trial-divided
+    lambda: gf.parse_descriptor("p=1000000000000000003,m=2,mod=[1,0,1]"),
+    lambda: gf.parse_descriptor(f"p=3,m={2 ** 64},mod=[1,0,1]"),
+], ids=["m-2^64", "m-40", "p-19-digits", "descriptor-p", "descriptor-m"])
+def test_field_past_the_size_cap_is_refused(build):
+    with pytest.raises(UsageError, match="past FIELD_SIZE_MAX"):
+        build()
+
+
+def test_size_cap_admits_every_field_built():
+    # F_3^10, the pw q = 243 field, is the largest one the package builds
+    assert 3 ** 10 <= gf.FIELD_SIZE_MAX < 3 ** 13
+    gf.require_field_size(3, 12)
+    gf.require_field_size(1031, 1)
 
 
 def test_default_modulus_deterministic():
@@ -242,11 +261,6 @@ def test_decompose_recompose_round_trip(p, n):
     pairs = np.asarray(split.recompose(split.sub_elements[:, None],
                                        split.sub_elements[None, :]))
     assert len(np.unique(pairs)) == split.ctx.size
-
-
-def test_xi_in_subfield_rejected(s9):
-    with pytest.raises(XiInSubfield):
-        gf.ExtensionSplit(s9.ctx, 1, xi=2)
 
 
 # -- characters and counting -------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -58,3 +59,21 @@ def test_only_gf_reads_the_split_addition_tables():
     readers = sorted(path.name for path in src.glob("*.py")
                      if layout.search(path.read_text(encoding="utf-8")))
     assert readers == ["gf.py"]
+
+
+def test_every_error_type_is_raised():
+    # an error type that nothing raises is dead: code removed from src/
+    # must take its error types along
+    from unitalforge import errors
+
+    src = Path(unitalforge.__file__).resolve().parent
+    raised = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    types = {name for name, obj in vars(errors).items()
+             if isinstance(obj, type) and issubclass(obj, errors.UnitalForgeError)}
+    assert sorted(types - raised - {"UnitalForgeError", "UsageError"}) == []
