@@ -28,6 +28,7 @@ from .errors import (
     UsageError,
     WitnessCheckFailed,
     ZeroBeta,
+    require_index,
 )
 from .plane import BATCH, ShiftPlane, Sigma, id_batches
 from .planar import polarization
@@ -52,6 +53,7 @@ __all__ = [
     "OnanSearchResult",
     "find_onan_exhaustive",
     "ONAN_MAX_CONFIGS",
+    "THROUGH_INF_MAX_CONFIGS",
     "SubgroupReport",
     "sigma_stabilizer_report",
     "verify_sigma_composition",
@@ -77,7 +79,7 @@ def derive_delta(split, theta: int) -> int:
     O(q^2) work, 59 049 elements at q = 243.
     """
     ctx = split.ctx
-    theta = int(theta)
+    theta = require_index(theta, ctx.size, "theta")
     if theta == 0:
         raise ZeroBeta("theta must be nonzero")
     th0, th1 = (int(v) for v in split.decompose(theta))
@@ -124,7 +126,7 @@ def _checked_phi(unital: Unital) -> np.ndarray:
 def circle(unital: Unital, a: int, beta: int) -> Circle:
     plane = unital.plane
     split, ctx = plane.split, plane.ctx
-    a, beta = int(a), int(beta)
+    a, beta = require_index(a, plane.N, "a"), require_index(beta, plane.N, "beta")
     if beta == 0 or not split.in_subfield(beta):
         raise ZeroBeta(f"beta must be a nonzero subfield element, got {beta}")
     phi = _checked_phi(unital)
@@ -135,21 +137,21 @@ def circle(unital: Unital, a: int, beta: int) -> Circle:
                   derive_delta(split, unital.theta))
 
 
-# meet holds N q^2 = q^4 int64 counts: 4 MB at q = 27, 63 MB at q = 53,
-# 97 MB at q = 59, 344 MB at q = 81.  So q <= 53 passes and q >= 59 is
-# refused.
+# meet holds q^4 int32 counts of at most N: 2.1 MB at q = 27, 81 MB at
+# q = 67.  So q <= 61 passes and q >= 67 is refused.
 CIRCLE_TABLE_MAX_BYTES = 1 << 26
+_MEET = np.dtype(np.int32)
 
 
 def _circle_ranks(unital: Unital) -> np.ndarray:
     """rank0[x], the rank of phi(x) in split.sub_elements (0 for zero and for
     values outside F_q, which lie in no circle).  Over CIRCLE_TABLE_MAX_BYTES
-    of meet (q >= 59) it is a UsageError, raised before any table is built.
+    of meet (q >= 67) it is a UsageError, raised before any table is built.
     """
-    q = unital.q
-    if 8 * q ** 4 > CIRCLE_TABLE_MAX_BYTES:
-        raise UsageError(f"circle tables need 8 q^4 <= {CIRCLE_TABLE_MAX_BYTES} "
-                         f"bytes, got {8 * q ** 4} at q = {q}")
+    q, width = unital.q, _MEET.itemsize
+    if width * q ** 4 > CIRCLE_TABLE_MAX_BYTES:
+        raise UsageError(f"circle tables need {width} q^4 <= {CIRCLE_TABLE_MAX_BYTES} "
+                         f"bytes, got {width * q ** 4} at q = {q}")
     return np.maximum(unital.plane.split.sub_rank[_checked_phi(unital)], 0)
 
 
@@ -162,7 +164,7 @@ def _circle_meets(unital: Unital):
     rank0 = _circle_ranks(unital)
     ctx, q, N = unital.plane.ctx, unital.q, unital.plane.N
     X = np.arange(N, dtype=np.int64)
-    meet = np.empty((N, q, q), dtype=np.int64)
+    meet = np.empty((N, q, q), dtype=_MEET)
     for D in id_batches(N, N):
         keys = ((D - D[0])[:, None] * q + rank0[ctx.add(D[:, None], X)]) * q + rank0
         meet[D] = np.bincount(keys.ravel(), minlength=len(D) * q * q).reshape(-1, q, q)
@@ -242,6 +244,7 @@ DESIGN_INDEX_MAX_BYTES = 1 << 28
 # find_onan_exhaustive expands at most this many rows, up to 28 bytes each
 # with their keys: q = 7 (5 383 728) passes, cm q = 9 (99 552 240) does not.
 ONAN_MAX_CONFIGS = 1 << 23
+THROUGH_INF_MAX_CONFIGS = 64  # find_onan_through_infinity's cap
 _ONAN_ROWS = 1 << 12      # rows expanded or decoded per step of that search
 _WILBRINK_BYTES = 1 << 21  # gathered avoid rows per batch of wilbrink_vertex_check
 # verify_sigma_composition holds one image table of N^3 (N^2 + N) entries:
@@ -459,7 +462,7 @@ def onan_from_blocks(unital: Unital, line_ids) -> OnanConfig | None:
     return OnanConfig(tuple(line_ids), tuple(sorted(set(pts))))
 
 
-def find_onan_through_infinity(unital: Unital, max_configs: int = 64):
+def find_onan_through_infinity(unital: Unital):
     """Search for configurations containing the infinity point.
 
     One exists iff circles C(a, beta) and C(0, beta') share >= 3 elements
@@ -471,12 +474,9 @@ def find_onan_through_infinity(unital: Unital, max_configs: int = 64):
     |C(a, beta_s) & C(0, beta_t)|; outside its a = 0 and rank-0 slices the
     hits are the cells with count >= 3, in (a, beta, beta') order.
 
-    Every hit is recorded, but configurations are assembled only until
-    `max_configs` of them are found: with the default cap of 64 the
-    returned count is that cap, not a count of all configurations.  At
-    Coulter-Matthews q=9 the 288 hits give 288 distinct configurations
-    once the cap is lifted.  Raises ProvenanceMismatch when the points are
-    not the parabolic set of the unital's theta.
+    Every hit is recorded, but at most THROUGH_INF_MAX_CONFIGS configurations
+    are assembled.  Raises ProvenanceMismatch when the points are not the
+    parabolic set of the unital's theta.
     """
     plane, N = unital.plane, unital.plane.N
     ctx, betas = plane.ctx, plane.split.sub_elements
@@ -488,7 +488,7 @@ def find_onan_through_infinity(unital: Unital, max_configs: int = 64):
     seen_blocks = set()
     beta_all = np.asarray(beta_of(plane, unital.theta, np.arange(N)))
     for a, s, t in zip(A.tolist(), S.tolist(), T.tolist()):
-        if len(configs) >= max_configs:
+        if len(configs) >= THROUGH_INF_MAX_CONFIGS:
             break
         u, v, w = np.flatnonzero((ctx.translate(rank0, a) == s) & (rank0 == t))[:3].tolist()
         # smallest b with beta(b) = beta (block representative)
@@ -514,8 +514,7 @@ def _omega_root(ctx) -> int | None:
     return int(roots[0]) if len(roots) else None
 
 
-def construct_onan_explicit(unital: Unital, a_v: int | None = None,
-                            a_w: int | None = None) -> OnanConfig:
+def construct_onan_explicit(unital: Unital) -> OnanConfig:
     """Explicit configuration from the power-map template.
 
     For a power map f = x^(p^k+1) with k even, whatever spec produced it
@@ -556,11 +555,7 @@ def construct_onan_explicit(unital: Unital, a_v: int | None = None,
     theta = unital.theta
     inv_theta = ctx.inv(theta)
     four = 4 % ctx.p
-    if a_v is not None and a_w is not None:
-        av, aw = np.array([int(a_v)]), np.array([int(a_w)])
-    else:
-        av, aw = (g.ravel() for g in np.meshgrid(sub_elems[1:], sub_elems[1:],
-                                                 indexing="ij"))
+    av, aw = (g.ravel() for g in np.meshgrid(sub_elems[1:], sub_elems[1:], indexing="ij"))
     diff = ctx.sub(av, aw)
     t_u = ctx.mul(ctx.mul(ctx.mul(four, aw), ctx.mul(diff, omega)), inv_theta)
     t_v = ctx.mul(ctx.mul(ctx.mul(four, av), diff), inv_theta)
@@ -671,8 +666,7 @@ class OnanSearchResult:
 
     blocks (count, 4) indexes block_lines and ranks (count, 6) points, each
     row ascending, in the narrowest unsigned types (uint8 / uint16 to q = 9);
-    block_ids and point_ids read them as int64 IDs, built per read, and
-    `configs` as OnanConfig objects.
+    `configs` reads them as OnanConfig objects of IDs.
     """
 
     blocks: np.ndarray
@@ -685,14 +679,6 @@ class OnanSearchResult:
     @property
     def count(self) -> int:
         return len(self.blocks)
-
-    @property
-    def block_ids(self) -> np.ndarray:
-        return self.block_lines[self.blocks]
-
-    @property
-    def point_ids(self) -> np.ndarray:
-        return self.points.astype(np.int64)[self.ranks]
 
     @property
     def configs(self) -> OnanConfigs:

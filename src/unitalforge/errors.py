@@ -37,6 +37,15 @@ def require_mode(mode: str, allowed) -> None:
         raise UsageError(f"mode must be one of {', '.join(allowed)}, got {mode!r}")
 
 
+def require_index(value, size: int, what: str) -> int:
+    """value as an int in [0, size), else a UsageError (numpy would wrap a
+    negative index into another element)."""
+    value = int(value)
+    if not 0 <= value < size:
+        raise UsageError(f"{what} {value} is not in [0, {size})")
+    return value
+
+
 # --- field construction / arithmetic ---
 
 class NotPrime(UnitalForgeError):

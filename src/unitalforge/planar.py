@@ -307,27 +307,37 @@ _FAMILIES = {
 }
 
 
+def _number(text: str) -> int:
+    """A number as spec_string writes it (0|[1-9][0-9]*), else ValueError."""
+    if text != str(abs(int(text))):
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_spec(split, text: str) -> PlanarFunctionSpec:
     """Parse the spec grammar: square | albert:k=2 | cm:k=3 | dickson:i=1 |
-    zhoupott:i=1,k=1 | ganley | pw | bh:k=1,b=7 | custom:<exp>:<coeff>[,...]."""
-    name, _, rest = text.strip().partition(":")
-    pairs, kv = [], {}
+    zhoupott:i=1,k=1 | ganley | pw | bh:k=1,b=7 | custom:<exp>:<coeff>[,...],
+    each parameter once and each number as spec_string writes it."""
+    name, colon, rest = text.strip().partition(":")
+    pairs = []
     try:
         if name == "custom":
             for chunk in rest.split(","):
                 e, _, c = chunk.partition(":")
-                pairs.append((int(e), int(c)))
-        elif rest:
+                pairs.append((_number(e), _number(c)))
+        elif colon:
             for chunk in rest.split(","):
                 key, _, val = chunk.partition("=")
-                kv[key.strip()] = int(val)
+                pairs.append((key, _number(val)))
     except ValueError:
         raise UsageError(f"malformed spec string {text!r}") from None
     if name == "custom":
         return custom(split, pairs)
     if name not in _FAMILIES:
         raise UsageError(f"unknown spec string {text!r}")
-    fam = _FAMILIES[name]
+    fam, kv = _FAMILIES[name], dict(pairs)
+    if len(kv) < len(pairs):
+        raise UsageError(f"spec string {text!r} repeats a parameter")
     for key in kv:
         if key not in fam.params:
             raise UsageError(f"spec string {text!r} has no parameter {key}")

@@ -44,7 +44,7 @@ class CriterionResult:
 # frozen regression counts (first verified computation, q = 3 and q = 9)
 ONAN_COUNT_Q3_PARABOLIC = 324
 ONAN_COUNT_Q3_CLASSICAL = 0
-ONAN_THROUGH_INF_CM81_CONFIGS = 64    # the default max_configs cap of the search, not a count
+ONAN_THROUGH_INF_CM81_CONFIGS = an.THROUGH_INF_MAX_CONFIGS   # the search's cap, not a count
 ONAN_THROUGH_INF_CM81_HITS = 288      # all circle hits; lifting the cap gives 288 configs
 
 

@@ -45,6 +45,7 @@ from .errors import (
     SwitchMismatch,
     UsageError,
     ZeroTheta,
+    require_index,
     require_mode,
     require_trials,
 )
@@ -252,7 +253,7 @@ class Unital:
         return counts
 
     def line_section(self, lid: int) -> np.ndarray:
-        pts = self.plane.points_on_line(int(lid))
+        pts = self.plane.points_on_line(lid)
         return pts[np.asarray(self.contains(pts))]
 
     @cached_property
@@ -541,7 +542,7 @@ def check_parabolic_hypothesis(plane: ShiftPlane, theta: int):
 
     Returns (ok, histogram keyed by the F_q element index).
     """
-    theta = int(theta)
+    theta = require_index(theta, plane.N, "theta")
     if theta == 0:
         raise ZeroTheta("theta must be nonzero")
     split = plane.split

@@ -25,7 +25,7 @@ from unitalforge.plane import Shift, ShiftPlane, Sigma, sigma_compose
 # frozen regression values (first verified computation)
 Q3_PARABOLIC_ONAN = 324
 Q3_CLASSICAL_ONAN = 0
-CM81_THROUGH_INF_CONFIGS = 64      # the default max_configs cap, not a count
+CM81_THROUGH_INF_CONFIGS = an.THROUGH_INF_MAX_CONFIGS   # the search's cap, not a count
 CM81_THROUGH_INF_HITS = 288        # circle hits: every one, whatever the cap
 CM81_THROUGH_INF_ALL_CONFIGS = 288
 ALBERT27_THROUGH_INF_HITS = 39312  # circle hits of the per-(a, beta, beta') loop
@@ -146,6 +146,7 @@ def test_circle_design_reports_the_measured_lambda(unital_q3, monkeypatch):
     # one more circle pair at d = 1: the report fails and names the
     # lambda it counted there, not the design's q
     rank0, meet = an._circle_meets(unital_q3)
+    assert meet.dtype == np.int32                    # counts of at most N
     meet = meet.copy()
     meet[1, 1, 1] += 1
     monkeypatch.setattr(an, "_circle_meets", lambda unital: (rank0, meet))
@@ -328,8 +329,8 @@ def test_circle_design_peak_memory_albert27(s729):
 
 
 def test_circle_readers_refuse_q81_before_allocating():
-    # the meet table holds 8 q^4 bytes: 4 MB at q = 27, 344 MB at q = 81
-    assert 8 * 53 ** 4 <= an.CIRCLE_TABLE_MAX_BYTES < 8 * 59 ** 4
+    # the meet table holds 4 q^4 bytes: 2.1 MB at q = 27, 172 MB at q = 81
+    assert 4 * 61 ** 4 <= an.CIRCLE_TABLE_MAX_BYTES < 4 * 67 ** 4
     s = gf.split_new(gf.field_new(3, 8), 4)
     u = un.build_parabolic_unital(ShiftPlane(planar.square(s)), s.choose_theta())
     calls = (an.verify_circle_design, an.all_circles, an.find_onan_through_infinity,
@@ -338,7 +339,7 @@ def test_circle_readers_refuse_q81_before_allocating():
     start = time.perf_counter()
     try:
         for call in calls:
-            with pytest.raises(UsageError, match=r"got 344373768 at q = 81"):
+            with pytest.raises(UsageError, match=r"got 172186884 at q = 81"):
                 call(u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -483,9 +484,10 @@ def test_configs_through_infinity_cm81(unital_cm81):
         assert an.onan_from_blocks(unital_cm81, cfg.blocks) == cfg
 
 
-def test_configs_through_infinity_cm81_uncapped(unital_cm81):
-    # lifting the default cap of 64: every circle hit yields its own config
-    cfgs, hits = an.find_onan_through_infinity(unital_cm81, max_configs=10 ** 6)
+def test_configs_through_infinity_cm81_uncapped(unital_cm81, monkeypatch):
+    # lifting the cap of 64: every circle hit yields its own config
+    monkeypatch.setattr(an, "THROUGH_INF_MAX_CONFIGS", 10 ** 6)
+    cfgs, hits = an.find_onan_through_infinity(unital_cm81)
     assert len(hits) == CM81_THROUGH_INF_HITS
     assert len(cfgs) == len({cfg.blocks for cfg in cfgs}) == CM81_THROUGH_INF_ALL_CONFIGS
     inf = unital_cm81.plane.infinity_id
@@ -494,7 +496,7 @@ def test_configs_through_infinity_cm81_uncapped(unital_cm81):
         assert an.onan_from_blocks(unital_cm81, cfg.blocks) == cfg
 
 
-def _reference_through_infinity(u, max_configs=64):
+def _reference_through_infinity(u, cap):
     """The former per-(a, beta, beta') intersect1d loop, kept as the oracle
     of the meet table."""
     plane = u.plane
@@ -514,7 +516,7 @@ def _reference_through_infinity(u, max_configs=64):
                 if len(common) < 3:
                     continue
                 hits.append((a, beta, beta_p, len(common)))
-                if len(configs) >= max_configs:
+                if len(configs) >= cap:
                     continue
                 u0, v, w = (int(c) for c in common[:3])
                 b = rep_b[beta]
@@ -529,9 +531,11 @@ def _reference_through_infinity(u, max_configs=64):
 
 
 @pytest.mark.parametrize("cap", [64, 10 ** 6])
-def test_through_infinity_matches_reference(cap, unital_q3, unital_q5, unital_cm81):
+def test_through_infinity_matches_reference(cap, unital_q3, unital_q5, unital_cm81,
+                                            monkeypatch):
+    monkeypatch.setattr(an, "THROUGH_INF_MAX_CONFIGS", cap)
     for u in (unital_q3, unital_q5, unital_cm81):
-        assert an.find_onan_through_infinity(u, cap) == _reference_through_infinity(u, cap)
+        assert an.find_onan_through_infinity(u) == _reference_through_infinity(u, cap)
 
 
 def test_through_infinity_matches_reference_on_broken_phi(unital_q3, unital_q5, monkeypatch):
@@ -544,7 +548,8 @@ def test_through_infinity_matches_reference_on_broken_phi(unital_q3, unital_q5, 
         for phi in [*patches, *_random_phis(u)]:
             monkeypatch.setattr(an, "phi_table", lambda plane, theta, phi=phi: phi)
             for cap in (2, 10 ** 6):
-                got = an.find_onan_through_infinity(u, cap)
+                monkeypatch.setattr(an, "THROUGH_INF_MAX_CONFIGS", cap)
+                got = an.find_onan_through_infinity(u)
                 assert got == _reference_through_infinity(u, cap)
             found += len(got[1])
         assert found > 0
@@ -554,7 +559,7 @@ def test_configs_through_infinity_albert27(s729):
     u = un.build_parabolic_unital(ShiftPlane(planar.albert(s729, 2)), s729.choose_theta())
     cfgs, hits = an.find_onan_through_infinity(u)
     assert len(hits) == ALBERT27_THROUGH_INF_HITS
-    assert len(cfgs) == 64 == len({cfg.blocks for cfg in cfgs})
+    assert len(cfgs) == an.THROUGH_INF_MAX_CONFIGS == len({cfg.blocks for cfg in cfgs})
     inf = u.plane.infinity_id
     for cfg in cfgs:
         assert inf in cfg.points
@@ -638,10 +643,12 @@ def test_exhaustive_arrays_match_reference(q, unital_q3, unital_q5):
     res = an.find_onan_exhaustive(u, index=idx)
     ref, examined = _reference_onan_configs(u, idx)
     assert res.complete and res.examined == examined and res.count == len(ref)
-    assert res.block_ids.dtype == res.point_ids.dtype == np.int64
-    assert res.block_ids.shape == (len(ref), 4) and res.point_ids.shape == (len(ref), 6)
-    assert res.block_ids.tolist() == [list(c.blocks) for c in ref]
-    assert res.point_ids.tolist() == [list(c.points) for c in ref]
+    carriers = res.block_lines[res.blocks]
+    pids = res.points.astype(np.int64)[res.ranks]
+    assert carriers.dtype == pids.dtype == np.int64
+    assert carriers.shape == (len(ref), 4) and pids.shape == (len(ref), 6)
+    assert carriers.tolist() == [list(c.blocks) for c in ref]
+    assert pids.tolist() == [list(c.points) for c in ref]
     assert res.configs == ref
 
 
@@ -759,8 +766,8 @@ def test_exhaustive_configs_view(full_search_q3):
     for i in (res.count, -res.count - 1):
         with pytest.raises(IndexError):
             view[i]
-    first = an.OnanConfig(tuple(int(v) for v in res.block_ids[0]),
-                          tuple(int(v) for v in res.point_ids[0]))
+    first = an.OnanConfig(tuple(int(v) for v in res.block_lines[res.blocks[0]]),
+                          tuple(int(v) for v in res.points[res.ranks[0]]))
     assert view[0] == first and hash(view[0]) == hash(first)
     assert repr(view[0]) == f"OnanConfig(blocks={first.blocks}, points={first.points})"
     for cfg in (view[0], view[-1], as_list[100]):
@@ -810,9 +817,8 @@ def test_exhaustive_peak_memory_q5(unital_q5):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the result alone is 10.9 MiB; the per-b1 mask search peaked at 21.9 MiB
-    assert res.block_ids.nbytes + res.point_ids.nbytes < 11 * 2 ** 20
-    assert peak < 18 * 2 ** 20
+    # the per-b1 mask search peaked at 21.9 MiB
+    assert res.count and peak < 18 * 2 ** 20
 
 
 def test_exhaustive_keeps_narrow_parts_q5(unital_q3, unital_q5):
@@ -832,8 +838,10 @@ def test_exhaustive_keeps_narrow_parts_q5(unital_q3, unital_q5):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.block_ids.dtype == res.point_ids.dtype == np.int64
-        tables = res.block_ids.tobytes() + res.point_ids.tobytes()
+        carriers = res.block_lines[res.blocks]
+        pids = res.points.astype(np.int64)[res.ranks]
+        assert carriers.dtype == pids.dtype == np.int64
+        tables = carriers.tobytes() + pids.tobytes()
         assert hashlib.sha256(tables).hexdigest() == frozen[u.q]
     assert peak < 6 * 2 ** 20
 
@@ -844,8 +852,9 @@ def test_exhaustive_result_keeps_the_narrow_parts_q5(unital_q5, full_search_q5):
     assert res.blocks.shape == (res.count, 4) and res.ranks.shape == (res.count, 6)
     assert res.blocks.nbytes + res.ranks.nbytes <= 2 * 2 ** 20
     assert res.points is unital_q5.points
-    assert np.array_equal(res.point_ids, unital_q5.points[res.ranks])
-    assert np.array_equal(unital_q5.ranks(res.point_ids), res.ranks)
+    pids = res.points.astype(np.int64)[res.ranks]
+    assert np.array_equal(pids, unital_q5.points[res.ranks])
+    assert np.array_equal(unital_q5.ranks(pids), res.ranks)
 
 
 def test_design_index_pair_tables_are_narrow(unital_q3, unital_q5):
@@ -1038,7 +1047,7 @@ def test_explicit_construction_char3_obstruction(unital_q3, s729):
         an.construct_onan_explicit(ua)
 
 
-def _reference_template_pairs(u, pairs=None):
+def _reference_template_pairs(u):
     """The scalar candidate loop the array filter of construct_onan_explicit
     replaced: every admissible (a_v, a_w, t_u, t_v), in order."""
     plane = u.plane
@@ -1049,8 +1058,7 @@ def _reference_template_pairs(u, pairs=None):
     sub_elems = np.flatnonzero(
         np.asarray(ctx.frobenius(np.arange(ctx.size, dtype=np.int64), g)) == np.arange(ctx.size))
     inv_theta, four = ctx.inv(u.theta), 4 % ctx.p
-    if pairs is None:
-        pairs = [(int(av), int(aw)) for av in sub_elems[1:] for aw in sub_elems[1:]]
+    pairs = [(int(av), int(aw)) for av in sub_elems[1:] for aw in sub_elems[1:]]
     out = []
     for av, aw in pairs:
         if av == aw or av == ctx.mul(omega, aw):
@@ -1066,7 +1074,7 @@ def _reference_template_pairs(u, pairs=None):
     return out
 
 
-def _template_candidates(u, monkeypatch, *pair):
+def _template_candidates(u, monkeypatch):
     """The (a_v, a_w, t_u, t_v) construct_onan_explicit hands to
     _assemble_template when every assembly fails, and the error it ends in."""
     calls = []
@@ -1077,7 +1085,7 @@ def _template_candidates(u, monkeypatch, *pair):
 
     monkeypatch.setattr(an, "_assemble_template", record)
     with pytest.raises(WitnessCheckFailed) as err:
-        an.construct_onan_explicit(u, *pair)
+        an.construct_onan_explicit(u)
     return calls, str(err.value)
 
 
@@ -1094,18 +1102,6 @@ def test_explicit_candidates_match_scalar_loop(unital_q3, unital_q5, s81, s729, 
     assert len(_reference_template_pairs(unital_q5)) > 0
     assert messages[9] == ("no admissible (a_v, a_w) places the template points "
                            "in the unital (subfield size 81, q 9)")
-
-
-def test_explicit_pair_argument_matches_scalar_loop(unital_q5, monkeypatch):
-    # zero included: with a_w = 0 only t_u != 0 rules the pair out
-    elems = range(unital_q5.plane.ctx.size)
-    for pair in [(av, aw) for av in elems for aw in elems]:
-        calls, _ = _template_candidates(unital_q5, monkeypatch, *pair)
-        assert calls == _reference_template_pairs(unital_q5, [pair])
-    monkeypatch.undo()
-    av, aw = _reference_template_pairs(unital_q5)[0][:2]
-    assert an.construct_onan_explicit(unital_q5, av, aw) == \
-        an.construct_onan_explicit(unital_q5)
 
 
 def test_explicit_construction_rejects_cm(unital_cm81):

@@ -213,10 +213,10 @@ def test_parabolic_commands_reject_polarity_unital(cmd, capsys, tmp_path, polari
 
 def test_circles_refuses_the_table_size_before_theta(capsys, tmp_path, polarity_q3,
                                                       monkeypatch):
-    # the library's order: a polarity file at q >= 59 exits 2 on the size
+    # the library's order: a polarity file at q >= 67 exits 2 on the size
     from unitalforge import analysis as an
 
-    monkeypatch.setattr(an, "CIRCLE_TABLE_MAX_BYTES", 8 * 3 ** 4 - 1)
+    monkeypatch.setattr(an, "CIRCLE_TABLE_MAX_BYTES", 4 * 3 ** 4 - 1)
     code, _, err = run(capsys, "circles", "--p", "3", "--m", "2",
                        "--in", _polarity_file(tmp_path, polarity_q3))
     assert code == 2 and "usage error: circle tables need" in err
@@ -453,7 +453,9 @@ def test_unital_verify_rejects_repeated_point(capsys, tmp_path, unital_q5):
     assert code == 1 and "CHECK FAILED (InvalidPointSet)" in err and "listed twice" in err
 
 
-@pytest.mark.parametrize("spec", ["albert", "custom:2", "square:z=7", "albert:k=2,j=1"])
+@pytest.mark.parametrize("spec", ["albert", "custom:2", "square:z=7", "albert:k=2,j=1",
+                                  "albert:k=1,k=2", "albert:k=02", "albert:k=+2",
+                                  "albert:k=1_0", "square:"])
 def test_malformed_spec_is_usage_error(capsys, spec):
     code, _, err = run(capsys, "plane", "verify", "--p", "3", "--m", "2", "--spec", spec)
     assert code == 2 and "usage error" in err and repr(spec) in err

@@ -295,6 +295,13 @@ def test_spec_strings_frozen(field, build, text):
     ("custom:3", "malformed spec string 'custom:3'"),
     ("square:z=7", "spec string 'square:z=7' has no parameter z"),
     ("albert:k=2,j=1", "spec string 'albert:k=2,j=1' has no parameter j"),
+    # each parameter once, each number as spec_string writes it
+    ("albert:k=1,k=2", "spec string 'albert:k=1,k=2' repeats a parameter"),
+    ("albert:k=02", "malformed spec string 'albert:k=02'"),
+    ("albert:k=+2", "malformed spec string 'albert:k=+2'"),
+    ("albert:k=1_0", "malformed spec string 'albert:k=1_0'"),
+    ("custom:03:1", "malformed spec string 'custom:03:1'"),
+    ("square:", "malformed spec string 'square:'"),
 ])
 def test_parse_spec_messages(s729, text, message):
     with pytest.raises(UsageError) as err:

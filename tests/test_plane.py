@@ -110,8 +110,7 @@ def test_shift_identity_and_action(plane_q3):
 def test_all_shifts_are_collineations(plane_q3):
     for u in range(9):
         for v in range(9):
-            assert verify_collineation(plane_q3, Shift(plane_q3, u, v),
-                                       mode="sampled", trials=40, seed=u * 9 + v)
+            assert _sampled(plane_q3, Shift(plane_q3, u, v), u * 9 + v, 40)[0] is None
 
 
 def test_gamma_slope_map(plane_q3):
@@ -243,14 +242,14 @@ def _broken_map(plane_q3):
 
 def test_broken_map_rejected(plane_q3):
     assert not verify_collineation(plane_q3, _broken_map(plane_q3))
-    assert not verify_collineation(plane_q3, _broken_map(plane_q3), mode="sampled")
+    assert _sampled(plane_q3, _broken_map(plane_q3))[0] is not None
 
 
 @pytest.mark.parametrize("trials", [0, -1])
 def test_sampled_collineation_needs_a_trial(trials, plane_q3):
     # no flag drawn would let the broken map pass
     with pytest.raises(UsageError, match="at least 1 trial"):
-        verify_collineation(plane_q3, _broken_map(plane_q3), mode="sampled", trials=trials)
+        _sampled(plane_q3, _broken_map(plane_q3), trials=trials)
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -270,6 +269,11 @@ def _sweep(P, g):
 
 def _checked(P, g):
     return plane_mod._check_flags(P, g, "exhaustive", 0, 1)
+
+
+def _sampled(P, g, seed=0, trials=20000):
+    """Seeded sampled flags through the flag routine verify_polarity shares."""
+    return plane_mod._check_flags(P, g, "sampled", seed, trials)
 
 
 def _conjugation_planes(s9, s25, s81):
@@ -377,7 +381,7 @@ def test_sweep_runs_only_after_a_failed_proof(plane_q3, plane_cm81, monkeypatch)
         assert un.verify_polarity(P, un.InvolutionSpec("frobq"), mode="exhaustive").passed
     assert verify_collineation(plane_q3, Sigma(plane_q3, 1, 2, 3))
     assert calls == []
-    assert verify_collineation(plane_q3, Shift(plane_q3, 5, 2), mode="sampled")
+    assert _sampled(plane_q3, Shift(plane_q3, 5, 2))[0] is None
     assert not verify_collineation(plane_q3, _broken_map(plane_q3))
     assert calls == ["sampled", "exhaustive"]
 
@@ -415,14 +419,11 @@ def test_exhaustive_polarity_albert27(s729):
                                        P.n_lines * (P.N + 1))
 
 
-@pytest.mark.parametrize("call", ["collineation", "axioms"])
+@pytest.mark.parametrize("call", ["axioms"])
 def test_unknown_mode_is_a_usage_error(call, plane_q3):
     # a misspelt mode used to run the sampled check and pass
     with pytest.raises(UsageError, match="mode must be one of"):
-        if call == "collineation":
-            verify_collineation(plane_q3, Shift(plane_q3, 1, 1), mode="exhuastive")
-        else:
-            plane_q3.verify_projective_plane("bogus")
+        plane_q3.verify_projective_plane("bogus")
 
 
 # -- batch incidence ------------------------------------------------------------
@@ -783,7 +784,7 @@ def test_translation_generators_are_collineations(s9, s25, s81, s729):
     P = _albert27(s729)
     for seed, unit in enumerate(P.ctx.pow_p.tolist()):
         for c, d in ((unit, 0), (0, unit)):
-            assert verify_collineation(P, Shift(P, c, d), mode="sampled", seed=seed)
+            assert _sampled(P, Shift(P, c, d), seed)[0] is None
 
 
 def test_exhaustive_axioms_albert27(s729):
@@ -908,13 +909,13 @@ def test_sampled_reports_match_per_trial_loop_albert27(s729, monkeypatch):
     g = Sigma(P, 5, 11, 7)
 
     def reports():
-        return [(verify_collineation(P, g, mode="sampled", seed=seed),
-                 un.verify_polarity(P, kappa, seed=seed)) for seed in range(4)]
+        return [(_sampled(P, g, seed), un.verify_polarity(P, kappa, seed=seed))
+                for seed in range(4)]
 
     new = reports()
     monkeypatch.setattr(ShiftPlane, "sample_flags", _reference_sample_flags)
     assert new == reports()
-    assert new[0] == (True, un.PolarityReport(True, "sampled", 27 ** 3 + 1, 20000))
+    assert new[0] == ((None, 20000), un.PolarityReport(True, "sampled", 27 ** 3 + 1, 20000))
 
 
 # -- properties of the collineations ----------------------------------------------

@@ -46,7 +46,7 @@ def test_runner_stamps_names_and_times():
 
 def test_found_blocks_reads_the_narrow_result(unital_q5):
     # criterion 7d's witness lookup compares block indices: reading
-    # res.block_ids widened the q = 5 result into a 4.6 MB int64 table
+    # widening the q = 5 result to block IDs made a 4.6 MB int64 table
     res = an.find_onan_exhaustive(unital_q5)
     cfg = an.construct_onan_explicit(unital_q5)
     tracemalloc.start()
@@ -56,7 +56,7 @@ def test_found_blocks_reads_the_narrow_result(unital_q5):
     finally:
         tracemalloc.stop()
     assert found and peak < 2 ** 20
-    row = res.block_ids[7].tolist()
+    row = res.block_lines[res.blocks[7]].tolist()
     assert suite._found_blocks(res, tuple(row))
     assert not suite._found_blocks(res, (row[0], row[1], row[2], row[3] + 1))
     assert not suite._found_blocks(res, tuple(res.block_lines[[0, 1, 2, 3]].tolist()))

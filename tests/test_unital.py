@@ -1339,8 +1339,21 @@ def unital_zp125():
     lambda get: Gamma(get("plane_q3"), 0, 0),
     lambda get: un.build_general_unital(get("plane_q3"), np.zeros((9, 2), dtype=np.int64)),
     lambda get: get("unital_zp125").point_mask,
+    # an index past the field or the IDs, or below 0, which numpy would wrap
+    lambda get: an.circle(get("unital_q3"), 10, 1),
+    lambda get: an.circle(get("unital_q3"), 0, 9),
+    lambda get: un.check_parabolic_hypothesis(get("plane_q3"), -5),
+    lambda get: un.build_parabolic_unital(get("plane_q3"), 9),
+    lambda get: an.derive_delta(get("s9"), -3),
+    lambda get: Gamma(get("plane_q3"), -1, 0),
+    lambda get: get("unital_q3").line_section(-1),
+    lambda get: get("unital_q3").line_section(91),
+    lambda get: get("plane_q3").lines_through_point(-1),
 ], ids=["field-degree", "negative-power", "negative-frobenius", "split-degree",
-        "gamma-zero-c", "general-table-shape", "point-mask-size"])
+        "gamma-zero-c", "general-table-shape", "point-mask-size", "circle-a-past",
+        "circle-beta-past", "hypothesis-theta-negative", "build-theta-past",
+        "delta-theta-negative", "gamma-c-negative", "section-line-negative",
+        "section-line-past", "pencil-point-negative"])
 def test_argument_errors_are_usage_errors(request, call):
     # UsageError subclasses ValueError, so callers that catch one still do
     with pytest.raises(UsageError):
